@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List
 
 from .exceptions import ErrorSpecError
@@ -92,6 +93,14 @@ def z_value(confidence: float) -> float:
     return normal_ppf(p)
 
 
+#: Bound on each quantile memo. The functions below are pure and their
+#: arguments repeat (planners ask for the same confidence splits and
+#: pilot-block counts query after query), while one ``student_t_ppf``
+#: call is a ~40-step bisection through a pure-Python continued fraction.
+_QUANTILE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def normal_ppf(p: float) -> float:
     """Inverse standard normal CDF (Acklam's rational approximation,
     polished with one Halley step; max abs error < 1e-9)."""
@@ -135,6 +144,7 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+@lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def student_t_ppf(p: float, df: int) -> float:
     """Upper quantile of Student's t with ``df`` degrees of freedom.
 
@@ -168,6 +178,7 @@ def student_t_cdf(t: float, df: int) -> float:
     return 0.5 * ib
 
 
+@lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
 def chi2_ppf(p: float, df: int) -> float:
     """Quantile of the chi-squared distribution (bisection on its CDF)."""
     if df <= 0:

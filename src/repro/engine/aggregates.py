@@ -9,6 +9,7 @@ paper's "no silver bullet" arguments (experiments E5, E14).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,6 +82,11 @@ _INT_KINDS = frozenset("iub")
 #: per-column span products can be checked with exact Python ints.
 _PACK_LIMIT = 2 ** 62
 
+#: Packed codes are renumbered by counting rather than sorting while their
+#: range is at most this many slots per row (the count array is the only
+#: allocation that grows with the range).
+_DENSE_SPAN_PER_ROW = 4
+
 
 def _integer_pack(key_arrays: Sequence[np.ndarray]) -> Optional[Tuple[np.ndarray, List[int], List[int]]]:
     """Try to pack integer key columns into one int64 code per row.
@@ -88,34 +94,58 @@ def _integer_pack(key_arrays: Sequence[np.ndarray]) -> Optional[Tuple[np.ndarray
     Returns ``(packed, mins, spans)`` or ``None`` when any column is
     non-integer or the combined span would overflow int64. Packing uses
     ``(arr - min) * multiplier`` with the rightmost column varying
-    fastest, so the packed codes sort in the same lexicographic order as
-    the raw values — group ids come out identical to the generic
-    rank-based encoding.
+    fastest, so the packed codes are non-negative and sort in the same
+    lexicographic order as the raw values — group ids come out identical
+    to the generic rank-based encoding.
     """
     mins: List[int] = []
     spans: List[int] = []
-    casted: List[np.ndarray] = []
     for arr in key_arrays:
         if arr.dtype.kind not in _INT_KINDS:
             return None
         lo = int(arr.min())
         hi = int(arr.max())
-        if hi - lo + 1 > _PACK_LIMIT:
+        if hi - lo + 1 > _PACK_LIMIT or hi >= 2 ** 63:
             return None
         mins.append(lo)
         spans.append(hi - lo + 1)
-        casted.append(arr)
     capacity = 1
     for span in spans:
         capacity *= span
         if capacity > _PACK_LIMIT:
             return None
-    packed = np.zeros(len(key_arrays[0]), dtype=np.int64)
+    packed = None
     multiplier = 1
-    for arr, lo, span in zip(reversed(casted), reversed(mins), reversed(spans)):
-        packed += (arr.astype(np.int64) - lo) * multiplier
+    for arr, lo, span in zip(reversed(key_arrays), reversed(mins), reversed(spans)):
+        codes = arr.astype(np.int64, copy=False) - lo
+        if multiplier != 1:
+            codes *= multiplier
+        if packed is None:
+            packed = codes
+        else:
+            packed += codes
         multiplier *= span
     return packed, mins, spans
+
+
+def _unique_codes(codes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in
+    ``[0, capacity)``, without the sort when the range is dense.
+
+    With ``capacity`` proportional to the row count, one ``bincount``
+    finds the occupied codes (already in ascending order) and a lookup
+    table renumbers them — O(n + capacity) against the O(n log n) sort
+    inside ``np.unique``, with identical output.
+    """
+    if capacity > _DENSE_SPAN_PER_ROW * len(codes):
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        return uniq, inverse.astype(np.int64, copy=False)
+    present = np.flatnonzero(np.bincount(codes, minlength=capacity))
+    if len(present) == capacity:
+        return present, codes
+    lookup = np.empty(capacity, dtype=np.int64)
+    lookup[present] = np.arange(len(present), dtype=np.int64)
+    return present, lookup[codes]
 
 
 def encode_groups_arrays(
@@ -131,11 +161,12 @@ def encode_groups_arrays(
 
     Fast paths:
 
-    * a single key column of any dtype goes straight through
-      ``np.unique(..., return_inverse=True)``;
-    * composite keys whose columns are all integer/bool dtypes are packed
-      into one int64 code per row (span-based, order-preserving) so a
-      single ``np.unique`` call replaces per-column factorization.
+    * keys whose columns are all integer/bool dtypes are packed into one
+      int64 code per row (span-based, order-preserving); a dense code
+      range is then renumbered by ``bincount`` + lookup table with no
+      sort at all, a sparse one by a single ``np.unique`` call;
+    * any other single key column goes straight through
+      ``np.unique(..., return_inverse=True)``.
 
     Both fast paths produce group ids and key values identical to the
     generic rank-based encoding (the property test in
@@ -149,19 +180,19 @@ def encode_groups_arrays(
         return np.array([], dtype=np.int64), [
             np.array([], dtype=arr.dtype) for arr in key_arrays
         ]
-    if len(key_arrays) == 1:
-        uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
-        return inverse.astype(np.int64), [uniques]
     packed = _integer_pack(key_arrays)
     if packed is not None:
         codes, mins, spans = packed
-        uniq_codes, inverse = np.unique(codes, return_inverse=True)
+        uniq_codes, inverse = _unique_codes(codes, math.prod(spans))
         key_columns: List[np.ndarray] = [None] * len(key_arrays)  # type: ignore[list-item]
         rem = uniq_codes
         for pos in range(len(key_arrays) - 1, -1, -1):
             rem, offs = np.divmod(rem, spans[pos])
             key_columns[pos] = (offs + mins[pos]).astype(key_arrays[pos].dtype)
-        return inverse.astype(np.int64), key_columns
+        return inverse, key_columns
+    if len(key_arrays) == 1:
+        uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
+        return inverse.astype(np.int64), [uniques]
     # Generic path: factorize each key column, then combine the rank codes.
     codes_list = []
     levels = []

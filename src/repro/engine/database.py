@@ -120,14 +120,18 @@ class Database:
         Computation happens outside the catalog lock (it can be a full
         pass over the table); racing computations of the same table's
         stats produce identical values, and ``setdefault`` keeps exactly
-        one.
+        one. Stats of content that was replaced meanwhile are returned
+        to their caller but not cached.
         """
         with self._catalog_lock:
             cached = self._stats.get(name)
         if cached is not None:
             return cached
-        computed = compute_table_stats(self.table(name))
+        table = self.table(name)
+        computed = compute_table_stats(table)
         with self._catalog_lock:
+            if self._tables.get(name) is not table:
+                return computed
             return self._stats.setdefault(name, computed)
 
     def invalidate_stats(self, name: Optional[str] = None) -> None:

@@ -276,8 +276,17 @@ class Executor:
         n = table.num_rows
         nb = table.num_blocks
         if sample.method == "bernoulli_rows":
-            mask = rng.random(n) < sample.rate
-            return blockio.row_sample_selection(table, np.flatnonzero(mask))
+            rows = np.flatnonzero(rng.random(n) < sample.rate)
+            return blockio.row_sample_selection(
+                table, rows, np.full(len(rows), 1.0 / sample.rate)
+            )
+        if sample.method == "distinct_rows":
+            from ..sampling.distinct import distinct_selection
+
+            rows, weights, _ = distinct_selection(
+                [table[c] for c in sample.columns], sample.rate, sample.cap, rng
+            )
+            return blockio.sampler_pass_selection(table, rows, weights)
         if sample.method == "system_blocks":
             mask = rng.random(nb) < sample.rate
             return blockio.block_sample_selection(table, np.flatnonzero(mask))

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.blocks import BLOCK_ID_COLUMN, ScanSelection
+from ..storage.blocks import BLOCK_ID_COLUMN, WEIGHT_COLUMN, ScanSelection
 from ..core.exceptions import SchemaError
 from .aggregates import (
     AggregateSpec,
@@ -258,6 +258,8 @@ def chain_signature(chain: FusedChain) -> str:
     sample = chain.scan.sample
     if sample is not None:
         parts.append(f"sample={sample.method}:{sample.rate}:{sample.size}")
+        if sample.columns:
+            parts.append(f"sample_on={list(sample.columns)}:{sample.cap}")
     for kind, payload in chain.steps:
         if kind == "filter":
             parts.append(f"filter={payload!r}")
@@ -375,8 +377,8 @@ def scan_relation(
 
     Column names mirror the materializing scan exactly — pruned to
     ``scan_columns``, alias-qualified when an alias is set, with the
-    block-id provenance column appended last for block samples — but each
-    column is a thunk: a shared view for full scans, a single lazy gather
+    block-id provenance column appended last for block samples and the
+    HT-weight column for row-weighted samples — but each column is a thunk: a shared view for full scans, a single lazy gather
     for samples.
     """
     row_indices = selection.row_indices
@@ -393,6 +395,9 @@ def scan_relation(
     if selection.block_id_column is not None:
         ids = selection.block_id_column
         getters[f"{prefix}{BLOCK_ID_COLUMN}"] = lambda: ids
+    if selection.weight_column is not None:
+        weights = selection.weight_column
+        getters[f"{prefix}{WEIGHT_COLUMN}"] = lambda: weights
     return LazyRelation(getters, selection.num_rows)
 
 

@@ -274,6 +274,8 @@ def prune_scan_columns(plan: PlanNode, database) -> PlanNode:
                     raw = name[len(prefix):] if prefix and name.startswith(prefix) else name
                     if raw in table:
                         cols.add(raw)
+            if node.sample is not None:
+                cols |= set(node.sample.columns)  # the sampler reads these
             key = id(node)
             needed_by_scan[key] = needed_by_scan.get(key, set()) | cols
             return

@@ -19,32 +19,53 @@ from .expressions import Expression
 
 # Sampling methods a Scan can carry. These correspond to the SQL standard's
 # TABLESAMPLE BERNOULLI (row-level) and TABLESAMPLE SYSTEM (block-level),
-# plus fixed-size variants some engines expose as extensions.
-SAMPLE_METHODS = ("bernoulli_rows", "system_blocks", "fixed_rows", "fixed_blocks")
+# fixed-size variants some engines expose as extensions, and Quickr's
+# distinct sampler (row-level, every value combination of ``columns`` keeps
+# at least ``cap`` rows).
+SAMPLE_METHODS = (
+    "bernoulli_rows",
+    "system_blocks",
+    "fixed_rows",
+    "fixed_blocks",
+    "distinct_rows",
+)
 
 
 @dataclass(frozen=True)
 class SampleClause:
     """Sampling directive attached to a scan.
 
-    ``rate`` is a probability in (0, 1] for Bernoulli methods; ``size`` is
-    an absolute row/block count for fixed-size methods.
+    ``rate`` is a probability in (0, 1] for Bernoulli-style methods;
+    ``size`` is an absolute row/block count for fixed-size methods;
+    ``columns`` and ``cap`` parameterize ``distinct_rows`` only.
+
+    Scans under the two Bernoulli-style row methods (``bernoulli_rows``,
+    ``distinct_rows``) expose each row's Horvitz–Thompson weight in a
+    hidden ``__weight`` column, the row-level counterpart of the
+    ``__block_id`` column block samples expose.
     """
 
     method: str
     rate: Optional[float] = None
     size: Optional[int] = None
     seed: Optional[int] = None
+    columns: Tuple[str, ...] = ()
+    cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.method not in SAMPLE_METHODS:
             raise PlanError(f"unknown sampling method {self.method!r}")
-        if self.method in ("bernoulli_rows", "system_blocks"):
+        if self.method in ("bernoulli_rows", "system_blocks", "distinct_rows"):
             if self.rate is None or not (0.0 < self.rate <= 1.0):
                 raise PlanError(f"{self.method} requires rate in (0, 1]")
         else:
             if self.size is None or self.size < 0:
                 raise PlanError(f"{self.method} requires a non-negative size")
+        if self.method == "distinct_rows":
+            if not self.columns or self.cap is None or self.cap < 1:
+                raise PlanError("distinct_rows requires columns and cap >= 1")
+        elif self.columns or self.cap is not None:
+            raise PlanError(f"{self.method} takes no columns or cap")
 
     @property
     def is_block_level(self) -> bool:
@@ -82,6 +103,15 @@ class Scan(PlanNode):
     sample: Optional[SampleClause] = None
     alias: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.columns is not None and self.sample is not None:
+            missing = [c for c in self.sample.columns if c not in self.columns]
+            if missing:
+                raise PlanError(
+                    f"scan of {self.table_name!r} prunes columns {missing} "
+                    "its own sampler reads"
+                )
+
     def _describe(self) -> str:
         parts = [f"Scan({self.table_name}"]
         if self.alias and self.alias != self.table_name:
@@ -93,6 +123,8 @@ class Scan(PlanNode):
                 parts.append(f", sample={self.sample.method}@{self.sample.rate:g}")
             else:
                 parts.append(f", sample={self.sample.method}#{self.sample.size}")
+            if self.sample.columns:
+                parts.append(f" on {list(self.sample.columns)} cap {self.sample.cap}")
         parts.append(")")
         return "".join(parts)
 

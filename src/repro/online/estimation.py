@@ -75,28 +75,23 @@ def estimate_groups_row_level(
     else:
         gids = np.zeros(n, dtype=np.int64)
         key_tuples = [()]
-    expanded = expanded_aggregates(bound)
-    value_arrays: Dict[str, np.ndarray] = {}
-    for spec_ in expanded:
+    num_groups = len(key_tuples)
+    counts = np.bincount(gids, minlength=num_groups).tolist()
+    var_weights = weights * (weights - 1.0)
+    out = [GroupEstimates(key=key) for key in key_tuples]
+    for spec_ in expanded_aggregates(bound):
         if spec_.func == "count":
-            value_arrays[spec_.alias] = np.ones(n)
+            wy, wy2 = weights, var_weights
         else:
-            value_arrays[spec_.alias] = np.asarray(
-                spec_.argument.evaluate(pre_agg), dtype=np.float64
-            )
-    out: List[GroupEstimates] = []
-    for gi, key in enumerate(key_tuples):
-        mask = gids == gi
-        w = weights[mask]
-        ge = GroupEstimates(key=key)
-        for spec_ in expanded:
-            y = value_arrays[spec_.alias][mask]
-            total = float(np.sum(w * y))
-            variance = float(np.sum(w * (w - 1.0) * y * y))
+            y = np.asarray(spec_.argument.evaluate(pre_agg), dtype=np.float64)
+            wy = weights * y
+            wy2 = var_weights * y * y
+        totals = np.bincount(gids, weights=wy, minlength=num_groups).tolist()
+        variances = np.bincount(gids, weights=wy2, minlength=num_groups).tolist()
+        for ge, total, variance, count in zip(out, totals, variances, counts):
             ge.simple[spec_.alias] = Estimate(
-                total, variance, int(mask.sum()), estimator="row_ht"
+                total, variance, count, estimator="row_ht"
             )
-        out.append(ge)
     return out
 
 

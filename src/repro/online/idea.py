@@ -10,7 +10,9 @@ relation re-estimates from the cached sample for (almost) free.
 (tables, predicate) signature pays for a Quickr-style sampled execution
 and caches the weighted pre-aggregation relation; subsequent queries with
 the same signature — regardless of their SELECT list or GROUP BY — are
-answered from the cache without touching the base tables. Entries are
+answered from the cache without touching the base tables. Populating an
+entry is the same single sampled pass a Quickr query makes, kept at full
+width; the catalog is never written to. Entries are
 invalidated when any underlying table changes size.
 """
 
@@ -27,7 +29,7 @@ from ..core.result import ApproximateResult
 from ..engine.executor import ExecutionStats
 from ..engine.table import Table
 from ..sql.binder import BoundQuery, bind_sql
-from ..storage.cost import aggregation_cost
+from ..storage.cost import scan_cost
 from .estimation import estimate_groups_row_level, project_output_with_intervals
 from .quickr import QuickrPlanner
 
@@ -122,24 +124,9 @@ class ReuseCache:
         self, bound: BoundQuery, spec: ErrorSpec, key: Tuple
     ) -> ApproximateResult:
         planner = QuickrPlanner(self.database, rate=self.rate, seed=self.seed)
-        target = planner._choose_table(bound)
-        sampler_kind, sample = planner._draw_sample(bound, target)
-        weight_col = "__weight"
-        temp = planner._register_temp(
-            sample.table.with_column(weight_col, sample.weights)
-        )
-        try:
-            from ..engine.optimizer import optimize_plan
-            from .quickr import _swap_scan
-
-            swapped = _swap_scan(bound.pre_agg_plan, target.name, temp)
-            relation, stats = self.database.execute(
-                optimize_plan(swapped, self.database), optimize=False
-            )
-        finally:
-            self.database.drop_table(temp)
-        weights = np.asarray(
-            relation[f"{target.alias}.{weight_col}"], dtype=np.float64
+        target = planner.choose_table(bound)
+        relation, weights, stats, sampler_kind = planner.sampled_relation(
+            bound, target, prune=False
         )
         entry = CacheEntry(
             relation=relation,
@@ -166,17 +153,10 @@ class ReuseCache:
             bound, spec, estimates
         )
         reused = first_run_stats is None
-        stats = first_run_stats if first_run_stats is not None else ExecutionStats()
-        if reused:
-            stats.agg_input_rows = entry.relation.num_rows
-        approx_cost = (
-            aggregation_cost(entry.relation.num_rows).total
-            if reused
-            else stats.simulated_cost(self.database.cost_params).total
-        )
+        stats = ExecutionStats() if reused else first_run_stats
+        stats.agg_input_rows += entry.relation.num_rows  # the estimator's fold
+        approx_cost = stats.simulated_cost(self.database.cost_params).total
         exact_cost = 0.0
-        from ..storage.cost import scan_cost
-
         for name, _ in entry.table_versions:
             t = self.database.table(name)
             exact_cost += scan_cost(t.num_blocks, t.num_rows).total

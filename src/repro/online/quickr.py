@@ -12,19 +12,21 @@ Our reimplementation keeps the decision structure:
   chosen when the query groups by columns of the sampled table whose
   group count is large enough that uniform sampling would lose groups
   (Quickr's "sampler dominance" escape hatch for group coverage);
-* downstream operators run unchanged on the weighted sample; estimates
-  use Horvitz–Thompson weights carried in a hidden column.
+* the sampler is a *scan directive*: a ``SampleClause`` on the target's
+  ``Scan``, executed inside the one fused pass, which exposes each kept
+  row's Horvitz–Thompson weight as a hidden ``__weight`` column — the
+  row-level mirror of the pilot planner's ``system_blocks`` clause and
+  its ``__block_id`` column. Downstream operators run unchanged on the
+  weighted rows; nothing is registered in the catalog.
 
-Cost accounting honors the one-pass model: Quickr is charged a full scan
-of the sampled table (its sampler reads everything once) plus the reduced
-downstream work — which is why its speedups are real but bounded, one of
-the trade-offs experiment E9 measures.
+Cost accounting is what that pass measured: every row of the sampled
+table read once, the kept rows flowing on — which is why Quickr's
+speedups are real but bounded, one of the trade-offs experiment E9
+measures.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,21 +35,13 @@ from ..core.errorspec import ErrorSpec
 from ..core.exceptions import InfeasiblePlanError, UnsupportedQueryError
 from ..core.result import ApproximateResult
 from ..engine import expressions as E
-from ..engine.aggregates import AggregateSpec, encode_groups
-from ..engine.optimizer import optimize_plan
-from ..engine.plan import PlanNode, Scan, transform_plan
+from ..engine.executor import ExecutionStats
+from ..engine.plan import Project, SampleClause, attach_sample
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate
-from ..sampling.distinct import distinct_sample
-from ..sampling.row import bernoulli_sample
 from ..sql.binder import BoundQuery, BoundTable
+from ..storage.blocks import WEIGHT_COLUMN
 from ..storage.cost import aggregation_cost, scan_cost
-from .estimation import (
-    GroupEstimates,
-    estimate_groups_row_level,
-    expanded_aggregates,
-    project_output_with_intervals,
-)
+from .estimation import estimate_groups_row_level, project_output_with_intervals
 
 #: Default sampling rate when the spec does not force more data. Quickr
 #: picks rates from plan statistics; 10% matches its published default.
@@ -57,7 +51,12 @@ DEFAULT_RATE = 0.1
 #: distinct values on the sampled table.
 DISTINCT_SAMPLER_NDV_THRESHOLD = 50
 
+#: Rows the distinct sampler keeps outright per group-by value combination.
+DISTINCT_SAMPLER_CAP = 10
+
 MIN_SAMPLABLE_ROWS = 10_000
+
+_SAMPLER_NAMES = {"bernoulli_rows": "uniform", "distinct_rows": "distinct"}
 
 
 class QuickrPlanner:
@@ -74,15 +73,41 @@ class QuickrPlanner:
         self.database = database
         self.rate = rate
         self.rng = np.random.default_rng(seed)
-        self._temp_counter = 0
 
     # ------------------------------------------------------------------
     def run(self, bound: BoundQuery, spec: ErrorSpec) -> ApproximateResult:
         self._check_supported(bound)
-        target = self._choose_table(bound)
-        sampler_kind, sample = self._draw_sample(bound, target)
-        result = self._execute_on_sample(bound, spec, target, sample, sampler_kind)
-        return result
+        target = self.choose_table(bound)
+        pre_agg, weights, stats, sampler = self.sampled_relation(bound, target)
+        estimates = estimate_groups_row_level(bound, pre_agg, weights)
+        out_table, ci_low, ci_high = project_output_with_intervals(
+            bound, spec, estimates
+        )
+        stats.agg_input_rows += pre_agg.num_rows  # the estimator's fold
+        base = self.database.table(target.name)
+        exact_cost = (
+            scan_cost(base.num_blocks, base.num_rows).total
+            + aggregation_cost(base.num_rows).total
+        )
+        return ApproximateResult(
+            table=out_table,
+            stats=stats,
+            spec=spec,
+            technique="quickr",
+            ci_low=ci_low,
+            ci_high=ci_high,
+            fraction_scanned=stats.fraction_blocks_read,
+            approx_cost=stats.simulated_cost(self.database.cost_params).total,
+            exact_cost=exact_cost,
+            diagnostics={
+                "sampler": sampler,
+                "rate": self.rate,
+                "sampled_table": target.name,
+                "sample_rows": stats.per_table[target.name].rows_returned,
+                "met_spec": _met_spec(bound, spec, out_table, ci_low, ci_high),
+                "guarantee": "a_posteriori",
+            },
+        )
 
     # ------------------------------------------------------------------
     def _check_supported(self, bound: BoundQuery) -> None:
@@ -94,7 +119,7 @@ class QuickrPlanner:
                     f"Quickr cannot sample through {agg.func.upper()}"
                 )
 
-    def _choose_table(self, bound: BoundQuery) -> BoundTable:
+    def choose_table(self, bound: BoundQuery) -> BoundTable:
         candidates = [t for t in bound.tables if t.num_rows >= MIN_SAMPLABLE_ROWS]
         if not candidates:
             raise InfeasiblePlanError("all inputs are too small to sample")
@@ -115,97 +140,49 @@ class QuickrPlanner:
             raw.append(expr.name[len(prefix):])
         return raw
 
-    def _draw_sample(self, bound: BoundQuery, target: BoundTable):
-        table = self.database.table(target.name)
+    def _choose_sampler(self, bound: BoundQuery, target: BoundTable) -> SampleClause:
+        seed = int(self.rng.integers(0, 2**31))
         group_cols = self._group_columns_on_target(bound, target)
-        use_distinct = False
         if group_cols:
             stats = self.database.stats(target.name)
             ndv = 1
             for c in group_cols:
                 col = stats.column(c)
                 ndv *= col.num_distinct if col else 1
-            use_distinct = ndv >= DISTINCT_SAMPLER_NDV_THRESHOLD
-        if use_distinct:
-            sample = distinct_sample(
-                table, group_cols, self.rate, frequency_cap=10, rng=self.rng
-            )
-            return "distinct", sample
-        return "uniform", bernoulli_sample(table, self.rate, rng=self.rng)
+            if ndv >= DISTINCT_SAMPLER_NDV_THRESHOLD:
+                return SampleClause(
+                    "distinct_rows",
+                    rate=self.rate,
+                    seed=seed,
+                    columns=tuple(group_cols),
+                    cap=DISTINCT_SAMPLER_CAP,
+                )
+        return SampleClause("bernoulli_rows", rate=self.rate, seed=seed)
 
     # ------------------------------------------------------------------
-    def _execute_on_sample(
-        self,
-        bound: BoundQuery,
-        spec: ErrorSpec,
-        target: BoundTable,
-        sample,
-        sampler_kind: str,
-    ) -> ApproximateResult:
-        weight_col = "__weight"
-        temp_name = self._register_temp(sample.table.with_column(weight_col, sample.weights))
-        try:
-            swapped = _swap_scan(bound.pre_agg_plan, target.name, temp_name)
-            pre_agg, stats = self.database.execute(
-                optimize_plan(swapped, self.database), optimize=False
-            )
-            estimates = estimate_groups_row_level(
-                bound, pre_agg, pre_agg[f"{target.alias}.{weight_col}"]
-            )
-            out_table, ci_low, ci_high = project_output_with_intervals(
-                bound, spec, estimates
-            )
-        finally:
-            self.database.drop_table(temp_name)
-        base = self.database.table(target.name)
-        one_pass = scan_cost(base.num_blocks, base.num_rows).total
-        downstream = stats.simulated_cost(self.database.cost_params).cpu
-        approx_cost = one_pass + downstream
-        exact_cost = (
-            scan_cost(base.num_blocks, base.num_rows).total
-            + aggregation_cost(base.num_rows).total
-        )
-        met = _met_spec(bound, spec, out_table, ci_low, ci_high)
-        return ApproximateResult(
-            table=out_table,
-            stats=stats,
-            spec=spec,
-            technique="quickr",
-            ci_low=ci_low,
-            ci_high=ci_high,
-            fraction_scanned=1.0,  # one full pass, by design
-            approx_cost=approx_cost,
-            exact_cost=exact_cost,
-            diagnostics={
-                "sampler": sampler_kind,
-                "rate": self.rate,
-                "sampled_table": target.name,
-                "sample_rows": sample.num_rows,
-                "met_spec": met,
-                "guarantee": "a_posteriori",
-            },
-        )
+    def sampled_relation(
+        self, bound: BoundQuery, target: BoundTable, prune: bool = True
+    ) -> Tuple[Table, np.ndarray, ExecutionStats, str]:
+        """The weighted pre-aggregation relation, in one pass.
 
-    def _register_temp(self, table: Table) -> str:
-        self._temp_counter += 1
-        name = f"__quickr_tmp_{self._temp_counter}"
-        while self.database.has_table(name):
-            self._temp_counter += 1
-            name = f"__quickr_tmp_{self._temp_counter}"
-        self.database.create_table(name, table)
-        return name
-
-
-def _swap_scan(plan: PlanNode, old_table: str, new_table: str) -> PlanNode:
-    """Replace scans of ``old_table`` with scans of ``new_table`` keeping
-    the alias (so qualified column names downstream stay valid)."""
-
-    def rewrite(node: PlanNode):
-        if isinstance(node, Scan) and node.table_name == old_table:
-            return replace(node, table_name=new_table, columns=None, sample=None)
-        return None
-
-    return transform_plan(plan, rewrite)
+        Runs the query's joins and filters with the sampler attached to
+        the target's scan and returns ``(relation, weights, stats,
+        sampler name)``. With ``prune`` the relation keeps only what this
+        query's group keys and aggregates read; the reuse cache turns it
+        off to keep every column for queries yet to come.
+        """
+        sample = self._choose_sampler(bound, target)
+        plan = attach_sample(bound.pre_agg_plan, target.name, sample)
+        weight_column = f"{target.alias}.{WEIGHT_COLUMN}"
+        if prune:
+            needed = {weight_column}
+            for expr, _ in bound.group_keys:
+                needed |= expr.columns()
+            for agg in bound.aggregates:
+                needed |= agg.columns()
+            plan = Project(plan, tuple((E.Column(c), c) for c in sorted(needed)))
+        relation, stats = self.database.execute(plan)
+        return relation, relation[weight_column], stats, _SAMPLER_NAMES[sample.method]
 
 
 def _met_spec(

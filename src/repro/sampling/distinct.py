@@ -14,12 +14,71 @@ of distinct groups.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.aggregates import encode_groups_arrays
 from ..engine.table import Table
 from .base import WeightedSample
+
+#: Rows are ranked within their group only if their random priority falls
+#: under a per-group threshold that lets through about this many times the
+#: cap. A group left with fewer than its cap (probability ~1e-8 at 4 x 10)
+#: has all of its rows ranked instead, so the result never depends on it.
+_CANDIDATE_MULTIPLIER = 4.0
+
+
+def distinct_selection(
+    key_arrays: Sequence[np.ndarray],
+    rate: float,
+    frequency_cap: int = 10,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Which rows the distinct sampler keeps, and at what HT weight.
+
+    Returns ``(rows, weights, num_groups)``: ascending row indices, their
+    weights ``1/π``, and the number of distinct key combinations. This is
+    the sampler itself; :func:`distinct_sample` copies the rows out and a
+    ``distinct_rows`` scan directive feeds them to a fused scan.
+
+    Every row draws a priority; the ``min(cap, size)`` smallest priorities
+    of each group are kept outright and every other row with probability
+    ``rate``. Rows of a group are exchangeable, so a row is among the
+    outright keeps with probability ``q = min(cap, size)/size`` and
+    ``π = q + (1-q)·rate`` exactly. Finding the smallest priorities needs
+    no sort of the table: only rows whose priority is under
+    ``cap·multiplier/size`` can be among them, and those few are sorted.
+    """
+    if not (0.0 < rate <= 1.0):
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    if frequency_cap < 1:
+        raise ValueError("frequency_cap must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng()
+    group_ids, key_columns = encode_groups_arrays(key_arrays)
+    n = len(group_ids)
+    num_groups = len(key_columns[0])
+    sizes = np.bincount(group_ids, minlength=num_groups)
+    quota = np.minimum(frequency_cap, sizes)
+    priority = rng.random(n)
+    threshold = np.minimum(1.0, _CANDIDATE_MULTIPLIER * frequency_cap / sizes)
+    is_candidate = priority < threshold[group_ids]
+    candidates = np.flatnonzero(is_candidate)
+    short = np.bincount(group_ids[candidates], minlength=num_groups) < quota
+    if short.any():
+        candidates = np.flatnonzero(is_candidate | short[group_ids])
+    candidate_groups = group_ids[candidates]
+    order = np.lexsort((priority[candidates], candidate_groups))
+    sorted_groups = candidate_groups[order]
+    first = np.searchsorted(sorted_groups, np.arange(num_groups))
+    rank = np.arange(len(order)) - first[sorted_groups]
+    keep = rng.random(n) < rate
+    keep[candidates[order[rank < frequency_cap]]] = True
+    rows = np.flatnonzero(keep)
+    q = quota / sizes
+    weight_of_group = 1.0 / (q + (1.0 - q) * rate)
+    return rows, weight_of_group[group_ids[rows]], num_groups
 
 
 def distinct_sample(
@@ -32,60 +91,17 @@ def distinct_sample(
     """Keep ≥``frequency_cap`` rows per distinct value of ``columns``;
     thin the remainder at ``rate``.
 
-    Implementation detail: within each distinct group, rows are randomly
-    ranked; ranks below the cap are kept with probability 1, the rest with
-    probability ``rate``. Inclusion probabilities are exact, so HT
-    estimation over the sample is unbiased for linear aggregates.
+    Inclusion probabilities are exact (see :func:`distinct_selection`), so
+    HT estimation over the sample is unbiased for linear aggregates.
     """
-    if not (0.0 < rate <= 1.0):
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if frequency_cap < 1:
-        raise ValueError("frequency_cap must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    n = table.num_rows
-    if n == 0:
-        return WeightedSample(
-            table=table,
-            weights=np.array([]),
-            method="distinct",
-            population_rows=0,
-            params={"columns": list(columns), "rate": rate, "cap": frequency_cap},
-        )
-    # Encode the distinct-column combination per row.
-    from ..engine.aggregates import encode_groups
-
-    group_ids, _ = encode_groups([table[c] for c in columns])
-    num_groups = int(group_ids.max()) + 1
-    # Random rank within each group: shuffle, then stable-sort by group.
-    shuffle = rng.permutation(n)
-    order = shuffle[np.argsort(group_ids[shuffle], kind="stable")]
-    sorted_groups = group_ids[order]
-    # position within the group along the sorted order
-    boundaries = np.flatnonzero(np.diff(sorted_groups)) + 1
-    starts = np.concatenate([[0], boundaries])
-    group_start = np.zeros(n, dtype=np.int64)
-    group_start[starts] = starts
-    group_start = np.maximum.accumulate(group_start)
-    rank_sorted = np.arange(n) - group_start
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = rank_sorted
-    capped = rank < frequency_cap
-    keep = capped | (rng.random(n) < rate)
-    group_sizes = np.bincount(group_ids, minlength=num_groups)
-    # Inclusion probability: rows are exchangeable within a group, so each
-    # row's chance of a sub-cap rank is min(cap, g)/g; otherwise it is kept
-    # w.p. rate. pi = q + (1-q) * rate with q = min(cap,g)/g.
-    g = group_sizes[group_ids].astype(np.float64)
-    q = np.minimum(frequency_cap, g) / g
-    pi = q + (1.0 - q) * rate
-    sampled = table.take(keep)
-    weights = 1.0 / pi[keep]
+    rows, weights, num_groups = distinct_selection(
+        [table[c] for c in columns], rate, frequency_cap, rng
+    )
     return WeightedSample(
-        table=sampled,
+        table=table.take(rows),
         weights=weights,
         method="distinct",
-        population_rows=n,
+        population_rows=table.num_rows,
         params={
             "columns": list(columns),
             "rate": rate,
@@ -98,10 +114,8 @@ def distinct_sample(
 def group_coverage(sample: WeightedSample, table: Table) -> float:
     """Fraction of the base table's distinct groups present in the sample."""
     columns = list(sample.params["columns"])  # type: ignore[arg-type]
-    from ..engine.aggregates import encode_groups
-
-    _, base_keys = encode_groups([table[c] for c in columns])
     if sample.num_rows == 0:
         return 0.0
-    _, sample_keys = encode_groups([sample.table[c] for c in columns])
-    return len(sample_keys) / max(len(base_keys), 1)
+    _, base_keys = encode_groups_arrays([table[c] for c in columns])
+    _, sample_keys = encode_groups_arrays([sample.table[c] for c in columns])
+    return len(sample_keys[0]) / max(len(base_keys[0]), 1)

@@ -35,6 +35,12 @@ class AccessStats:
 #: Downstream, pilot-style planners group by it to get per-block statistics.
 BLOCK_ID_COLUMN = "__block_id"
 
+#: Column name under which row-weighted sampled scans expose each row's
+#: Horvitz–Thompson weight ``1/π``. Quickr-style planners carry it through
+#: filters and joins and estimate from it — the row-level mirror of
+#: :data:`BLOCK_ID_COLUMN`.
+WEIGHT_COLUMN = "__weight"
+
 
 @dataclass
 class ScanSelection:
@@ -56,6 +62,7 @@ class ScanSelection:
     row_indices: Optional[np.ndarray]
     block_id_column: Optional[np.ndarray]
     access: AccessStats
+    weight_column: Optional[np.ndarray] = None
 
     @property
     def num_rows(self) -> int:
@@ -74,8 +81,10 @@ def full_selection(table: Table) -> ScanSelection:
     return ScanSelection(table, None, None, stats)
 
 
-def row_sample_selection(table: Table, row_indices: np.ndarray) -> ScanSelection:
-    """Select specific rows.
+def row_sample_selection(
+    table: Table, row_indices: np.ndarray, weights: Optional[np.ndarray] = None
+) -> ScanSelection:
+    """Select specific rows, optionally with their HT weights.
 
     A row-level sampler must still *touch* every block that holds at least
     one selected row; with uniform sampling at any non-trivial rate that is
@@ -83,13 +92,36 @@ def row_sample_selection(table: Table, row_indices: np.ndarray) -> ScanSelection
     sampling on block-oriented stores.
     """
     row_indices = np.asarray(row_indices, dtype=np.int64)
-    touched_blocks = len(np.unique(table.block_ids_of_rows(row_indices))) if len(row_indices) else 0
+    touched_blocks = int(
+        np.count_nonzero(
+            np.bincount(
+                table.block_ids_of_rows(row_indices), minlength=table.num_blocks
+            )
+        )
+    )
     stats = AccessStats(
         rows_scanned=touched_blocks * table.block_size,
         blocks_scanned=touched_blocks,
         rows_returned=len(row_indices),
     )
-    return ScanSelection(table, row_indices, None, stats)
+    return ScanSelection(table, row_indices, None, stats, weights)
+
+
+def sampler_pass_selection(
+    table: Table, row_indices: np.ndarray, weights: np.ndarray
+) -> ScanSelection:
+    """Select the rows a content-dependent sampler chose.
+
+    Such a sampler (the distinct sampler ranks rows within their group)
+    has read every row to make its choice, so the pass is charged as a
+    full scan however few rows it returns.
+    """
+    stats = AccessStats(
+        rows_scanned=table.num_rows,
+        blocks_scanned=table.num_blocks,
+        rows_returned=len(row_indices),
+    )
+    return ScanSelection(table, row_indices, None, stats, weights)
 
 
 def block_sample_selection(table: Table, block_ids: Sequence[int]) -> ScanSelection:
@@ -131,6 +163,8 @@ def materialize_selection(selection: ScanSelection) -> Table:
         result = selection.table.take(selection.row_indices)
     if selection.block_id_column is not None:
         result = result.with_column(BLOCK_ID_COLUMN, selection.block_id_column)
+    if selection.weight_column is not None:
+        result = result.with_column(WEIGHT_COLUMN, selection.weight_column)
     return result
 
 

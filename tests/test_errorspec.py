@@ -124,3 +124,27 @@ class TestChiSquared:
     def test_invalid_df(self):
         with pytest.raises(ErrorSpecError):
             chi2_ppf(0.5, -1)
+
+
+class TestQuantileMemo:
+    """The quantile functions are memoised; a hit must be the very float
+    a fresh computation returns, and errors must not be cached."""
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_cached_equals_uncached(self, confidence):
+        p = 0.5 + confidence / 2.0
+        for df in range(1, 201):
+            for fn in (student_t_ppf, chi2_ppf):
+                fresh = fn.__wrapped__(p, df)
+                assert fn(p, df) == fresh  # fills the memo (or hits it)
+                assert fn(p, df) == fresh  # certainly a hit
+        assert normal_ppf(p) == normal_ppf.__wrapped__(p)
+        assert z_value(confidence) == normal_ppf.__wrapped__(p)
+
+    def test_memo_is_bounded_and_skips_errors(self):
+        assert student_t_ppf.cache_info().maxsize is not None
+        assert chi2_ppf.cache_info().maxsize is not None
+        assert normal_ppf.cache_info().maxsize is not None
+        for _ in range(2):
+            with pytest.raises(ErrorSpecError):
+                student_t_ppf(0.95, 0)

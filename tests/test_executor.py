@@ -7,6 +7,7 @@ from repro import Database, PlanError, Table
 from repro.engine.aggregates import AggregateSpec
 from repro.engine.executor import Executor, join_indices
 from repro.engine.expressions import col
+from repro.engine.optimizer import optimize_plan
 from repro.engine.plan import (
     Filter,
     GroupByAggregate,
@@ -103,6 +104,36 @@ class TestScan:
             SampleClause("fixed_rows")
         with pytest.raises(PlanError):
             SampleClause("martian")
+        with pytest.raises(PlanError):
+            SampleClause("distinct_rows", rate=0.1)  # no columns, no cap
+        with pytest.raises(PlanError):
+            SampleClause("distinct_rows", rate=0.1, columns=("a",), cap=0)
+        with pytest.raises(PlanError):
+            SampleClause("bernoulli_rows", rate=0.1, columns=("a",))
+
+    def test_row_weighted_samples_expose_weight_column(self, db):
+        out, _ = run(
+            db, Scan("t", alias="x", sample=SampleClause("bernoulli_rows", rate=0.5, seed=1))
+        )
+        assert out.column_names[-1] == "x.__weight"
+        assert np.all(out["x.__weight"] == 2.0)
+        out, stats = run(
+            db,
+            Scan("t", sample=SampleClause(
+                "distinct_rows", rate=0.2, seed=1, columns=("a",), cap=1
+            )),
+        )
+        assert out.num_rows == 100  # every a is distinct: all kept outright
+        assert np.all(out["__weight"] == 1.0)
+        assert stats.rows_scanned == 100
+
+    def test_scan_cannot_prune_its_samplers_columns(self, db):
+        sample = SampleClause("distinct_rows", rate=0.2, columns=("a",), cap=2)
+        with pytest.raises(PlanError):
+            Scan("t", columns=("b",), sample=sample)
+        plan = Project(Scan("t", sample=sample), ((col("b"), "b"),))
+        pruned = optimize_plan(plan, db)
+        assert set(pruned.child.columns) == {"a", "b"}
 
 
 class TestOperators:

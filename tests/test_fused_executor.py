@@ -189,6 +189,30 @@ class TestFusedDifferential:
         for seed in (0, 7, 991):
             run_both(db, sql, seed=seed)
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_distinct_directive_identical_in_both_modes(self, db, optimize):
+        """The ``distinct_rows`` scan directive and its hidden ``__weight``
+        column: same rows, weights and accounting fused or materialized."""
+        scan = Scan(
+            "f",
+            alias="f",
+            sample=SampleClause(
+                "distinct_rows", rate=0.2, columns=("a", "b"), cap=2
+            ),
+        )
+        plan = Project(
+            Filter(scan, col("f.v") > 2.0),
+            ((col("f.a"), "a"), (col("f.v") * col("f.__weight"), "wv")),
+        )
+        for seed in (0, 7, 991):
+            fused_t, fused_s = db.execute(plan, seed=seed, optimize=optimize)
+            mat_t, mat_s = db.execute(
+                plan, seed=seed, optimize=optimize, fused=False
+            )
+            assert_tables_identical(fused_t, mat_t)
+            assert stats_snapshot(fused_s) == stats_snapshot(mat_s)
+            assert fused_s.rows_scanned == ROWS
+
     def test_identical_under_deadline_scope(self, db):
         sql = "SELECT b AS b, AVG(v) AS m FROM f WHERE w < 0.8 GROUP BY b"
         with deadline_scope(Deadline(60.0)):
@@ -371,13 +395,16 @@ def _generic_reference(key_arrays):
 @st.composite
 def int_key_sets(draw):
     n = draw(st.integers(1, 200))
-    num_keys = draw(st.integers(2, 4))
+    num_keys = draw(st.integers(1, 4))
+    # narrow ranges keep the packed codes dense (renumbered by counting),
+    # wide ones sparse (renumbered by np.unique)
+    reach = draw(st.sampled_from([3, 40, 1000]))
     arrays = []
     for _ in range(num_keys):
         dtype = draw(st.sampled_from(INT_DTYPES))
         info = np.iinfo(dtype)
-        lo = draw(st.integers(max(info.min, -1000), 0))
-        hi = draw(st.integers(1, min(info.max, 1000)))
+        lo = draw(st.integers(max(info.min, -reach), 0))
+        hi = draw(st.integers(1, min(info.max, reach)))
         seed = draw(st.integers(0, 2**31 - 1))
         arrays.append(
             np.random.default_rng(seed).integers(lo, hi + 1, n).astype(dtype)
@@ -407,6 +434,26 @@ class TestEncodeGroupsFastPath:
         ids_ref, _ = _generic_reference([a, b, c])
         assert np.array_equal(ids, ids_ref)
         assert len(cols[0]) == 3  # rows 0 and 3 collide into one group
+
+    def test_dense_codes_with_holes_match_np_unique(self):
+        # One column, span 10 over 12 rows: the counting path, with gaps
+        # (no 13, 15, 16, 18, 19) its lookup table has to close.
+        a = np.array([20, 11, 14, 14, 12, 20, 17, 11, 12, 14, 17, 20], dtype=np.int32)
+        ids, cols = encode_groups_arrays([a])
+        uniq, inverse = np.unique(a, return_inverse=True)
+        assert cols[0].dtype == a.dtype
+        assert np.array_equal(cols[0], uniq)
+        assert np.array_equal(ids, inverse)
+        flags = np.array([True, False, True, True])
+        ids, cols = encode_groups_arrays([flags])
+        assert cols[0].dtype == bool and list(cols[0]) == [False, True]
+        assert list(ids) == [1, 0, 1, 1]
+
+    def test_uint64_beyond_int64_is_not_packed(self):
+        big = np.array([2**63 + 5, 3, 2**63 + 5, 7], dtype=np.uint64)
+        ids, cols = encode_groups_arrays([big])
+        assert list(ids) == [2, 0, 2, 1]
+        assert list(cols[0]) == [3, 7, 2**63 + 5]
 
     def test_mixed_int_and_object_uses_generic(self):
         a = np.array([1, 1, 2], dtype=np.int64)

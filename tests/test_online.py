@@ -163,10 +163,73 @@ class TestQuickr:
         res = QuickrPlanner(db, seed=4).run(bound, ErrorSpec(0.05, 0.95))
         assert isinstance(res.diagnostics["met_spec"], bool)
 
-    def test_temp_table_cleaned_up(self, db):
-        bound = bind_sql("SELECT SUM(value) AS s FROM big", db)
-        QuickrPlanner(db, seed=5).run(bound, ErrorSpec(0.05, 0.95))
-        assert not any(t.startswith("__quickr") for t in db.table_names)
+    def test_catalog_never_written(self, db, monkeypatch):
+        """The sampler rides the scan: no temp table is created, dropped
+        or replaced on the shared Database, by Quickr or the reuse cache."""
+        from repro.online.idea import ReuseCache
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("catalog mutated on the query path")
+
+        for name in ("create_table", "drop_table", "replace_table"):
+            monkeypatch.setattr(db, name, forbidden)
+        names = db.table_names
+        spec = ErrorSpec(0.05, 0.95)
+        scalar = bind_sql("SELECT SUM(value) AS s FROM big", db)
+        grouped = bind_sql(
+            "SELECT group_id, SUM(value) AS s FROM big GROUP BY group_id", db
+        )
+        QuickrPlanner(db, seed=5).run(scalar, spec)
+        QuickrPlanner(db, seed=5).run(grouped, spec)
+        ReuseCache(db, seed=5).run(scalar, spec)
+        assert db.table_names == names
+
+    @pytest.mark.parametrize("groups,sampler", [(6, "uniform"), (800, "distinct")])
+    def test_stats_report_the_pass_made(self, groups, sampler):
+        """One pass over every row of the base table, ~rate of them kept;
+        ``approx_cost`` is that accounting priced, nothing added."""
+        n = 120_000
+        db = Database()
+        db.create_table(
+            "z", zipf_group_table(n, num_groups=groups, zipf_s=1.1, seed=4),
+            block_size=512,
+        )
+        bound = bind_sql(
+            "SELECT group_id, SUM(value) AS s FROM z WHERE selector < 0.5 "
+            "GROUP BY group_id",
+            db,
+        )
+        res = QuickrPlanner(db, seed=8).run(bound, ErrorSpec(0.1, 0.9))
+        assert res.diagnostics["sampler"] == sampler
+        base = db.table("z")
+        access = res.stats.per_table["z"]
+        assert list(res.stats.per_table) == ["z"]
+        assert access.blocks_scanned == base.num_blocks
+        assert n <= access.rows_scanned <= base.num_blocks * base.block_size
+        assert 0.08 * n < access.rows_returned < 0.2 * n
+        assert res.diagnostics["sample_rows"] == access.rows_returned
+        assert res.fraction_scanned == 1.0
+        # the estimator folds the filtered sample, and that is charged too
+        assert 0 < res.stats.agg_input_rows < access.rows_returned
+        assert res.approx_cost == pytest.approx(
+            res.stats.simulated_cost(db.cost_params).total
+        )
+
+    def test_sample_is_column_pruned(self, db):
+        bound = bind_sql(
+            "SELECT group_id, SUM(value) AS s FROM big WHERE selector < 0.5 "
+            "GROUP BY group_id",
+            db,
+        )
+        planner = QuickrPlanner(db, seed=9)
+        target = planner.choose_table(bound)
+        pruned, weights, _, _ = planner.sampled_relation(bound, target)
+        assert sorted(pruned.column_names) == [
+            "big.__weight", "big.group_id", "big.value"
+        ]
+        assert len(weights) == pruned.num_rows
+        full, _, _, _ = planner.sampled_relation(bound, target, prune=False)
+        assert "big.selector" in full.column_names
 
     def test_join_through_sample(self, db):
         bound = bind_sql(
@@ -181,6 +244,64 @@ class TestQuickr:
         bound = bind_sql("SELECT MIN(value) AS m FROM big", db)
         with pytest.raises(UnsupportedQueryError):
             QuickrPlanner(db).run(bound, ErrorSpec(0.05, 0.95))
+
+
+def _loop_estimate_groups_row_level(bound, pre_agg, weights):
+    """The per-group masking loop ``estimate_groups_row_level`` replaced,
+    kept as the reference its vectorised form must reproduce."""
+    from repro.engine.aggregates import encode_groups
+    from repro.online.estimation import expanded_aggregates
+
+    gids, key_tuples = encode_groups(
+        [expr.evaluate(pre_agg) for expr, _ in bound.group_keys]
+    )
+    out = {}
+    for gi, key in enumerate(key_tuples):
+        mask = gids == gi
+        w = weights[mask]
+        for spec_ in expanded_aggregates(bound):
+            if spec_.func == "count":
+                y = np.ones(int(mask.sum()))
+            else:
+                y = np.asarray(spec_.argument.evaluate(pre_agg), dtype=np.float64)[mask]
+            out[key, spec_.alias] = (
+                float(np.sum(w * y)),
+                float(np.sum(w * (w - 1.0) * y * y)),
+                int(mask.sum()),
+            )
+    return out
+
+
+def test_row_level_estimates_match_masking_loop(rng):
+    from repro.online.estimation import estimate_groups_row_level
+
+    n = 40_000
+    db = Database()
+    db.create_table(
+        "t",
+        {
+            "g": rng.integers(0, 50, n),
+            "h": rng.integers(-3, 4, n),
+            "x": rng.exponential(20.0, n),
+            "y": rng.normal(0.0, 5.0, n),
+        },
+    )
+    bound = bind_sql(
+        "SELECT g, h, SUM(x * y) AS s, AVG(x) AS a, COUNT(*) AS c "
+        "FROM t GROUP BY g, h",
+        db,
+    )
+    pre_agg = db.table("t").rename({c: f"t.{c}" for c in "ghxy"})
+    weights = 1.0 / rng.uniform(0.05, 1.0, n)
+    expected = _loop_estimate_groups_row_level(bound, pre_agg, weights)
+    got = estimate_groups_row_level(bound, pre_agg, weights)
+    assert len(got) == 50 * 7
+    for ge in got:
+        for alias, est in ge.simple.items():
+            total, variance, count = expected[ge.key, alias]
+            assert est.value == pytest.approx(total, rel=1e-12, abs=1e-9)
+            assert est.variance == pytest.approx(variance, rel=1e-12)
+            assert est.sample_size == count
 
 
 class TestOnlineAggregation:

@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 from repro import Database, SynopsisError, Table
-from repro.audit.acceptance import chi2_upper_bound, mc_mean_within
+from repro.audit.acceptance import (
+    binomial_acceptance_band,
+    chi2_upper_bound,
+    mc_mean_within,
+)
+from repro.engine.aggregates import encode_groups
 from repro.engine.executor import join_indices
-from repro.sampling.distinct import distinct_sample, group_coverage
+from repro.sampling import distinct as distinct_module
+from repro.sampling.distinct import (
+    distinct_sample,
+    distinct_selection,
+    group_coverage,
+)
 from repro.sampling.join_synopsis import (
     ForeignKeyEdge,
     build_join_synopsis,
@@ -139,6 +149,140 @@ class TestDistinctSampler:
             distinct_sample(zipf, ["group_id"], 0.0)
         with pytest.raises(ValueError):
             distinct_sample(zipf, ["group_id"], 0.5, frequency_cap=0)
+
+
+def _argsort_distinct_selection(key_arrays, rate, frequency_cap, rng):
+    """The pre-rewrite distinct sampler, kept as the test-only reference:
+    shuffle, stable-argsort by group, keep ranks under the cap outright
+    and the rest with probability ``rate``."""
+    group_ids, key_tuples = encode_groups(key_arrays)
+    n = len(group_ids)
+    shuffle = rng.permutation(n)
+    order = shuffle[np.argsort(group_ids[shuffle], kind="stable")]
+    sorted_groups = group_ids[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_groups)) + 1])
+    group_start = np.zeros(n, dtype=np.int64)
+    group_start[starts] = starts
+    group_start = np.maximum.accumulate(group_start)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - group_start
+    keep = (rank < frequency_cap) | (rng.random(n) < rate)
+    g = np.bincount(group_ids)[group_ids].astype(np.float64)
+    q = np.minimum(frequency_cap, g) / g
+    pi = q + (1.0 - q) * rate
+    rows = np.flatnonzero(keep)
+    return rows, 1.0 / pi[rows], len(key_tuples)
+
+
+#: (rate, cap) the design tests run at; small enough that the capped
+#: share of a group is visible in every statistic
+DESIGN_RATE, DESIGN_CAP, DESIGN_TRIALS = 0.15, 5, 240
+
+
+def _design_keys(kind):
+    """Key columns whose groups exercise one branch of the sampler each."""
+    cols = zipf_group_table(3_000, num_groups=60, zipf_s=1.3, seed=21)
+    if kind == "zipf":  # a few big groups over the threshold, a long tail
+        return [cols["group_id"]]
+    if kind == "singletons":  # every group smaller than the cap
+        return [np.arange(400, dtype=np.int64) // 2 * 7]
+    # composite (int, int) key, sparse in its packed range
+    return [cols["group_id"] % 9 - 4, (cols["id"] % 3) * 1_000]
+
+
+@pytest.mark.statistical
+@pytest.mark.parametrize(
+    "select,multiplier",
+    [
+        (distinct_selection, None),
+        (distinct_selection, 0.4),  # most big groups fall back to a full rank
+        (_argsort_distinct_selection, None),
+    ],
+    ids=["threshold", "fallback", "argsort-reference"],
+)
+@pytest.mark.parametrize("kind", ["zipf", "singletons", "composite"])
+def test_distinct_sampler_design(select, multiplier, kind, repro_seed, monkeypatch):
+    """The sort-free sampler and the argsort reference realise one design:
+    ``min(cap, size)`` rows of every group kept outright, the others each
+    with probability ``rate``, weights ``1/π`` with ``π = q + (1-q)·rate``."""
+    if multiplier is not None:
+        monkeypatch.setattr(distinct_module, "_CANDIDATE_MULTIPLIER", multiplier)
+    keys = _design_keys(kind)
+    group_ids, key_tuples = encode_groups(keys)
+    n, num_groups = len(group_ids), len(key_tuples)
+    sizes = np.bincount(group_ids, minlength=num_groups)
+    quota = np.minimum(DESIGN_CAP, sizes)
+    q = quota / sizes
+    pi = q + (1.0 - q) * DESIGN_RATE
+    values = np.random.default_rng(5).exponential(50.0, n)
+    included = np.zeros(n, dtype=np.int64)
+    kept_in_group = np.zeros(num_groups, dtype=np.int64)
+    ht_sums = []
+    for t in range(DESIGN_TRIALS):
+        rows, weights, found = select(
+            keys, DESIGN_RATE, DESIGN_CAP, np.random.default_rng([repro_seed, t])
+        )
+        assert found == num_groups
+        assert np.all(np.diff(rows) > 0)
+        kept = np.bincount(group_ids[rows], minlength=num_groups)
+        assert np.all(kept >= quota), "a group fell under its cap"
+        assert np.allclose(weights, 1.0 / pi[group_ids[rows]], rtol=1e-12)
+        included[rows] += 1
+        kept_in_group += kept
+        ht_sums.append(float(np.sum(weights * values[rows])))
+    # Beyond its quota a group's kept rows are Binomial(size - quota, rate)
+    # per trial, exactly; pooled over trials that is one binomial per group.
+    for g in range(num_groups):
+        extra_trials = DESIGN_TRIALS * int(sizes[g] - quota[g])
+        extra = int(kept_in_group[g]) - DESIGN_TRIALS * int(quota[g])
+        if extra_trials == 0:
+            assert extra == 0
+            continue
+        lo, hi = binomial_acceptance_band(
+            extra_trials, DESIGN_RATE, alpha=1e-3 / num_groups
+        )
+        assert lo <= extra <= hi, f"group {g}: {extra} not in [{lo}, {hi}]"
+    # Rows of a group are exchangeable: each is included with probability π.
+    for g in range(num_groups):
+        lo, hi = binomial_acceptance_band(DESIGN_TRIALS, float(pi[g]), alpha=1e-3 / n)
+        counts = included[group_ids == g]
+        assert lo <= counts.min() and counts.max() <= hi
+    truth = float(values.sum())
+    if np.all(q == 1.0):  # every row kept at weight 1: no variance to band
+        assert np.allclose(ht_sums, truth, rtol=1e-12)
+    else:
+        assert mc_mean_within(ht_sums, truth)
+
+
+def test_distinct_sampler_cap_exceeds_every_group(rng):
+    keys = [np.repeat(np.arange(30), 3)]
+    rows, weights, num_groups = distinct_selection(keys, 0.05, 10, rng)
+    assert num_groups == 30
+    assert np.array_equal(rows, np.arange(90))  # nothing is thinned
+    assert np.all(weights == 1.0)
+
+
+def test_distinct_scan_directive_matches_sampler(rng):
+    """A ``distinct_rows`` scan is the sampler, not a re-implementation:
+    same seed, same rows, weights in the hidden column."""
+    from repro.engine.plan import SampleClause, Scan
+
+    cols = zipf_group_table(5_000, num_groups=40, zipf_s=1.2, seed=2)
+    db = Database()
+    db.create_table("z", cols, block_size=256)
+    sample = SampleClause(
+        "distinct_rows", rate=0.1, seed=77, columns=("group_id",), cap=3
+    )
+    out, stats = db.execute(Scan("z", sample=sample))
+    rows, weights, _ = distinct_selection(
+        [cols["group_id"]], 0.1, 3, np.random.default_rng(77)
+    )
+    assert np.array_equal(out["id"], rows)
+    assert np.array_equal(out["__weight"], weights)
+    # the sampler read every row to rank it: a full pass, few rows returned
+    assert stats.rows_scanned == 5_000
+    assert stats.blocks_scanned == db.table("z").num_blocks
+    assert stats.rows_sampled == len(rows)
 
 
 class TestUniverseSampling:

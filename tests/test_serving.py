@@ -200,7 +200,11 @@ def test_budget_reconciled_from_actuals(serving_db):
             timeout=60.0,
         )
         actual = result.stats.simulated_cost(serving_db.cost_params).total
-        assert actual < estimate, "approximation must undercut the scan bound"
+        # Quickr serves this query: one full pass over the table plus the
+        # estimator's fold over the ~10% it kept, so the measured cost
+        # sits just above the scan bound admission charged.
+        assert result.technique == "quickr"
+        assert estimate <= actual < 1.05 * estimate
         assert fe.budgets.available("t") == pytest.approx(
             2 * estimate - actual
         ), "tenant pays measured actuals, not the admission estimate"

@@ -181,3 +181,62 @@ def test_database_catalog_safe_under_concurrent_stats_and_append():
     for t in range(4):
         # Stats recompute on demand and describe the final content.
         assert db.stats(f"t{t}").num_rows == db.table(f"t{t}").num_rows
+
+
+def test_quickr_queries_share_a_database_without_touching_the_catalog():
+    """16 threads of Quickr-served grouped queries on one Database: every
+    answer is the one its seed gives single-threaded, and the catalog is
+    never written (no ``__quickr_tmp`` table for two queries to fight
+    over — the sampler is a scan directive)."""
+    import sys
+
+    from repro import QueryOptions
+
+    rng = np.random.default_rng(3)
+    n = 30_000
+    db = Database()
+    db.create_table(
+        "fact",
+        {
+            "store": rng.integers(0, 60, n),
+            "day": rng.integers(0, 30, n),
+            "price": rng.exponential(20.0, n),
+        },
+        block_size=512,
+    )
+    sql = (
+        "SELECT store, SUM(price) AS s FROM fact WHERE day >= {day} "
+        "GROUP BY store ERROR WITHIN 10% CONFIDENCE 95%"
+    )
+    queries_per_thread = 6
+
+    def run(i: int, k: int):
+        options = QueryOptions(seed=100 * i + k, technique="quickr")
+        res = db.sql(sql.format(day=k), options)
+        assert res.technique == "quickr"
+        assert res.diagnostics["sampler"] == "distinct"
+        return res.to_pylist(), res.ci_low["s"].tolist()
+
+    expected = {
+        (i, k): run(i, k)
+        for i in range(N_THREADS)
+        for k in range(queries_per_thread)
+    }
+    catalog_writes = []
+    seen_names = set()
+    for name in ("create_table", "drop_table", "replace_table"):
+        setattr(db, name, lambda *a, _n=name, **kw: catalog_writes.append(_n))
+
+    def worker(i: int) -> None:
+        for k in range(queries_per_thread):
+            assert run(i, k) == expected[i, k]
+            seen_names.update(db.table_names)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _hammer(worker)
+    finally:
+        sys.setswitchinterval(interval)
+    assert catalog_writes == []
+    assert seen_names == {"fact"}

@@ -30,7 +30,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro import Database
+from repro import Database, QueryOptions
 from repro.engine.table import Table
 from repro.obs.schema import SPAN_SCHEMA, validate_span
 from repro.obs.trace import Tracer, trace_scope, tracer_signature
@@ -296,6 +296,35 @@ class TestTracingOffIdentity:
         assert_tables_bitwise_equal(baseline.table, traced.table)
         assert _stats_doc(baseline) == _stats_doc(traced)
         assert baseline.provenance == traced.provenance
+
+    def test_quickr_identity_and_scan_span(self):
+        """A Quickr query traces as the one pass it is: a sampled ``scan``
+        of the base table (no temp table), every row read, ~rate of them
+        returned — and tracing changes nothing about the answer."""
+        rng = np.random.default_rng(90)
+        n = 24_000
+        db = Database()
+        db.create_table(
+            "f",
+            {"y": rng.exponential(10.0, n), "g": rng.integers(0, 80, n)},
+            block_size=256,
+        )
+        sql = "SELECT g, SUM(y) AS s FROM f GROUP BY g ERROR WITHIN 10% CONFIDENCE 95%"
+        options = QueryOptions(seed=4, technique="quickr")
+        baseline = db.sql(sql, options)
+        traced, tracer = _trace(lambda: db.sql(sql, options))
+        assert_trace_conforms(tracer)
+        assert_tables_bitwise_equal(baseline.table, traced.table)
+        assert _stats_doc(baseline) == _stats_doc(traced)
+        assert np.array_equal(baseline.ci_low["s"], traced.ci_low["s"])
+        scans = [s for s in tracer.walk() if s.name == "scan"]
+        assert [s.attributes["table"] for s in scans] == ["f"]
+        attrs = scans[0].attributes
+        assert attrs["sampled"] is True
+        assert attrs["rows_scanned"] == n
+        assert attrs["blocks_scanned"] == db.table("f").num_blocks
+        assert attrs["rows_returned"] == traced.diagnostics["sample_rows"]
+        assert 0.08 * n < attrs["rows_returned"] < 0.2 * n
 
     def test_sharded_identity(self):
         db = _fuzz_db(90)
