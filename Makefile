@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-smoke audit audit-smoke trace-smoke stress-smoke tune-smoke
+.PHONY: test test-fast bench bench-smoke audit audit-smoke trace-smoke stress-smoke tune-smoke loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,3 +44,10 @@ tune-smoke:
 stress-smoke:
 	timeout 600 $(PYTHON) -m pytest -m stress -q
 	timeout 120 $(PYTHON) -m repro serve-bench --rows 100000 --burst 48
+
+## Source line count per package (plain wc -l); ROADMAP's line-count ticks quote this
+loc:
+	@for d in $$(find src/repro -type d ! -name __pycache__ | sort); do \
+		printf "%-24s %6d\n" "$$d" "$$(cat $$d/*.py | wc -l)"; \
+	done
+	@printf "%-24s %6d\n" total "$$(find src/repro -name '*.py' | xargs cat | wc -l)"

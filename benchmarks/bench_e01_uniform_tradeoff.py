@@ -12,6 +12,7 @@ import pytest
 
 from common import once, table, write_report
 from repro import Database, Table
+from repro.core.options import QueryOptions
 from repro.estimators.closed_form import bernoulli_sum
 from repro.sampling.row import bernoulli_sample
 from repro.storage.cost import block_sample_cost, row_sample_cost, scan_cost
@@ -95,7 +96,10 @@ def test_e01_engine_accounting_matches_model(benchmark, data):
             ("rows", "TABLESAMPLE BERNOULLI (1)"),
             ("blocks", "TABLESAMPLE SYSTEM (1)"),
         ):
-            res = db.sql(f"SELECT SUM(value) AS s FROM t {clause}", seed=5)
+            res = db.sql(
+                f"SELECT SUM(value) AS s FROM t {clause}",
+                options=QueryOptions(seed=5),
+            )
             out[method] = res.stats.fraction_blocks_read
         return out
 

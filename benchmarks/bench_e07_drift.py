@@ -12,6 +12,7 @@ import pytest
 
 from common import once, table, write_report
 from repro import ApproximateResult, Database
+from repro.core.options import QueryOptions
 from repro.offline import BlinkDBSelector, SynopsisCatalog, workload_coverage
 from repro.workloads import WorkloadGenerator, WorkloadSpec, drift
 
@@ -84,7 +85,10 @@ def test_e07_served_share_end_to_end(benchmark, setup):
             served = 0
             queries = gen.sample_sql(20)
             for sql in queries:
-                res = db.sql(sql + " ERROR WITHIN 20% CONFIDENCE 90%", seed=4)
+                res = db.sql(
+                    sql + " ERROR WITHIN 20% CONFIDENCE 90%",
+                    options=QueryOptions(seed=4),
+                )
                 if (
                     isinstance(res, ApproximateResult)
                     and res.technique == "offline_sample"

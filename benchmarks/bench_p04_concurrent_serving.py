@@ -28,6 +28,7 @@ from common import once, record_metric, table, write_report
 from repro import Database
 from repro.core.errorspec import ErrorSpec
 from repro.core.exceptions import QueryRejected, QueryRefused
+from repro.core.options import QueryOptions
 from repro.serving import ServingFrontend
 
 N_ROWS = 400_000
@@ -77,10 +78,12 @@ def test_p04_concurrent_serving(benchmark, world):
                 try:
                     t = frontend.submit(
                         QUERY,
-                        tenant=f"client{client_id}",
-                        priority="interactive" if i % 2 else "batch",
-                        spec=spec,
-                        seed=client_id * 1000 + i,
+                        options=QueryOptions(
+                            tenant=f"client{client_id}",
+                            priority="interactive" if i % 2 else "batch",
+                            spec=spec,
+                            seed=client_id * 1000 + i,
+                        ),
                     )
                     with lock:
                         tickets.append(t)

@@ -9,7 +9,7 @@ help (selective predicates, non-linear aggregates).
 Run:  python examples/adhoc_exploration.py
 """
 
-from repro import ApproximateResult
+from repro import ApproximateResult, QueryOptions
 from repro.workloads import generate_tpch
 
 SEED = 3
@@ -52,7 +52,10 @@ def main() -> None:
 
     for question, sql in SESSION:
         print(f"\n--- {question}")
-        approx = db.sql(sql + " ERROR WITHIN 5% CONFIDENCE 95%", seed=SEED)
+        approx = db.sql(
+            sql + " ERROR WITHIN 5% CONFIDENCE 95%",
+            options=QueryOptions(seed=SEED),
+        )
         exact = db.sql(sql)
         if isinstance(approx, ApproximateResult):
             print(

@@ -15,7 +15,7 @@ Run:  python examples/dashboard_analytics.py
 
 import numpy as np
 
-from repro import Database, ErrorSpec
+from repro import Database, ErrorSpec, QueryOptions
 from repro.offline import (
     BlinkDBSelector,
     QueryTemplate,
@@ -69,7 +69,7 @@ def main() -> None:
         "SELECT browser, AVG(latency_ms) AS avg_latency, COUNT(*) AS hits "
         "FROM events GROUP BY browser ERROR WITHIN 10% CONFIDENCE 95%"
     )
-    result = db.sql(query, seed=SEED)
+    result = db.sql(query, options=QueryOptions(seed=SEED))
     print(f"\ndashboard query served by: {result.technique}")
     exact = db.sql(
         "SELECT browser, AVG(latency_ms) AS avg_latency FROM events GROUP BY browser"

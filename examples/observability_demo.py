@@ -18,7 +18,7 @@ Run:  python examples/observability_demo.py
 
 import numpy as np
 
-from repro import Database
+from repro import Database, QueryOptions
 from repro.engine.table import Table
 from repro.obs import (
     Tracer,
@@ -60,14 +60,14 @@ def build_world() -> Database:
 
 def act1_explain_analyze(db: Database) -> None:
     print("=== 1. EXPLAIN ANALYZE ===")
-    print(db.sql("EXPLAIN ANALYZE " + QUERY, seed=3))
+    print(db.sql("EXPLAIN ANALYZE " + QUERY, options=QueryOptions(seed=3)))
     print()
 
 
 def act2_programmatic(db: Database) -> None:
     print("=== 2. trace_scope + JSON span tree ===")
     with trace_scope(Tracer()) as tracer:
-        db.sql(QUERY, seed=3)
+        db.sql(QUERY, options=QueryOptions(seed=3))
     doc = tracer.to_dict()
     errors = [e for root in doc["spans"] for e in validate_span(root)]
     root = doc["spans"][0]
@@ -88,7 +88,7 @@ def act3_ladder_descent(db: Database) -> None:
     tracer = Tracer()
     with trace_scope(tracer):
         with inject(injector):
-            result = engine.sql(QUERY, seed=3)
+            result = engine.sql(QUERY, options=QueryOptions(seed=3))
     print(render_span_tree(tracer, show_timing=False))
     print(f"  served from rung: {result.provenance[-1]['rung']}")
     print()
@@ -100,7 +100,10 @@ def act4_sharded(db: Database) -> None:
     executor = ScatterGatherExecutor(sharded, max_workers=4)
     tracer = Tracer()
     with trace_scope(tracer):
-        executor.sql("SELECT SUM(price) AS s FROM sales", seed=3)
+        executor.sql(
+            "SELECT SUM(price) AS s FROM sales",
+            options=QueryOptions(seed=3),
+        )
     print(render_span_tree(tracer, show_timing=False))
     print()
 

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import Database, comparison_matrix, format_matrix
+from repro import Database, QueryOptions, comparison_matrix, format_matrix
 
 SEED = 7
 NUM_ROWS = 400_000
@@ -55,7 +55,10 @@ def main() -> None:
     print(f"  blocks read: {exact.stats.blocks_scanned} (all of them)")
 
     print("\n=== approximate execution (±5% at 95% confidence) ===")
-    approx = db.sql(query + " ERROR WITHIN 5% CONFIDENCE 95%", seed=SEED)
+    approx = db.sql(
+        query + " ERROR WITHIN 5% CONFIDENCE 95%",
+        options=QueryOptions(seed=SEED),
+    )
     for row in approx.to_pylist():
         print(
             f"  {row['region']:>6}: revenue={row['revenue']:14.2f} "

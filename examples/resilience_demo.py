@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from repro import Database
+from repro import Database, QueryOptions
 from repro.core.exceptions import DegradedAnswer, QueryRefused
 from repro.engine.table import Table
 from repro.offline.catalog import SampleEntry, SynopsisCatalog
@@ -91,7 +91,7 @@ def main() -> None:
     print(f"true SUM(price) = {truth:.1f}  over {NUM_ROWS:,} rows\n")
 
     # Act 1 — nothing is broken: the requested technique answers.
-    result = engine.sql(QUERY, seed=1)
+    result = engine.sql(QUERY, options=QueryOptions(seed=1))
     show("act 1: healthy — requested rung answers", result, truth=truth)
 
     # Act 2 — the requested rung dies; the stale sample steps in with
@@ -102,7 +102,7 @@ def main() -> None:
     )
     with inject(kill_requested), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = engine.sql(QUERY, seed=2)
+        result = engine.sql(QUERY, options=QueryOptions(seed=2))
     show("act 2: requested rung broken — stale sample, widened bars",
          result, truth=truth)
     degraded_warnings = [w for w in caught
@@ -118,7 +118,10 @@ def main() -> None:
     clock.advance(2.5)  # simulated queueing: the query arrives late
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedAnswer)
-        result = engine.sql(QUERY, seed=3, deadline=deadline)
+        result = engine.sql(
+            QUERY,
+            options=QueryOptions(seed=3, deadline=deadline),
+        )
     show("act 3: deadline pre-expired — partial-OLA snapshot",
          result, truth=truth)
 
@@ -135,7 +138,7 @@ def main() -> None:
     fresh = ResilientEngine(db, warn_on_degrade=False)
     with inject(kill_all):
         try:
-            fresh.sql(QUERY, seed=4)
+            fresh.sql(QUERY, options=QueryOptions(seed=4))
         except QueryRefused as exc:
             show("act 4: everything broken — typed refusal with provenance",
                  refusal=exc)

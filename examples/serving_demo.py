@@ -21,7 +21,7 @@ Run:  python examples/serving_demo.py
 
 import numpy as np
 
-from repro import Database
+from repro import Database, QueryOptions
 from repro.core.exceptions import QueryRejected
 from repro.serving import ServingFrontend, TenantBudgets
 
@@ -43,8 +43,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("=== act 1: calm traffic — the frontend is transparent ===")
     fe = ServingFrontend(db, workers=2, max_queue=32, seed=SEED)
-    direct = db.sql(QUERY, seed=1)
-    served = fe.sql(QUERY, seed=1)
+    direct = db.sql(QUERY, options=QueryOptions(seed=1))
+    served = fe.sql(QUERY, options=QueryOptions(seed=1))
     cell = served.estimate("s", 0)
     print(f"  direct engine : {direct.estimate('s', 0).value:.1f}")
     print(f"  via frontend  : {cell.value:.1f}  "
@@ -66,7 +66,7 @@ def main() -> None:
     for i in range(4):
         before = budgets.available("acme")
         try:
-            fe.sql(QUERY, tenant="acme", seed=10 + i)
+            fe.sql(QUERY, options=QueryOptions(tenant="acme", seed=10 + i))
             after = budgets.available("acme")
             print(f"  query {i}: served   (available {before:8.1f} -> "
                   f"{after:8.1f}; sampling refunded most of the charge)")
@@ -85,9 +85,11 @@ def main() -> None:
         try:
             tickets.append(fe.submit(
                 QUERY,
-                tenant=f"t{i % 3}",
-                priority="interactive" if i % 2 else "batch",
-                seed=100 + i,
+                options=QueryOptions(
+                    tenant=f"t{i % 3}",
+                    priority="interactive" if i % 2 else "batch",
+                    seed=100 + i,
+                ),
             ))
         except QueryRejected:
             rejected += 1
@@ -129,7 +131,7 @@ def main() -> None:
     level = fe.metrics_snapshot()["shed_level"]
     waves = 0
     while fe.metrics_snapshot()["shed_level"] > 0 and waves < 40:
-        fe.sql(QUERY, seed=200 + waves)
+        fe.sql(QUERY, options=QueryOptions(seed=200 + waves))
         waves += 1
     print(f"  started at level {level}; back to level "
           f"{fe.metrics_snapshot()['shed_level']} after {waves} calm "

@@ -21,7 +21,7 @@ Run:  python examples/sharding_demo.py
 
 import numpy as np
 
-from repro import Database
+from repro import Database, QueryOptions
 from repro.core.exceptions import QueryRefused
 from repro.engine.table import Table
 from repro.resilience import (
@@ -109,7 +109,8 @@ def main() -> None:
     hedger = ScatterGatherExecutor(sharded, hedge_fraction=0.2)
     with inject(FaultInjector([straggle], clock=clock)):
         result = hedger.sql(
-            QUERY, deadline=Deadline(10.0, clock=clock)
+            QUERY,
+            options=QueryOptions(deadline=Deadline(10.0, clock=clock)),
         )
     show("act 2: straggler abandoned, hedge serves exact", result,
          truth=truth)

@@ -177,7 +177,9 @@ def run_trace(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
     db = make_database(args)
-    explained = run_explain_analyze(db, args.query, seed=args.seed)
+    explained = run_explain_analyze(
+        db, args.query, options=QueryOptions(seed=args.seed)
+    )
     print(explained.render(show_timing=not args.no_timing))
     if args.metrics:
         print()
@@ -292,7 +294,7 @@ def run_shardbench(argv: List[str]) -> int:
         "--workers", type=int, default=1, help="shard worker threads"
     )
     parser.add_argument(
-        "--mode", choices=["exact", "ola", "sample"], default="exact"
+        "--technique", choices=["exact", "ola", "sample"], default="exact"
     )
     parser.add_argument(
         "--kill",
@@ -319,7 +321,7 @@ def run_shardbench(argv: List[str]) -> int:
     )
     base = db.table("events")
     sharded = ShardedTable.from_table(base, args.shards)
-    if args.mode == "sample":
+    if args.technique == "sample":
         sharded.build_shard_samples(
             max(200, args.rows // args.shards // 20), seed=args.seed
         )
@@ -336,8 +338,9 @@ def run_shardbench(argv: List[str]) -> int:
         with inject(injector):
             result = executor.sql(
                 query,
-                options=QueryOptions(spec=spec, seed=args.seed),
-                mode=args.mode,
+                options=QueryOptions(
+                    spec=spec, seed=args.seed, technique=args.technique
+                ),
             )
     except QueryRefused as exc:
         print(f"refused: {exc}")
@@ -352,7 +355,7 @@ def run_shardbench(argv: List[str]) -> int:
 
     print(
         f"{args.rows:,} rows over {args.shards} shards "
-        f"({args.workers} workers, mode={args.mode}) "
+        f"({args.workers} workers, technique={args.technique}) "
         f"in {elapsed * 1e3:.1f} ms"
     )
     for step in result.provenance:

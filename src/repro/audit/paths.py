@@ -509,8 +509,7 @@ def _degraded_missing_shard(ctx: AuditContext, seed: int) -> TrialResult:
         with inject(FaultInjector([kill_shard(victim)])):
             result = executor.sql(
                 "SELECT SUM(value) AS s FROM exp_t",
-                options=QueryOptions(spec=spec, seed=seed),
-                mode="ola",
+                options=QueryOptions(spec=spec, seed=seed, technique="ola"),
             )
     except QueryRefused:
         return TrialResult(math.nan, math.nan, hit=False, refused=True)

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.errorspec import ErrorSpec
+from ..core.options import QueryOptions
 from ..core.result import ApproximateResult, QueryResult
 
 
@@ -166,7 +167,10 @@ def audit_query(
     violations = 0
     for trial in range(trials):
         result = engine.sql(
-            sql, spec=spec, seed=seed + trial, technique=technique
+            sql,
+            options=QueryOptions(
+                spec=spec, seed=seed + trial, technique=technique
+            ),
         )
         outcome = compare_results(result, exact)
         outcomes.append(outcome)

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..engine.optimizer import optimize_plan
 from ..sql.binder import BoundQuery
 from .errorspec import ErrorSpec
 from .exceptions import InfeasiblePlanError, UnsupportedQueryError
-from .result import ApproximateResult, QueryResult
+from .result import ApproximateResult
+from .session import execute_exact
 
 
 class Advisor:
@@ -49,7 +49,7 @@ class Advisor:
         :class:`~repro.core.result.ApproximateResult` or, on fallback, a
         :class:`~repro.core.result.QueryResult`."""
         if force_technique == "exact":
-            return self._run_exact(bound, seed)
+            return execute_exact(self.database, bound, seed)
         if force_technique is not None:
             runner = {
                 "pilot": self._try_pilot,
@@ -71,14 +71,9 @@ class Advisor:
             result = runner(bound, spec, seed, pilot_rate)
             if result is not None:
                 return result
-        return self._run_exact(bound, seed)
+        return execute_exact(self.database, bound, seed)
 
     # ------------------------------------------------------------------
-    def _run_exact(self, bound: BoundQuery, seed: Optional[int]) -> QueryResult:
-        plan = optimize_plan(bound.plan, self.database)
-        table, stats = self.database.execute(plan, seed=seed, optimize=False)
-        return QueryResult(table=table, stats=stats, plan_text=plan.explain())
-
     def _try_offline(
         self,
         bound: BoundQuery,

@@ -11,12 +11,9 @@ walks through. That uniformity is what makes workload fingerprints
 comparable across front doors — the :mod:`repro.tuner` reads the same
 object everywhere.
 
-Back-compat: the old per-entry keywords still work as ``**kwargs`` shims
-(``db.sql(q, seed=7)``), but they emit :class:`DeprecationWarning` and
-will eventually be removed; *unknown* keywords raise :class:`TypeError`
-at the call site (not deep inside a worker thread), closing the old
-serving-frontend hole where a typo'd kwarg only surfaced as a late
-ticket exception.
+The entry points take no other per-query keywords, so a misspelt one is
+Python's own :class:`TypeError` at the call site, in the caller's thread
+— never a late ticket exception inside a serving worker.
 
 Fields an entry point cannot honor are accepted but inert (documented
 per entry point) — passing ``entry_rung`` to the exact
@@ -28,9 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .errorspec import ErrorSpec
 
@@ -38,6 +34,7 @@ __all__ = [
     "QueryOptions",
     "QUERY_OPTION_FIELDS",
     "resolve_options",
+    "effective_spec",
     "maybe_trace",
 ]
 
@@ -122,41 +119,28 @@ QUERY_OPTION_FIELDS: Tuple[str, ...] = tuple(
 
 
 def resolve_options(
-    options: Optional[QueryOptions] = None,
-    kwargs: Optional[Mapping[str, Any]] = None,
-    entry: str = "sql()",
-    stacklevel: int = 3,
+    options: Optional[QueryOptions] = None, entry: str = "sql()"
 ) -> QueryOptions:
-    """Merge an ``options=`` object with legacy keyword arguments.
-
-    * unknown keywords raise :class:`TypeError` immediately (admission
-      time, caller thread — never inside a worker);
-    * known legacy keywords emit one :class:`DeprecationWarning` naming
-      them, then override the corresponding ``options`` fields;
-    * with neither, the defaults apply.
-    """
-    if options is not None and not isinstance(options, QueryOptions):
+    """``options`` itself, or the defaults when the caller passed none."""
+    if options is None:
+        return QueryOptions()
+    if not isinstance(options, QueryOptions):
         raise TypeError(
             f"{entry}: options must be a QueryOptions, "
             f"got {type(options).__name__}"
         )
-    kwargs = dict(kwargs or {})
-    if not kwargs:
-        return options if options is not None else QueryOptions()
-    unknown = sorted(set(kwargs) - set(QUERY_OPTION_FIELDS))
-    if unknown:
-        raise TypeError(
-            f"{entry} got unexpected query option(s) {unknown}; "
-            f"valid QueryOptions fields: {list(QUERY_OPTION_FIELDS)}"
+    return options
+
+
+def effective_spec(options: QueryOptions, bound) -> Optional[ErrorSpec]:
+    """The error contract a bound query runs under: ``options.spec``,
+    else the query's own ``ERROR WITHIN`` clause, else none."""
+    if options.spec is None and bound.error_spec is not None:
+        return ErrorSpec(
+            relative_error=bound.error_spec.relative_error,
+            confidence=bound.error_spec.confidence,
         )
-    warnings.warn(
-        f"passing {sorted(kwargs)} as keyword argument(s) to {entry} is "
-        "deprecated; pass options=QueryOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    base = options if options is not None else QueryOptions()
-    return dataclasses.replace(base, **kwargs)
+    return options.spec
 
 
 @contextlib.contextmanager

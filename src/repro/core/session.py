@@ -21,10 +21,25 @@ from typing import Optional
 from ..engine.database import Database
 from ..engine.optimizer import optimize_plan
 from ..sql.binder import BoundQuery, bind_sql
-from .errorspec import ErrorSpec
 from .exceptions import UnsupportedQueryError
-from .options import QueryOptions, maybe_trace, resolve_options
-from .result import ApproximateResult, QueryResult
+from .options import (
+    QueryOptions,
+    effective_spec,
+    maybe_trace,
+    resolve_options,
+)
+from .result import QueryResult
+
+
+def execute_exact(
+    database: Database, bound: BoundQuery, seed: Optional[int] = None
+) -> QueryResult:
+    """Optimize and run a bound query's plan exactly — the one exact path
+    behind the session, the advisor's fallback and the ladder's last
+    rung. Deadline and budget come from the ambient ``deadline_scope``."""
+    plan = optimize_plan(bound.plan, database)
+    table, stats = database.execute(plan, seed=seed, optimize=False)
+    return QueryResult(table=table, stats=stats, plan_text=plan.explain())
 
 
 class AQPEngine:
@@ -34,7 +49,7 @@ class AQPEngine:
         self.database = database
 
     # ------------------------------------------------------------------
-    def sql(self, query: str, options: Optional[QueryOptions] = None, **kwargs):
+    def sql(self, query: str, options: Optional[QueryOptions] = None):
         """Run a SQL string, exactly or approximately.
 
         Parameters
@@ -50,30 +65,23 @@ class AQPEngine:
             :class:`~repro.resilience.ladder.ResilientEngine` for
             graceful degradation). A blown deadline raises
             ``DeadlineExceeded``.
-        **kwargs:
-            Legacy per-field keywords (``seed=...``, ``spec=...``);
-            deprecated shims for the same fields.
         """
         from ..obs.metrics import get_metrics
         from ..obs.trace import span
         from ..resilience.deadline import deadline_scope
         from ..tuner.workload import observe_query
 
-        options = resolve_options(options, kwargs, entry="AQPEngine.sql()")
-        seed, spec, technique = options.seed, options.spec, options.technique
+        options = resolve_options(options, entry="AQPEngine.sql()")
+        seed, technique = options.seed, options.technique
         with maybe_trace(options):
             with span("query", engine="aqp", sql=query.strip()[:200]) as qsp:
                 if options.tenant != "default":
                     qsp.set(tenant=options.tenant)
                 with deadline_scope(options.deadline, options.budget):
                     bound = bind_sql(query, self.database)
-                    if spec is None and bound.error_spec is not None:
-                        spec = ErrorSpec(
-                            relative_error=bound.error_spec.relative_error,
-                            confidence=bound.error_spec.confidence,
-                        )
+                    spec = effective_spec(options, bound)
                     if spec is None and technique in (None, "exact"):
-                        result = self.execute_exact(bound, seed=seed)
+                        result = execute_exact(self.database, bound, seed)
                     elif spec is None:
                         raise UnsupportedQueryError(
                             "an error specification is required for "
@@ -97,11 +105,3 @@ class AQPEngine:
                 )
                 observe_query(bound, options.replace(spec=spec), result)
                 return result
-
-    # ------------------------------------------------------------------
-    def execute_exact(
-        self, bound: BoundQuery, seed: Optional[int] = None
-    ) -> QueryResult:
-        plan = optimize_plan(bound.plan, self.database)
-        table, stats = self.database.execute(plan, seed=seed, optimize=False)
-        return QueryResult(table=table, stats=stats, plan_text=plan.explain())

@@ -178,7 +178,7 @@ class Database:
         )
         return executor.execute(plan)
 
-    def sql(self, query: str, options: Optional[QueryOptions] = None, **kwargs):
+    def sql(self, query: str, options: Optional[QueryOptions] = None):
         """Run a SQL string.
 
         Returns a :class:`~repro.core.result.QueryResult` for exact queries
@@ -189,15 +189,13 @@ class Database:
         :class:`~repro.obs.explain.ExplainResult` bundling the answer,
         the span tree, and the metrics delta.
 
-        ``options`` is a :class:`~repro.core.options.QueryOptions`; legacy
-        per-field keywords (``seed=...``, ``spec=...``) still work via the
-        deprecation shim.
+        ``options`` is a :class:`~repro.core.options.QueryOptions`.
         """
         from ..core.options import resolve_options
         from ..core.session import AQPEngine
         from ..sql.parser import split_explain
 
-        options = resolve_options(options, kwargs, entry="Database.sql()")
+        options = resolve_options(options, entry="Database.sql()")
         mode, inner = split_explain(query)
         if mode == "explain":
             return self.explain(inner)

@@ -54,6 +54,9 @@ __all__ = [
     "chain_signature",
     "signature_digest",
     "compile_chain",
+    "PARTIAL_COUNT",
+    "prepare_partial_aggregate",
+    "filter_mask",
     "scan_relation",
     "apply_steps",
     "run_prepared_aggregate",
@@ -363,9 +366,57 @@ def compile_chain(chain: FusedChain) -> PreparedChain:
     return PreparedChain(steps=tuple(steps), aggregate=prepared_agg)
 
 
+#: matched-row count column every partial aggregate carries
+PARTIAL_COUNT = "__count"
+
+
+def prepare_partial_aggregate(bound, kernel_cache) -> PreparedChain:
+    """Compile a bound single-table SUM/COUNT/AVG query in mergeable form.
+
+    Every aggregate is rewritten into additive components — ``SUM(x)``
+    and ``AVG(x)`` contribute ``SUM(x)`` under the aggregate's own alias,
+    and one shared ``COUNT(*)`` (:data:`PARTIAL_COUNT`) serves every
+    ``COUNT`` and every ``AVG`` denominator — over the query's own WHERE
+    and GROUP BY. Folding the chain over any row range of the table (a
+    shard, a block) yields a small table whose non-key columns *add*
+    across ranges. The kernels never touch data, so the cache key is the
+    chain signature alone and one entry serves every shard.
+    """
+    target = bound.tables[0]
+    node: PlanNode = Scan(table_name=target.name, alias=target.alias)
+    if bound.where is not None:
+        node = Filter(child=node, predicate=bound.where)
+    components = [
+        AggregateSpec("sum", agg.argument, agg.alias)
+        for agg in bound.aggregates
+        if agg.func != "count"
+    ]
+    components.append(AggregateSpec("count", None, PARTIAL_COUNT))
+    chain = extract_chain(
+        GroupByAggregate(
+            child=node,
+            keys=tuple(bound.group_keys),
+            aggregates=tuple(components),
+        )
+    )
+    return kernel_cache.get_or_compile(
+        ("partial", chain_signature(chain)), lambda: compile_chain(chain)
+    )
+
+
 # ----------------------------------------------------------------------
 # Runtime
 # ----------------------------------------------------------------------
+
+def filter_mask(prepared: PreparedChain, rel) -> Optional[np.ndarray]:
+    """Row mask of a chain with at most one Filter step (``None`` = every
+    row) — for consumers that weight or permute the *unfiltered* rows
+    (OLA prefixes, HT samples) instead of folding the filtered ones."""
+    if not prepared.steps:
+        return None
+    ((_kind, predicate),) = prepared.steps
+    return np.asarray(predicate(rel), dtype=bool)
+
 
 def scan_relation(
     table: Table,

@@ -99,20 +99,13 @@ def run_explain_analyze(
     sql: str,
     options=None,
     tracer: Optional[Tracer] = None,
-    **aqp_options,
 ) -> ExplainResult:
     """Execute ``sql`` under a tracer and package the transcript.
 
     ``sql`` here is the *inner* query (the ``EXPLAIN ANALYZE`` prefix
     already stripped by :func:`repro.sql.parser.split_explain`).
-    ``options`` is a :class:`~repro.core.options.QueryOptions`; legacy
-    keywords (``seed=...``) still work through the deprecation shim.
+    ``options`` is a :class:`~repro.core.options.QueryOptions`.
     """
-    from ..core.options import resolve_options
-
-    options = resolve_options(
-        options, aqp_options, entry="run_explain_analyze()"
-    )
     tracer = tracer if tracer is not None else Tracer()
     with trace_scope(tracer):
         result = database.sql(sql, options=options)

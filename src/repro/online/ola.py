@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..core.errorspec import z_value
 from ..core.exceptions import PlanError
+from ..engine.fused import filter_mask
 from ..engine.table import Table
 from ..estimators.closed_form import ratio_from_sums, srs_sum_from_sums
+from ..obs.trace import event
 
 
 @dataclass
@@ -88,8 +90,8 @@ class OnlineAggregator:
 
         Identical in behaviour (including RNG consumption, so snapshots
         are bitwise-equal) to wrapping the vector in a one-column Table —
-        minus the Table allocation. This is the entry point the fused
-        sharded/degradation paths use for their partial-OLA answers.
+        minus the Table allocation. :func:`fixed_stop_snapshot` enters
+        here.
         """
         if agg not in ("sum", "avg", "count"):
             raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
@@ -134,17 +136,29 @@ class OnlineAggregator:
         self._cum_m = np.cumsum(self._matches)
 
     # ------------------------------------------------------------------
-    def snapshot(self, rows_seen: int) -> OLASnapshot:
-        """Estimate from the first ``rows_seen`` rows of the permutation."""
+    @property
+    def matched_rows(self) -> float:
+        """Rows of the whole population that pass the predicate."""
+        return float(self._cum_m[-1]) if self._population else 0.0
+
+    def snapshot(self, rows_seen: int, agg: Optional[str] = None) -> OLASnapshot:
+        """Estimate from the first ``rows_seen`` rows of the permutation.
+
+        ``agg`` overrides the aggregator's own function: the running
+        moments serve SUM, COUNT and AVG alike, so one permutation yields
+        mutually consistent components (an AVG merged across shards needs
+        SUM and COUNT from the *same* prefix).
+        """
+        agg = agg or self.agg
         n = min(max(rows_seen, 1), self._population)
         if n == 0:
             return OLASnapshot(0, 0.0, math.nan, -math.inf, math.inf)
         sum_v = float(self._cum_v[n - 1])
         sum_v2 = float(self._cum_v2[n - 1])
         sum_m = float(self._cum_m[n - 1])
-        if self.agg == "sum":
+        if agg == "sum":
             est = srs_sum_from_sums(n, self._population, sum_v, sum_v2)
-        elif self.agg == "count":
+        elif agg == "count":
             # matches are 0/1 so Σm² = Σm
             est = srs_sum_from_sums(n, self._population, sum_m, sum_m)
         else:  # avg over matching rows: ratio estimator
@@ -216,6 +230,57 @@ class OnlineAggregator:
             # one minimal batch is still within the grace allowance.
             last = self.snapshot(min(batch_size, self._population))
         return last
+
+
+def fixed_stop_snapshot(
+    prepared,
+    relation,
+    agg: str,
+    confidence: float,
+    seed: Optional[int],
+    batch_size: int,
+    deadline=None,
+    on_step: Optional[Callable[[], None]] = None,
+) -> Tuple[OnlineAggregator, OLASnapshot]:
+    """Fixed-stop OLA answer to a bound scalar aggregate over ``relation``.
+
+    ``prepared`` is the query's partial-aggregate chain
+    (:func:`~repro.engine.fused.prepare_partial_aggregate`): its filter
+    gives the predicate mask, its first component the input vector (all
+    ones for ``COUNT``). Stopping is data-independent — the deadline
+    (external) or a fixed 30% of the rows, never "stop when the CI first
+    looks good", which would forfeit coverage (the peeking fallacy) — so
+    the returned snapshot's CI is honest. ``on_step`` runs after every
+    batch (fault sites, straggler checks) and may raise to abandon the
+    attempt. The aggregator comes back too, for callers that need
+    further components from the same prefix.
+    """
+    input_fn = prepared.aggregate.input_fns[0]
+    values = (
+        input_fn(relation)
+        if input_fn is not None
+        else np.ones(relation.num_rows)
+    )
+    ola = OnlineAggregator.from_values(
+        values,
+        agg=agg,
+        predicate_mask=filter_mask(prepared, relation),
+        confidence=confidence,
+        seed=seed,
+    )
+    snap = None
+    for snap in ola.run(
+        batch_size=batch_size,
+        max_fraction=1.0 if deadline is not None else 0.30,
+        deadline=deadline,
+    ):
+        event("ola_step", rows_seen=snap.rows_seen, fraction=snap.fraction_seen)
+        if on_step is not None:
+            on_step()
+    if snap is None:
+        # Deadline already expired: one minimal batch is O(1) to answer.
+        snap = ola.snapshot(min(batch_size, relation.num_rows))
+    return ola, snap
 
 
 def peeking_coverage(

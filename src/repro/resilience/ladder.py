@@ -65,15 +65,22 @@ from ..core.exceptions import (
     SynopsisUnavailable,
     UnsupportedQueryError,
 )
-from ..core.result import ApproximateResult, QueryResult
+from ..core.options import (
+    QueryOptions,
+    effective_spec,
+    maybe_trace,
+    resolve_options,
+)
+from ..core.result import ApproximateResult
+from ..core.session import execute_exact
 from ..engine.executor import ExecutionStats
-from ..engine.fused import SliceRelation
-from ..engine.optimizer import optimize_plan
+from ..engine.fused import SliceRelation, prepare_partial_aggregate
+from ..engine.kernel_cache import get_kernel_cache
 from ..engine.table import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import event, span
 from ..offline.catalog import SynopsisCatalog
-from ..online.ola import OnlineAggregator
+from ..online.ola import fixed_stop_snapshot
 from ..sql.binder import BoundQuery, bind_sql
 from .deadline import Deadline, ResourceBudget, deadline_scope
 from .faults import maybe_fault
@@ -177,7 +184,7 @@ class ResilientEngine:
             return self.breakers[rung]
 
     # ------------------------------------------------------------------
-    def sql(self, query: str, options: Optional[QueryOptions] = None, **kwargs):
+    def sql(self, query: str, options: Optional[QueryOptions] = None):
         """Serve one query through the degradation ladder.
 
         Returns a :class:`QueryResult` or :class:`ApproximateResult`
@@ -185,8 +192,7 @@ class ResilientEngine:
         :class:`QueryRefused` (with the same provenance) only when every
         rung failed or the deadline left nothing runnable.
 
-        ``options`` is a :class:`~repro.core.options.QueryOptions`;
-        legacy per-field keywords still work via the deprecation shim.
+        ``options`` is a :class:`~repro.core.options.QueryOptions`.
         ``options.entry_rung`` starts the fall-through at a lower rung
         than ``requested`` — the overload controller's lever: under load
         the serving layer shrinks the entry rung *fleet-wide* so
@@ -197,11 +203,10 @@ class ResilientEngine:
         spec-less query whose only rung is exact) is ignored rather
         than refused: shedding must never make a query less servable.
         """
-        from ..core.options import maybe_trace, resolve_options
         from ..tuner.workload import observe_query
 
-        options = resolve_options(options, kwargs, entry="ResilientEngine.sql()")
-        seed, spec, technique = options.seed, options.spec, options.technique
+        options = resolve_options(options, entry="ResilientEngine.sql()")
+        seed, technique = options.seed, options.technique
         pilot_rate = options.pilot_rate
         deadline, budget = options.deadline, options.budget
         entry_rung = options.entry_rung
@@ -215,11 +220,7 @@ class ResilientEngine:
         ) as qsp:
             with deadline_scope(deadline, budget):
                 bound = bind_sql(query, self.database)
-            if spec is None and bound.error_spec is not None:
-                spec = ErrorSpec(
-                    relative_error=bound.error_spec.relative_error,
-                    confidence=bound.error_spec.confidence,
-                )
+            spec = effective_spec(options, bound)
             provenance: List[Dict[str, object]] = []
             rungs = self._build_rungs(
                 bound, spec, seed, technique, pilot_rate, deadline, budget
@@ -552,38 +553,15 @@ class ResilientEngine:
             base, 0, base.num_rows,
             {c: f"{target.alias}.{c}" for c in base.column_names},
         )
-        mask = (
-            np.asarray(bound.where.evaluate(qualified), dtype=bool)
-            if bound.where is not None
-            else None
-        )
-        values = np.asarray(agg.input_values(qualified), dtype=np.float64)
-        # COUNT used to pass value_column=None (expanded internally to
-        # all-ones); hand from_values the same vector so snapshots stay
-        # bitwise-identical, minus the wrapper-Table allocation.
-        ola = OnlineAggregator.from_values(
-            values if agg.func != "count" else np.ones(base.num_rows),
+        _ola, snap = fixed_stop_snapshot(
+            prepare_partial_aggregate(bound, get_kernel_cache()),
+            qualified,
             agg=agg.func,
-            predicate_mask=mask,
             confidence=spec.confidence,
             seed=seed,
+            batch_size=max(512, base.num_rows // 50),
+            deadline=deadline,
         )
-        # Fixed, data-independent stopping: the deadline (external) or a
-        # fixed 30% fraction — never "stop when the CI first looks
-        # good", which would forfeit coverage (the peeking fallacy).
-        max_fraction = 1.0 if deadline is not None else 0.30
-        batch = max(512, base.num_rows // 50)
-        snap = None
-        for snap in ola.run(
-            batch_size=batch, max_fraction=max_fraction, deadline=deadline
-        ):
-            event(
-                "ola_step",
-                rows_seen=snap.rows_seen,
-                fraction=snap.fraction_seen,
-            )
-        if snap is None:
-            snap = ola.snapshot(min(batch, base.num_rows))
         if budget is not None:
             budget.charge(rows=snap.rows_seen, site="partial_ola")
         alias = bound.output_aliases[0]
@@ -621,11 +599,7 @@ class ResilientEngine:
 
     def _run_exact(self, bound, seed, deadline, budget):
         with deadline_scope(deadline, budget):
-            plan = optimize_plan(bound.plan, self.database)
-            table, stats = self.database.execute(
-                plan, seed=seed, optimize=False, deadline=deadline, budget=budget
-            )
-        return QueryResult(table=table, stats=stats, plan_text=plan.explain())
+            return execute_exact(self.database, bound, seed)
 
     # ------------------------------------------------------------------
     # Stale-synopsis helpers

@@ -313,16 +313,13 @@ class ServingFrontend:
         options: Optional[QueryOptions] = None,
         query_id: Optional[int] = None,
         no_shed: bool = False,
-        **kwargs,
     ) -> QueryTicket:
         """Admit one query; returns a :class:`QueryTicket` immediately.
 
         ``options`` is a :class:`~repro.core.options.QueryOptions`
-        (tenant and priority live there now); legacy per-field keywords
-        (``tenant=...``, ``spec=...``) still work via the deprecation
-        shim. *Unknown* keywords raise :class:`TypeError` right here in
-        the caller's thread — never as a late ticket exception inside a
-        worker.
+        (tenant and priority live there). An unknown keyword is a
+        :class:`TypeError` right here in the caller's thread — never a
+        late ticket exception inside a worker.
 
         Raises :class:`QueryRejected` *synchronously* when the tenant's
         budget has no room (``reason="budget"``) or the admission queue
@@ -331,9 +328,7 @@ class ServingFrontend:
         overload controller's entry-rung override (operator escape
         hatch; it still pays admission).
         """
-        options = resolve_options(
-            options, kwargs, entry="ServingFrontend.submit()"
-        )
+        options = resolve_options(options, entry="ServingFrontend.submit()")
         tenant, priority = options.tenant, options.priority
         if priority not in PRIORITY_CLASSES:
             raise ValueError(
@@ -414,16 +409,8 @@ class ServingFrontend:
         query: str,
         options: Optional[QueryOptions] = None,
         timeout: Optional[float] = None,
-        **kwargs,
     ):
-        """Blocking convenience: submit + wait for the answer.
-
-        Unknown keywords raise :class:`TypeError` here, at submit time
-        in the caller's thread — not as a late ticket exception.
-        """
-        options = resolve_options(
-            options, kwargs, entry="ServingFrontend.sql()"
-        )
+        """Blocking convenience: submit + wait for the answer."""
         return self.submit(query, options=options).result(timeout=timeout)
 
     # ------------------------------------------------------------------

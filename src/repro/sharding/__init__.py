@@ -5,14 +5,8 @@ and merge partial answers while surviving shard kills, stragglers, and
 corruption — widening the CI honestly for whatever was not served.
 """
 
-from .executor import (
-    AggPartial,
-    SCATTER_RUNG,
-    ScatterGatherExecutor,
-    ShardOutcome,
-    ShardPartial,
-)
-from .merge import merge_sketches, merge_snapshots, merge_weighted_samples
+from .executor import SCATTER_RUNG, ScatterGatherExecutor, ShardOutcome
+from .merge import merge_partial_tables, merge_sketches
 from .table import (
     ColumnBounds,
     Shard,
@@ -22,17 +16,14 @@ from .table import (
 )
 
 __all__ = [
-    "AggPartial",
     "ColumnBounds",
     "SCATTER_RUNG",
     "ScatterGatherExecutor",
     "Shard",
     "ShardOutcome",
-    "ShardPartial",
     "ShardStats",
     "ShardedTable",
     "compute_shard_stats",
+    "merge_partial_tables",
     "merge_sketches",
-    "merge_snapshots",
-    "merge_weighted_samples",
 ]

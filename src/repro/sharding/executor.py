@@ -1,10 +1,18 @@
 """Scatter-gather execution over a :class:`ShardedTable`.
 
-One query fans out to per-shard workers (a thread pool), each worker
-evaluates the bound query directly against its shard, and the gather
-step merges partial aggregates into one answer. The serving contract —
-the whole point of this module — is that the answer stays *honest*
-while the substrate fails:
+This module scatters and gathers; it does not execute. One query is
+rewritten into mergeable components (``SUM`` → sum, ``COUNT`` → count,
+``AVG`` → sum + count) and compiled *once* by the engine's own fused
+pipeline (:func:`~repro.engine.fused.prepare_partial_aggregate`, through
+the kernel cache). Per-shard workers (a thread pool) fold those kernels
+over their shard — or block by block, when a deadline, budget, hedge
+carve-out or fault injector needs block boundaries — so a shard's
+partial *is* a small aggregate :class:`Table`: key columns plus additive
+component columns. Gathering is :func:`~.merge.merge_partial_tables`
+(concatenate, regroup, add) for blocks within a shard and shards within
+a table alike, followed by the widening arithmetic, vectorised over the
+merged groups. The serving contract — the whole point of this module —
+is that the answer stays *honest* while the substrate fails:
 
 * **Deadlines** — workers share the query's cooperative
   :class:`~repro.resilience.deadline.Deadline` (explicit or ambient via
@@ -43,12 +51,11 @@ with a missing shard refuses rather than guesses.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,16 +70,30 @@ from ..core.exceptions import (
     SynopsisUnavailable,
     UnsupportedQueryError,
 )
+from ..core.options import (
+    QueryOptions,
+    effective_spec,
+    maybe_trace,
+    resolve_options,
+)
 from ..core.result import ApproximateResult, QueryResult
 from ..engine.aggregates import AggregateSpec
 from ..engine.executor import ExecutionStats
-from ..engine.expressions import Column, compile_expression
-from ..engine.fused import SliceRelation
+from ..engine.expressions import Column
+from ..engine.fused import (
+    PARTIAL_COUNT,
+    PreparedChain,
+    SliceRelation,
+    apply_steps,
+    filter_mask,
+    prepare_partial_aggregate,
+    run_prepared_aggregate,
+)
 from ..engine.kernel_cache import get_kernel_cache
 from ..engine.table import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import current_span, current_tracer, event, span
-from ..online.ola import OnlineAggregator
+from ..online.ola import fixed_stop_snapshot
 from ..resilience.deadline import (
     Deadline,
     ResourceBudget,
@@ -83,6 +104,8 @@ from ..resilience.faults import get_injector, maybe_fault, shard_site
 from ..resilience.ladder import RESHARD_RUNG
 from ..resilience.retry import CircuitBreaker
 from ..sql.binder import BoundQuery, bind_sql
+from ..tuner.workload import observe_query
+from .merge import merge_partial_tables
 from .table import ShardedTable, Shard
 
 __all__ = ["ScatterGatherExecutor", "ShardOutcome", "SCATTER_RUNG"]
@@ -90,14 +113,19 @@ __all__ = ["ScatterGatherExecutor", "ShardOutcome", "SCATTER_RUNG"]
 #: provenance rung name for the per-shard fan-out steps
 SCATTER_RUNG = "scatter_gather"
 
-#: how a QueryOptions ``technique`` maps onto this executor's per-shard
-#: ``mode`` when the caller leaves ``mode`` at its default
-_TECHNIQUE_MODES = {
-    "exact": "exact",
-    "ola": "ola",
-    "sample": "sample",
-    "offline_sample": "sample",
-}
+#: the per-shard techniques ``QueryOptions.technique`` may name;
+#: ``"offline_sample"`` (the engine-wide spelling) means ``"sample"`` here
+_TECHNIQUES = ("exact", "ola", "sample")
+
+#: Partial-table columns beside the keys, all additive across partials.
+#: The engine's kernels produce an aggregate's SUM component under the
+#: aggregate's own alias plus the shared ``PARTIAL_COUNT``; sampled
+#: techniques add the *squared* CI half-width of each estimate (suffix
+#: ``_HW2``; independent shard estimates merge by adding them) and the
+#: matched-row count the selectivity transfer uses (exact partials need
+#: no such column: their count *is* the matched count).
+_HW2 = "__hw2"
+_MATCHED = "__matched"
 
 
 class _StragglerAbandoned(ReproError):
@@ -105,62 +133,38 @@ class _StragglerAbandoned(ReproError):
 
 
 @dataclass(frozen=True)
-class _BoundKernels:
-    """Compiled, data-independent closures for one bound shard query.
+class _ShardQuery:
+    """One bound query as every shard worker sees it."""
 
-    Every shard worker evaluates the same WHERE/key/input expressions;
-    compiling them once per query (and caching per query signature in
-    the process-wide kernel cache) replaces N_shards × N_blocks
-    ``Expression.evaluate`` tree walks with direct closure calls. The
-    closures are read-only after construction, so sharing them across
-    the worker thread pool is safe.
-    """
+    bound: BoundQuery
+    #: the query's partial-aggregate kernels (compiled once, read-only,
+    #: so sharing them across the worker pool is safe)
+    prepared: PreparedChain
+    #: shard column name -> the alias-qualified name the kernels read
+    rename: Dict[str, str]
+    technique: str
+    spec: Optional[ErrorSpec]
+    seed: Optional[int]
+    deadline: Optional[Deadline]
+    budget: Optional[ResourceBudget]
 
-    where_fn: Optional[Callable]
-    key_fns: Tuple[Callable, ...]
-    #: aggregate alias -> compiled argument (None for COUNT(*)-style)
-    input_fns: Dict[str, Optional[Callable]]
+    @property
+    def key_aliases(self) -> Tuple[str, ...]:
+        return self.prepared.aggregate.key_aliases
 
-    def mask_of(self, qtable) -> Optional[np.ndarray]:
-        if self.where_fn is None:
-            return None
-        return np.asarray(self.where_fn(qtable), dtype=bool)
+    @property
+    def confidence(self) -> float:
+        return self.spec.confidence if self.spec is not None else 0.95
 
-    def inputs_of(self, agg: AggregateSpec, qtable) -> np.ndarray:
-        fn = self.input_fns.get(agg.alias)
-        if fn is None:
-            return np.ones(qtable.num_rows, dtype=np.float64)
-        return np.asarray(fn(qtable), dtype=np.float64)
+    def view(self, table: Table, start: int = 0, stop: Optional[int] = None):
+        """Zero-copy row range of ``table`` under the query's column names."""
+        stop = table.num_rows if stop is None else stop
+        return SliceRelation(table, start, stop, self.rename)
 
-
-@dataclass
-class AggPartial:
-    """Mergeable sum/count components of one aggregate on one shard.
-
-    ``sum_hw2`` / ``count_hw2`` are *squared* CI half-widths at the
-    query's confidence level; independent shard estimates merge by
-    adding them (the merged half-width is the root of the sum).
-    """
-
-    sum: float = 0.0
-    sum_hw2: float = 0.0
-    count: float = 0.0
-    count_hw2: float = 0.0
-
-
-@dataclass
-class ShardPartial:
-    """Everything a shard worker hands back to the gather step."""
-
-    shard_id: int
-    #: rows actually read (work accounting)
-    rows_scanned: int = 0
-    #: shard population the partial speaks for
-    population_rows: int = 0
-    #: matched rows in the shard population (exact or HT-estimated)
-    matched_rows: float = 0.0
-    scalars: Dict[str, AggPartial] = field(default_factory=dict)
-    groups: Dict[Tuple, Dict[str, AggPartial]] = field(default_factory=dict)
+    def fold(self, table: Table, start: int, stop: int) -> Table:
+        """The partial aggregate table of one row range."""
+        rel = apply_steps(self.prepared, self.view(table, start, stop))
+        return run_prepared_aggregate(self.prepared, rel)
 
 
 @dataclass
@@ -169,7 +173,10 @@ class ShardOutcome:
 
     shard_id: int
     status: str  # served | served_hedged | failed | breaker_open
-    partial: Optional[ShardPartial] = None
+    #: the shard's partial aggregate table (see ``_HW2``/``_MATCHED``)
+    partial: Optional[Table] = None
+    #: rows actually read (work accounting)
+    rows_scanned: int = 0
     detail: str = ""
     error: str = ""
     #: fates of earlier attempts ("abandoned" / "failed")
@@ -195,8 +202,16 @@ def _fmt_error(exc: Optional[BaseException]) -> str:
     return f"{type(exc).__name__}: {exc}" if exc else ""
 
 
-def _py(value):
-    return value.item() if hasattr(value, "item") else value
+def _estimate_row(
+    estimates: Dict[str, Tuple[float, float, float]], matched: float
+) -> Table:
+    """One-row partial table from ``name -> (value, ci_low, ci_high)``."""
+    cols = {_MATCHED: np.array([matched])}
+    for name, (value, lo, hi) in estimates.items():
+        half = (hi - lo) / 2.0
+        cols[name] = np.array([value])
+        cols[name + _HW2] = np.array([half * half])
+    return Table(cols, name="aggregate")
 
 
 class ScatterGatherExecutor:
@@ -221,9 +236,9 @@ class ScatterGatherExecutor:
     breaker_threshold / breaker_cooldown:
         Per-shard :class:`CircuitBreaker` configuration.
     catalog:
-        Catalog for ``mode="sample"`` lookups; defaults to the binder
-        database's catalog (where :meth:`ShardedTable.build_shard_samples`
-        registers).
+        Catalog for ``technique="sample"`` lookups; defaults to the
+        binder database's catalog (where
+        :meth:`ShardedTable.build_shard_samples` registers).
     warn_on_degrade:
         Emit :class:`DegradedAnswer` for k-of-n answers.
     """
@@ -270,126 +285,69 @@ class ScatterGatherExecutor:
             return self.breakers[shard_id]
 
     # ------------------------------------------------------------------
-    def sql(
-        self,
-        query: str,
-        options: Optional[QueryOptions] = None,
-        mode: str = "exact",
-        **kwargs,
-    ):
+    def sql(self, query: str, options: Optional[QueryOptions] = None):
         """Serve one aggregate query from the shards.
 
-        ``mode`` picks the per-shard technique: ``"exact"`` scans the
-        shard, ``"ola"`` runs a fixed-stop online-aggregation snapshot
-        per shard, ``"sample"`` answers from registered per-shard
-        samples. When ``mode`` is left at its default,
-        ``options.technique`` maps onto it (``"ola"`` → ola,
-        ``"sample"``/``"offline_sample"`` → sample, ``"exact"`` →
-        exact). Returns :class:`QueryResult` (exact, full coverage, no
-        spec) or :class:`ApproximateResult`; raises
-        :class:`QueryRefused` below the coverage floor or when a missing
-        shard cannot be honestly widened.
+        ``options.technique`` picks the per-shard technique: ``"exact"``
+        (the default) scans the shard, ``"ola"`` runs a fixed-stop
+        online-aggregation snapshot per shard, ``"sample"`` (or
+        ``"offline_sample"``) answers from registered per-shard samples.
+        Returns :class:`QueryResult` (exact, full coverage, no spec) or
+        :class:`ApproximateResult`; raises :class:`QueryRefused` below
+        the coverage floor or when a missing shard cannot be honestly
+        widened.
 
-        ``options`` is a :class:`~repro.core.options.QueryOptions`;
-        legacy per-field keywords (``spec=...``, ``tenant=...``) still
-        work via the deprecation shim. ``options.tenant`` labels the
-        query span and work metrics so a multi-tenant serving layer can
-        attribute shard work; the tenant's deadline/budget arrive
-        through the ambient ``deadline_scope`` (or ``options``) either
-        way.
+        ``options.tenant`` labels the query span and work metrics so a
+        multi-tenant serving layer can attribute shard work; the
+        tenant's deadline/budget arrive through the ambient
+        ``deadline_scope`` (or ``options``) either way.
         """
-        from ..core.options import maybe_trace, resolve_options
-
-        options = resolve_options(
-            options, kwargs, entry="ScatterGatherExecutor.sql()"
-        )
-        if mode == "exact" and options.technique is not None:
-            mode = _TECHNIQUE_MODES.get(options.technique, mode)
-        spec, seed = options.spec, options.seed
+        options = resolve_options(options, entry="ScatterGatherExecutor.sql()")
+        technique = options.technique or "exact"
+        if technique == "offline_sample":
+            technique = "sample"
         tenant = "" if options.tenant == "default" else options.tenant
-        deadline = resolve_deadline(options.deadline)
-        budget = resolve_budget(options.budget)
         with maybe_trace(options), span(
             "query", engine="scatter_gather", sql=query.strip()[:200]
         ) as qsp:
             if tenant:
                 qsp.set(tenant=tenant)
             bound = bind_sql(query, self.sharded.binder_database())
-            if spec is None and bound.error_spec is not None:
-                spec = ErrorSpec(
-                    relative_error=bound.error_spec.relative_error,
-                    confidence=bound.error_spec.confidence,
-                )
-            self._check_supported(bound, mode)
-            kernels = self._prepare_kernels(bound)
-            outcomes = self._scatter(
-                bound, kernels, spec, seed, mode, deadline, budget
-            )
-            result = self._gather(bound, spec, mode, outcomes, deadline)
-            technique = getattr(result, "technique", "exact")
-            qsp.set(
-                mode=mode,
+            spec = effective_spec(options, bound)
+            self._check_supported(bound, technique)
+            alias = bound.tables[0].alias
+            q = _ShardQuery(
+                bound=bound,
+                prepared=prepare_partial_aggregate(bound, get_kernel_cache()),
+                rename={c: f"{alias}.{c}" for c in self.sharded.column_names},
                 technique=technique,
+                spec=spec,
+                seed=options.seed,
+                deadline=resolve_deadline(options.deadline),
+                budget=resolve_budget(options.budget),
+            )
+            result = self._gather(q, self._scatter(q))
+            served = getattr(result, "technique", "exact")
+            qsp.set(
+                mode=technique,
+                technique=served,
                 stats=result.stats.to_dict(),
             )
-            labels = {"engine": "scatter_gather", "mode": mode}
+            labels = {"engine": "scatter_gather", "mode": technique}
             if tenant:
                 labels["tenant"] = tenant
-            get_metrics().inc(
-                "queries_total", technique=technique, **labels
-            )
+            get_metrics().inc("queries_total", technique=served, **labels)
+            observe_query(bound, options.replace(spec=spec), result)
             return result
-
-    def _prepare_kernels(self, bound: BoundQuery) -> _BoundKernels:
-        """Compile (or fetch cached) closures for the bound expressions.
-
-        The cache key is the query's normalized expression signature —
-        the kernels never touch shard *data*, so unlike the fused
-        executor's per-plan cache no table fingerprint is needed.
-        """
-        signature = "\n".join(
-            [
-                f"sharded={self.sharded.name}",
-                f"where={bound.where!r}",
-                *(
-                    f"key:{alias}={expr!r}"
-                    for expr, alias in bound.group_keys
-                ),
-                *(f"agg:{agg!r}" for agg in bound.aggregates),
-            ]
-        )
-
-        def compile_kernels() -> _BoundKernels:
-            return _BoundKernels(
-                where_fn=(
-                    compile_expression(bound.where)
-                    if bound.where is not None
-                    else None
-                ),
-                key_fns=tuple(
-                    compile_expression(expr)
-                    for expr, _alias in bound.group_keys
-                ),
-                input_fns={
-                    agg.alias: (
-                        compile_expression(agg.argument)
-                        if agg.argument is not None
-                        else None
-                    )
-                    for agg in bound.aggregates
-                },
-            )
-
-        return get_kernel_cache().get_or_compile(
-            ("sharded", self.sharded.name, signature), compile_kernels
-        )
 
     # ------------------------------------------------------------------
     # Support checks
     # ------------------------------------------------------------------
-    def _check_supported(self, bound: BoundQuery, mode: str) -> None:
-        if mode not in ("exact", "ola", "sample"):
-            raise UnsupportedQueryError(f"unknown shard mode {mode!r}")
+    def _check_supported(self, bound: BoundQuery, technique: str) -> None:
+        if technique not in _TECHNIQUES:
+            raise UnsupportedQueryError(
+                f"unknown shard technique {technique!r}"
+            )
         if len(bound.tables) != 1:
             raise UnsupportedQueryError(
                 "scatter-gather serves single-table queries"
@@ -423,12 +381,12 @@ class ScatterGatherExecutor:
                 raise UnsupportedQueryError(
                     f"{agg.func.upper()} is not mergeable across shards"
                 )
-        if mode == "ola":
+        if technique == "ola":
             if bound.group_keys:
-                raise UnsupportedQueryError("OLA mode does not serve GROUP BY")
+                raise UnsupportedQueryError("OLA does not serve GROUP BY")
             if len(bound.aggregates) != 1:
-                raise UnsupportedQueryError("OLA mode serves one aggregate")
-        if mode == "sample":
+                raise UnsupportedQueryError("OLA serves one aggregate")
+        if technique == "sample":
             if bound.group_keys:
                 raise UnsupportedQueryError(
                     "uniform per-shard samples cannot protect groups"
@@ -436,7 +394,7 @@ class ScatterGatherExecutor:
             for agg in bound.aggregates:
                 if agg.func != "count" and self._bare_column(bound, agg) is None:
                     raise UnsupportedQueryError(
-                        "sample mode serves bare-column aggregates"
+                        "per-shard samples serve bare-column aggregates"
                     )
 
     @staticmethod
@@ -453,16 +411,7 @@ class ScatterGatherExecutor:
     # ------------------------------------------------------------------
     # Scatter
     # ------------------------------------------------------------------
-    def _scatter(
-        self,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        spec: Optional[ErrorSpec],
-        seed: Optional[int],
-        mode: str,
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
-    ) -> List[ShardOutcome]:
+    def _scatter(self, q: _ShardQuery) -> List[ShardOutcome]:
         shards = self.sharded.shards
         workers = self.max_workers or min(len(shards), 8)
         # ThreadPoolExecutor workers do not inherit contextvars: capture
@@ -471,18 +420,7 @@ class ScatterGatherExecutor:
         parent = current_span()
 
         def run(shard: Shard) -> ShardOutcome:
-            return self._run_shard(
-                shard,
-                bound,
-                kernels,
-                spec,
-                seed,
-                mode,
-                deadline,
-                budget,
-                tracer=tracer,
-                parent=parent,
-            )
+            return self._run_shard(shard, q, tracer=tracer, parent=parent)
 
         if workers <= 1 or len(shards) == 1:
             return [run(s) for s in shards]
@@ -490,48 +428,25 @@ class ScatterGatherExecutor:
             return list(pool.map(run, shards))
 
     def _run_shard(
-        self,
-        shard: Shard,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        spec: Optional[ErrorSpec],
-        seed: Optional[int],
-        mode: str,
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
-        tracer=None,
-        parent=None,
+        self, shard: Shard, q: _ShardQuery, tracer=None, parent=None
     ) -> ShardOutcome:
         # The span re-roots the ambient trace scope inside the worker
         # thread, so hedge/ola/fault events below land in this subtree.
         with span(
             f"shard.{shard.shard_id}", tracer=tracer, parent=parent
         ) as sp:
-            outcome = self._shard_attempts(
-                shard, bound, kernels, spec, seed, mode, deadline, budget
-            )
+            outcome = self._shard_attempts(shard, q)
             sp.set(
                 shard_status=outcome.status,
                 attempts=list(outcome.attempts),
-                rows_scanned=(
-                    outcome.partial.rows_scanned if outcome.partial else 0
-                ),
+                rows_scanned=outcome.rows_scanned,
             )
             if not outcome.served:
                 sp.fail(outcome.error or outcome.detail)
             return outcome
 
-    def _shard_attempts(
-        self,
-        shard: Shard,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        spec: Optional[ErrorSpec],
-        seed: Optional[int],
-        mode: str,
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
-    ) -> ShardOutcome:
+    def _shard_attempts(self, shard: Shard, q: _ShardQuery) -> ShardOutcome:
+        deadline = q.deadline
         clock = deadline.clock if deadline is not None else time.monotonic
         start = clock()
         breaker = self.breaker(shard.shard_id)
@@ -559,10 +474,13 @@ class ScatterGatherExecutor:
                 get_metrics().inc(
                     "shard_hedges_total", shard=str(shard.shard_id)
                 )
-            attempt_start = clock()
-            hedge_after = None
+            give_way = None
             if attempt == 0 and self.hedge and deadline is not None:
-                hedge_after = max(deadline.remaining(), 0.0) * self.hedge_fraction
+                give_way = self._straggler_check(
+                    shard.shard_id,
+                    clock,
+                    max(deadline.remaining(), 0.0) * self.hedge_fraction,
+                )
             try:
                 # Every attempt passes the shard's "exec" hazard (a killed
                 # shard fails primary and hedge alike); hedged attempts
@@ -577,18 +495,8 @@ class ScatterGatherExecutor:
                     raise SynopsisUnavailable(
                         f"shard {shard.shard_id} failed checksum validation"
                     )
-                partial = self._execute_partial(
-                    shard,
-                    bound,
-                    kernels,
-                    spec,
-                    seed,
-                    mode,
-                    deadline,
-                    budget,
-                    hedge_after,
-                    clock,
-                    attempt_start,
+                partial, rows_scanned = self._execute_partial(
+                    shard, q, give_way
                 )
             except _StragglerAbandoned as exc:
                 # Not a health signal — the shard was slow, not broken —
@@ -597,22 +505,16 @@ class ScatterGatherExecutor:
                 last = exc
                 detail = "straggler"
                 continue
-            except DeadlineExceeded as exc:
+            except (DeadlineExceeded, BudgetExhausted) as exc:
                 breaker.record_failure()
                 return ShardOutcome(
                     shard.shard_id,
                     "failed",
-                    detail="deadline",
-                    error=_fmt_error(exc),
-                    attempts=tuple(attempts),
-                    elapsed=clock() - start,
-                )
-            except BudgetExhausted as exc:
-                breaker.record_failure()
-                return ShardOutcome(
-                    shard.shard_id,
-                    "failed",
-                    detail="budget",
+                    detail=(
+                        "deadline"
+                        if isinstance(exc, DeadlineExceeded)
+                        else "budget"
+                    ),
                     error=_fmt_error(exc),
                     attempts=tuple(attempts),
                     elapsed=clock() - start,
@@ -628,6 +530,7 @@ class ScatterGatherExecutor:
                 shard.shard_id,
                 "served_hedged" if attempt > 0 else "served",
                 partial=partial,
+                rows_scanned=rows_scanned,
                 attempts=tuple(attempts),
                 elapsed=clock() - start,
             )
@@ -640,59 +543,47 @@ class ScatterGatherExecutor:
             elapsed=clock() - start,
         )
 
+    @staticmethod
+    def _straggler_check(
+        shard_id: int, clock, carve_out: float
+    ) -> Callable[[], None]:
+        """A block-boundary check that abandons the primary attempt once
+        it has used its share of the deadline (the hedge follows)."""
+        attempt_start = clock()
+
+        def give_way() -> None:
+            used = clock() - attempt_start
+            if used > carve_out:
+                raise _StragglerAbandoned(
+                    f"shard {shard_id} primary attempt abandoned after "
+                    f"{used:.3f}s (carve-out {carve_out:.3f}s)"
+                )
+
+        return give_way
+
     def _execute_partial(
         self,
         shard: Shard,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        spec: Optional[ErrorSpec],
-        seed: Optional[int],
-        mode: str,
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
-        hedge_after: Optional[float],
-        clock,
-        attempt_start: float,
-    ) -> ShardPartial:
+        q: _ShardQuery,
+        give_way: Optional[Callable[[], None]],
+    ) -> Tuple[Table, int]:
+        """``(partial table, rows read)`` for one attempt on one shard."""
         with span(
             "scan",
             table=self.sharded.name,
             shard=shard.shard_id,
-            mode=mode,
+            mode=q.technique,
         ) as sp:
-            if mode == "exact":
-                partial = self._exact_partial(
-                    shard,
-                    bound,
-                    kernels,
-                    deadline,
-                    budget,
-                    hedge_after,
-                    clock,
-                    attempt_start,
-                )
-                blocks = shard.table.num_blocks
-            elif mode == "ola":
-                partial = self._ola_partial(
-                    shard,
-                    bound,
-                    kernels,
-                    spec,
-                    seed,
-                    deadline,
-                    budget,
-                    hedge_after,
-                    clock,
-                    attempt_start,
-                )
-                blocks = shard.table.num_blocks
+            blocks = shard.table.num_blocks
+            if q.technique == "exact":
+                partial, rows = self._exact_partial(shard, q, give_way)
+            elif q.technique == "ola":
+                partial, rows = self._ola_partial(shard, q, give_way)
             else:
-                partial = self._sample_partial(shard, bound, kernels, spec)
+                partial, rows = self._sample_partial(shard, q)
                 blocks = 0
-            sp.set(
-                rows_scanned=partial.rows_scanned, blocks_scanned=blocks
-            )
-            return partial
+            sp.set(rows_scanned=rows, blocks_scanned=blocks)
+            return partial, rows
 
     # ------------------------------------------------------------------
     # Per-shard techniques
@@ -700,225 +591,81 @@ class ScatterGatherExecutor:
     def _exact_partial(
         self,
         shard: Shard,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
-        hedge_after: Optional[float],
-        clock,
-        attempt_start: float,
-    ) -> ShardPartial:
-        alias = bound.tables[0].alias
+        q: _ShardQuery,
+        give_way: Optional[Callable[[], None]],
+    ) -> Tuple[Table, int]:
         table = shard.table
-        rename_map = {c: f"{alias}.{c}" for c in table.column_names}
-        partial = ShardPartial(
-            shard.shard_id, population_rows=table.num_rows
-        )
-        site = shard_site(shard.shard_id, "scan")
-        fast = (
-            deadline is None
-            and budget is None
-            and hedge_after is None
+        whole_shard = (
+            q.deadline is None
+            and q.budget is None
+            and give_way is None
             and get_injector() is None
         )
-        if fast:
-            qtable = SliceRelation(table, 0, table.num_rows, rename_map)
-            self._accumulate(partial, bound, kernels, qtable)
-            return partial
+        if whole_shard or table.num_rows == 0:
+            return q.fold(table, 0, table.num_rows), table.num_rows
+        # Something wants block boundaries: fold block by block and merge
+        # the block partials exactly as the gather merges shard partials.
+        site = shard_site(shard.shard_id, "scan")
+        blocks: List[Table] = []
         for b in range(table.num_blocks):
-            if (
-                hedge_after is not None
-                and (clock() - attempt_start) > hedge_after
-            ):
-                raise _StragglerAbandoned(
-                    f"shard {shard.shard_id} primary attempt abandoned "
-                    f"after {clock() - attempt_start:.3f}s "
-                    f"(carve-out {hedge_after:.3f}s)"
-                )
+            if give_way is not None:
+                give_way()
             maybe_fault(site)
-            if deadline is not None:
-                deadline.check(site=site)
+            if q.deadline is not None:
+                q.deadline.check(site=site)
             start, stop = table.block_bounds(b)
-            block = SliceRelation(table, start, stop, rename_map)
-            if budget is not None:
-                budget.charge(rows=block.num_rows, blocks=1, site=site)
-            self._accumulate(partial, bound, kernels, block)
-        return partial
-
-    def _accumulate(
-        self,
-        partial: ShardPartial,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        qtable,
-    ) -> None:
-        mask = kernels.mask_of(qtable)
-        matched = int(mask.sum()) if mask is not None else qtable.num_rows
-        partial.rows_scanned += qtable.num_rows
-        partial.matched_rows += matched
-        if bound.group_keys:
-            self._accumulate_groups(partial, bound, kernels, qtable, mask)
-            return
-        for agg in bound.aggregates:
-            ap = partial.scalars.setdefault(agg.alias, AggPartial())
-            if agg.func == "count":
-                ap.count += matched
-                continue
-            vals = kernels.inputs_of(agg, qtable)
-            if mask is not None:
-                vals = vals[mask]
-            ap.sum += float(vals.sum())
-            if agg.func == "avg":
-                ap.count += matched
-
-    def _accumulate_groups(
-        self,
-        partial: ShardPartial,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        qtable,
-        mask: Optional[np.ndarray],
-    ) -> None:
-        key_arrays = []
-        for key_fn in kernels.key_fns:
-            arr = np.asarray(key_fn(qtable))
-            key_arrays.append(arr[mask] if mask is not None else arr)
-        n = len(key_arrays[0]) if key_arrays else 0
-        if n == 0:
-            return
-        codes = np.zeros(n, dtype=np.int64)
-        for arr in key_arrays:
-            uniq, inv = np.unique(arr, return_inverse=True)
-            codes = codes * np.int64(len(uniq) + 1) + inv
-        _, first_idx, inv = np.unique(
-            codes, return_index=True, return_inverse=True
-        )
-        keys = [
-            tuple(_py(arr[i]) for arr in key_arrays) for i in first_idx
-        ]
-        counts = np.bincount(inv, minlength=len(keys)).astype(np.float64)
-        for agg in bound.aggregates:
-            if agg.func == "count":
-                sums = None
-            else:
-                vals = kernels.inputs_of(agg, qtable)
-                if mask is not None:
-                    vals = vals[mask]
-                sums = np.bincount(inv, weights=vals, minlength=len(keys))
-            for g, key in enumerate(keys):
-                ap = partial.groups.setdefault(key, {}).setdefault(
-                    agg.alias, AggPartial()
-                )
-                if agg.func == "count":
-                    ap.count += counts[g]
-                elif agg.func == "sum":
-                    ap.sum += float(sums[g])
-                else:
-                    ap.sum += float(sums[g])
-                    ap.count += counts[g]
+            if q.budget is not None:
+                q.budget.charge(rows=stop - start, blocks=1, site=site)
+            blocks.append(q.fold(table, start, stop))
+        return merge_partial_tables(blocks, q.key_aliases), table.num_rows
 
     def _ola_partial(
         self,
         shard: Shard,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        spec: Optional[ErrorSpec],
-        seed: Optional[int],
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
-        hedge_after: Optional[float],
-        clock,
-        attempt_start: float,
-    ) -> ShardPartial:
-        agg = bound.aggregates[0]
-        alias = bound.tables[0].alias
+        q: _ShardQuery,
+        give_way: Optional[Callable[[], None]],
+    ) -> Tuple[Table, int]:
+        agg = q.bound.aggregates[0]
         table = shard.table
         site = shard_site(shard.shard_id, "scan")
-        qtable = SliceRelation(
-            table, 0, table.num_rows,
-            {c: f"{alias}.{c}" for c in table.column_names},
-        )
-        mask = kernels.mask_of(qtable)
-        matched = int(mask.sum()) if mask is not None else table.num_rows
-        values = kernels.inputs_of(agg, qtable)
-        conf = spec.confidence if spec is not None else 0.95
-        shard_seed = int(
-            np.random.SeedSequence(
-                [seed if seed is not None else 0, shard.shard_id]
-            ).generate_state(1)[0]
-        )
 
-        def snapshot_of(kind: str, rows: Optional[int] = None):
-            # COUNT formerly passed value_column=None, which the wrapped
-            # Table path expanded to an all-ones vector; feed the same
-            # vector to from_values so the snapshots stay bitwise-equal.
-            ola = OnlineAggregator.from_values(
-                values if kind != "count" else np.ones(table.num_rows),
-                agg=kind,
-                predicate_mask=mask,
-                confidence=conf,
-                seed=shard_seed,
+        def on_step() -> None:
+            maybe_fault(site)
+            if give_way is not None:
+                give_way()
+
+        # AVG merges as the ratio of its SUM and COUNT components, both
+        # taken from the same permutation prefix (same seed, same rows).
+        first = "count" if agg.func == "count" else "sum"
+        ola, snap = fixed_stop_snapshot(
+            q.prepared,
+            q.view(table),
+            agg=first,
+            confidence=q.confidence,
+            seed=int(
+                np.random.SeedSequence(
+                    [q.seed if q.seed is not None else 0, shard.shard_id]
+                ).generate_state(1)[0]
+            ),
+            batch_size=max(256, table.num_rows // 20),
+            deadline=q.deadline,
+            on_step=on_step,
+        )
+        estimates = {}
+        if first == "sum":
+            estimates[agg.alias] = (snap.value, snap.ci_low, snap.ci_high)
+        if agg.func != "sum":
+            count = snap if first == "count" else ola.snapshot(
+                snap.rows_seen, agg="count"
             )
-            if rows is not None:
-                return ola.snapshot(rows)
-            # Fixed, data-independent stopping (never "stop when the CI
-            # looks good" — the peeking fallacy forfeits coverage).
-            max_fraction = 1.0 if deadline is not None else 0.30
-            batch = max(256, table.num_rows // 20)
-            snap = None
-            for snap in ola.run(
-                batch_size=batch, max_fraction=max_fraction, deadline=deadline
-            ):
-                event(
-                    "ola_step",
-                    rows_seen=snap.rows_seen,
-                    fraction=snap.fraction_seen,
-                )
-                maybe_fault(site)
-                if (
-                    hedge_after is not None
-                    and (clock() - attempt_start) > hedge_after
-                ):
-                    raise _StragglerAbandoned(
-                        f"shard {shard.shard_id} OLA attempt abandoned"
-                    )
-            if snap is None:
-                snap = ola.snapshot(min(batch, table.num_rows))
-            return snap
-
-        partial = ShardPartial(
-            shard.shard_id,
-            population_rows=table.num_rows,
-            matched_rows=matched,
-        )
-        ap = partial.scalars.setdefault(agg.alias, AggPartial())
-        if agg.func in ("sum", "count"):
-            snap = snapshot_of(agg.func)
-            half = (snap.ci_high - snap.ci_low) / 2.0
-            if agg.func == "sum":
-                ap.sum, ap.sum_hw2 = snap.value, half * half
-            else:
-                ap.count, ap.count_hw2 = snap.value, half * half
-        else:  # avg: merge as ratio of SUM and COUNT components, taken
-            # from the same permutation prefix (same seed, same rows).
-            snap = snapshot_of("sum")
-            half = (snap.ci_high - snap.ci_low) / 2.0
-            ap.sum, ap.sum_hw2 = snap.value, half * half
-            csnap = snapshot_of("count", rows=snap.rows_seen)
-            chalf = (csnap.ci_high - csnap.ci_low) / 2.0
-            ap.count, ap.count_hw2 = csnap.value, chalf * chalf
-        partial.rows_scanned = snap.rows_seen
-        if budget is not None:
-            budget.charge(rows=snap.rows_seen, site=site)
-        return partial
+            estimates[PARTIAL_COUNT] = (count.value, count.ci_low, count.ci_high)
+        if q.budget is not None:
+            q.budget.charge(rows=snap.rows_seen, site=site)
+        return _estimate_row(estimates, ola.matched_rows), snap.rows_seen
 
     def _sample_partial(
-        self,
-        shard: Shard,
-        bound: BoundQuery,
-        kernels: _BoundKernels,
-        spec: Optional[ErrorSpec],
-    ) -> ShardPartial:
+        self, shard: Shard, q: _ShardQuery
+    ) -> Tuple[Table, int]:
         from ..offline.catalog import SynopsisCatalog
 
         catalog = self.catalog
@@ -939,49 +686,27 @@ class ScatterGatherExecutor:
                 f"shard {shard.shard_id} sample failed validation"
             )
         sample = entry.sample
-        alias = bound.tables[0].alias
-        conf = spec.confidence if spec is not None else 0.95
-        qtable = SliceRelation(
-            sample.table, 0, sample.table.num_rows,
-            {c: f"{alias}.{c}" for c in sample.table.column_names},
-        )
-        mask = kernels.mask_of(qtable)
+        mask = filter_mask(q.prepared, q.view(sample.table))
         filtered = sample.filtered(mask) if mask is not None else sample
-        count_est = filtered.estimate_count()
-        clo, chi = count_est.ci(conf)
-        partial = ShardPartial(
-            shard.shard_id,
-            rows_scanned=sample.num_rows,
-            population_rows=shard.stats.rows,
-            matched_rows=float(max(count_est.value, 0.0)),
+        count = filtered.estimate_count()
+        estimates = {PARTIAL_COUNT: (count.value, *count.ci(q.confidence))}
+        for agg in q.bound.aggregates:
+            if agg.func == "count":
+                continue
+            if filtered.num_rows == 0:
+                estimates[agg.alias] = (0.0, 0.0, 0.0)
+            else:
+                est = filtered.estimate_sum(self._bare_column(q.bound, agg))
+                estimates[agg.alias] = (est.value, *est.ci(q.confidence))
+        return (
+            _estimate_row(estimates, float(max(count.value, 0.0))),
+            sample.num_rows,
         )
-        for agg in bound.aggregates:
-            ap = partial.scalars.setdefault(agg.alias, AggPartial())
-            if agg.func in ("count", "avg"):
-                ap.count = count_est.value
-                ap.count_hw2 = ((chi - clo) / 2.0) ** 2
-            if agg.func in ("sum", "avg"):
-                column = self._bare_column(bound, agg)
-                if filtered.num_rows == 0:
-                    ap.sum, ap.sum_hw2 = 0.0, 0.0
-                else:
-                    est = filtered.estimate_sum(column)
-                    lo, hi = est.ci(conf)
-                    ap.sum = est.value
-                    ap.sum_hw2 = ((hi - lo) / 2.0) ** 2
-        return partial
 
     # ------------------------------------------------------------------
     # Gather
     # ------------------------------------------------------------------
-    def _gather(
-        self,
-        bound: BoundQuery,
-        spec: Optional[ErrorSpec],
-        mode: str,
-        outcomes: List[ShardOutcome],
-        deadline: Optional[Deadline],
-    ):
+    def _gather(self, q: _ShardQuery, outcomes: List[ShardOutcome]):
         provenance: List[Dict[str, object]] = []
         for o in outcomes:
             get_metrics().inc("shard_outcomes_total", status=o.status)
@@ -999,7 +724,7 @@ class ScatterGatherExecutor:
                     "error": o.error,
                     "attempts": list(o.attempts),
                     "degraded": False,
-                    "technique": mode,
+                    "technique": q.technique,
                 }
             )
         served = [o for o in outcomes if o.served]
@@ -1016,41 +741,33 @@ class ScatterGatherExecutor:
             ),
             "error": "",
             "degraded": bool(missing_ids),
-            "technique": mode,
+            "technique": q.technique,
             "coverage": coverage,
             "shards_served": [o.shard_id for o in served],
             "shards_missing": missing_ids,
             "hedged": [o.shard_id for o in served if o.status == "served_hedged"],
         }
+        provenance.append(summary)
+        refusal = None
         if not served or coverage < self.min_coverage:
-            summary["outcome"] = "failed"
             summary["detail"] = (
                 f"coverage {coverage:.2%} below floor "
                 f"{self.min_coverage:.2%}"
             )
-            provenance.append(summary)
-            get_metrics().inc(
-                "queries_refused_total", engine="scatter_gather"
-            )
-            raise QueryRefused(
-                f"scatter-gather quorum failed: {summary['detail']}",
-                provenance=provenance,
-            )
-        widens, unboundable = self._widening(bound, missing_ids)
-        if unboundable is not None:
+            refusal = f"scatter-gather quorum failed: {summary['detail']}"
+        else:
+            widens, unboundable = self._widening(q.bound, missing_ids)
+            if unboundable is not None:
+                summary["detail"] = unboundable
+                refusal = f"cannot widen for missing shards: {unboundable}"
+        if refusal is not None:
             summary["outcome"] = "failed"
-            summary["detail"] = unboundable
-            provenance.append(summary)
             get_metrics().inc(
                 "queries_refused_total", engine="scatter_gather"
             )
-            raise QueryRefused(
-                f"cannot widen for missing shards: {unboundable}",
-                provenance=provenance,
-            )
-        provenance.append(summary)
+            raise QueryRefused(refusal, provenance=provenance)
         result = self._assemble(
-            bound, spec, mode, served, widens, coverage, provenance
+            q, served, served_rows, widens, coverage, provenance
         )
         if missing_ids and self.warn_on_degrade:
             warnings.warn(
@@ -1102,72 +819,72 @@ class ScatterGatherExecutor:
 
     def _assemble(
         self,
-        bound: BoundQuery,
-        spec: Optional[ErrorSpec],
-        mode: str,
+        q: _ShardQuery,
         served: List[ShardOutcome],
+        served_rows: int,
         widens: Dict[str, _Widen],
         coverage: float,
         provenance: List[Dict[str, object]],
     ):
-        partials = [o.partial for o in served]
-        scanned = sum(p.rows_scanned for p in partials)
-        population = sum(p.population_rows for p in partials)
-        matched = sum(p.matched_rows for p in partials)
-        sel = min(max(matched / population, 0.0), 1.0) if population else 0.0
+        bound, technique, spec = q.bound, q.technique, q.spec
+        merged = merge_partial_tables(
+            [o.partial for o in served], q.key_aliases
+        )
+        nrows = merged.num_rows
+        zeros = np.zeros(nrows)
+
+        def component(name: str) -> np.ndarray:
+            return merged[name] if name in merged else zeros
+
+        counts = component(PARTIAL_COUNT)
+        matched = float(
+            (counts if technique == "exact" else component(_MATCHED)).sum()
+        )
+        sel = min(max(matched / served_rows, 0.0), 1.0) if served_rows else 0.0
         degraded = any(w.rows or w.neg or w.pos for w in widens.values())
 
-        if bound.group_keys:
-            values, lows, highs, key_columns, nrows = self._assemble_groups(
-                bound, partials, widens, sel
+        values: Dict[str, np.ndarray] = {}
+        lows: Dict[str, np.ndarray] = {}
+        highs: Dict[str, np.ndarray] = {}
+        for agg in bound.aggregates:
+            # Per-group selectivity of the lost rows is unknowable, so a
+            # group keeps its served value and widens by the *full*
+            # missing-shard envelope — conservative for every group.
+            values[agg.alias], lows[agg.alias], highs[agg.alias] = self._cell(
+                agg.func,
+                component(agg.alias),
+                component(agg.alias + _HW2),
+                counts,
+                component(PARTIAL_COUNT + _HW2),
+                widens[agg.alias],
+                0.0 if bound.group_keys else sel,
             )
-        else:
-            values, lows, highs = {}, {}, {}
-            for agg in bound.aggregates:
-                merged = AggPartial()
-                for p in partials:
-                    ap = p.scalars.get(agg.alias)
-                    if ap is None:
-                        continue
-                    merged.sum += ap.sum
-                    merged.sum_hw2 += ap.sum_hw2
-                    merged.count += ap.count
-                    merged.count_hw2 += ap.count_hw2
-                v, lo, hi = self._cell(agg.func, merged, widens[agg.alias], sel)
-                values[agg.alias] = np.array([v])
-                lows[agg.alias] = np.array([lo])
-                highs[agg.alias] = np.array([hi])
-            key_columns, nrows = {}, 1
 
         columns: Dict[str, np.ndarray] = {}
         ci_low: Dict[str, np.ndarray] = {}
         ci_high: Dict[str, np.ndarray] = {}
-        agg_aliases = {a.alias for a in bound.aggregates}
         for expr, out_alias in bound.output_items:
             name = expr.name  # validated Column in _check_supported
-            if name in agg_aliases:
+            if name in values:
                 columns[out_alias] = values[name]
                 ci_low[out_alias] = lows[name]
                 ci_high[out_alias] = highs[name]
             else:
-                columns[out_alias] = key_columns[name]
+                columns[out_alias] = merged[name]
 
+        scanned = sum(o.rows_scanned for o in served)
         stats = ExecutionStats()
         stats.rows_scanned = scanned
         stats.agg_input_rows = scanned
         stats.rows_output = nrows
         table = Table(columns, name="aggregate")
         total_rows = self.sharded.total_rows
-        exact_full_coverage = (
-            mode == "exact" and not degraded and spec is None
-        )
-        if exact_full_coverage:
+        if technique == "exact" and not degraded and spec is None:
             return QueryResult(
                 table=table, stats=stats, provenance=provenance
             )
         achieved = 0.0
-        for alias in agg_aliases:
-            v = values[alias]
+        for alias, v in values.items():
             with np.errstate(divide="ignore", invalid="ignore"):
                 rel = np.where(
                     v != 0,
@@ -1177,24 +894,22 @@ class ScatterGatherExecutor:
             finite = rel[np.isfinite(rel)]
             if len(finite):
                 achieved = max(achieved, float(finite.max()))
-        conf = spec.confidence if spec is not None else 0.95
         base_rel = spec.relative_error if spec is not None else 0.05
-        claimed = ErrorSpec(
-            relative_error=min(0.99, max(base_rel, achieved, 1e-9)),
-            confidence=conf,
-        )
-        result = ApproximateResult(
+        return ApproximateResult(
             table=table,
             stats=stats,
-            spec=claimed,
-            technique=f"scatter_gather_{mode}",
+            spec=ErrorSpec(
+                relative_error=min(0.99, max(base_rel, achieved, 1e-9)),
+                confidence=q.confidence,
+            ),
+            technique=f"scatter_gather_{technique}",
             ci_low=ci_low,
             ci_high=ci_high,
             fraction_scanned=scanned / total_rows if total_rows else 0.0,
             approx_cost=float(scanned),
             exact_cost=float(total_rows),
             diagnostics={
-                "mode": mode,
+                "mode": technique,
                 "coverage": coverage,
                 "shards_served": len(served),
                 "shards_total": self.sharded.num_shards,
@@ -1207,82 +922,37 @@ class ScatterGatherExecutor:
             },
             provenance=provenance,
         )
-        return result
-
-    def _assemble_groups(
-        self,
-        bound: BoundQuery,
-        partials: List[ShardPartial],
-        widens: Dict[str, _Widen],
-        sel: float,
-    ):
-        merged: Dict[Tuple, Dict[str, AggPartial]] = {}
-        for p in partials:
-            for key, aggs in p.groups.items():
-                slot = merged.setdefault(key, {})
-                for alias, ap in aggs.items():
-                    m = slot.setdefault(alias, AggPartial())
-                    m.sum += ap.sum
-                    m.sum_hw2 += ap.sum_hw2
-                    m.count += ap.count
-                    m.count_hw2 += ap.count_hw2
-        keys = sorted(merged, key=repr)
-        nrows = len(keys)
-        key_columns = {
-            alias: np.asarray([key[i] for key in keys])
-            for i, (_, alias) in enumerate(bound.group_keys)
-        }
-        values: Dict[str, np.ndarray] = {}
-        lows: Dict[str, np.ndarray] = {}
-        highs: Dict[str, np.ndarray] = {}
-        for agg in bound.aggregates:
-            # Per-group selectivity of the lost rows is unknowable, so a
-            # group keeps its served value and widens by the *full*
-            # missing-shard envelope — conservative for every group.
-            vs, ls, hs = [], [], []
-            for key in keys:
-                ap = merged[key].get(agg.alias, AggPartial())
-                v, lo, hi = self._cell(
-                    agg.func, ap, widens[agg.alias], sel=0.0
-                )
-                vs.append(v)
-                ls.append(lo)
-                hs.append(hi)
-            values[agg.alias] = np.asarray(vs)
-            lows[agg.alias] = np.asarray(ls)
-            highs[agg.alias] = np.asarray(hs)
-        return values, lows, highs, key_columns, nrows
 
     @staticmethod
     def _cell(
-        func: str, ap: AggPartial, w: _Widen, sel: float
-    ) -> Tuple[float, float, float]:
-        """Merged value + CI for one aggregate cell, widened for missing
-        shards (see module docstring for the rule)."""
-        s_hw = math.sqrt(ap.sum_hw2)
-        c_hw = math.sqrt(ap.count_hw2)
+        func: str,
+        s: np.ndarray,
+        s_hw2: np.ndarray,
+        c: np.ndarray,
+        c_hw2: np.ndarray,
+        w: _Widen,
+        sel: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Merged values + CIs of one aggregate's cells (one per group),
+        widened for missing shards (see module docstring for the rule)."""
+        s_hw, c_hw = np.sqrt(s_hw2), np.sqrt(c_hw2)
+        center = min(max(sel * w.total, w.neg), w.pos)
+        s_lo, s_hi = s - s_hw + w.neg, s + s_hw + w.pos
+        c_lo, c_hi = np.maximum(c - c_hw, 0.0), c + c_hw + w.rows
         if func == "sum":
-            center = min(max(sel * w.total, w.neg), w.pos)
-            return (
-                ap.sum + center,
-                ap.sum - s_hw + w.neg,
-                ap.sum + s_hw + w.pos,
-            )
+            return s + center, s_lo, s_hi
         if func == "count":
-            return (
-                ap.count + sel * w.rows,
-                max(ap.count - c_hw, 0.0),
-                ap.count + c_hw + w.rows,
-            )
+            return c + sel * w.rows, c_lo, c_hi
         # avg: interval division of the SUM envelope by the COUNT envelope
-        s_lo = ap.sum - s_hw + w.neg
-        s_hi = ap.sum + s_hw + w.pos
-        c_lo = max(ap.count - c_hw, 0.0)
-        c_hi = ap.count + c_hw + w.rows
-        denom = ap.count + sel * w.rows
-        numer = ap.sum + min(max(sel * w.total, w.neg), w.pos)
-        value = numer / denom if denom > 0 else math.nan
-        if c_lo <= 0.0:
-            return value, -math.inf, math.inf
-        candidates = (s_lo / c_lo, s_lo / c_hi, s_hi / c_lo, s_hi / c_hi)
-        return value, min(candidates), max(candidates)
+        denom = c + sel * w.rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(denom > 0, (s + center) / denom, np.nan)
+            ratios = np.stack(
+                [s_lo / c_lo, s_lo / c_hi, s_hi / c_lo, s_hi / c_hi]
+            )
+        unbounded = c_lo <= 0.0
+        return (
+            value,
+            np.where(unbounded, -np.inf, ratios.min(axis=0)),
+            np.where(unbounded, np.inf, ratios.max(axis=0)),
+        )

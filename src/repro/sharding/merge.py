@@ -1,35 +1,33 @@
 """Merging per-shard partial results into whole-table answers.
 
-Three families of partials come back from shard workers, each with its
-own merge algebra:
+Two families of partials come back from shard workers, each with its own
+merge algebra:
 
 * **Mergeable sketches** (CM/CS/HLL/KMV/Bloom/SpaceSaving) — closed
   under ``merge``; merging shard sketches is *equivalent* to sketching
   the whole table (exactly for the deterministic structures, to the
   sketch's own guarantee for SpaceSaving). The property tests in
   ``tests/test_merge_property.py`` assert this shard/whole equivalence.
-* **OLA snapshots** — per-shard fixed-stop estimates are independent, so
-  totals add and variances add: the merged half-width is the root of the
-  summed squared half-widths (all snapshots share the z of their common
-  confidence level).
-* **Weighted samples** — HT weights are inverse inclusion probabilities
-  *within the shard*; shards partition the table, so the union of
-  per-shard samples with their original weights is a valid weighted
-  sample of the whole (stratified by shard).
+* **Partial aggregate tables** — what the engine's prepared kernels
+  produce when folded over a row range: key columns plus additive
+  components (sums, counts, and — for sampled techniques — *squared* CI
+  half-widths, which add because independent estimates' variances add).
+  Merging is the same operation for blocks within a shard and shards
+  within a table: concatenate, regroup on the keys, add the columns.
 """
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from typing import Sequence
 
-from ..core.exceptions import MergeError
-from ..engine.table import Table
-from ..online.ola import OLASnapshot
-from ..sampling.base import WeightedSample
+import numpy as np
 
-__all__ = ["merge_sketches", "merge_snapshots", "merge_weighted_samples"]
+from ..core.exceptions import MergeError
+from ..engine.aggregates import encode_groups_arrays, grouped_sum
+from ..engine.table import Table
+
+__all__ = ["merge_sketches", "merge_partial_tables"]
 
 
 def merge_sketches(sketches: Sequence[object]):
@@ -39,67 +37,35 @@ def merge_sketches(sketches: Sequence[object]):
     return reduce(lambda a, b: a.merge(b), sketches)
 
 
-def merge_snapshots(
-    snapshots: Sequence[OLASnapshot], population_rows: int
-) -> OLASnapshot:
-    """Sum independent per-shard snapshots of an additive aggregate.
+def merge_partial_tables(
+    tables: Sequence[Table], key_aliases: Sequence[str]
+) -> Table:
+    """Add partial aggregate tables that share one schema.
 
-    Valid for SUM/COUNT totals (values add; shard estimates are
-    independent so squared half-widths add). AVG does not merge this way
-    — merge its SUM and COUNT components and take the ratio instead.
+    Groups come back in the engine's own order (``encode_groups_arrays``
+    sorts by key value) and every component is accumulated in input
+    order, so merging blocks into a shard and then shards into a table
+    rounds exactly like one sequential pass over the partials.
     """
-    if not snapshots:
+    if not tables:
         raise MergeError("nothing to merge")
-    value = sum(s.value for s in snapshots)
-    half2 = 0.0
-    for s in snapshots:
-        half = (s.ci_high - s.ci_low) / 2.0
-        if not math.isfinite(half):
-            return OLASnapshot(
-                rows_seen=sum(s.rows_seen for s in snapshots),
-                fraction_seen=(
-                    sum(s.rows_seen for s in snapshots) / population_rows
-                    if population_rows
-                    else 0.0
-                ),
-                value=value,
-                ci_low=-math.inf,
-                ci_high=math.inf,
-            )
-        half2 += half * half
-    half = math.sqrt(half2)
-    rows_seen = sum(s.rows_seen for s in snapshots)
-    return OLASnapshot(
-        rows_seen=rows_seen,
-        fraction_seen=rows_seen / population_rows if population_rows else 0.0,
-        value=value,
-        ci_low=value - half,
-        ci_high=value + half,
-    )
-
-
-def merge_weighted_samples(
-    samples: Sequence[WeightedSample],
-) -> WeightedSample:
-    """Union per-shard samples; weights carry over (shard-stratified HT).
-
-    Each shard's weights are inverse inclusion probabilities within that
-    shard; because shards partition the population, the same weights are
-    the correct HT weights within the union, and the population is the
-    sum of shard populations.
-    """
-    if not samples:
-        raise MergeError("nothing to merge")
-    import numpy as np
-
-    table = Table.concat(
-        [s.table for s in samples], name=samples[0].table.name
-    )
-    weights = np.concatenate([s.weights for s in samples])
-    return WeightedSample(
-        table=table,
-        weights=weights,
-        method=f"sharded_union[{len(samples)}]:{samples[0].method}",
-        population_rows=sum(s.population_rows for s in samples),
-        params={"shards": len(samples)},
-    )
+    if key_aliases:
+        # A range with no matching rows has no groups — and no key dtype
+        # to contribute (its key columns are empty float arrays).
+        tables = [t for t in tables if t.num_rows] or tables[:1]
+    if len(tables) == 1:
+        return tables[0]
+    stacked = Table.concat(tables)
+    if key_aliases:
+        group_ids, key_columns = encode_groups_arrays(
+            [stacked[alias] for alias in key_aliases]
+        )
+        cols = dict(zip(key_aliases, key_columns))
+        num_groups = len(key_columns[0])
+    else:
+        group_ids = np.zeros(stacked.num_rows, dtype=np.int64)
+        cols, num_groups = {}, 1
+    for name in stacked.column_names:
+        if name not in cols:
+            cols[name] = grouped_sum(group_ids, stacked[name], num_groups)
+    return Table(cols, name="aggregate")

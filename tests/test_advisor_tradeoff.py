@@ -15,6 +15,7 @@ from repro import (
     comparison_matrix,
     no_silver_bullet,
 )
+from repro.core.options import QueryOptions
 from repro.core.tradeoff import (
     TECHNIQUE_PROFILES,
     TechniqueProfile,
@@ -50,14 +51,15 @@ class TestSessionRouting:
     def test_sql_error_clause_routes_to_aqp(self, db):
         res = db.sql(
             "SELECT SUM(value) AS s FROM facts ERROR WITHIN 5% CONFIDENCE 95%",
-            seed=1,
+            options=QueryOptions(seed=1),
         )
         assert isinstance(res, ApproximateResult)
         assert res.technique in ("pilot", "quickr", "offline_sample")
 
     def test_python_spec_overrides(self, db):
         res = AQPEngine(db).sql(
-            "SELECT SUM(value) AS s FROM facts", spec=ErrorSpec(0.1, 0.9), seed=1
+            "SELECT SUM(value) AS s FROM facts",
+            options=QueryOptions(spec=ErrorSpec(0.1, 0.9), seed=1),
         )
         assert res.is_approximate
         assert res.spec.relative_error == 0.1
@@ -65,21 +67,25 @@ class TestSessionRouting:
     def test_force_exact(self, db):
         res = AQPEngine(db).sql(
             "SELECT SUM(value) AS s FROM facts ERROR WITHIN 5% CONFIDENCE 95%",
-            technique="exact",
+            options=QueryOptions(technique="exact"),
         )
         assert isinstance(res, QueryResult)
 
     def test_force_pilot(self, db):
         res = AQPEngine(db).sql(
-            "SELECT SUM(value) AS s FROM facts", spec=ErrorSpec(0.05, 0.95),
-            technique="pilot", seed=2,
+            "SELECT SUM(value) AS s FROM facts",
+            options=QueryOptions(
+                spec=ErrorSpec(0.05, 0.95), technique="pilot", seed=2
+            ),
         )
         assert res.technique == "pilot"
 
     def test_force_quickr(self, db):
         res = AQPEngine(db).sql(
-            "SELECT SUM(value) AS s FROM facts", spec=ErrorSpec(0.05, 0.95),
-            technique="quickr", seed=2,
+            "SELECT SUM(value) AS s FROM facts",
+            options=QueryOptions(
+                spec=ErrorSpec(0.05, 0.95), technique="quickr", seed=2
+            ),
         )
         assert res.technique == "quickr"
 
@@ -87,16 +93,18 @@ class TestSessionRouting:
         with pytest.raises(UnsupportedQueryError):
             AQPEngine(db).sql(
                 "SELECT SUM(value) AS s FROM facts",
-                spec=ErrorSpec(0.05, 0.95),
-                technique="magic",
+                options=QueryOptions(
+                    spec=ErrorSpec(0.05, 0.95), technique="magic"
+                ),
             )
 
     def test_force_infeasible_raises(self, db):
         with pytest.raises(InfeasiblePlanError):
             AQPEngine(db).sql(
                 "SELECT SUM(value) AS s FROM facts",
-                spec=ErrorSpec(0.05, 0.95),
-                technique="offline_sample",  # no catalog entries exist
+                options=QueryOptions(
+                    spec=ErrorSpec(0.05, 0.95), technique="offline_sample"
+                ),
             )
 
     def test_offline_preferred_when_available(self, db, rng):
@@ -114,7 +122,7 @@ class TestSessionRouting:
         res = db.sql(
             "SELECT g, SUM(value) AS s FROM facts GROUP BY g "
             "ERROR WITHIN 10% CONFIDENCE 90%",
-            seed=3,
+            options=QueryOptions(seed=3),
         )
         assert res.technique == "offline_sample"
 
@@ -128,7 +136,7 @@ class TestSessionRouting:
     def test_approximate_result_summary(self, db):
         res = db.sql(
             "SELECT SUM(value) AS s FROM facts ERROR WITHIN 5% CONFIDENCE 95%",
-            seed=4,
+            options=QueryOptions(seed=4),
         )
         text = res.summary()
         assert "technique=" in text and "speedup" in text

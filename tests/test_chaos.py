@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import QueryRefused, ReproError
+from repro.core.options import QueryOptions
 from repro.core.result import ApproximateResult
 from repro.engine.table import Table
 from repro.engine.database import Database
@@ -164,7 +165,10 @@ def _run_sweep(seed: int) -> List[Outcome]:
                 start = clock.now()
                 try:
                     result = engine.sql(
-                        sql, seed=int(rng.integers(2**31)), deadline=deadline
+                        sql,
+                        options=QueryOptions(
+                            seed=int(rng.integers(2**31)), deadline=deadline
+                        ),
                     )
                 except QueryRefused as exc:
                     outcomes.append(
@@ -321,8 +325,9 @@ def test_every_injected_fault_appears_as_a_failed_span(seed):
                     try:
                         engine.sql(
                             sql,
-                            seed=int(rng.integers(2**31)),
-                            deadline=deadline,
+                            options=QueryOptions(
+                                seed=int(rng.integers(2**31)), deadline=deadline
+                            ),
                         )
                     except QueryRefused:
                         pass

@@ -18,6 +18,7 @@ from repro import (
     Table,
 )
 from repro.core.errorspec import z_value
+from repro.core.options import QueryOptions
 from repro.offline import SampleEntry, SynopsisCatalog
 from repro.online import ReuseCache
 from repro.sampling import (
@@ -245,7 +246,7 @@ class TestSpecBoundaries:
         )
         res = db.sql(
             "SELECT SUM(v) AS s FROM t ERROR WITHIN 10% CONFIDENCE 99.9%",
-            seed=4,
+            options=QueryOptions(seed=4),
         )
         if res.is_approximate:
             truth = db.table("t")["v"].sum()

@@ -11,6 +11,7 @@ from repro.core.accuracy import (
     compare_results,
 )
 from repro.core.exceptions import MergeError
+from repro.core.options import QueryOptions
 from repro.online import ReuseCache
 from repro.sampling.bilevel import (
     bilevel_sample,
@@ -265,7 +266,7 @@ class TestAccuracyHarness:
         approx = db.sql(
             "SELECT g, SUM(v) AS s FROM t WHERE g < 2 GROUP BY g "
             "ERROR WITHIN 10% CONFIDENCE 90%",
-            seed=3,
+            options=QueryOptions(seed=3),
         )
         outcome = compare_results(approx, exact)
         assert outcome.missing_groups == 2

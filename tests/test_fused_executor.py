@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.core.exceptions import QueryRefused, SchemaError
+from repro.core.options import QueryOptions
 from repro.engine.aggregates import AggregateSpec, encode_groups_arrays
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
@@ -265,7 +266,7 @@ class TestShardedZeroCopy:
             with inject(FaultInjector(specs, seed=3)):
                 return executor.sql(
                     "SELECT SUM(value) AS s FROM events WHERE value > 20",
-                    seed=11,
+                    options=QueryOptions(seed=11),
                 )
 
         first, second = degraded_run(), degraded_run()

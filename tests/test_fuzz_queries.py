@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.core.options import QueryOptions
 from repro.engine.optimizer import optimize_plan
 from repro.sql.binder import bind_sql
 
@@ -150,7 +151,7 @@ class TestQueryFuzz:
         exact = db.sql("SELECT SUM(v) AS s FROM f").scalar()
         res = db.sql(
             "SELECT SUM(v) AS s FROM f TABLESAMPLE BERNOULLI (30)",
-            seed=seed,
+            options=QueryOptions(seed=seed),
         )
         scaled = res.scalar() / 0.30
         assert abs(scaled - exact) / exact < 0.30

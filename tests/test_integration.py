@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import ApproximateResult, Database, ErrorSpec, QueryResult
+from repro.core.options import QueryOptions
 from repro.workloads import (
     SSB_LITE_QUERIES,
     TPCH_LITE_QUERIES,
@@ -35,21 +36,30 @@ def exact_lookup(db, sql, key_cols, agg_cols):
 class TestTPCHApproximation:
     def test_every_query_runs_approximately(self, big_tpch):
         for name, sql in TPCH_LITE_QUERIES.items():
-            res = big_tpch.sql(sql + " ERROR WITHIN 10% CONFIDENCE 95%", seed=11)
+            res = big_tpch.sql(
+                sql + " ERROR WITHIN 10% CONFIDENCE 95%",
+                options=QueryOptions(seed=11),
+            )
             assert isinstance(res, (ApproximateResult, QueryResult)), name
 
     def test_q6_error_within_spec(self, big_tpch):
         sql = TPCH_LITE_QUERIES["q6_forecast"]
         truth = big_tpch.sql(sql).scalar()
         for seed in range(6):
-            res = big_tpch.sql(sql + " ERROR WITHIN 10% CONFIDENCE 95%", seed=seed)
+            res = big_tpch.sql(
+                sql + " ERROR WITHIN 10% CONFIDENCE 95%",
+                options=QueryOptions(seed=seed),
+            )
             if res.is_approximate:
                 assert abs(res.scalar() - truth) / truth <= 0.10
 
     def test_grouped_query_all_groups_within_spec(self, big_tpch):
         sql = TPCH_LITE_QUERIES["q12_shipmode"]
         truth = exact_lookup(big_tpch, sql, ["l_shipmode"], ["line_count", "total"])
-        res = big_tpch.sql(sql + " ERROR WITHIN 10% CONFIDENCE 95%", seed=3)
+        res = big_tpch.sql(
+            sql + " ERROR WITHIN 10% CONFIDENCE 95%",
+            options=QueryOptions(seed=3),
+        )
         assert res.is_approximate
         for row in res.to_pylist():
             t = truth[(row["l_shipmode"],)]
@@ -59,13 +69,19 @@ class TestTPCHApproximation:
     def test_no_groups_missed(self, big_tpch):
         sql = TPCH_LITE_QUERIES["q1_pricing"]
         exact_rows = big_tpch.sql(sql).table.num_rows
-        res = big_tpch.sql(sql + " ERROR WITHIN 10% CONFIDENCE 95%", seed=4)
+        res = big_tpch.sql(
+            sql + " ERROR WITHIN 10% CONFIDENCE 95%",
+            options=QueryOptions(seed=4),
+        )
         assert res.table.num_rows == exact_rows
 
     def test_join_query_approximation(self, big_tpch):
         sql = TPCH_LITE_QUERIES["priority_revenue"]
         truth = exact_lookup(big_tpch, sql, ["priority"], ["rev"])
-        res = big_tpch.sql(sql + " ERROR WITHIN 10% CONFIDENCE 95%", seed=5)
+        res = big_tpch.sql(
+            sql + " ERROR WITHIN 10% CONFIDENCE 95%",
+            options=QueryOptions(seed=5),
+        )
         for row in res.to_pylist():
             assert row["rev"] == pytest.approx(
                 truth[(row["priority"],)]["rev"], rel=0.12
@@ -77,14 +93,14 @@ class TestTPCHApproximation:
         res = big_tpch.sql(
             "SELECT AVG(l_extendedprice) AS a FROM lineitem "
             "ERROR WITHIN 5% CONFIDENCE 95%",
-            seed=6,
+            options=QueryOptions(seed=6),
         )
         assert res.is_approximate and res.speedup > 3
 
     def test_repeatability_with_seed(self, big_tpch):
         sql = TPCH_LITE_QUERIES["q6_forecast"] + " ERROR WITHIN 10% CONFIDENCE 95%"
-        a = big_tpch.sql(sql, seed=99)
-        b = big_tpch.sql(sql, seed=99)
+        a = big_tpch.sql(sql, options=QueryOptions(seed=99))
+        b = big_tpch.sql(sql, options=QueryOptions(seed=99))
         assert a.scalar() == pytest.approx(b.scalar())
 
 
@@ -119,7 +135,7 @@ class TestGuaranteeSemantics:
             res = db.sql(
                 "SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t GROUP BY g "
                 f"ERROR WITHIN {spec_err * 100:.0f}% CONFIDENCE 95%",
-                seed=seed,
+                options=QueryOptions(seed=seed),
             )
             if not res.is_approximate:
                 continue
@@ -139,7 +155,8 @@ class TestGuaranteeSemantics:
         t = db.table("t")
         truth = t["v"].sum()
         res = db.sql(
-            "SELECT SUM(v) AS s FROM t ERROR WITHIN 5% CONFIDENCE 95%", seed=21
+            "SELECT SUM(v) AS s FROM t ERROR WITHIN 5% CONFIDENCE 95%",
+            options=QueryOptions(seed=21),
         )
         cell = res.estimate("s")
         assert cell.ci_low <= truth <= cell.ci_high

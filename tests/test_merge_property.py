@@ -11,19 +11,10 @@ new approximation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.engine.table import Table
-from repro.online.ola import OnlineAggregator
-from repro.sharding import (
-    ShardedTable,
-    merge_sketches,
-    merge_snapshots,
-    merge_weighted_samples,
-)
+from repro.sharding import merge_sketches
 from repro.sketches.bloom import BloomFilter
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
@@ -148,87 +139,3 @@ class TestSpaceSavingMerge:
         threshold = len(data) / merged.capacity
         for item in values[counts > threshold]:
             assert merged.estimate(item.item()) > 0
-
-
-class TestSnapshotMerge:
-    def _shard_snapshots(self, sharded, seed, fraction=0.25):
-        snaps = []
-        for shard in sharded.shards:
-            agg = OnlineAggregator(
-                shard.table, "v", agg="sum", confidence=0.95, seed=seed
-            )
-            rows = max(1, int(shard.stats.rows * fraction))
-            snaps.append(agg.snapshot(rows))
-        return snaps
-
-    def test_merged_snapshot_adds_values_and_variances(self):
-        rng = np.random.default_rng(7)
-        table = Table({"v": rng.exponential(5.0, 8_000)}, name="t")
-        sharded = ShardedTable.from_table(table, 4)
-        snaps = self._shard_snapshots(sharded, seed=0)
-        merged = merge_snapshots(snaps, sharded.total_rows)
-        assert merged.value == pytest.approx(sum(s.value for s in snaps))
-        half2 = sum(((s.ci_high - s.ci_low) / 2.0) ** 2 for s in snaps)
-        assert (merged.ci_high - merged.ci_low) / 2.0 == pytest.approx(
-            math.sqrt(half2)
-        )
-        assert merged.rows_seen == sum(s.rows_seen for s in snaps)
-
-    def test_merged_snapshot_ci_is_honest(self):
-        rng = np.random.default_rng(17)
-        table = Table({"v": rng.lognormal(1.0, 1.0, 8_000)}, name="t")
-        sharded = ShardedTable.from_table(table, 4)
-        truth = float(np.asarray(table["v"]).sum())
-        hits = 0
-        trials = 40
-        for seed in range(trials):
-            merged = merge_snapshots(
-                self._shard_snapshots(sharded, seed=seed),
-                sharded.total_rows,
-            )
-            hits += merged.ci_low <= truth <= merged.ci_high
-        # nominal 95%; merged CI must not be anti-conservative
-        assert hits / trials >= 0.85
-
-    def test_non_finite_shard_half_width_poisons_the_merge(self):
-        rng = np.random.default_rng(3)
-        table = Table({"v": rng.normal(0.0, 1.0, 2_000)}, name="t")
-        sharded = ShardedTable.from_table(table, 4)
-        snaps = self._shard_snapshots(sharded, seed=0)
-        from repro.online.ola import OLASnapshot
-
-        snaps[2] = OLASnapshot(
-            rows_seen=1,
-            fraction_seen=0.0,
-            value=0.0,
-            ci_low=-math.inf,
-            ci_high=math.inf,
-        )
-        merged = merge_snapshots(snaps, sharded.total_rows)
-        assert math.isinf(merged.ci_low) and math.isinf(merged.ci_high)
-
-
-class TestWeightedSampleMerge:
-    def test_union_estimates_every_aggregate_honestly(self):
-        rng = np.random.default_rng(29)
-        table = Table(
-            {"v": rng.exponential(10.0, 10_000)}, name="events"
-        )
-        sharded = ShardedTable.from_table(table, 4)
-        from repro.sampling.row import srs_sample
-
-        samples = [
-            srs_sample(s.table, 500, np.random.default_rng(1000 + i))
-            for i, s in enumerate(sharded.shards)
-        ]
-        union = merge_weighted_samples(samples)
-        assert union.num_rows == 2_000
-        assert union.population_rows == 10_000
-        v = np.asarray(table["v"])
-        for est, truth, label in (
-            (union.estimate_sum("v"), float(v.sum()), "sum"),
-            (union.estimate_count(), 10_000.0, "count"),
-            (union.estimate_avg("v"), float(v.mean()), "avg"),
-        ):
-            lo, hi = est.ci(0.99)
-            assert lo <= truth <= hi, f"{label} CI misses truth"

@@ -21,6 +21,7 @@ import pytest
 
 from repro import Database
 from repro.core.errorspec import ErrorSpec
+from repro.core.options import QueryOptions
 from repro.engine.kernel_cache import KernelCache, set_kernel_cache
 from repro.obs.explain import ExplainResult, run_explain_analyze
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
@@ -592,7 +593,7 @@ class TestExplain:
             db,
             "SELECT SUM(price) AS s FROM sales "
             "ERROR WITHIN 10% CONFIDENCE 95%",
-            seed=3,
+            options=QueryOptions(seed=3),
         )
         assert er.tracer.find("query")
         assert er.tracer.find("query")[0].attributes["technique"] != ""

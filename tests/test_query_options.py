@@ -3,21 +3,20 @@
 Every ``sql()`` entry point — :meth:`AQPEngine.sql`,
 :meth:`Database.sql`, :meth:`ResilientEngine.sql`,
 :meth:`ScatterGatherExecutor.sql`, :meth:`ServingFrontend.sql` /
-``submit`` — accepts the same ``options=QueryOptions(...)`` object,
-keeps the old per-entry keywords alive behind a DeprecationWarning shim,
-and rejects unknown keywords with TypeError at the call site. Results
-from every door expose the common envelope (:data:`ENVELOPE_KEYS`).
+``submit`` — accepts the same ``options=QueryOptions(...)`` object and
+nothing else per query, so an unknown keyword is a TypeError at the call
+site. Results from every door expose the common envelope
+(:data:`ENVELOPE_KEYS`).
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
 
-from repro import Database, ErrorSpec, QueryOptions
+from repro import Database, QueryOptions
 from repro.core.options import (
     QUERY_OPTION_FIELDS,
     maybe_trace,
@@ -68,7 +67,7 @@ def _entry_points(db):
 # ----------------------------------------------------------------------
 
 class TestSignatureParity:
-    def test_every_entry_point_accepts_options_and_kwargs(self, db):
+    def test_every_entry_point_accepts_options_and_no_kwargs(self, db):
         entries, frontend = _entry_points(db)
         try:
             for name, fn in entries:
@@ -78,8 +77,8 @@ class TestSignatureParity:
                 assert "options" in params, name
                 assert params["options"].default is None, name
                 kinds = {p.kind for p in params.values()}
-                assert inspect.Parameter.VAR_KEYWORD in kinds, (
-                    f"{name} lost its **kwargs back-compat shim"
+                assert inspect.Parameter.VAR_KEYWORD not in kinds, (
+                    f"{name} grew a **kwargs second door"
                 )
         finally:
             frontend.close()
@@ -102,7 +101,7 @@ class TestSignatureParity:
         entries, frontend = _entry_points(db)
         try:
             for name, fn in entries:
-                with pytest.raises(TypeError, match="unexpected query option"):
+                with pytest.raises(TypeError, match="not_an_option"):
                     fn(SQL, not_an_option=1)
         finally:
             frontend.close()
@@ -120,19 +119,6 @@ class TestResolveOptions:
         opts = QueryOptions(seed=3, tenant="t1")
         assert resolve_options(opts) is opts
 
-    def test_legacy_kwargs_override_options_and_warn(self):
-        opts = QueryOptions(seed=3, pilot_rate=0.05)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            merged = resolve_options(opts, {"seed": 9})
-        assert merged.seed == 9
-        assert merged.pilot_rate == 0.05  # untouched fields survive
-
-    def test_unknown_kwarg_raises_listing_valid_fields(self):
-        with pytest.raises(TypeError) as exc:
-            resolve_options(None, {"sede": 1}, entry="Database.sql()")
-        assert "sede" in str(exc.value)
-        assert "seed" in str(exc.value)  # the valid list is in the message
-
     def test_non_queryoptions_object_raises(self):
         with pytest.raises(TypeError, match="QueryOptions"):
             resolve_options({"seed": 1})
@@ -149,46 +135,6 @@ class TestResolveOptions:
             assert tracer is None
         with maybe_trace(QueryOptions(trace=True)) as tracer:
             assert tracer is not None
-
-
-# ----------------------------------------------------------------------
-# Deprecation shim round-trips: legacy kwargs == options object
-# ----------------------------------------------------------------------
-
-class TestDeprecationShims:
-    def test_database_sql_seed_shim(self, db):
-        with pytest.warns(DeprecationWarning):
-            legacy = db.sql(SPEC_SQL, seed=11)
-        modern = db.sql(SPEC_SQL, options=QueryOptions(seed=11))
-        assert legacy.values() == modern.values()
-
-    def test_ladder_spec_shim(self, db):
-        engine = ResilientEngine(db, warn_on_degrade=False)
-        spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.sql(SQL, spec=spec, seed=5)
-        modern = engine.sql(SQL, options=QueryOptions(spec=spec, seed=5))
-        assert legacy.values() == modern.values()
-
-    def test_sharded_executor_shim(self, db):
-        sharded = ShardedTable.from_table(db.table("events"), 4)
-        executor = ScatterGatherExecutor(sharded)
-        with pytest.warns(DeprecationWarning):
-            legacy = executor.sql(SQL, seed=3)
-        modern = executor.sql(SQL, options=QueryOptions(seed=3))
-        assert legacy.values() == modern.values()
-
-    def test_frontend_submit_shim(self, db):
-        frontend = ServingFrontend(db, workers=1, seed=0)
-        try:
-            with pytest.warns(DeprecationWarning):
-                legacy = frontend.sql(SQL, seed=2, timeout=60.0)
-            modern = frontend.sql(
-                SQL, options=QueryOptions(seed=2), timeout=60.0
-            )
-            assert legacy.values() == modern.values()
-        finally:
-            frontend.close()
 
 
 # ----------------------------------------------------------------------

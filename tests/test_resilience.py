@@ -23,6 +23,7 @@ from repro.core.exceptions import (
     QueryRefused,
     SynopsisUnavailable,
 )
+from repro.core.options import QueryOptions
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.offline.catalog import SampleEntry, SynopsisCatalog
@@ -156,22 +157,26 @@ class TestExecutorLimits:
         dl = Deadline(1.0, clock=clock)
         clock.advance(2.0)
         with pytest.raises(DeadlineExceeded):
-            small_db.sql("SELECT SUM(x) AS s FROM t", deadline=dl)
+            small_db.sql(
+                "SELECT SUM(x) AS s FROM t",
+                options=QueryOptions(deadline=dl),
+            )
         assert dl.fired_sites  # the checkpoint recorded where it fired
 
     def test_row_budget_raises_from_exact_query(self, small_db):
         with pytest.raises(BudgetExhausted):
             small_db.sql(
                 "SELECT SUM(x) AS s FROM t",
-                budget=ResourceBudget(max_rows=100),
+                options=QueryOptions(budget=ResourceBudget(max_rows=100)),
             )
 
     def test_generous_limits_leave_answer_unchanged(self, small_db):
         plain = small_db.sql("SELECT SUM(x) AS s FROM t")
         bounded = small_db.sql(
             "SELECT SUM(x) AS s FROM t",
-            deadline=Deadline(1e9),
-            budget=ResourceBudget(max_rows=10**9),
+            options=QueryOptions(
+                deadline=Deadline(1e9), budget=ResourceBudget(max_rows=10**9)
+            ),
         )
         assert bounded.scalar() == pytest.approx(plain.scalar())
 
@@ -651,7 +656,7 @@ class TestLadder:
         engine = ResilientEngine(sales_db)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegradedAnswer)
-            result = engine.sql(APPROX_SQL, seed=1)
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
         assert result.provenance[-1]["rung"] == "requested"
         assert not result.is_degraded
 
@@ -659,7 +664,10 @@ class TestLadder:
         _add_stale_sample(sales_db, prices)
         engine = ResilientEngine(sales_db)
         with pytest.warns(DegradedAnswer):
-            result = engine.sql(APPROX_SQL, seed=1, technique="offline_sample")
+            result = engine.sql(
+                APPROX_SQL,
+                options=QueryOptions(seed=1, technique="offline_sample"),
+            )
         assert result.technique == "offline_sample_stale"
         assert result.is_degraded
         # staleness = (20000 - 16000) / 16000 = 0.25; the claimed spec
@@ -678,7 +686,10 @@ class TestLadder:
         # built_at_rows=2000 over a 20000-row table: staleness 9.0 > 4.0.
         _add_stale_sample(sales_db, prices, fraction=0.1)
         engine = ResilientEngine(sales_db, warn_on_degrade=False)
-        result = engine.sql(APPROX_SQL, seed=1, technique="offline_sample")
+        result = engine.sql(
+            APPROX_SQL,
+            options=QueryOptions(seed=1, technique="offline_sample"),
+        )
         steps = {p["rung"]: p for p in result.provenance}
         assert steps["stale_synopsis"]["outcome"] == "failed"
         assert "staleness" in steps["stale_synopsis"]["error"]
@@ -688,7 +699,10 @@ class TestLadder:
         catalog = _add_stale_sample(sales_db, prices)
         catalog.samples[0].sample.weights[:] = np.nan
         engine = ResilientEngine(sales_db, warn_on_degrade=False)
-        result = engine.sql(APPROX_SQL, seed=1, technique="offline_sample")
+        result = engine.sql(
+            APPROX_SQL,
+            options=QueryOptions(seed=1, technique="offline_sample"),
+        )
         steps = {p["rung"]: p for p in result.provenance}
         assert steps["stale_synopsis"]["outcome"] == "failed"
         assert "SynopsisUnavailable" in steps["stale_synopsis"]["error"]
@@ -704,7 +718,7 @@ class TestLadder:
             seed=7,
         )
         with inject(injector):
-            result = engine.sql(APPROX_SQL, seed=1)
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
         assert result.provenance[-1]["rung"] == "exact_no_guarantee"
         assert result.is_degraded
         assert result.scalar() == pytest.approx(float(prices.sum()))
@@ -724,7 +738,7 @@ class TestLadder:
         )
         with inject(injector):
             with pytest.raises(QueryRefused) as exc_info:
-                engine.sql(APPROX_SQL, seed=1)
+                engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
         provenance = exc_info.value.provenance
         assert [p["rung"] for p in provenance] == list(LADDER_RUNGS)
         assert all(p["outcome"] == "failed" for p in provenance)
@@ -734,7 +748,10 @@ class TestLadder:
     ):
         _, dl = _tight_deadline()
         engine = ResilientEngine(sales_db, warn_on_degrade=False)
-        result = engine.sql(APPROX_SQL, seed=2, deadline=dl)
+        result = engine.sql(
+            APPROX_SQL,
+            options=QueryOptions(seed=2, deadline=dl),
+        )
         assert result.technique == "partial_ola"
         assert result.is_degraded
         # Expensive rungs were skipped, not attempted, and said so.
@@ -752,7 +769,7 @@ class TestLadder:
         with pytest.raises(QueryRefused) as exc_info:
             engine.sql(
                 "SELECT SUM(price) AS s FROM sales",
-                budget=ResourceBudget(max_rows=10),
+                options=QueryOptions(budget=ResourceBudget(max_rows=10)),
             )
         (step,) = exc_info.value.provenance
         assert step["rung"] == "exact_no_guarantee"
@@ -767,9 +784,10 @@ class TestLadder:
             [FaultSpec(site="ladder.requested", kind="error")], seed=7
         )
         with inject(injector):
-            engine.sql(APPROX_SQL, seed=1)  # trips the breaker (2 attempts)
+            # trips the breaker (2 attempts)
+            engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
             arrivals_before = injector.fired_at("ladder.requested")
-            result = engine.sql(APPROX_SQL, seed=1)
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
         # The second query found the breaker open: the requested rung
         # failed fast without re-running the faulted work.
         assert engine.breakers["requested"].state == "open"

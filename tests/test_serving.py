@@ -17,6 +17,7 @@ import pytest
 from repro import Database
 from repro.core.errorspec import ErrorSpec
 from repro.core.exceptions import QueryRefused, QueryRejected
+from repro.core.options import QueryOptions
 from repro.engine.table import Table
 from repro.resilience.deadline import ManualClock
 from repro.resilience.ladder import LADDER_RUNGS, ResilientEngine
@@ -178,7 +179,10 @@ def test_budget_rejection_is_typed_and_free(serving_db):
     try:
         fe.budgets.configure("tiny", capacity=1.0)
         with pytest.raises(QueryRejected) as exc_info:
-            fe.submit("SELECT SUM(v) FROM events", tenant="tiny")
+            fe.submit(
+                "SELECT SUM(v) FROM events",
+                options=QueryOptions(tenant="tiny"),
+            )
         assert exc_info.value.reason == "budget"
         assert exc_info.value.tenant == "tiny"
         assert fe.budgets.available("tiny") == pytest.approx(1.0)
@@ -195,8 +199,7 @@ def test_budget_reconciled_from_actuals(serving_db):
         fe.budgets.configure("t", capacity=2 * estimate)
         result = fe.sql(
             "SELECT SUM(v) FROM events ERROR WITHIN 20% CONFIDENCE 95%",
-            tenant="t",
-            seed=5,
+            options=QueryOptions(tenant="t", seed=5),
             timeout=60.0,
         )
         actual = result.stats.simulated_cost(serving_db.cost_params).total
@@ -216,7 +219,10 @@ def test_unknown_priority_rejected(serving_db):
     fe = ServingFrontend(serving_db, workers=1, max_queue=2)
     try:
         with pytest.raises(ValueError):
-            fe.submit("SELECT SUM(v) FROM events", priority="turbo")
+            fe.submit(
+                "SELECT SUM(v) FROM events",
+                options=QueryOptions(priority="turbo"),
+            )
     finally:
         fe.close()
 
@@ -257,7 +263,11 @@ def test_priority_order_is_deterministic(serving_db):
             blocker = fe.submit("SELECT SUM(v) FROM events")
             assert engine.started.wait(timeout=10.0)
             for query, priority, qid in submit_order:
-                fe.submit(query, priority=priority, query_id=qid)
+                fe.submit(
+                    query,
+                    options=QueryOptions(priority=priority),
+                    query_id=qid,
+                )
             engine.gate.set()
             assert fe.drain(timeout=60.0)
             assert blocker.result(timeout=5.0) is not None
@@ -322,8 +332,15 @@ def test_no_overload_is_bitwise_identical_to_database(serving_db):
     fe = ServingFrontend(serving_db, workers=2, max_queue=16)
     try:
         for query, spec in queries:
-            served = fe.sql(query, spec=spec, seed=9, timeout=60.0)
-            direct = serving_db.sql(query, seed=9, spec=spec)
+            served = fe.sql(
+                query,
+                options=QueryOptions(spec=spec, seed=9),
+                timeout=60.0,
+            )
+            direct = serving_db.sql(
+                query,
+                options=QueryOptions(seed=9, spec=spec),
+            )
             assert _tables_equal(served.table, direct.table), query
             if hasattr(direct, "ci_low"):
                 for alias in direct.ci_low:
@@ -348,7 +365,7 @@ def test_shed_answers_carry_provenance(serving_db):
     try:
         ticket = fe.submit(
             "SELECT SUM(v) FROM events ERROR WITHIN 20% CONFIDENCE 95%",
-            seed=2,
+            options=QueryOptions(seed=2),
         )
         result = ticket.result(timeout=60.0)
         assert ticket.shed_to == "cheaper_technique"
@@ -371,7 +388,7 @@ def test_no_shed_flag_bypasses_controller(serving_db):
     try:
         ticket = fe.submit(
             "SELECT SUM(v) FROM events ERROR WITHIN 20% CONFIDENCE 95%",
-            seed=2,
+            options=QueryOptions(seed=2),
             no_shed=True,
         )
         result = ticket.result(timeout=60.0)
@@ -399,10 +416,16 @@ def test_entry_rung_validation():
     db.create_table("t", {"x": np.arange(10.0)})
     engine = ResilientEngine(db, warn_on_degrade=False)
     with pytest.raises(ValueError):
-        engine.sql("SELECT SUM(x) FROM t", entry_rung="nonsense")
+        engine.sql(
+            "SELECT SUM(x) FROM t",
+            options=QueryOptions(entry_rung="nonsense"),
+        )
     # An entry rung that does not apply (spec-less query has only the
     # exact rung) is ignored, never refused.
-    result = engine.sql("SELECT SUM(x) FROM t", entry_rung="partial_ola")
+    result = engine.sql(
+        "SELECT SUM(x) FROM t",
+        options=QueryOptions(entry_rung="partial_ola"),
+    )
     assert float(result.table["sum(x)"][0]) == pytest.approx(45.0)
 
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro import Database
 from repro.core.exceptions import QueryRefused, QueryRejected
+from repro.core.options import QueryOptions
 from repro.resilience.faults import (
     FaultInjector,
     FaultSpec,
@@ -102,9 +103,11 @@ def test_concurrent_chaos_exactly_one_outcome(chaos_db, seed):
             try:
                 t = fe.submit(
                     query,
-                    tenant=f"c{client_id}",
-                    priority="interactive" if i % 2 else "batch",
-                    seed=seed * 100 + i,
+                    options=QueryOptions(
+                        tenant=f"c{client_id}",
+                        priority="interactive" if i % 2 else "batch",
+                        seed=seed * 100 + i,
+                    ),
                 )
                 with lock:
                     tickets.append(t)
@@ -183,7 +186,11 @@ def _run_schedule(db, seed: int, workers: int):
             tickets = {}
             for i, query in enumerate(QUERIES * 3):
                 qid = splitmix64(seed, i)
-                tickets[qid] = fe.submit(query, seed=i, query_id=qid)
+                tickets[qid] = fe.submit(
+                    query,
+                    options=QueryOptions(seed=i),
+                    query_id=qid,
+                )
             assert fe.drain(timeout=120.0)
         for qid, ticket in tickets.items():
             err = ticket.exception(timeout=60.0)

@@ -3,8 +3,8 @@
 Covers the partition substrate (disjoint/complete shards, widening
 envelopes), exact/OLA/sample scatter-gather against whole-table oracles,
 the missing-shard widening rule's deterministic honesty, quorum refusal,
-straggler hedging, per-shard breakers, catalog shard isolation, and the
-partial-merge helpers.
+straggler hedging, per-shard breakers, catalog shard isolation, the
+partial-table merge, and workload-log observation.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.exceptions import (
     SchemaError,
     UnsupportedQueryError,
 )
+from repro.core.options import QueryOptions
 from repro.core.result import ApproximateResult, QueryResult
 from repro.engine.database import Database
 from repro.engine.table import Table
@@ -42,10 +43,10 @@ from repro.sharding import (
     ScatterGatherExecutor,
     ShardedTable,
     compute_shard_stats,
+    merge_partial_tables,
     merge_sketches,
-    merge_snapshots,
-    merge_weighted_samples,
 )
+from repro.tuner import WorkloadLog, install_workload_log
 
 N_ROWS = 4_096
 NUM_SHARDS = 8
@@ -181,49 +182,73 @@ class TestExactScatterGather:
         assert [p["status"] for p in shard_steps] == ["served"] * NUM_SHARDS
         assert result.provenance[-1]["coverage"] == pytest.approx(1.0)
 
-    def test_group_by_matches_engine(self, world):
-        db, sharded = world
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("by,key", [("hash", None), ("range", "v")])
+    @pytest.mark.parametrize(
+        "select,group_by",
+        [
+            ("k", "k"),
+            ("k, j", "k, j"),
+            ("name", "name"),
+            ("k + j AS kj", "k + j"),
+        ],
+        ids=["int", "composite", "string", "expression"],
+    )
+    def test_group_by_matches_engine(self, select, group_by, by, key, bounded):
+        """Same rows, same order, as the engine over the whole table —
+        through the whole-shard fold and (with a generous deadline forcing
+        block boundaries) the per-block fold + merge."""
+        rng = np.random.default_rng(3)
+        table = _make_table()
+        table = Table(
+            {
+                **table.columns_dict(),
+                "j": rng.integers(-3, 3, N_ROWS),
+                "name": rng.choice(
+                    np.array(["ash", "birch", "cedar", "oak"], dtype=object),
+                    N_ROWS,
+                ),
+            },
+            name="events",
+            block_size=256,
+        )
+        sharded = ShardedTable.from_table(table, NUM_SHARDS, by=by, key=key)
+        db = Database()
+        db.create_table("events", sharded.whole_table().columns_dict())
         q = (
-            "SELECT k, SUM(v) AS s, COUNT(*) AS c "
-            "FROM events WHERE v > 8 GROUP BY k"
+            f"SELECT {select}, SUM(v) AS s, COUNT(*) AS c, AVG(v) AS a "
+            f"FROM events WHERE v > 8 GROUP BY {group_by}"
         )
         expect = db.sql(q).table
-        truth = {
-            int(expect["k"][i]): (
-                float(expect["s"][i]),
-                float(expect["c"][i]),
-            )
-            for i in range(expect.num_rows)
-        }
-        got_tbl = ScatterGatherExecutor(sharded).sql(q).table
-        got = {
-            int(got_tbl["k"][i]): (
-                float(got_tbl["s"][i]),
-                float(got_tbl["c"][i]),
-            )
-            for i in range(got_tbl.num_rows)
-        }
-        assert set(got) == set(truth)
-        for key in truth:
-            assert got[key][0] == pytest.approx(truth[key][0], rel=1e-12)
-            assert got[key][1] == truth[key][1]
+        options = QueryOptions(deadline=Deadline(3600.0) if bounded else None)
+        got = ScatterGatherExecutor(sharded, max_workers=1).sql(
+            q, options=options
+        )
+        assert got.table.column_names == expect.column_names
+        for name in expect.column_names:
+            if name in ("s", "c", "a"):
+                np.testing.assert_allclose(
+                    got.table[name], expect[name], rtol=1e-9, atol=0.0
+                )
+            else:
+                assert list(got.table[name]) == list(expect[name])
 
     def test_unsupported_queries_are_typed(self, world):
         _db, sharded = world
         ex = ScatterGatherExecutor(sharded)
+        ola = QueryOptions(technique="ola", spec=SPEC)
         bad = [
-            ("SELECT SUM(v) AS s FROM events", {"mode": "psychic"}),
-            ("SELECT v FROM events LIMIT 3", {}),
-            ("SELECT SUM(v) AS s FROM events ORDER BY s", {}),
-            ("SELECT MIN(v) AS m FROM events", {}),
-            ("SELECT k, SUM(v) AS s FROM events GROUP BY k",
-             {"mode": "ola", "spec": SPEC}),
-            ("SELECT SUM(v) AS s, COUNT(*) AS c FROM events",
-             {"mode": "ola", "spec": SPEC}),
+            ("SELECT SUM(v) AS s FROM events",
+             QueryOptions(technique="psychic")),
+            ("SELECT v FROM events LIMIT 3", None),
+            ("SELECT SUM(v) AS s FROM events ORDER BY s", None),
+            ("SELECT MIN(v) AS m FROM events", None),
+            ("SELECT k, SUM(v) AS s FROM events GROUP BY k", ola),
+            ("SELECT SUM(v) AS s, COUNT(*) AS c FROM events", ola),
         ]
-        for sql, kwargs in bad:
+        for sql, options in bad:
             with pytest.raises(UnsupportedQueryError):
-                ex.sql(sql, **kwargs)
+                ex.sql(sql, options=options)
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +371,8 @@ class TestApproximateModes:
         hits = 0
         for seed in range(10):
             result = ScatterGatherExecutor(sharded).sql(
-                q, spec=SPEC, seed=seed, mode="ola"
+                q,
+                options=QueryOptions(spec=SPEC, seed=seed, technique="ola"),
             )
             assert isinstance(result, ApproximateResult)
             assert result.technique == "scatter_gather_ola"
@@ -359,7 +385,8 @@ class TestApproximateModes:
         q = "SELECT SUM(v) AS s FROM events WHERE v > 12"
         truth = float(db.sql(q).table["s"][0])
         result = ScatterGatherExecutor(sharded).sql(
-            q, spec=SPEC, mode="sample"
+            q,
+            options=QueryOptions(spec=SPEC, technique="sample"),
         )
         assert result.technique == "scatter_gather_sample"
         cell = result.estimate("s", 0)
@@ -372,7 +399,8 @@ class TestApproximateModes:
         ex = ScatterGatherExecutor(sharded)
         with pytest.raises(QueryRefused):
             ex.sql(
-                "SELECT SUM(v) AS s FROM events", spec=SPEC, mode="sample"
+                "SELECT SUM(v) AS s FROM events",
+                options=QueryOptions(spec=SPEC, technique="sample"),
             )
 
     def test_corrupt_shard_is_a_typed_failure(self, world):
@@ -409,7 +437,10 @@ class TestHedgingAndBreakers:
             sharded, max_workers=1, hedge_fraction=0.1
         )
         with inject(FaultInjector([slow], clock=clock)):
-            result = ex.sql(q, deadline=Deadline(10.0, clock=clock))
+            result = ex.sql(
+                q,
+                options=QueryOptions(deadline=Deadline(10.0, clock=clock)),
+            )
         step = [p for p in result.provenance if p.get("shard") == 0][0]
         assert step["status"] == "served_hedged"
         assert "abandoned" in step["attempts"]
@@ -435,7 +466,7 @@ class TestHedgingAndBreakers:
         with inject(FaultInjector([slow], clock=clock)):
             ex.sql(
                 "SELECT SUM(v) AS s FROM events",
-                deadline=Deadline(10.0, clock=clock),
+                options=QueryOptions(deadline=Deadline(10.0, clock=clock)),
             )
         assert ex.breaker(0).total_failures == 0
         assert ex.breaker(0).state == "closed"
@@ -503,20 +534,36 @@ class TestMergeHelpers:
         with pytest.raises(MergeError):
             merge_sketches([])
         with pytest.raises(MergeError):
-            merge_snapshots([], 100)
-        with pytest.raises(MergeError):
-            merge_weighted_samples([])
+            merge_partial_tables([], ())
 
-    def test_merge_weighted_samples_is_shard_stratified_ht(self):
-        table = _make_table(seed=47)
-        sharded = ShardedTable.from_table(table, 4)
-        rng = np.random.default_rng(9)
-        samples = [
-            srs_sample(s.table, 400, rng) for s in sharded.shards
-        ]
-        union = merge_weighted_samples(samples)
-        assert union.population_rows == table.num_rows
-        truth = float(np.asarray(table["v"]).sum())
-        est = union.estimate_sum("v")
-        lo, hi = est.ci(0.99)
-        assert lo <= truth <= hi
+    def test_partial_tables_regroup_and_add(self):
+        a = Table({"k": np.array([1, 3]), "s": np.array([1.0, 2.0])})
+        b = Table({"k": np.array([]), "s": np.array([])})  # no rows matched
+        c = Table({"k": np.array([0, 3]), "s": np.array([4.0, 8.0])})
+        merged = merge_partial_tables([a, b, c], ("k",))
+        assert merged["k"].dtype == a["k"].dtype
+        assert list(merged["k"]) == [0, 1, 3]
+        assert list(merged["s"]) == [4.0, 1.0, 10.0]
+        scalar = merge_partial_tables([a, c], ())
+        assert scalar.num_rows == 1 and float(scalar["s"][0]) == 15.0
+
+
+# ----------------------------------------------------------------------
+# Workload observation (DESIGN.md §2.15: every front door reports)
+# ----------------------------------------------------------------------
+def test_sharded_query_lands_in_the_workload_log(world):
+    _db, sharded = world
+    log = WorkloadLog()
+    previous = install_workload_log(log)
+    try:
+        ScatterGatherExecutor(sharded).sql(
+            "SELECT SUM(v) AS s FROM events WHERE k > 1",
+            options=QueryOptions(technique="ola", spec=SPEC, seed=0),
+        )
+    finally:
+        install_workload_log(previous)
+    (entry,) = log.entries()
+    assert entry.technique == "scatter_gather_ola"
+    assert entry.table == "events"
+    assert entry.predicate_columns == ("k",)
+    assert entry.requested_error == SPEC.relative_error

@@ -32,6 +32,7 @@ import pytest
 
 from repro.core.errorspec import ErrorSpec
 from repro.core.exceptions import QueryRefused
+from repro.core.options import QueryOptions
 from repro.core.result import ApproximateResult
 from repro.engine.table import Table
 from repro.resilience import (
@@ -163,10 +164,12 @@ def _run_sweep(seed: int) -> List[Outcome]:
                 try:
                     result = executor.sql(
                         sql,
-                        spec=SPEC if mode == "ola" else None,
-                        seed=int(rng.integers(2**31)),
-                        mode=mode,
-                        deadline=deadline,
+                        options=QueryOptions(
+                            spec=SPEC if mode == "ola" else None,
+                            seed=int(rng.integers(2**31)),
+                            technique=mode,
+                            deadline=deadline,
+                        ),
                     )
                 except QueryRefused as exc:
                     outcomes.append(

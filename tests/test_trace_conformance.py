@@ -143,7 +143,9 @@ class TestSchemaConformance:
 
     @pytest.mark.parametrize("sql", CORPUS + APPROX_CORPUS)
     def test_aqp_engine_traces_conform(self, db, sql):
-        result, tracer = _trace(lambda: db.sql(sql, seed=7))
+        result, tracer = _trace(
+            lambda: db.sql(sql, options=QueryOptions(seed=7))
+        )
         assert_trace_conforms(tracer)
         (query_span,) = tracer.find("query")
         assert query_span.attributes["engine"] == "aqp"
@@ -152,7 +154,9 @@ class TestSchemaConformance:
     @pytest.mark.parametrize("sql", CORPUS + APPROX_CORPUS)
     def test_ladder_traces_conform(self, db, sql):
         engine = ResilientEngine(db, warn_on_degrade=False)
-        result, tracer = _trace(lambda: engine.sql(sql, seed=7))
+        result, tracer = _trace(
+            lambda: engine.sql(sql, options=QueryOptions(seed=7))
+        )
         assert_trace_conforms(tracer)
         (query_span,) = tracer.find("query")
         assert query_span.attributes["engine"] == "ladder"
@@ -165,7 +169,9 @@ class TestSchemaConformance:
     def test_sharded_traces_conform(self, db, sql):
         sharded = ShardedTable.from_table(db.table("f"), 3)
         executor = ScatterGatherExecutor(sharded, max_workers=2)
-        _, tracer = _trace(lambda: executor.sql(sql, seed=7))
+        _, tracer = _trace(
+            lambda: executor.sql(sql, options=QueryOptions(seed=7))
+        )
         assert_trace_conforms(tracer)
         (query_span,) = tracer.find("query")
         assert query_span.attributes["engine"] == "scatter_gather"
@@ -178,7 +184,10 @@ class TestSchemaConformance:
             assert s.parent_id == query_span.span_id
 
     def test_explain_analyze_trace_conforms(self, db):
-        er = db.sql("EXPLAIN ANALYZE " + CORPUS[0], seed=7)
+        er = db.sql(
+            "EXPLAIN ANALYZE " + CORPUS[0],
+            options=QueryOptions(seed=7),
+        )
         assert_trace_conforms(er.tracer)
 
     def test_chaos_trace_conforms(self, db):
@@ -189,7 +198,10 @@ class TestSchemaConformance:
 
         def run():
             with inject(injector):
-                return engine.sql(APPROX_CORPUS[0], seed=7)
+                return engine.sql(
+                    APPROX_CORPUS[0],
+                    options=QueryOptions(seed=7),
+                )
 
         _, tracer = _trace(run)
         assert_trace_conforms(tracer)
@@ -228,7 +240,7 @@ class TestStructuralEquivalence:
     def test_full_query_trees_match_through_sql_front_end(self, sql):
         """End-to-end (parse/bind/optimize included) the trees agree."""
         db = _fuzz_db(11)
-        _, traced = _trace(lambda: db.sql(sql, seed=3))
+        _, traced = _trace(lambda: db.sql(sql, options=QueryOptions(seed=3)))
         plan = bind_sql(sql, db).plan
         _, fused_tracer = _trace(lambda: db.execute(plan, seed=3))
         _, mat_tracer = _trace(
@@ -251,7 +263,9 @@ class TestStructuralEquivalence:
             db = _fuzz_db(21)
             sharded = ShardedTable.from_table(db.table("f"), num_shards)
             executor = ScatterGatherExecutor(sharded, max_workers=2)
-            _, tracer = _trace(lambda: executor.sql(sql, seed=5))
+            _, tracer = _trace(
+                lambda: executor.sql(sql, options=QueryOptions(seed=5))
+            )
             signatures.append(
                 tracer_signature(tracer, collapse_shards=True)
             )
@@ -271,9 +285,11 @@ class TestTracingOffIdentity:
     @pytest.mark.parametrize("sql", CORPUS + APPROX_CORPUS)
     def test_traced_and_untraced_runs_are_bitwise_identical(self, sql, seed):
         db = _fuzz_db(seed + 50)
-        baseline = db.sql(sql, seed=seed)
-        traced, tracer = _trace(lambda: db.sql(sql, seed=seed))
-        repeat = db.sql(sql, seed=seed)
+        baseline = db.sql(sql, options=QueryOptions(seed=seed))
+        traced, tracer = _trace(
+            lambda: db.sql(sql, options=QueryOptions(seed=seed))
+        )
+        repeat = db.sql(sql, options=QueryOptions(seed=seed))
         assert tracer.roots, "tracer saw nothing — scope not threaded"
         for other in (traced, repeat):
             assert_tables_bitwise_equal(baseline.table, other.table)
@@ -291,8 +307,10 @@ class TestTracingOffIdentity:
         db = _fuzz_db(seed + 70)
         engine = ResilientEngine(db, warn_on_degrade=False)
         sql = APPROX_CORPUS[0]
-        baseline = engine.sql(sql, seed=seed)
-        traced, _ = _trace(lambda: engine.sql(sql, seed=seed))
+        baseline = engine.sql(sql, options=QueryOptions(seed=seed))
+        traced, _ = _trace(
+            lambda: engine.sql(sql, options=QueryOptions(seed=seed))
+        )
         assert_tables_bitwise_equal(baseline.table, traced.table)
         assert _stats_doc(baseline) == _stats_doc(traced)
         assert baseline.provenance == traced.provenance
@@ -331,11 +349,13 @@ class TestTracingOffIdentity:
         sharded = ShardedTable.from_table(db.table("f"), 3)
         sql = CORPUS[0]
         baseline = ScatterGatherExecutor(sharded, max_workers=2).sql(
-            sql, seed=1
+            sql,
+            options=QueryOptions(seed=1),
         )
         traced, _ = _trace(
             lambda: ScatterGatherExecutor(sharded, max_workers=2).sql(
-                sql, seed=1
+                sql,
+                options=QueryOptions(seed=1),
             )
         )
         assert_tables_bitwise_equal(baseline.table, traced.table)
@@ -384,7 +404,7 @@ def _force_rung(target: str):
         seed=7,
     )
     with inject(injector):
-        return engine.sql(GOLDEN_SQL, seed=42)
+        return engine.sql(GOLDEN_SQL, options=QueryOptions(seed=42))
 
 
 @pytest.fixture(scope="module")
