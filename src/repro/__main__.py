@@ -269,117 +269,6 @@ def run_bench(argv: List[str]) -> int:
     return 1 if (real or failed) else 0
 
 
-def run_shardbench(argv: List[str]) -> int:
-    """``python -m repro shardbench``: the scatter-gather demo bench.
-
-    Generates a skewed table, shards it, and serves one aggregate query
-    through the scatter-gather executor — optionally with shards killed
-    — printing per-shard fates, coverage, timings, and the widened CI
-    next to the exact whole-table answer.
-    """
-    import time
-
-    from .core.errorspec import ErrorSpec
-    from .core.exceptions import QueryRefused
-    from .resilience import FaultInjector, inject, kill_shard
-    from .sharding import ScatterGatherExecutor, ShardedTable
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro shardbench",
-        description="Scatter-gather serving over a sharded table",
-    )
-    parser.add_argument("--rows", type=int, default=500_000)
-    parser.add_argument("--shards", type=int, default=8)
-    parser.add_argument(
-        "--workers", type=int, default=1, help="shard worker threads"
-    )
-    parser.add_argument(
-        "--technique", choices=["exact", "ola", "sample"], default="exact"
-    )
-    parser.add_argument(
-        "--kill",
-        action="append",
-        type=int,
-        default=[],
-        metavar="SHARD",
-        help="kill this shard id (repeatable)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--min-coverage", type=float, default=0.5, dest="min_coverage"
-    )
-    args = parser.parse_args(argv)
-
-    rng = np.random.default_rng(args.seed)
-    db = Database()
-    db.create_table(
-        "events",
-        {
-            "value": rng.exponential(10.0, args.rows),
-            "grp": rng.integers(0, 16, args.rows),
-        },
-    )
-    base = db.table("events")
-    sharded = ShardedTable.from_table(base, args.shards)
-    if args.technique == "sample":
-        sharded.build_shard_samples(
-            max(200, args.rows // args.shards // 20), seed=args.seed
-        )
-    executor = ScatterGatherExecutor(
-        sharded, max_workers=args.workers, min_coverage=args.min_coverage
-    )
-    query = "SELECT SUM(value) AS s FROM events WHERE value > 5"
-    spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-    truth = float(base["value"][base["value"] > 5].sum())
-
-    injector = FaultInjector([kill_shard(i) for i in args.kill])
-    start = time.perf_counter()
-    try:
-        with inject(injector):
-            result = executor.sql(
-                query,
-                options=QueryOptions(
-                    spec=spec, seed=args.seed, technique=args.technique
-                ),
-            )
-    except QueryRefused as exc:
-        print(f"refused: {exc}")
-        for step in exc.provenance:
-            if "shard" in step:
-                print(
-                    f"  shard {step['shard']}: {step['status']} "
-                    f"{step.get('error', '')}"
-                )
-        return 1
-    elapsed = time.perf_counter() - start
-
-    print(
-        f"{args.rows:,} rows over {args.shards} shards "
-        f"({args.workers} workers, technique={args.technique}) "
-        f"in {elapsed * 1e3:.1f} ms"
-    )
-    for step in result.provenance:
-        if "shard" in step:
-            attempts = (
-                f" attempts={step['attempts']}" if step["attempts"] else ""
-            )
-            print(f"  shard {step['shard']}: {step['status']}{attempts}")
-    summary = result.provenance[-1]
-    print(f"  {summary['rung']}: {summary['detail']}")
-    if isinstance(result, ApproximateResult):
-        cell = result.estimate("s", 0)
-        covered = "covers" if cell.covers(truth) else "MISSES"
-        print(
-            f"estimate {cell.value:,.1f} in "
-            f"[{cell.ci_low:,.1f}, {cell.ci_high:,.1f}] — "
-            f"{covered} exact {truth:,.1f}"
-        )
-    else:
-        value = float(result.table["s"][0])
-        print(f"exact answer {value:,.1f} (oracle {truth:,.1f})")
-    return 0
-
-
 def run_servebench(argv: List[str]) -> int:
     """``python -m repro serve-bench``: overload-burst serving demo.
 
@@ -827,8 +716,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_bench(argv[1:])
     if argv and argv[0] == "audit":
         return run_audit_cli(argv[1:])
-    if argv and argv[0] == "shardbench":
-        return run_shardbench(argv[1:])
     if argv and argv[0] == "serve-bench":
         return run_servebench(argv[1:])
     if argv and argv[0] == "trace":

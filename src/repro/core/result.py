@@ -39,6 +39,25 @@ ENVELOPE_KEYS: Tuple[str, ...] = (
 )
 
 
+def max_relative_half_width(
+    table: Table,
+    ci_low: Dict[str, np.ndarray],
+    ci_high: Dict[str, np.ndarray],
+) -> float:
+    """Worst relative CI half-width over every cell that carries a CI —
+    what an answer achieved, to hold against ``spec.relative_error``. A
+    cell whose value is 0 or undefined is unboundedly wide."""
+    worst = 0.0
+    for alias, lows in ci_low.items():
+        values = np.asarray(table[alias], dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = (np.asarray(ci_high[alias]) - np.asarray(lows)) / 2.0
+            rel = np.where(values != 0, half / np.abs(values), np.inf)
+        rel = np.nan_to_num(rel, nan=np.inf, posinf=np.inf)
+        worst = max(worst, float(rel.max(initial=0.0)))
+    return worst
+
+
 class ResultEnvelope:
     """Shared surface of every result type (see module docstring).
 
@@ -242,10 +261,7 @@ class ApproximateResult(ResultEnvelope):
 
     def max_relative_half_width(self) -> float:
         """Worst-case reported relative CI half-width across all cells."""
-        worst = 0.0
-        for _, _, cell in self.iter_estimates():
-            worst = max(worst, cell.relative_half_width)
-        return worst
+        return max_relative_half_width(self.table, self.ci_low, self.ci_high)
 
     def mean_relative_half_width(self) -> float:
         """Average reported relative CI half-width (audit diagnostics)."""

@@ -191,11 +191,9 @@ class Database:
 
         ``options`` is a :class:`~repro.core.options.QueryOptions`.
         """
-        from ..core.options import resolve_options
         from ..core.session import AQPEngine
         from ..sql.parser import split_explain
 
-        options = resolve_options(options, entry="Database.sql()")
         mode, inner = split_explain(query)
         if mode == "explain":
             return self.explain(inner)

@@ -5,7 +5,8 @@ kernel and synopsis caches), and the engine's layers feed it always-on —
 incrementing an integer can never perturb a query's results, so unlike
 tracing there is no off switch. The metric families (DESIGN.md §2.13):
 
-* ``queries_total{engine,technique,rung}`` / ``queries_refused_total``
+* ``queries_total{engine,technique,rung|mode,tenant}`` /
+  ``queries_refused_total``
 * ``deadline_misses_total{site}`` — a :class:`Deadline` checkpoint fired
 * ``breaker_transitions_total{breaker,to}`` — circuit-breaker state flips
 * ``retry_attempts_total{site}`` — retries beyond the first attempt

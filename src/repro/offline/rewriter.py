@@ -18,20 +18,20 @@ Coverage rules (deliberately conservative, as in the real systems):
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.errorspec import ErrorSpec
-from ..core.exceptions import InfeasiblePlanError, UnsupportedQueryError
-from ..core.result import ApproximateResult
-from ..engine import expressions as E
+from ..core.exceptions import InfeasiblePlanError
+from ..core.result import ApproximateResult, max_relative_half_width
 from ..engine.executor import ExecutionStats
 from ..engine.table import Table
 from ..online.estimation import (
     estimate_groups_row_level,
+    group_columns_on,
     project_output_with_intervals,
+    require_linear_aggregates,
 )
 from ..sql.binder import BoundQuery
 from ..storage import blocks as blockio
@@ -50,7 +50,11 @@ class OfflineRewriter:
     def run(
         self, bound: BoundQuery, spec: ErrorSpec, seed: Optional[int] = None
     ) -> ApproximateResult:
-        self._check_supported(bound)
+        require_linear_aggregates(
+            bound,
+            "offline samples answer aggregates only",
+            "offline samples cannot answer {func}",
+        )
         sample_table, weights, provenance = self._find_covering_sample(bound)
         estimates = estimate_groups_row_level(bound, sample_table, weights)
         if not estimates:
@@ -58,7 +62,16 @@ class OfflineRewriter:
         out_table, ci_low, ci_high = project_output_with_intervals(
             bound, spec, estimates
         )
-        self._check_spec_met(bound, spec, out_table, ci_low, ci_high)
+        # A-priori gate: refuse if any CI is wider than the spec allows.
+        for alias in ci_low:
+            worst = max_relative_half_width(
+                out_table, {alias: ci_low[alias]}, {alias: ci_high[alias]}
+            )
+            if worst > spec.relative_error:
+                raise InfeasiblePlanError(
+                    f"precomputed sample is too small for ±"
+                    f"{spec.relative_error:.1%} on {alias!r}"
+                )
         stats = ExecutionStats()
         stats.rows_scanned = sample_table.num_rows
         stats.agg_input_rows = sample_table.num_rows
@@ -80,15 +93,6 @@ class OfflineRewriter:
         )
 
     # ------------------------------------------------------------------
-    def _check_supported(self, bound: BoundQuery) -> None:
-        if not bound.is_aggregate:
-            raise UnsupportedQueryError("offline samples answer aggregates only")
-        for agg in bound.aggregates:
-            if not agg.is_linear:
-                raise UnsupportedQueryError(
-                    f"offline samples cannot answer {agg.func.upper()}"
-                )
-
     def _find_covering_sample(
         self, bound: BoundQuery
     ) -> Tuple[Table, np.ndarray, Dict[str, object]]:
@@ -96,9 +100,13 @@ class OfflineRewriter:
         qualified column names."""
         if len(bound.tables) == 1:
             target = bound.tables[0]
-            group_cols = self._group_columns(bound, target.alias)
+            group_cols = group_columns_on(bound, target.alias)
+            if group_cols is None:
+                raise InfeasiblePlanError(
+                    "offline samples only cover group-bys on base columns"
+                )
             entry = self.catalog.find_sample(
-                target.name, group_columns=group_cols or ()
+                target.name, group_columns=group_cols
             )
             if entry is None:
                 raise InfeasiblePlanError(
@@ -161,19 +169,6 @@ class OfflineRewriter:
                 mapping[col] = f"{fact_alias}.{col}"
         return synopsis.sample.table.rename(mapping)
 
-    def _group_columns(self, bound: BoundQuery, alias: str) -> Optional[List[str]]:
-        if not bound.group_keys:
-            return None
-        prefix = f"{alias}."
-        out = []
-        for expr, _ in bound.group_keys:
-            if not isinstance(expr, E.Column) or not expr.name.startswith(prefix):
-                raise InfeasiblePlanError(
-                    "offline samples only cover group-bys on base columns"
-                )
-            out.append(expr.name[len(prefix):])
-        return out
-
     def _apply_where(
         self, bound: BoundQuery, table: Table, weights: np.ndarray
     ) -> Tuple[Table, np.ndarray]:
@@ -186,27 +181,6 @@ class OfflineRewriter:
             )
         mask = np.asarray(bound.where.evaluate(table), dtype=bool)
         return table.take(mask), np.asarray(weights, dtype=np.float64)[mask]
-
-    def _check_spec_met(
-        self,
-        bound: BoundQuery,
-        spec: ErrorSpec,
-        table: Table,
-        ci_low: Dict[str, np.ndarray],
-        ci_high: Dict[str, np.ndarray],
-    ) -> None:
-        """A-priori gate: refuse if any CI is wider than the spec allows."""
-        for alias, lows in ci_low.items():
-            highs = ci_high[alias]
-            values = np.asarray(table[alias], dtype=np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                half = (highs - lows) / 2.0
-                rel = np.where(values != 0, half / np.abs(values), math.inf)
-            if np.any(~np.isfinite(rel)) or np.any(rel > spec.relative_error):
-                raise InfeasiblePlanError(
-                    f"precomputed sample is too small for ±"
-                    f"{spec.relative_error:.1%} on {alias!r}"
-                )
 
     def _exact_cost(self, bound: BoundQuery) -> float:
         total = 0.0

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.errorspec import ErrorSpec, z_value
-from ..core.exceptions import PlanError
+from ..core.exceptions import PlanError, UnsupportedQueryError
 from ..engine import expressions as E
 from ..engine.aggregates import AggregateSpec, encode_groups
 from ..engine.table import Table
@@ -29,6 +29,33 @@ class GroupEstimates:
 
     key: Tuple
     simple: Dict[str, Estimate] = field(default_factory=dict)
+
+
+def require_linear_aggregates(
+    bound: BoundQuery, not_aggregate: str, nonlinear: str
+) -> None:
+    """The entry check of every sampling technique: an aggregate query
+    whose aggregates are all linear (SUM/COUNT/AVG), else a refusal in
+    the technique's own words (``nonlinear`` may name ``{func}``)."""
+    if not bound.is_aggregate:
+        raise UnsupportedQueryError(not_aggregate)
+    for agg in bound.aggregates:
+        if not agg.is_linear:
+            raise UnsupportedQueryError(nonlinear.format(func=agg.func.upper()))
+
+
+def group_columns_on(bound: BoundQuery, alias: str) -> Optional[List[str]]:
+    """Raw column names of the group keys when every one is a bare
+    column of the table aliased ``alias`` (``[]`` without GROUP BY);
+    ``None`` when some key is an expression or another table's column —
+    group-aware samplers and stratified samples do not apply then."""
+    prefix = f"{alias}."
+    raw: List[str] = []
+    for expr, _ in bound.group_keys:
+        if not isinstance(expr, E.Column) or not expr.name.startswith(prefix):
+            return None
+        raw.append(expr.name[len(prefix):])
+    return raw
 
 
 def expanded_aggregates(bound: BoundQuery) -> List[AggregateSpec]:

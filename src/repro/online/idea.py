@@ -24,13 +24,16 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.errorspec import ErrorSpec
-from ..core.exceptions import UnsupportedQueryError
 from ..core.result import ApproximateResult
 from ..engine.executor import ExecutionStats
 from ..engine.table import Table
 from ..sql.binder import BoundQuery, bind_sql
 from ..storage.cost import scan_cost
-from .estimation import estimate_groups_row_level, project_output_with_intervals
+from .estimation import (
+    estimate_groups_row_level,
+    project_output_with_intervals,
+    require_linear_aggregates,
+)
 from .quickr import QuickrPlanner
 
 
@@ -79,13 +82,11 @@ class ReuseCache:
         return self.run(bound, spec)
 
     def run(self, bound: BoundQuery, spec: ErrorSpec) -> ApproximateResult:
-        if not bound.is_aggregate:
-            raise UnsupportedQueryError("reuse cache answers aggregates only")
-        for agg in bound.aggregates:
-            if not agg.is_linear:
-                raise UnsupportedQueryError(
-                    f"cannot reuse samples for {agg.func.upper()}"
-                )
+        require_linear_aggregates(
+            bound,
+            "reuse cache answers aggregates only",
+            "cannot reuse samples for {func}",
+        )
         key = self._signature(bound)
         self.stats.lookups += 1
         entry = self._entries.get(key)

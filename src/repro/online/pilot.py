@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.errorspec import ErrorSpec, chi2_ppf, student_t_ppf, z_value
-from ..core.exceptions import InfeasiblePlanError, UnsupportedQueryError
+from ..core.exceptions import InfeasiblePlanError
 from ..core.result import ApproximateResult
 from ..engine import expressions as E
 from ..engine.aggregates import AggregateSpec
@@ -46,7 +46,7 @@ from ..engine.plan import (
 from ..engine.table import Table
 from ..sql.binder import BoundQuery, BoundTable
 from ..storage.cost import block_sample_cost, scan_cost
-from .estimation import expanded_aggregates
+from .estimation import expanded_aggregates, require_linear_aggregates
 
 #: Tables smaller than this are never sampled (sampling overhead beats
 #: the savings; matches the "only sample big scanned tables" heuristic).
@@ -116,20 +116,15 @@ class PilotPlanner:
     def run(self, bound: BoundQuery, spec: ErrorSpec) -> ApproximateResult:
         """Full two-stage execution. Raises :class:`InfeasiblePlanError`
         when no profitable sampling plan satisfies the spec."""
-        self.check_supported(bound)
+        require_linear_aggregates(
+            bound,
+            "pilot AQP requires an aggregate query",
+            "{func} is not a linear aggregate; "
+            "sampling cannot bound its error a priori",
+        )
         target = self.choose_table(bound)
         plan, pilot_stats_obj = self.plan_sampling(bound, spec, target)
         return self.execute_final(bound, spec, plan, pilot_stats_obj)
-
-    def check_supported(self, bound: BoundQuery) -> None:
-        if not bound.is_aggregate:
-            raise UnsupportedQueryError("pilot AQP requires an aggregate query")
-        for agg in bound.aggregates:
-            if not agg.is_linear:
-                raise UnsupportedQueryError(
-                    f"{agg.func.upper()} is not a linear aggregate; "
-                    "sampling cannot bound its error a priori"
-                )
 
     def choose_table(self, bound: BoundQuery) -> BoundTable:
         """Sample the largest scannable table (the scan bottleneck)."""

@@ -27,13 +27,13 @@ measures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.errorspec import ErrorSpec
-from ..core.exceptions import InfeasiblePlanError, UnsupportedQueryError
-from ..core.result import ApproximateResult
+from ..core.exceptions import InfeasiblePlanError
+from ..core.result import ApproximateResult, max_relative_half_width
 from ..engine import expressions as E
 from ..engine.executor import ExecutionStats
 from ..engine.plan import Project, SampleClause, attach_sample
@@ -41,7 +41,12 @@ from ..engine.table import Table
 from ..sql.binder import BoundQuery, BoundTable
 from ..storage.blocks import WEIGHT_COLUMN
 from ..storage.cost import aggregation_cost, scan_cost
-from .estimation import estimate_groups_row_level, project_output_with_intervals
+from .estimation import (
+    estimate_groups_row_level,
+    group_columns_on,
+    project_output_with_intervals,
+    require_linear_aggregates,
+)
 
 #: Default sampling rate when the spec does not force more data. Quickr
 #: picks rates from plan statistics; 10% matches its published default.
@@ -76,7 +81,11 @@ class QuickrPlanner:
 
     # ------------------------------------------------------------------
     def run(self, bound: BoundQuery, spec: ErrorSpec) -> ApproximateResult:
-        self._check_supported(bound)
+        require_linear_aggregates(
+            bound,
+            "Quickr requires an aggregate query",
+            "Quickr cannot sample through {func}",
+        )
         target = self.choose_table(bound)
         pre_agg, weights, stats, sampler = self.sampled_relation(bound, target)
         estimates = estimate_groups_row_level(bound, pre_agg, weights)
@@ -104,45 +113,23 @@ class QuickrPlanner:
                 "rate": self.rate,
                 "sampled_table": target.name,
                 "sample_rows": stats.per_table[target.name].rows_returned,
-                "met_spec": _met_spec(bound, spec, out_table, ci_low, ci_high),
+                # did the a-posteriori CIs come in under the requested error?
+                "met_spec": max_relative_half_width(out_table, ci_low, ci_high)
+                <= spec.relative_error,
                 "guarantee": "a_posteriori",
             },
         )
 
     # ------------------------------------------------------------------
-    def _check_supported(self, bound: BoundQuery) -> None:
-        if not bound.is_aggregate:
-            raise UnsupportedQueryError("Quickr requires an aggregate query")
-        for agg in bound.aggregates:
-            if not agg.is_linear:
-                raise UnsupportedQueryError(
-                    f"Quickr cannot sample through {agg.func.upper()}"
-                )
-
     def choose_table(self, bound: BoundQuery) -> BoundTable:
         candidates = [t for t in bound.tables if t.num_rows >= MIN_SAMPLABLE_ROWS]
         if not candidates:
             raise InfeasiblePlanError("all inputs are too small to sample")
         return max(candidates, key=lambda t: t.num_rows)
 
-    def _group_columns_on_target(
-        self, bound: BoundQuery, target: BoundTable
-    ) -> Optional[List[str]]:
-        """Raw column names if every group key is a bare column of the
-        sampled table; else None (distinct sampler not applicable)."""
-        if not bound.group_keys:
-            return None
-        prefix = f"{target.alias}."
-        raw: List[str] = []
-        for expr, _ in bound.group_keys:
-            if not isinstance(expr, E.Column) or not expr.name.startswith(prefix):
-                return None
-            raw.append(expr.name[len(prefix):])
-        return raw
-
     def _choose_sampler(self, bound: BoundQuery, target: BoundTable) -> SampleClause:
         seed = int(self.rng.integers(0, 2**31))
-        group_cols = self._group_columns_on_target(bound, target)
+        group_cols = group_columns_on(bound, target.alias)
         if group_cols:
             stats = self.database.stats(target.name)
             ndv = 1
@@ -184,21 +171,3 @@ class QuickrPlanner:
         relation, stats = self.database.execute(plan)
         return relation, relation[weight_column], stats, _SAMPLER_NAMES[sample.method]
 
-
-def _met_spec(
-    bound: BoundQuery,
-    spec: ErrorSpec,
-    table: Table,
-    ci_low: Dict[str, np.ndarray],
-    ci_high: Dict[str, np.ndarray],
-) -> bool:
-    """Did the a-posteriori CIs come in under the requested error?"""
-    for alias, lows in ci_low.items():
-        highs = ci_high[alias]
-        values = np.asarray(table[alias], dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            half = (highs - lows) / 2.0
-            rel = np.where(values != 0, half / np.abs(values), np.inf)
-        if np.any(rel > spec.relative_error):
-            return False
-    return True

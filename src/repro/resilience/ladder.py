@@ -8,11 +8,12 @@ deadline, infeasible spec — the query *falls through an explicit policy
 chain* instead of aborting:
 
 1. **requested** — the forced technique, or the advisor's approximate
-   preference chain (offline → pilot → quickr);
+   preference chain (:data:`~repro.core.advisor.TECHNIQUES`);
 2. **stale_synopsis** — a cached synopsis that failed the freshness
    gate, with error bars widened by the staleness drift bound;
 3. **cheaper_technique** — query-time sampling that needs no
-   precomputation (quickr, then pilot);
+   precomputation (:data:`~repro.core.advisor.QUERY_TIME_TECHNIQUES`),
+   less whatever already refused this query;
 4. **partial_ola** — whatever online-aggregation snapshot fits in the
    remaining deadline, reported with its honest CI;
 5. **exact_no_guarantee** — exact execution, dropping the error
@@ -20,13 +21,15 @@ chain* instead of aborting:
 6. **refusal** — a typed :class:`~repro.core.exceptions.QueryRefused`
    carrying the full provenance of every rung that was tried.
 
-Every step lands in the result's ``provenance`` list, every degraded
-answer is announced with a :class:`DegradedAnswer` warning, and every
-rung runs under the query's :class:`Deadline`/:class:`ResourceBudget`
-through the ambient scope — so the ladder's invariants (terminate by
-deadline + grace, never claim a guarantee a degraded answer cannot
-honor, complete provenance) hold by construction and are swept by the
-chaos suite.
+The ladder is a *stage* of the one query pipeline
+(:func:`repro.core.session.run_query`), which binds the query and does
+the accounting around it. Every step lands in the result's
+``provenance`` list, every degraded answer is announced with a
+:class:`DegradedAnswer` warning, and every rung runs under the query's
+:class:`Deadline`/:class:`ResourceBudget` through the pipeline's ambient
+scope — so the ladder's invariants (terminate by deadline + grace, never
+claim a guarantee a degraded answer cannot honor, complete provenance)
+hold by construction and are swept by the chaos suite.
 
 **Widening rule** (rung 2). A sample built when the table had ``b`` rows
 answers a table that now has ``r`` rows; let ``s = |r - b| / b`` be the
@@ -48,11 +51,11 @@ import math
 import threading
 import warnings
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
-from ..core.advisor import Advisor
+from ..core.advisor import QUERY_TIME_TECHNIQUES, TECHNIQUES, Advisor
 from ..core.errorspec import ErrorSpec
 from ..core.exceptions import (
     BudgetExhausted,
@@ -65,14 +68,9 @@ from ..core.exceptions import (
     SynopsisUnavailable,
     UnsupportedQueryError,
 )
-from ..core.options import (
-    QueryOptions,
-    effective_spec,
-    maybe_trace,
-    resolve_options,
-)
+from ..core.options import QueryOptions
 from ..core.result import ApproximateResult
-from ..core.session import execute_exact
+from ..core.session import execute_exact, run_query
 from ..engine.executor import ExecutionStats
 from ..engine.fused import SliceRelation, prepare_partial_aggregate
 from ..engine.kernel_cache import get_kernel_cache
@@ -81,8 +79,8 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import event, span
 from ..offline.catalog import SynopsisCatalog
 from ..online.ola import fixed_stop_snapshot
-from ..sql.binder import BoundQuery, bind_sql
-from .deadline import Deadline, ResourceBudget, deadline_scope
+from ..sql.binder import BoundQuery
+from .deadline import Deadline
 from .faults import maybe_fault
 from .retry import CircuitBreaker, RetryPolicy
 
@@ -110,6 +108,26 @@ _TRANSIENT = (InjectedFault, OSError, MemoryError, ConnectionError)
 #: describes a different table and the rung refuses instead of widening
 _MAX_WIDEN_STALENESS = 4.0
 
+#: rungs whose transient failures are retried (the synopsis-backed ones)
+_RETRYABLE = ("requested", "stale_synopsis")
+
+#: rungs cheap enough to run past expiry (snapshots are O(1) once
+#: built), and what ``RetryPolicy.call`` checks for them instead of the
+#: query's ambient deadline: the rung's own loop observes the real one
+#: and stops gracefully
+_RUNS_EXPIRED = ("partial_ola",)
+_NO_DEADLINE = Deadline(math.inf)
+
+#: provenance ``detail`` of a failed rung, by what it raised (first
+#: match; anything that is not a ReproError is "unexpected")
+_FAILURE_DETAIL = (
+    (DeadlineExceeded, "deadline"),
+    (BudgetExhausted, "budget"),
+    ((UnsupportedQueryError, InfeasiblePlanError), "not applicable"),
+    (SynopsisUnavailable, "synopsis unavailable"),
+    (ReproError, ""),
+)
+
 
 def _step(
     rung: str,
@@ -128,6 +146,12 @@ def _step(
         "degraded": degraded,
         "technique": technique,
     }
+
+
+def _skipped(rung: str, detail: str) -> Dict[str, object]:
+    """Provenance record (and trace event) of a rung that was not tried."""
+    event("degrade", rung=rung, outcome="skipped", detail=detail)
+    return _step(rung, "skipped", detail=detail)
 
 
 class ResilientEngine:
@@ -203,169 +227,101 @@ class ResilientEngine:
         spec-less query whose only rung is exact) is ignored rather
         than refused: shedding must never make a query less servable.
         """
-        from ..tuner.workload import observe_query
+        return run_query(
+            query,
+            options,
+            door="ResilientEngine.sql()",
+            engine="ladder",
+            database=self.database,
+            stage=self._stage,
+        )
 
-        options = resolve_options(options, entry="ResilientEngine.sql()")
-        seed, technique = options.seed, options.technique
-        pilot_rate = options.pilot_rate
-        deadline, budget = options.deadline, options.budget
-        entry_rung = options.entry_rung
+    def _stage(self, bound: BoundQuery, spec, options: QueryOptions):
+        """The rung loop: the first rung that answers serves the query."""
+        deadline, entry_rung = options.deadline, options.entry_rung
         if entry_rung is not None and entry_rung not in LADDER_RUNGS:
             raise ValueError(
                 f"unknown entry rung {entry_rung!r} (expected one of "
                 f"{LADDER_RUNGS})"
             )
-        with maybe_trace(options), span(
-            "query", engine="ladder", sql=query.strip()[:200]
-        ) as qsp:
-            with deadline_scope(deadline, budget):
-                bound = bind_sql(query, self.database)
-            spec = effective_spec(options, bound)
-            provenance: List[Dict[str, object]] = []
-            rungs = self._build_rungs(
-                bound, spec, seed, technique, pilot_rate, deadline, budget
+        labels: Dict[str, object] = {}
+        provenance: List[Dict[str, object]] = []
+        rungs = self._build_rungs(bound, spec, options)
+        rung_names = [name for name, _ in rungs]
+        if entry_rung in rung_names and rung_names.index(entry_rung) > 0:
+            shed_index = rung_names.index(entry_rung)
+            for name in rung_names[:shed_index]:
+                step = _skipped(name, f"shed_to={entry_rung}")
+                step["shed_to"] = entry_rung
+                provenance.append(step)
+            rungs = rungs[shed_index:]
+            get_metrics().inc(
+                "queries_shed_total", engine="ladder", shed_to=entry_rung
             )
-            rung_names = [r[0] for r in rungs]
-            if entry_rung in rung_names and rung_names.index(entry_rung) > 0:
-                shed_index = rung_names.index(entry_rung)
-                for name, *_ in rungs[:shed_index]:
-                    step = _step(
-                        name, "skipped", detail=f"shed_to={entry_rung}"
-                    )
-                    step["shed_to"] = entry_rung
-                    provenance.append(step)
-                    event(
-                        "degrade",
-                        rung=name,
-                        outcome="skipped",
-                        detail=f"shed_to={entry_rung}",
-                    )
-                rungs = rungs[shed_index:]
-                get_metrics().inc(
-                    "queries_shed_total", engine="ladder", shed_to=entry_rung
+            labels["shed_to"] = entry_rung
+        for name, fn in rungs:
+            if (
+                deadline is not None
+                and deadline.expired
+                and name not in _RUNS_EXPIRED
+            ):
+                provenance.append(_skipped(name, "deadline expired"))
+                continue
+            try:
+                with span("degrade", rung=name) as rsp:
+                    result = self._attempt(name, fn)
+                    rsp.set(outcome="ok")
+            except Exception as exc:  # refusal, fault or bug: degrade, don't die
+                detail = next(
+                    (d for kinds, d in _FAILURE_DETAIL if isinstance(exc, kinds)),
+                    "unexpected",
                 )
-                qsp.set(shed_to=entry_rung)
-            for name, fn, retryable, cheap_when_expired, degrades in rungs:
-                if (
-                    deadline is not None
-                    and deadline.expired
-                    and not cheap_when_expired
-                ):
-                    provenance.append(
-                        _step(name, "skipped", detail="deadline expired")
-                    )
-                    event(
-                        "degrade",
-                        rung=name,
-                        outcome="skipped",
-                        detail="deadline expired",
-                    )
-                    continue
-                def _guarded(name=name, fn=fn):
-                    # The fault hook runs inside the retry/breaker wrapper so
-                    # injected rung failures are retried like any transient
-                    # error and feed the rung's circuit breaker.
-                    maybe_fault(f"ladder.{name}")
-                    return fn()
-
-                try:
-                    with span("degrade", rung=name) as rsp:
-                        result = self._attempt(
-                            name,
-                            _guarded,
-                            retryable,
-                            deadline,
-                            cheap_when_expired,
-                        )
-                        rsp.set(outcome="ok")
-                except DeadlineExceeded as exc:
-                    provenance.append(
-                        _step(name, "failed", detail="deadline", error=exc)
-                    )
-                    continue
-                except BudgetExhausted as exc:
-                    provenance.append(
-                        _step(name, "failed", detail="budget", error=exc)
-                    )
-                    continue
-                except (UnsupportedQueryError, InfeasiblePlanError) as exc:
-                    provenance.append(
-                        _step(name, "failed", detail="not applicable", error=exc)
-                    )
-                    continue
-                except SynopsisUnavailable as exc:
-                    provenance.append(
-                        _step(name, "failed", detail="synopsis unavailable", error=exc)
-                    )
-                    continue
-                except ReproError as exc:
-                    provenance.append(_step(name, "failed", error=exc))
-                    continue
-                except Exception as exc:  # a bug or injected chaos: degrade, don't die
-                    provenance.append(
-                        _step(name, "failed", detail="unexpected", error=exc)
-                    )
-                    continue
-                degraded = degrades and len(provenance) > 0
-                provenance.append(
-                    _step(
-                        name,
-                        "ok",
-                        degraded=degraded,
-                        technique=getattr(result, "technique", "exact"),
-                        detail=self._describe(result),
-                    )
-                )
-                result.provenance = provenance
-                served_technique = str(provenance[-1]["technique"])
-                qsp.set(
-                    rung=name,
-                    technique=served_technique,
+                provenance.append(_step(name, "failed", detail=detail, error=exc))
+                continue
+            # Only the first rung of the full ladder can answer with no
+            # step behind it; anything later is a degraded answer.
+            degraded = len(provenance) > 0
+            provenance.append(
+                _step(
+                    name,
+                    "ok",
                     degraded=degraded,
-                    stats=result.stats.to_dict(),
+                    technique=getattr(result, "technique", "exact"),
+                    detail=self._describe(result),
                 )
-                get_metrics().inc(
-                    "queries_total",
-                    engine="ladder",
-                    rung=name,
-                    technique=served_technique,
-                )
-                if degraded and self.warn_on_degrade:
-                    warnings.warn(
-                        DegradedAnswer(
-                            f"query served from degraded rung {name!r}: "
-                            f"{provenance[-1]['detail']}"
-                        ),
-                        stacklevel=2,
-                    )
-                observe_query(bound, options.replace(spec=spec), result)
-                return result
-            get_metrics().inc("queries_refused_total", engine="ladder")
-            raise QueryRefused(
-                "every rung of the degradation ladder failed: "
-                + "; ".join(
-                    f"{p['rung']}={p['outcome']}" for p in provenance
-                ),
-                provenance=provenance,
             )
+            result.provenance = provenance
+            if degraded and self.warn_on_degrade:
+                warnings.warn(
+                    DegradedAnswer(
+                        f"query served from degraded rung {name!r}: "
+                        f"{provenance[-1]['detail']}"
+                    ),
+                    stacklevel=4,  # the caller of sql(), past run_query
+                )
+            labels.update(rung=name, degraded=degraded)
+            return result, labels
+        get_metrics().inc("queries_refused_total", engine="ladder")
+        raise QueryRefused(
+            "every rung of the degradation ladder failed: "
+            + "; ".join(f"{p['rung']}={p['outcome']}" for p in provenance),
+            provenance=provenance,
+        )
 
     # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        name: str,
-        fn: Callable[[], object],
-        retryable: bool,
-        deadline: Optional[Deadline],
-        cheap_when_expired: bool = False,
-    ):
-        policy = self.retry if retryable else self._one_shot
-        # Cheap rungs must still run after expiry (that is their point),
-        # so the pre-attempt deadline check is suppressed — the rung's
-        # own loop observes the deadline and stops gracefully.
+    def _attempt(self, name: str, fn: Callable[[], object]):
+        def guarded():
+            # The fault hook runs inside the retry/breaker wrapper so
+            # injected rung failures are retried like any transient
+            # error and feed the rung's circuit breaker.
+            maybe_fault(f"ladder.{name}")
+            return fn()
+
+        policy = self.retry if name in _RETRYABLE else self._one_shot
         return policy.call(
-            fn,
+            guarded,
             site=name,
-            deadline=None if cheap_when_expired else deadline,
+            deadline=_NO_DEADLINE if name in _RUNS_EXPIRED else None,
             breaker=self.breaker(name),
         )
 
@@ -380,108 +336,63 @@ class ResilientEngine:
 
     # ------------------------------------------------------------------
     def _build_rungs(
-        self,
-        bound: BoundQuery,
-        spec: Optional[ErrorSpec],
-        seed: Optional[int],
-        technique: Optional[str],
-        pilot_rate: float,
-        deadline: Optional[Deadline],
-        budget: Optional[ResourceBudget],
+        self, bound: BoundQuery, spec: Optional[ErrorSpec], options: QueryOptions
     ):
-        """(name, fn, retryable, cheap_when_expired, degrades) tuples."""
+        """``(name, fn)`` per rung, in fall-through order; each runs
+        under the query's ambient deadline/budget scope."""
+        seed = options.seed
+
+        def exact():
+            return execute_exact(self.database, bound, seed)
+
         if spec is None:
             # No error contract: exact is the requested rung, the ladder
             # only protects termination (deadline/budget + refusal).
-            return [
-                (
-                    "exact_no_guarantee",
-                    lambda: self._run_exact(bound, seed, deadline, budget),
-                    False,
-                    False,
-                    False,
-                ),
-            ]
+            return [("exact_no_guarantee", exact)]
+        #: techniques that refused this query; not asked again (same
+        #: bound query, same seed, same refusal)
+        refused: Set[str] = set()
         return [
             (
                 "requested",
-                lambda: self._run_requested(
-                    bound, spec, seed, technique, pilot_rate, deadline, budget
-                ),
-                True,
-                False,
-                False,
+                lambda: self._run_requested(bound, spec, options, refused),
             ),
-            (
-                "stale_synopsis",
-                lambda: self._run_stale(bound, spec, seed, deadline, budget),
-                True,
-                False,
-                True,
-            ),
+            ("stale_synopsis", lambda: self._run_stale(bound, spec, seed)),
             (
                 "cheaper_technique",
-                lambda: self._run_cheaper(
-                    bound, spec, seed, technique, pilot_rate, deadline, budget
-                ),
-                False,
-                False,
-                True,
+                lambda: self._run_cheaper(bound, spec, options, refused),
             ),
-            (
-                "partial_ola",
-                lambda: self._run_partial_ola(
-                    bound, spec, seed, deadline, budget
-                ),
-                False,
-                True,  # cheap: snapshots are O(1) once built
-                True,
-            ),
-            (
-                "exact_no_guarantee",
-                lambda: self._run_exact(bound, seed, deadline, budget),
-                False,
-                False,
-                True,
-            ),
+            ("partial_ola", lambda: self._run_partial_ola(bound, spec, options)),
+            ("exact_no_guarantee", exact),
         ]
 
     # ------------------------------------------------------------------
     # Rung implementations
     # ------------------------------------------------------------------
-    def _run_requested(
-        self, bound, spec, seed, technique, pilot_rate, deadline, budget
-    ):
+    def _run_requested(self, bound, spec, options, refused):
         advisor = Advisor(self.database)
-        with deadline_scope(deadline, budget):
-            if technique is not None:
-                return advisor.run(
-                    bound,
-                    spec,
-                    seed=seed,
-                    force_technique=technique,
-                    pilot_rate=pilot_rate,
-                )
-            # The advisor's preference chain *without* its silent exact
-            # fallback: exact-with-no-guarantee is an explicit lower
-            # rung here, not an invisible default.
-            last: Optional[BaseException] = None
-            for t in ("offline_sample", "pilot", "quickr"):
-                try:
-                    return advisor.run(
-                        bound,
-                        spec,
-                        seed=seed,
-                        force_technique=t,
-                        pilot_rate=pilot_rate,
-                    )
-                except (UnsupportedQueryError, InfeasiblePlanError) as exc:
-                    last = exc
-            raise InfeasiblePlanError(
-                "no approximate technique can honor the requested spec"
-            ) from last
+        if options.technique is not None:
+            return advisor.run(
+                bound,
+                spec,
+                seed=options.seed,
+                force_technique=options.technique,
+                pilot_rate=options.pilot_rate,
+            )
+        # The advisor's preference chain *without* its silent exact
+        # fallback: exact-with-no-guarantee is an explicit lower rung
+        # here, not an invisible default.
+        return advisor.first_answer(
+            TECHNIQUES,
+            bound,
+            spec,
+            options.seed,
+            options.pilot_rate,
+            refused,
+            "no approximate technique can honor the requested spec",
+        )
 
-    def _run_stale(self, bound, spec, seed, deadline, budget):
+    def _run_stale(self, bound, spec, seed):
         from ..offline.rewriter import OfflineRewriter
 
         catalog = SynopsisCatalog.for_database(self.database)
@@ -501,35 +412,26 @@ class ResilientEngine:
         # Relax only the width gate — confidence (and its union-bound
         # split) stays the user's, so widened CIs keep their coverage.
         relaxed = replace(spec, relative_error=0.9)
-        with deadline_scope(deadline, budget):
-            with catalog.allow_stale():
-                result = OfflineRewriter(self.database).run(
-                    bound, relaxed, seed=seed
-                )
+        with catalog.allow_stale():
+            result = OfflineRewriter(self.database).run(
+                bound, relaxed, seed=seed
+            )
         return self._widen(result, spec, staleness)
 
-    def _run_cheaper(
-        self, bound, spec, seed, technique, pilot_rate, deadline, budget
-    ):
-        advisor = Advisor(self.database)
-        last: Optional[BaseException] = None
-        with deadline_scope(deadline, budget):
-            for t in ("quickr", "pilot"):
-                if t == technique:
-                    continue  # already failed as the requested rung
-                try:
-                    return advisor.run(
-                        bound,
-                        spec,
-                        seed=seed,
-                        force_technique=t,
-                        pilot_rate=pilot_rate,
-                    )
-                except (UnsupportedQueryError, InfeasiblePlanError) as exc:
-                    last = exc
-        raise InfeasiblePlanError("no cheaper technique is applicable") from last
+    def _run_cheaper(self, bound, spec, options, refused):
+        # The requested rung already failed with the forced technique.
+        return Advisor(self.database).first_answer(
+            [t for t in QUERY_TIME_TECHNIQUES if t != options.technique],
+            bound,
+            spec,
+            options.seed,
+            options.pilot_rate,
+            refused,
+            "no cheaper technique is applicable",
+        )
 
-    def _run_partial_ola(self, bound, spec, seed, deadline, budget):
+    def _run_partial_ola(self, bound, spec, options):
+        seed, deadline, budget = options.seed, options.deadline, options.budget
         if len(bound.tables) != 1:
             raise UnsupportedQueryError("partial OLA serves single-table queries")
         if bound.group_keys:
@@ -596,10 +498,6 @@ class ResilientEngine:
                 "stopped_by": "deadline" if deadline is not None else "fixed_fraction",
             },
         )
-
-    def _run_exact(self, bound, seed, deadline, budget):
-        with deadline_scope(deadline, budget):
-            return execute_exact(self.database, bound, seed)
 
     # ------------------------------------------------------------------
     # Stale-synopsis helpers

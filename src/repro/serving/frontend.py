@@ -51,7 +51,7 @@ from ..core.options import QueryOptions, resolve_options
 from ..engine.database import Database
 from ..obs.metrics import get_metrics
 from ..obs.trace import span
-from ..resilience.deadline import Deadline, deadline_scope
+from ..resilience.deadline import Deadline
 from ..resilience.faults import query_scope, splitmix64
 from ..resilience.ladder import ResilientEngine
 from ..storage.cost import scan_cost
@@ -471,9 +471,9 @@ class ServingFrontend:
         result = None
         error: Optional[BaseException] = None
         try:
+            # The engine's query pipeline scopes options.deadline/budget.
             with query_scope(ticket.query_id):
-                with deadline_scope(deadline, options.budget):
-                    result = self.engine.sql(ticket.query, options=options)
+                result = self.engine.sql(ticket.query, options=options)
         except ReproError as exc:
             error = exc
         except Exception as exc:  # noqa: BLE001 — never hang a ticket

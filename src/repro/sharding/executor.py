@@ -70,13 +70,9 @@ from ..core.exceptions import (
     SynopsisUnavailable,
     UnsupportedQueryError,
 )
-from ..core.options import (
-    QueryOptions,
-    effective_spec,
-    maybe_trace,
-    resolve_options,
-)
+from ..core.options import QueryOptions
 from ..core.result import ApproximateResult, QueryResult
+from ..core.session import run_query
 from ..engine.aggregates import AggregateSpec
 from ..engine.executor import ExecutionStats
 from ..engine.expressions import Column
@@ -97,14 +93,13 @@ from ..online.ola import fixed_stop_snapshot
 from ..resilience.deadline import (
     Deadline,
     ResourceBudget,
-    resolve_budget,
-    resolve_deadline,
+    current_budget,
+    current_deadline,
 )
 from ..resilience.faults import get_injector, maybe_fault, shard_site
 from ..resilience.ladder import RESHARD_RUNG
 from ..resilience.retry import CircuitBreaker
-from ..sql.binder import BoundQuery, bind_sql
-from ..tuner.workload import observe_query
+from ..sql.binder import BoundQuery
 from .merge import merge_partial_tables
 from .table import ShardedTable, Shard
 
@@ -302,43 +297,33 @@ class ScatterGatherExecutor:
         tenant's deadline/budget arrive through the ambient
         ``deadline_scope`` (or ``options``) either way.
         """
-        options = resolve_options(options, entry="ScatterGatherExecutor.sql()")
+        return run_query(
+            query,
+            options,
+            door="ScatterGatherExecutor.sql()",
+            engine="scatter_gather",
+            database=self.sharded.binder_database(),
+            stage=self._stage,
+        )
+
+    def _stage(self, bound: BoundQuery, spec, options: QueryOptions):
+        """Check, scatter the query's kernels over the shards, gather."""
         technique = options.technique or "exact"
         if technique == "offline_sample":
             technique = "sample"
-        tenant = "" if options.tenant == "default" else options.tenant
-        with maybe_trace(options), span(
-            "query", engine="scatter_gather", sql=query.strip()[:200]
-        ) as qsp:
-            if tenant:
-                qsp.set(tenant=tenant)
-            bound = bind_sql(query, self.sharded.binder_database())
-            spec = effective_spec(options, bound)
-            self._check_supported(bound, technique)
-            alias = bound.tables[0].alias
-            q = _ShardQuery(
-                bound=bound,
-                prepared=prepare_partial_aggregate(bound, get_kernel_cache()),
-                rename={c: f"{alias}.{c}" for c in self.sharded.column_names},
-                technique=technique,
-                spec=spec,
-                seed=options.seed,
-                deadline=resolve_deadline(options.deadline),
-                budget=resolve_budget(options.budget),
-            )
-            result = self._gather(q, self._scatter(q))
-            served = getattr(result, "technique", "exact")
-            qsp.set(
-                mode=technique,
-                technique=served,
-                stats=result.stats.to_dict(),
-            )
-            labels = {"engine": "scatter_gather", "mode": technique}
-            if tenant:
-                labels["tenant"] = tenant
-            get_metrics().inc("queries_total", technique=served, **labels)
-            observe_query(bound, options.replace(spec=spec), result)
-            return result
+        self._check_supported(bound, technique)
+        alias = bound.tables[0].alias
+        q = _ShardQuery(
+            bound=bound,
+            prepared=prepare_partial_aggregate(bound, get_kernel_cache()),
+            rename={c: f"{alias}.{c}" for c in self.sharded.column_names},
+            technique=technique,
+            spec=spec,
+            seed=options.seed,
+            deadline=current_deadline(),
+            budget=current_budget(),
+        )
+        return self._gather(q, self._scatter(q)), {"mode": technique}
 
     # ------------------------------------------------------------------
     # Support checks
@@ -776,7 +761,7 @@ class ScatterGatherExecutor:
                     f"shards (coverage {coverage:.2%}); CIs widened for "
                     f"the missing partitions"
                 ),
-                stacklevel=3,
+                stacklevel=5,  # the caller of sql(), past run_query
             )
         return result
 

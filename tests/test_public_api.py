@@ -6,6 +6,10 @@ list, the result-envelope key set, the tuner package's exports, and the
 exact signatures of every ``sql()`` front door. Any drift fails here —
 an API change must be deliberate: regenerate with ``REPRO_REGOLD=1``
 and review the diff.
+
+A structural guard rides along: the query lifecycle (root span, error
+contract, ``queries_total``, workload log) is spelled once, in
+``core/session.py::run_query``, and every front door is a stage over it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import re
 from pathlib import Path
 
 import repro
@@ -71,3 +76,31 @@ def test_every_entry_point_signature_carries_options():
         params = inspect.signature(fn).parameters
         assert "options" in params, name
         assert params["options"].default is None, name
+
+
+#: the steps of the query lifecycle, as they are spelled at a call site
+LIFECYCLE_CALLS = {
+    "observe_query": r"\bobserve_query\(",
+    "effective_spec": r"\beffective_spec\(",
+    "root query span": r"\bspan\(\s*\"query\"",
+    "queries_total increment": r"\binc\(\s*\"queries_total\"",
+}
+
+
+def test_query_lifecycle_is_spelled_once():
+    """A new front door must be a stage passed to ``run_query``, not a
+    private copy of the lifecycle (DESIGN.md §2.10)."""
+    src = Path(repro.__file__).parent
+    for what, pattern in LIFECYCLE_CALLS.items():
+        sites = []
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            for match in re.finditer(pattern, text):
+                line_start = text.rfind("\n", 0, match.start()) + 1
+                if text[line_start:match.start()].strip() == "def":
+                    continue  # the definition, not a call
+                sites.append(str(path.relative_to(src)))
+        assert sites == ["core/session.py"], (
+            f"{what} appears at {sites}; the query lifecycle lives in "
+            "core/session.py::run_query and nowhere else"
+        )

@@ -764,6 +764,38 @@ class TestLadder:
         assert result.spec.relative_error >= achieved - 1e-9
         assert cell.covers(float(prices.sum()))
 
+    def test_refused_technique_is_not_asked_again(
+        self, sales_db, prices, monkeypatch
+    ):
+        """A planner refusal is a function of (bound query, spec, seed):
+        the cheaper_technique rung must not repeat the requested rung's."""
+        from repro.offline.rewriter import OfflineRewriter
+        from repro.online.pilot import PilotPlanner
+        from repro.online.quickr import QuickrPlanner
+
+        calls = {}
+        for planner in (OfflineRewriter, PilotPlanner, QuickrPlanner):
+            def counted(self, *args, _run=planner.run, _name=planner.__name__, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _run(self, *args, **kw)
+
+            monkeypatch.setattr(planner, "run", counted)
+        _add_stale_sample(sales_db, prices)  # so stale_synopsis asks offline
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        result = engine.sql(
+            "SELECT COUNT(DISTINCT price) AS d FROM sales "
+            "ERROR WITHIN 5% CONFIDENCE 95%",
+            options=QueryOptions(seed=1),
+        )
+        assert [p["rung"] for p in result.provenance] == list(LADDER_RUNGS)
+        assert result.provenance[-1]["outcome"] == "ok"
+        assert result.scalar() == float(len(np.unique(prices)))
+        # requested asks each technique once; stale_synopsis may ask the
+        # rewriter again (relaxed spec); cheaper_technique asks nobody.
+        assert calls == {
+            "OfflineRewriter": 2, "PilotPlanner": 1, "QuickrPlanner": 1,
+        }
+
     def test_budget_exhaustion_is_recorded_and_refused(self, sales_db):
         engine = ResilientEngine(sales_db, warn_on_degrade=False)
         with pytest.raises(QueryRefused) as exc_info:

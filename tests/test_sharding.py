@@ -4,7 +4,8 @@ Covers the partition substrate (disjoint/complete shards, widening
 envelopes), exact/OLA/sample scatter-gather against whole-table oracles,
 the missing-shard widening rule's deterministic honesty, quorum refusal,
 straggler hedging, per-shard breakers, catalog shard isolation, the
-partial-table merge, and workload-log observation.
+partial-table merge, and door conformance (every ``sql()`` front door
+accounts for a query the same way: span, counter, workload log).
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from repro.core.exceptions import (
 )
 from repro.core.options import QueryOptions
 from repro.core.result import ApproximateResult, QueryResult
+from repro.core.session import AQPEngine
 from repro.engine.database import Database
 from repro.engine.table import Table
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.trace import Tracer
 from repro.offline.catalog import SampleEntry, SynopsisCatalog
 from repro.resilience import (
     Deadline,
@@ -32,12 +36,14 @@ from repro.resilience import (
     FaultSpec,
     ManualClock,
     RESHARD_RUNG,
+    ResilientEngine,
     corrupt_shard,
     inject,
     kill_shard,
     shard_site,
 )
 from repro.sampling.row import srs_sample
+from repro.serving import ServingFrontend
 from repro.sharding import (
     SCATTER_RUNG,
     ScatterGatherExecutor,
@@ -549,21 +555,98 @@ class TestMergeHelpers:
 
 
 # ----------------------------------------------------------------------
-# Workload observation (DESIGN.md §2.15: every front door reports)
+# Door conformance (DESIGN.md §2.10: every front door is a stage over
+# one query pipeline, so the accounting around the stage is identical)
 # ----------------------------------------------------------------------
-def test_sharded_query_lands_in_the_workload_log(world):
-    _db, sharded = world
+def _open_door(name, db, sharded):
+    """``(sql, close)`` for one of the five front doors."""
+    if name == "Database":
+        return db.sql, lambda: None
+    if name == "AQPEngine":
+        return AQPEngine(db).sql, lambda: None
+    if name == "ResilientEngine":
+        return ResilientEngine(db, warn_on_degrade=False).sql, lambda: None
+    if name == "ScatterGatherExecutor":
+        return ScatterGatherExecutor(sharded).sql, lambda: None
+    frontend = ServingFrontend(db, workers=1)
+    return frontend.sql, frontend.close
+
+
+@pytest.mark.parametrize("tenant", ["default", "acme"])
+@pytest.mark.parametrize(
+    "door",
+    [
+        "Database",
+        "AQPEngine",
+        "ResilientEngine",
+        "ScatterGatherExecutor",
+        "ServingFrontend",
+    ],
+)
+def test_every_door_accounts_for_a_query_the_same_way(
+    world, door, tenant, monkeypatch
+):
+    db, sharded = world
+    # options.trace starts a fresh tracer inside the pipeline (also on
+    # the frontend's worker thread); keep a handle on it.
+    tracers = []
+
+    class RecordingTracer(Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    monkeypatch.setattr("repro.obs.trace.Tracer", RecordingTracer)
+    registry = MetricsRegistry()
+    set_metrics(registry)
     log = WorkloadLog()
     previous = install_workload_log(log)
+    sql, close = _open_door(door, db, sharded)
     try:
-        ScatterGatherExecutor(sharded).sql(
-            "SELECT SUM(v) AS s FROM events WHERE k > 1",
-            options=QueryOptions(technique="ola", spec=SPEC, seed=0),
+        result = sql(
+            "SELECT SUM(v) AS s FROM events WHERE k > 1 "
+            "ERROR WITHIN 20% CONFIDENCE 95%",
+            # options.spec overrides the SQL clause, at every door alike
+            options=QueryOptions(spec=SPEC, seed=3, tenant=tenant, trace=True),
         )
     finally:
+        close()
         install_workload_log(previous)
+        set_metrics(None)
+    labelled = {} if tenant == "default" else {"tenant": tenant}
+    served = getattr(result, "technique", "exact")
+
+    # exactly one root ``query`` span, fully labelled
+    (tracer,) = tracers
+    (root,) = tracer.roots
+    assert root.name == "query"
+    assert len(tracer.find("query")) == 1
+    attrs = root.attributes
+    assert attrs["engine"] in ("aqp", "ladder", "scatter_gather")
+    assert attrs["technique"] == served
+    assert attrs["stats"] == result.stats.to_dict()
+    assert attrs.get("tenant") == labelled.get("tenant")
+
+    # exactly one ``queries_total`` increment, under the span's identity
+    routing = {k: attrs[k] for k in ("rung", "mode") if k in attrs}
+    assert registry.counter_total("queries_total") == 1.0
+    assert registry.counter_value(
+        "queries_total",
+        engine=attrs["engine"],
+        technique=served,
+        **routing,
+        **labelled,
+    ) == 1.0
+
+    # exactly one workload-log entry: same fingerprint and contract
     (entry,) = log.entries()
-    assert entry.technique == "scatter_gather_ola"
-    assert entry.table == "events"
-    assert entry.predicate_columns == ("k",)
-    assert entry.requested_error == SPEC.relative_error
+    assert entry.technique == served
+    assert (
+        entry.table,
+        entry.predicate_columns,
+        entry.group_columns,
+        entry.agg_family,
+        entry.measure_columns,
+        entry.tenant,
+        entry.requested_error,
+    ) == ("events", ("k",), (), "sum", ("v",), tenant, SPEC.relative_error)
