@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Set
 
+from ..obs.metrics import get_metrics
 from ..offline.rewriter import OfflineRewriter
 from ..online.pilot import PilotPlanner
 from ..online.quickr import QuickrPlanner
@@ -114,6 +115,7 @@ class Advisor:
             try:
                 return planner(self.database, seed, pilot_rate).run(bound, spec)
             except (UnsupportedQueryError, InfeasiblePlanError) as exc:
+                get_metrics().inc("technique_refusals_total", technique=name)
                 last = exc
                 refused.add(name)
         raise InfeasiblePlanError(reason) from last

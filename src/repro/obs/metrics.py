@@ -7,6 +7,8 @@ tracing there is no off switch. The metric families (DESIGN.md §2.13):
 
 * ``queries_total{engine,technique,rung|mode,tenant}`` /
   ``queries_refused_total``
+* ``technique_refusals_total{technique}`` — a technique refused a query
+  in the advisor's chain (``Advisor.first_answer``)
 * ``deadline_misses_total{site}`` — a :class:`Deadline` checkpoint fired
 * ``breaker_transitions_total{breaker,to}`` — circuit-breaker state flips
 * ``retry_attempts_total{site}`` — retries beyond the first attempt

@@ -22,6 +22,10 @@ from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from ..sql.binder import BoundQuery
 
+#: Tables smaller than this are never sampled by a query-time technique:
+#: sampling overhead beats the savings ("only sample big scanned tables").
+MIN_SAMPLABLE_ROWS = 10_000
+
 
 @dataclass
 class GroupEstimates:

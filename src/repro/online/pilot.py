@@ -7,7 +7,9 @@ to (a) block-sample its most expensive table and (b) aggregate per
 distribution of per-block contributions. Stage 2 solves for the smallest
 block-sampling rate whose CLT error bound meets the (confidence-adjusted)
 spec, rejects the plan if it would cost more than exact execution, and
-runs the rewritten final query.
+runs the rewritten final query. A table too small for any useful stage-2
+rate (fewer than ``2 * MIN_FINAL_BLOCKS`` blocks) is refused before the
+pilot reads it: the block count alone decides that verdict.
 
 Key statistical ingredients, mirroring what a correct block-sampling
 analysis must do:
@@ -46,11 +48,11 @@ from ..engine.plan import (
 from ..engine.table import Table
 from ..sql.binder import BoundQuery, BoundTable
 from ..storage.cost import block_sample_cost, scan_cost
-from .estimation import expanded_aggregates, require_linear_aggregates
-
-#: Tables smaller than this are never sampled (sampling overhead beats
-#: the savings; matches the "only sample big scanned tables" heuristic).
-MIN_SAMPLABLE_ROWS = 10_000
+from .estimation import (
+    MIN_SAMPLABLE_ROWS,
+    expanded_aggregates,
+    require_linear_aggregates,
+)
 
 #: Sampling rates above this are rejected: the sampled query would cost
 #: about as much as the exact one.
@@ -64,6 +66,20 @@ MAX_PILOT_RATE = 0.1
 #: CLT interval and the between-block variance estimate are both unreliable,
 #: so a "cheaper" plan would silently void the guarantee.
 MIN_FINAL_BLOCKS = 30
+
+
+def final_rate_floor(total_blocks: int) -> float:
+    """The least rate stage 2 samples at: :data:`MIN_FINAL_BLOCKS` blocks,
+    or the whole table when it has fewer."""
+    return min(MIN_FINAL_BLOCKS / max(total_blocks, 1), 1.0)
+
+
+def _require_useful_rate(rate: float) -> None:
+    if rate > MAX_USEFUL_RATE:
+        raise InfeasiblePlanError(
+            f"required sampling rate {rate:.3f} exceeds the useful "
+            f"maximum {MAX_USEFUL_RATE}; exact execution is cheaper"
+        )
 
 
 @dataclass
@@ -143,6 +159,11 @@ class PilotPlanner:
     def plan_sampling(
         self, bound: BoundQuery, spec: ErrorSpec, target: BoundTable
     ) -> Tuple[SamplingPlan, Dict]:
+        # The one refusal the block count alone decides: below
+        # 2 * MIN_FINAL_BLOCKS blocks even the stage-2 floor exceeds the
+        # useful rate, so refuse before the pilot reads anything. No Table
+        # is bound here: a later refusal's traceback would keep it alive.
+        _require_useful_rate(final_rate_floor(target.num_blocks))
         self._has_group_keys = bool(bound.group_keys)
         self._coverage_best_effort = False
         pilot_rate = self._pilot_rate_for_groups(spec, target)
@@ -156,11 +177,7 @@ class PilotPlanner:
                 "selective for sampling"
             )
         rate, diagnostics = self._solve_rate(bound, spec, target, groups, sampled_blocks)
-        if rate > MAX_USEFUL_RATE:
-            raise InfeasiblePlanError(
-                f"required sampling rate {rate:.3f} exceeds the useful "
-                f"maximum {MAX_USEFUL_RATE}; exact execution is cheaper"
-            )
+        _require_useful_rate(rate)
         table = self.database.table(target.name)
         est_cost = (
             block_sample_cost(table.num_blocks, table.block_size, rate).total
@@ -360,7 +377,7 @@ class PilotPlanner:
             "pilot_blocks": pilot_blocks,
             "coverage_best_effort": self._coverage_best_effort,
         }
-        floor = min(MIN_FINAL_BLOCKS / max(total_blocks, 1), 1.0)
+        floor = final_rate_floor(total_blocks)
         return float(min(max(worst_rate, floor), 1.0)), diagnostics
 
     def _constraints(

@@ -42,6 +42,7 @@ from ..sql.binder import BoundQuery, BoundTable
 from ..storage.blocks import WEIGHT_COLUMN
 from ..storage.cost import aggregation_cost, scan_cost
 from .estimation import (
+    MIN_SAMPLABLE_ROWS,
     estimate_groups_row_level,
     group_columns_on,
     project_output_with_intervals,
@@ -58,8 +59,6 @@ DISTINCT_SAMPLER_NDV_THRESHOLD = 50
 
 #: Rows the distinct sampler keeps outright per group-by value combination.
 DISTINCT_SAMPLER_CAP = 10
-
-MIN_SAMPLABLE_ROWS = 10_000
 
 _SAMPLER_NAMES = {"bernoulli_rows": "uniform", "distinct_rows": "distinct"}
 

@@ -1,12 +1,16 @@
 """Per-column and per-table statistics.
 
 These mirror what any DBMS catalog maintains (row counts, min/max, distinct
-value estimates, equi-depth histograms) and feed three consumers:
+value estimates, equi-depth histograms). Only the group-by NDVs are read,
+by two consumers:
 
-* the optimizer's selectivity estimation,
-* the cost model's cardinality estimates, and
-* the AQP advisor's feasibility checks (e.g. "is this table large enough
-  that sampling pays off?").
+* Quickr's sampler choice (distinct sampler once the group count is
+  large), and
+* BlinkDB's candidate sizing (strata × rows per stratum).
+
+The optimizer does not read them (its filter selectivity is a fixed
+default), nor do the planners' "large enough to sample" checks, which use
+the bound table's row and block counts.
 """
 
 from __future__ import annotations

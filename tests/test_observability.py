@@ -321,6 +321,30 @@ class TestEngineMetrics:
             "queries_total", engine="aqp", technique="exact"
         ) == 1.0
 
+    def test_technique_refusals_counted_per_technique(self, fresh_metrics):
+        """On a 3-block table there is no synopsis and too few blocks for
+        the pilot, so each refuses once and Quickr answers."""
+        rng = np.random.default_rng(5)
+        n = 10_000
+        database = Database()
+        database.create_table(
+            "fact",
+            {"store": rng.integers(0, 50, n), "price": rng.exponential(100.0, n)},
+            block_size=4096,
+        )
+        assert database.table("fact").num_blocks == 3
+        result = database.sql(
+            "SELECT store, SUM(price) AS s FROM fact GROUP BY store "
+            "ERROR WITHIN 10% CONFIDENCE 95%"
+        )
+        assert result.technique == "quickr"
+        for technique, refusals in (
+            ("offline_sample", 1.0), ("pilot", 1.0), ("quickr", 0.0)
+        ):
+            assert fresh_metrics.counter_value(
+                "technique_refusals_total", technique=technique
+            ) == refusals
+
     def test_deadline_miss_counter(self, fresh_metrics):
         from repro.core.exceptions import DeadlineExceeded
         from repro.resilience.deadline import Deadline

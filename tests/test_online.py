@@ -10,6 +10,7 @@ from repro import (
     Table,
     UnsupportedQueryError,
 )
+from repro.core.advisor import Advisor
 from repro.online import (
     OnlineAggregator,
     PilotPlanner,
@@ -104,6 +105,41 @@ class TestPilotPlanner:
         bound = bind_sql("SELECT SUM(zone) AS s FROM tiny", db)
         with pytest.raises(InfeasiblePlanError):
             PilotPlanner(db).run(bound, ErrorSpec(0.05, 0.95))
+
+    @pytest.mark.parametrize("blocks,reaches_execute", [(59, False), (60, True)])
+    def test_block_count_refusal_precedes_the_pilot(
+        self, monkeypatch, blocks, reaches_execute
+    ):
+        """Below 2 * MIN_FINAL_BLOCKS blocks the stage-2 rate floor exceeds
+        the useful maximum whatever the data, so the planner refuses
+        without executing anything or drawing a sample seed."""
+        block_size = 256  # keeps both tables above MIN_SAMPLABLE_ROWS
+        db = Database()
+        db.create_table(
+            "t",
+            {"v": np.arange(blocks * block_size, dtype=np.float64)},
+            block_size=block_size,
+        )
+        assert db.table("t").num_blocks == blocks
+        bound = bind_sql("SELECT SUM(v) AS s FROM t", db)
+
+        class Executed(Exception):
+            pass
+
+        def execute(*args, **kwargs):
+            raise Executed
+
+        monkeypatch.setattr(db, "execute", execute)
+        planner = PilotPlanner(db, seed=0)
+        rng_state = planner.rng.bit_generator.state
+        spec = ErrorSpec(0.05, 0.95)
+        if reaches_execute:
+            with pytest.raises(Executed):
+                planner.run(bound, spec)
+        else:
+            with pytest.raises(InfeasiblePlanError, match="useful maximum"):
+                planner.run(bound, spec)
+            assert planner.rng.bit_generator.state == rng_state
 
     def test_hyper_selective_infeasible_or_exactish(self, db):
         bound = bind_sql(
@@ -255,6 +291,53 @@ class TestQuickr:
         bound = bind_sql("SELECT MIN(value) AS m FROM big", db)
         with pytest.raises(UnsupportedQueryError):
             QuickrPlanner(db).run(bound, ErrorSpec(0.05, 0.95))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT region, SUM(price) AS s FROM fact GROUP BY region",
+        "SELECT store, SUM(price) AS s FROM fact GROUP BY store",
+        "SELECT store, AVG(price) AS a FROM fact GROUP BY store",
+        "SELECT COUNT(*) AS c FROM fact WHERE price > 150",
+        "SELECT SUM(price * qty) AS r FROM fact",
+    ],
+)
+def test_advisor_on_a_three_block_table_serves_quickrs_answer(query):
+    """The pilot refuses a 3-block table before it runs; what the advisor
+    serves is bitwise what Quickr alone answers with the same seed."""
+    rng = np.random.default_rng(3)
+    n = 10_000
+    db = Database()
+    db.create_table(
+        "fact",
+        {
+            "region": np.array([f"r{i:02d}" for i in range(20)])[
+                rng.integers(0, 20, n)
+            ],
+            "store": rng.integers(0, 50, n),
+            "price": rng.exponential(100.0, n),
+            "qty": np.minimum(rng.zipf(2.5, n), 1000).astype(np.float64),
+        },
+        block_size=4096,
+    )
+    assert db.table("fact").num_blocks == 3
+    bound = bind_sql(query, db)
+    spec = ErrorSpec(0.1, 0.95)
+    for seed in range(10):
+        served = Advisor(db).run(bound, spec, seed)
+        quickr = Advisor(db).run(bound, spec, seed, force_technique="quickr")
+        assert served.technique == quickr.technique == "quickr"
+        assert served.table.column_names == quickr.table.column_names
+        for name in served.table.column_names:
+            np.testing.assert_array_equal(served.table[name], quickr.table[name])
+        for side in ("ci_low", "ci_high"):
+            got, want = getattr(served, side), getattr(quickr, side)
+            assert got.keys() == want.keys()
+            for alias in got:
+                assert got[alias].tobytes() == want[alias].tobytes()
+        assert served.diagnostics == quickr.diagnostics
+        assert served.stats.to_dict() == quickr.stats.to_dict()
 
 
 def _loop_estimate_groups_row_level(bound, pre_agg, weights):
