@@ -106,16 +106,22 @@ class Advisor:
         leaves the technique eligible.
         """
         last: Optional[BaseException] = None
-        for name in names:
-            if name in refused:
-                continue
-            planner = TECHNIQUES.get(name)
-            if planner is None:
-                raise UnsupportedQueryError(f"unknown technique {name!r}")
-            try:
-                return planner(self.database, seed, pilot_rate).run(bound, spec)
-            except (UnsupportedQueryError, InfeasiblePlanError) as exc:
-                get_metrics().inc("technique_refusals_total", technique=name)
-                last = exc
-                refused.add(name)
-        raise InfeasiblePlanError(reason) from last
+        try:
+            for name in names:
+                if name in refused:
+                    continue
+                planner = TECHNIQUES.get(name)
+                if planner is None:
+                    raise UnsupportedQueryError(f"unknown technique {name!r}")
+                try:
+                    return planner(self.database, seed, pilot_rate).run(bound, spec)
+                except (UnsupportedQueryError, InfeasiblePlanError) as exc:
+                    get_metrics().inc("technique_refusals_total", technique=name)
+                    last = exc
+                    refused.add(name)
+            raise InfeasiblePlanError(reason) from last
+        finally:
+            # The refusal's traceback holds this frame; left in ``last``
+            # it would keep itself, and every frame of the refusing
+            # planner, alive until a full garbage collection.
+            last = None

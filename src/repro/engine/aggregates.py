@@ -10,14 +10,13 @@ paper's "no silver bullet" arguments (experiments E5, E14).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.exceptions import PlanError
-from .expressions import Expression, Literal
-from .table import Table
+from .expressions import Expression
 
 #: Aggregates for which sampling yields unbiased, CLT-analyzable estimates.
 LINEAR_AGGREGATES = frozenset({"sum", "count", "avg"})
@@ -53,12 +52,6 @@ class AggregateSpec:
     @property
     def is_linear(self) -> bool:
         return self.func in LINEAR_AGGREGATES
-
-    def input_values(self, table: Table) -> np.ndarray:
-        """Per-row input to the aggregate. COUNT(*) contributes 1 per row."""
-        if self.argument is None:
-            return np.ones(table.num_rows, dtype=np.float64)
-        return self.argument.evaluate(table)
 
     def columns(self) -> frozenset:
         if self.argument is None:
@@ -155,7 +148,7 @@ def encode_groups_arrays(
 
     Returns ``(group_ids, key_columns)`` where ``key_columns[pos][g]`` is
     the value of key column ``pos`` for group ``g``. This is the kernel
-    behind :func:`encode_groups`; the fused executor uses it directly so
+    behind :func:`encode_groups`; the executor uses it directly so
     grouped aggregation never builds per-row (or even per-group) Python
     tuples.
 
@@ -298,8 +291,7 @@ def compute_aggregate_values(
     """Ungrouped (scalar) aggregate over a value vector.
 
     ``values`` may be ``None`` only for plain COUNT, which needs just the
-    row count. This is the kernel behind :func:`compute_aggregate`; the
-    fused executor calls it directly on masked column views so no Table
+    row count. The executor calls it on masked column views, so no Table
     wrapper is ever allocated.
     """
     if spec.func == "count":
@@ -324,12 +316,6 @@ def compute_aggregate_values(
     raise PlanError(f"unreachable aggregate {spec.func!r}")
 
 
-def compute_aggregate(spec: AggregateSpec, table: Table) -> float:
-    """Ungrouped (scalar) aggregate over a table."""
-    values = None if spec.func == "count" else spec.input_values(table)
-    return compute_aggregate_values(spec, values, table.num_rows)
-
-
 def compute_grouped_aggregate_values(
     spec: AggregateSpec,
     values: Optional[np.ndarray],
@@ -338,8 +324,7 @@ def compute_grouped_aggregate_values(
 ) -> np.ndarray:
     """Per-group aggregates over a value vector aligned with ``group_ids``.
 
-    ``values`` may be ``None`` only for plain COUNT. Kernel behind
-    :func:`compute_grouped_aggregate`, shared with the fused executor.
+    ``values`` may be ``None`` only for plain COUNT.
     """
     if spec.func == "count":
         return grouped_count(group_ids, num_groups)
@@ -361,14 +346,3 @@ def compute_grouped_aggregate_values(
     if spec.func == "stddev":
         return np.sqrt(grouped_var(group_ids, values, num_groups))
     raise PlanError(f"unreachable aggregate {spec.func!r}")
-
-
-def compute_grouped_aggregate(
-    spec: AggregateSpec,
-    table: Table,
-    group_ids: np.ndarray,
-    num_groups: int,
-) -> np.ndarray:
-    """Per-group aggregate values aligned with group ids 0..num_groups-1."""
-    values = None if spec.func == "count" else spec.input_values(table)
-    return compute_grouped_aggregate_values(spec, values, group_ids, num_groups)

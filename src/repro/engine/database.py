@@ -151,7 +151,6 @@ class Database:
         optimize: bool = True,
         deadline=None,
         budget=None,
-        fused: bool = True,
     ) -> Tuple[Table, ExecutionStats]:
         """Optimize (optionally) and run a logical plan.
 
@@ -159,10 +158,6 @@ class Database:
         omitted, the ambient :func:`repro.resilience.deadline_scope` (if
         any) applies, so serving-layer limits reach every plan run on
         this query's behalf.
-
-        ``fused=False`` forces the legacy per-operator materializing
-        executor — kept as the differential-testing reference; results
-        and accounting are identical either way, only wall-clock differs.
         """
         if optimize:
             from .optimizer import optimize_plan
@@ -174,7 +169,6 @@ class Database:
             cost_params=self.cost_params,
             deadline=deadline,
             budget=budget,
-            fused=fused,
         )
         return executor.execute(plan)
 

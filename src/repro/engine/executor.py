@@ -1,39 +1,31 @@
 """Plan execution.
 
-The executor is deliberately simple: each operator materializes its full
-output (a :class:`~repro.engine.table.Table`). What makes it useful for
-AQP research is the *accounting*: every execution returns an
-:class:`ExecutionStats` recording rows/blocks touched per table and rows
-flowing through joins/aggregations, from which the cost model computes a
-simulated "work" number. Speedups reported by the benchmarks are ratios of
-that work, so they reflect data touched rather than Python overheads.
+One executor runs every plan. A ``Filter → Project* → [GroupByAggregate
+→ Filter/Project*]`` fragment runs as compiled kernels
+(:mod:`repro.engine.fused`) over a scan's selection vector, or over any
+other child the executor first runs to a Table — a join, a union, an
+ORDER BY. Joins, unions, ORDER BY and LIMIT run as operators on Tables.
+What makes the executor useful for AQP research is the *accounting*:
+every execution returns an :class:`ExecutionStats` recording rows/blocks
+touched per table and rows flowing through joins/aggregations, from
+which the cost model computes a simulated "work" number. Speedups
+reported by the benchmarks are ratios of that work, so they reflect data
+touched rather than Python overheads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.exceptions import PlanError, SchemaError
 from ..storage import blocks as blockio
-from ..storage.cost import (
-    CostEstimate,
-    CostParameters,
-    DEFAULT_COST,
-    aggregation_cost,
-    join_cost,
-)
-from .aggregates import (
-    AggregateSpec,
-    compute_aggregate,
-    compute_grouped_aggregate,
-    encode_groups,
-)
-from .expressions import Expression
+from ..storage.cost import CostEstimate, CostParameters, DEFAULT_COST
 from .fused import (
     FusedChain,
+    LazyRelation,
     apply_steps,
     chain_signature,
     compile_chain,
@@ -44,18 +36,7 @@ from .fused import (
     signature_digest,
 )
 from .kernel_cache import get_kernel_cache
-from .plan import (
-    Filter,
-    GroupByAggregate,
-    HashJoin,
-    Limit,
-    OrderBy,
-    PlanNode,
-    Project,
-    SampleClause,
-    Scan,
-    UnionAll,
-)
+from .plan import HashJoin, Limit, OrderBy, PlanNode, SampleClause, Scan, UnionAll
 from .table import Table
 
 
@@ -100,10 +81,10 @@ class ExecutionStats:
     def to_dict(self) -> Dict[str, object]:
         """One canonical JSON-able form, shared by results and spans.
 
-        Every execution path (fused, materializing, sharded, ladder)
-        reports through this dataclass, so the key set here *is* the
-        stats contract — ``test_observability`` pins that all paths
-        populate identical keys.
+        Every execution path (engine, sharded, ladder) reports through
+        this dataclass, so the key set here *is* the stats contract —
+        ``test_observability`` pins that all paths populate identical
+        keys.
         """
         return {
             "rows_scanned": int(self.rows_scanned),
@@ -151,8 +132,7 @@ class Executor:
 
     def __init__(self, database, seed: Optional[int] = None,
                  cost_params: CostParameters = DEFAULT_COST,
-                 deadline=None, budget=None,
-                 fused: bool = True, kernel_cache=None) -> None:
+                 deadline=None, budget=None, kernel_cache=None) -> None:
         from ..resilience.deadline import resolve_budget, resolve_deadline
 
         self.database = database
@@ -160,10 +140,6 @@ class Executor:
         self.cost_params = cost_params
         self.deadline = resolve_deadline(deadline)
         self.budget = resolve_budget(budget)
-        #: When True (default), Filter/Project/GroupByAggregate chains run
-        #: through the fused zero-copy pipeline; the materializing path
-        #: below is kept verbatim as the differential-testing reference.
-        self.fused = fused
         self.kernel_cache = kernel_cache if kernel_cache is not None else get_kernel_cache()
 
     def execute(self, plan: PlanNode) -> Tuple[Table, ExecutionStats]:
@@ -178,25 +154,17 @@ class Executor:
             self.deadline.check(site=f"executor.{type(node).__name__}")
 
     def _run(self, node: PlanNode, stats: ExecutionStats) -> Table:
-        if self.fused:
-            chain = extract_chain(node)
-            if chain is not None:
-                return self._run_fused(chain, stats)
-        self._checkpoint(node)
+        chain = extract_chain(node)
+        if chain is not None:
+            return self._run_chain(chain, stats)
         if isinstance(node, Scan):
-            return self._run_scan(node, stats)
-        if isinstance(node, Filter):
-            child = self._run(node.child, stats)
-            mask = np.asarray(node.predicate.evaluate(child), dtype=bool)
-            return child.take(mask)
-        if isinstance(node, Project):
-            child = self._run(node.child, stats)
-            cols = {alias: _materialize(expr, child) for expr, alias in node.items}
-            return Table(cols, name=child.name, block_size=child.block_size)
+            table, selection, rel = self._scan(node, stats)
+            if selection.row_indices is None and rel.column_names == table.column_names:
+                return table  # every row of every column: the table itself
+            return materialize_relation(rel, table.name, table.block_size)
+        self._checkpoint(node)
         if isinstance(node, HashJoin):
             return self._run_join(node, stats)
-        if isinstance(node, GroupByAggregate):
-            return self._run_aggregate(node, stats)
         if isinstance(node, OrderBy):
             child = self._run(node.child, stats)
             return _order_by(child, node.items)
@@ -209,16 +177,23 @@ class Executor:
         raise PlanError(f"unknown plan node {type(node).__name__}")
 
     # ------------------------------------------------------------------
-    def _run_scan(self, node: Scan, stats: ExecutionStats) -> Table:
+    def _scan(
+        self, node: Scan, stats: ExecutionStats
+    ) -> Tuple[Table, blockio.ScanSelection, LazyRelation]:
+        """The one scan prologue, for bare scans and chain sources alike:
+        checkpoint, column check, ``scan`` span, ``executor.scan`` fault
+        site, row selection and accounting. Returns the base table, the
+        selection and the (lazy, uncopied) scan output."""
+        self._checkpoint(node)
         table = self.database.table(node.table_name)
+        columns = table.column_names
         if node.columns is not None:
             missing = [c for c in node.columns if c not in table]
             if missing:
                 raise SchemaError(
                     f"columns {missing} not in table {node.table_name!r}"
                 )
-            table = table.select(list(node.columns))
-        total_blocks = table.num_blocks
+            columns = list(node.columns)
         from ..obs.trace import span
         from ..resilience.faults import maybe_fault
 
@@ -227,45 +202,28 @@ class Executor:
         ) as sp:
             maybe_fault("executor.scan")  # chaos: slow blocks burn the clock here
             selection = self._scan_selection(table, node.sample)
-            result = blockio.materialize_selection(selection)
-            self._account_scan(node, selection.access, total_blocks, stats)
+            access = selection.access
+            stats.record_scan(node.table_name, access, table.num_blocks)
+            if self.budget is not None:
+                self.budget.charge(
+                    rows=access.rows_scanned,
+                    blocks=access.blocks_scanned,
+                    site=f"scan:{node.table_name}",
+                )
+            if self.deadline is not None:
+                self.deadline.check(site=f"scan:{node.table_name}")
             sp.set(
-                rows_scanned=int(selection.access.rows_scanned),
-                blocks_scanned=int(selection.access.blocks_scanned),
-                rows_returned=int(selection.access.rows_returned),
+                rows_scanned=int(access.rows_scanned),
+                blocks_scanned=int(access.blocks_scanned),
+                rows_returned=int(access.rows_returned),
             )
-        if node.alias is not None:
-            # Qualified output names let the SQL layer join a table with
-            # itself and disambiguate columns across tables.
-            result = result.rename(
-                {c: f"{node.alias}.{c}" for c in result.column_names}
-            )
-        return result
-
-    def _account_scan(
-        self,
-        node: Scan,
-        access: blockio.AccessStats,
-        total_blocks: int,
-        stats: ExecutionStats,
-    ) -> None:
-        """Shared scan accounting — identical for both execution modes."""
-        stats.record_scan(node.table_name, access, total_blocks)
-        if self.budget is not None:
-            self.budget.charge(
-                rows=access.rows_scanned,
-                blocks=access.blocks_scanned,
-                site=f"scan:{node.table_name}",
-            )
-        if self.deadline is not None:
-            self.deadline.check(site=f"scan:{node.table_name}")
+        return table, selection, scan_relation(table, columns, selection, node.alias)
 
     def _scan_selection(
         self, table: Table, sample: Optional[SampleClause]
     ) -> blockio.ScanSelection:
-        """Row selection for a scan; consumes ``self.rng`` identically in
-        both execution modes (selection, not materialization, is where the
-        randomness lives)."""
+        """Row selection for a scan — where a sample's randomness lives:
+        an explicit sample seed, else ``self.rng``."""
         if sample is None:
             return blockio.full_selection(table)
         rng = (
@@ -300,64 +258,39 @@ class Executor:
             return blockio.block_sample_selection(table, ids)
         raise PlanError(f"unknown sampling method {sample.method!r}")
 
-    def _sampled_scan(
-        self, table: Table, sample: SampleClause
-    ) -> Tuple[Table, blockio.AccessStats]:
-        selection = self._scan_selection(table, sample)
-        return blockio.materialize_selection(selection), selection.access
-
     # ------------------------------------------------------------------
-    def _run_fused(self, chain: FusedChain, stats: ExecutionStats) -> Table:
-        """Execute a fused chain: one pass, zero intermediate Tables.
+    def _run_chain(self, chain: FusedChain, stats: ExecutionStats) -> Table:
+        """Execute a fused chain: its source, then one pass of compiled
+        kernels, zero intermediate Tables.
 
-        Accounting, fault-injection arrivals, RNG consumption and
-        deadline-check sites replay the materializing recursion exactly;
-        only the copies are gone.
+        A scan source hands its selection straight to the kernels; any
+        other source is run to a Table, which the kernels read in place.
         """
         for plan_node in chain.nodes_top_down:
             self._checkpoint(plan_node)
-        node = chain.scan
-        table = self.database.table(node.table_name)
-        scan_columns = table.column_names
-        if node.columns is not None:
-            missing = [c for c in node.columns if c not in table]
-            if missing:
-                raise SchemaError(
-                    f"columns {missing} not in table {node.table_name!r}"
-                )
-            scan_columns = list(node.columns)
-        total_blocks = table.num_blocks
-        from ..obs.trace import span
-        from ..resilience.faults import maybe_fault
-
-        with span(
-            "scan", table=node.table_name, sampled=node.sample is not None
-        ) as sp:
-            maybe_fault("executor.scan")  # chaos: same site as the materializing scan
-            selection = self._scan_selection(table, node.sample)
-            self._account_scan(node, selection.access, total_blocks, stats)
-            sp.set(
-                rows_scanned=int(selection.access.rows_scanned),
-                blocks_scanned=int(selection.access.blocks_scanned),
-                rows_returned=int(selection.access.rows_returned),
-            )
         signature = chain_signature(chain)
-        key = (table.fingerprint(), signature)
+        if isinstance(chain.source, Scan):
+            base, _, rel = self._scan(chain.source, stats)
+            key = (base.fingerprint(), signature)
+        else:
+            base = rel = self._run(chain.source, stats)
+            key = ("derived", signature)
         compiled = []
 
         def _compile():
             compiled.append(True)
             return compile_chain(chain)
 
+        from ..obs.trace import span
+
         with span("kernel", signature=signature_digest(signature)) as sp:
             prepared = self.kernel_cache.get_or_compile(key, _compile)
             sp.set(cache_hit=not compiled)
-        rel = scan_relation(table, scan_columns, selection, node.alias)
-        rel = apply_steps(prepared, rel)
-        if prepared.aggregate is not None:
-            stats.agg_input_rows += rel.num_rows
-            return run_prepared_aggregate(prepared, rel)
-        return materialize_relation(rel, table.name, table.block_size)
+        rel = apply_steps(prepared.steps, rel)
+        if prepared.aggregate is None:
+            return materialize_relation(rel, base.name, base.block_size)
+        stats.agg_input_rows += rel.num_rows
+        return run_prepared_aggregate(prepared, rel)
 
     # ------------------------------------------------------------------
     def _run_join(self, node: HashJoin, stats: ExecutionStats) -> Table:
@@ -391,54 +324,10 @@ class Executor:
                 out[out_name] = np.concatenate([matched, filler]) if pad else matched
         return Table(out, name=f"join", block_size=left.block_size)
 
-    # ------------------------------------------------------------------
-    def _run_aggregate(self, node: GroupByAggregate, stats: ExecutionStats) -> Table:
-        child = self._run(node.child, stats)
-        stats.agg_input_rows += child.num_rows
-        if not node.keys:
-            cols = {
-                spec.alias: np.array([compute_aggregate(spec, child)])
-                for spec in node.aggregates
-            }
-            result = Table(cols, name="aggregate")
-        else:
-            key_arrays = [_materialize(expr, child) for expr, _ in node.keys]
-            if child.num_rows == 0:
-                cols = {alias: np.array([]) for _, alias in node.keys}
-                for spec in node.aggregates:
-                    cols[spec.alias] = np.array([])
-                result = Table(cols, name="aggregate")
-            else:
-                group_ids, key_tuples = encode_groups(key_arrays)
-                num_groups = len(key_tuples)
-                cols = {}
-                for pos, (_, alias) in enumerate(node.keys):
-                    cols[alias] = np.array(
-                        [kt[pos] for kt in key_tuples],
-                        dtype=key_arrays[pos].dtype if key_arrays[pos].dtype != object else object,
-                    )
-                for spec in node.aggregates:
-                    cols[spec.alias] = compute_grouped_aggregate(
-                        spec, child, group_ids, num_groups
-                    )
-                result = Table(cols, name="aggregate")
-        if node.having is not None:
-            mask = np.asarray(node.having.evaluate(result), dtype=bool)
-            result = result.take(mask)
-        return result
-
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-
-def _materialize(expr: Expression, table: Table) -> np.ndarray:
-    values = expr.evaluate(table)
-    arr = np.asarray(values)
-    if arr.ndim == 0:
-        arr = np.full(table.num_rows, arr[()])
-    return arr
-
 
 def _order_by(table: Table, items: Sequence[Tuple[str, bool]]) -> Table:
     if table.num_rows == 0 or not items:

@@ -1,24 +1,20 @@
-"""Fused, block-pipelined plan execution.
+"""Fused, block-pipelined plan execution — the only implementation of
+Filter, Project and GroupByAggregate.
 
-The materializing executor copies a full :class:`Table` at every operator
-boundary: ``Filter`` gathers every column through ``take(mask)``,
-``Project`` re-allocates its output, and ``GroupByAggregate`` reads the
-copies back. On the serving path that copy overhead — not data touched —
-dominates wall-clock, which is exactly the constant-factor failure mode
-the paper's "no silver bullet" argument warns AQP layers about.
-
-This module implements the fused alternative. A scan produces a
-:class:`~repro.storage.blocks.ScanSelection` (which rows, what the touch
-cost) instead of a Table; ``Filter``/``Project`` steps compose over lazy
-*relations* — duck-typed namespaces that hand out zero-copy column views
-and only gather (``col[mask]``) the columns an operator actually reads;
-and linear aggregates fold directly over the masked views, so a
-``Filter→Project→GroupByAggregate`` plan allocates exactly one Table: the
-result. Because every expression operator is elementwise,
-``f(col)[mask] == f(col[mask])`` holds bitwise, and the fused pipeline
-produces results, ``ExecutionStats`` and provenance identical to the
-materializing executor (the differential suite in
-``tests/test_fused_executor.py`` fuzzes this).
+A plan fragment ``(Filter|Project)* → [GroupByAggregate (with HAVING) →
+(Filter|Project)*]`` over one *source* is a :class:`FusedChain`. When the
+source is a scan, it produces a :class:`~repro.storage.blocks.ScanSelection`
+(which rows, what the touch cost) instead of a Table; any other source (a
+join, a union, ...) is run to a Table first. ``Filter``/``Project`` steps
+compose over lazy *relations* — duck-typed namespaces that hand out
+zero-copy column views and only gather (``col[mask]``) the columns an
+operator actually reads — and linear aggregates fold directly over the
+masked views, so a chain allocates exactly one Table: its result.
+Because every expression operator is elementwise,
+``f(col)[mask] == f(col[mask])`` holds bitwise; the golden corpus in
+``tests/golden/executor_corpus.json``, recorded from the per-operator
+materializing executor this module replaced, pins results and
+``ExecutionStats`` entry by entry.
 
 Selection-vector lifetime: a selection is born at the scan (``None`` for
 full scans, int64 row indices for samples), narrows through filters as
@@ -45,7 +41,7 @@ from .aggregates import (
 )
 from .expressions import compile_expression
 from .plan import Filter, GroupByAggregate, PlanNode, Project, Scan
-from .table import Table
+from .table import DEFAULT_BLOCK_SIZE, Table
 
 __all__ = [
     "FusedChain",
@@ -197,50 +193,60 @@ class SliceRelation:
 
 @dataclass(frozen=True)
 class FusedChain:
-    """A fusable linear plan fragment.
+    """A fusable linear plan fragment over one source.
 
-    ``steps`` are bottom-up (scan-adjacent first); ``nodes_top_down``
-    preserves the materializing executor's recursion order so deadline
-    checkpoints fire at the same sites in the same order.
+    ``steps`` run bottom-up over the source's rows; ``post_steps`` run
+    bottom-up over the aggregate's rows (HAVING first) and exist only
+    with an ``aggregate``. ``nodes_top_down`` lists the fragment's nodes,
+    source excluded, in plan-recursion order: deadline checkpoints fire
+    at their sites in that order.
     """
 
-    scan: Scan
+    source: PlanNode
     steps: Tuple[Tuple[str, Any], ...]
     aggregate: Optional[GroupByAggregate]
+    post_steps: Tuple[Tuple[str, Any], ...]
     nodes_top_down: Tuple[PlanNode, ...]
 
 
-def extract_chain(node: PlanNode) -> Optional[FusedChain]:
-    """Recognize ``[GroupByAggregate] → (Filter|Project)* → Scan`` chains.
+def _take_steps(node: PlanNode, nodes: List[PlanNode]):
+    """Walk down a run of Filter/Project nodes; returns ``(steps in
+    bottom-up order, first node below the run)``."""
+    steps: List[Tuple[str, Any]] = []
+    while isinstance(node, (Filter, Project)):
+        nodes.append(node)
+        if isinstance(node, Filter):
+            steps.append(("filter", node.predicate))
+        else:
+            steps.append(("project", node.items))
+        node = node.child
+    return tuple(reversed(steps)), node
 
-    Returns ``None`` for anything else — including a bare Scan, where the
-    materializing path is already zero-copy for full scans and a single
-    gather for samples, so fusion has nothing to remove.
+
+def extract_chain(node: PlanNode) -> Optional[FusedChain]:
+    """Recognize ``(Filter|Project)* → [GroupByAggregate → (Filter|Project)*]
+    → source`` chains, for any source node.
+
+    Returns ``None`` when ``node`` is none of Filter, Project and
+    GroupByAggregate — a bare Scan, a join, a union, ORDER BY or LIMIT.
     """
     nodes: List[PlanNode] = []
+    steps, cur = _take_steps(node, nodes)
     aggregate: Optional[GroupByAggregate] = None
-    cur = node
+    post_steps: Tuple[Tuple[str, Any], ...] = ()
     if isinstance(cur, GroupByAggregate):
         aggregate = cur
         nodes.append(cur)
-        cur = cur.child
-    steps_top_down: List[Tuple[str, Any]] = []
-    while isinstance(cur, (Filter, Project)):
-        nodes.append(cur)
-        if isinstance(cur, Filter):
-            steps_top_down.append(("filter", cur.predicate))
-        else:
-            steps_top_down.append(("project", cur.items))
-        cur = cur.child
-    if not isinstance(cur, Scan):
+        having = (("filter", cur.having),) if cur.having is not None else ()
+        post_steps = having + steps
+        steps, cur = _take_steps(cur.child, nodes)
+    if aggregate is None and not steps:
         return None
-    if aggregate is None and not steps_top_down:
-        return None
-    nodes.append(cur)
     return FusedChain(
-        scan=cur,
-        steps=tuple(reversed(steps_top_down)),
+        source=cur,
+        steps=steps,
         aggregate=aggregate,
+        post_steps=post_steps,
         nodes_top_down=tuple(nodes),
     )
 
@@ -249,32 +255,45 @@ def chain_signature(chain: FusedChain) -> str:
     """Normalized textual form of a chain, the kernel-cache key half.
 
     Every expression node prints deterministically, so two structurally
-    identical chains produce equal signatures. The sampling seed is
-    deliberately excluded: prepared kernels never consume randomness
-    (row selection happens at scan time, outside the kernels).
+    identical chains produce equal signatures. A scan source contributes
+    its table, columns, alias and sampling method; any other source
+    contributes nothing, so a chain over a join is keyed by its step and
+    aggregate shape alone. The sampling seed is deliberately excluded:
+    prepared kernels never consume randomness (row selection happens at
+    scan time, outside the kernels).
     """
-    parts = [
-        f"scan={chain.scan.table_name}",
-        f"cols={list(chain.scan.columns) if chain.scan.columns is not None else None}",
-        f"alias={chain.scan.alias}",
-    ]
-    sample = chain.scan.sample
-    if sample is not None:
-        parts.append(f"sample={sample.method}:{sample.rate}:{sample.size}")
-        if sample.columns:
-            parts.append(f"sample_on={list(sample.columns)}:{sample.cap}")
-    for kind, payload in chain.steps:
+    parts = []
+    scan = chain.source
+    if isinstance(scan, Scan):
+        parts += [
+            f"scan={scan.table_name}",
+            f"cols={list(scan.columns) if scan.columns is not None else None}",
+            f"alias={scan.alias}",
+        ]
+        sample = scan.sample
+        if sample is not None:
+            parts.append(f"sample={sample.method}:{sample.rate}:{sample.size}")
+            if sample.columns:
+                parts.append(f"sample_on={list(sample.columns)}:{sample.cap}")
+    parts += _step_signatures(chain.steps)
+    agg = chain.aggregate
+    if agg is not None:
+        keys = ";".join(f"{alias}={expr!r}" for expr, alias in agg.keys)
+        aggs = ";".join(repr(spec) for spec in agg.aggregates)
+        parts.append(f"agg=[{keys}]|[{aggs}]")
+        parts += _step_signatures(chain.post_steps)
+    return "\n".join(parts)
+
+
+def _step_signatures(steps) -> List[str]:
+    parts = []
+    for kind, payload in steps:
         if kind == "filter":
             parts.append(f"filter={payload!r}")
         else:
             items = ";".join(f"{alias}={expr!r}" for expr, alias in payload)
             parts.append(f"project={items}")
-    agg = chain.aggregate
-    if agg is not None:
-        keys = ";".join(f"{alias}={expr!r}" for expr, alias in agg.keys)
-        aggs = ";".join(repr(spec) for spec in agg.aggregates)
-        parts.append(f"agg=[{keys}]|[{aggs}]|having={agg.having!r}")
-    return "\n".join(parts)
+    return parts
 
 
 def signature_digest(signature: str) -> str:
@@ -301,7 +320,6 @@ class PreparedAggregate:
     key_aliases: Tuple[str, ...]
     specs: Tuple[AggregateSpec, ...]
     input_fns: Tuple[Optional[Callable], ...]
-    having_fn: Optional[Callable]
 
 
 @dataclass(frozen=True)
@@ -314,36 +332,34 @@ class PreparedChain:
 
     steps: Tuple[Tuple[str, Any], ...]
     aggregate: Optional[PreparedAggregate]
+    post_steps: Tuple[Tuple[str, Any], ...] = ()
 
 
 def _broadcast_item(fn: Callable, rel) -> np.ndarray:
-    """Evaluate a projection/key closure with scalar broadcast.
-
-    Mirrors the materializing executor's ``_materialize``: a 0-d result
-    (e.g. a constant folded to a scalar) broadcasts to relation length.
-    """
+    """Evaluate a projection/key closure with scalar broadcast: a 0-d
+    result (e.g. a constant folded to a scalar) broadcasts to relation
+    length."""
     arr = np.asarray(fn(rel))
     if arr.ndim == 0:
         arr = np.full(rel.num_rows, arr[()])
     return arr
 
 
+def _compile_steps(steps) -> Tuple[Tuple[str, Any], ...]:
+    compiled: List[Tuple[str, Any]] = []
+    for kind, payload in steps:
+        if kind == "filter":
+            compiled.append(("filter", compile_expression(payload)))
+        else:
+            compiled.append((
+                "project",
+                tuple((compile_expression(expr), alias) for expr, alias in payload),
+            ))
+    return tuple(compiled)
+
+
 def compile_chain(chain: FusedChain) -> PreparedChain:
     """Compile every expression in the chain into closures."""
-    steps: List[Tuple[str, Any]] = []
-    for kind, payload in chain.steps:
-        if kind == "filter":
-            steps.append(("filter", compile_expression(payload)))
-        else:
-            steps.append(
-                (
-                    "project",
-                    tuple(
-                        (compile_expression(expr), alias)
-                        for expr, alias in payload
-                    ),
-                )
-            )
     prepared_agg: Optional[PreparedAggregate] = None
     agg = chain.aggregate
     if agg is not None:
@@ -357,13 +373,12 @@ def compile_chain(chain: FusedChain) -> PreparedChain:
                 else None
                 for spec in agg.aggregates
             ),
-            having_fn=(
-                compile_expression(agg.having)
-                if agg.having is not None
-                else None
-            ),
         )
-    return PreparedChain(steps=tuple(steps), aggregate=prepared_agg)
+    return PreparedChain(
+        steps=_compile_steps(chain.steps),
+        aggregate=prepared_agg,
+        post_steps=_compile_steps(chain.post_steps),
+    )
 
 
 #: matched-row count column every partial aggregate carries
@@ -426,11 +441,11 @@ def scan_relation(
 ) -> LazyRelation:
     """Build the scan-output namespace without materializing anything.
 
-    Column names mirror the materializing scan exactly — pruned to
-    ``scan_columns``, alias-qualified when an alias is set, with the
-    block-id provenance column appended last for block samples and the
-    HT-weight column for row-weighted samples — but each column is a thunk: a shared view for full scans, a single lazy gather
-    for samples.
+    Columns are pruned to ``scan_columns``, alias-qualified when an alias
+    is set, with the block-id provenance column appended for block
+    samples and the HT-weight column for row-weighted samples. Each
+    column is a thunk: a shared view for full scans, a single lazy
+    gather for samples.
     """
     row_indices = selection.row_indices
     getters: Dict[str, Callable[[], np.ndarray]] = {}
@@ -452,15 +467,16 @@ def scan_relation(
     return LazyRelation(getters, selection.num_rows)
 
 
-def apply_steps(prepared: PreparedChain, rel):
-    """Run the compiled Filter/Project steps over a relation.
+def apply_steps(steps, rel):
+    """Run compiled Filter/Project steps (a :class:`PreparedChain`'s
+    ``steps`` or ``post_steps``) over a relation.
 
     Filters evaluate their compiled predicate against the *current*
     (already narrowed) relation and layer the resulting mask lazily;
     projections swap in a new namespace of item thunks. No copies happen
     here beyond the per-referenced-column gathers the masks force.
     """
-    for kind, payload in prepared.steps:
+    for kind, payload in steps:
         if kind == "filter":
             mask = np.asarray(payload(rel), dtype=bool)
             rel = MaskedRelation(rel, mask)
@@ -478,12 +494,8 @@ def apply_steps(prepared: PreparedChain, rel):
 def _aggregate_inputs(
     spec: AggregateSpec, input_fn: Optional[Callable], rel
 ) -> Optional[np.ndarray]:
-    """Per-row aggregate input, matching ``AggregateSpec.input_values``.
-
-    Plain COUNT needs no vector at all; COUNT(*) variants that do
-    (count_distinct without an argument) fall back to the same implicit
-    ones vector the materializing path uses.
-    """
+    """Per-row aggregate input: none for plain COUNT, one per row for the
+    argument-less COUNT variants that need a vector (count_distinct)."""
     if spec.func == "count":
         return None
     if input_fn is None:
@@ -491,16 +503,8 @@ def _aggregate_inputs(
     return input_fn(rel)
 
 
-def run_prepared_aggregate(prepared: PreparedChain, rel) -> Table:
-    """Fold the compiled aggregate directly over the (masked) relation.
-
-    Reproduces ``Executor._run_aggregate`` arithmetic exactly — same
-    kernels, same empty-input special case, same key-column dtypes — but
-    allocates only the result Table (plus one more if HAVING prunes it,
-    matching the materializing path's own output-side ``take``).
-    """
-    pa = prepared.aggregate
-    assert pa is not None
+def _fold(pa: PreparedAggregate, rel) -> Dict[str, np.ndarray]:
+    """The aggregate's output columns, folded over the (masked) relation."""
     cols: Dict[str, np.ndarray] = {}
     if not pa.key_aliases:
         for spec, input_fn in zip(pa.specs, pa.input_fns):
@@ -508,13 +512,11 @@ def run_prepared_aggregate(prepared: PreparedChain, rel) -> Table:
             cols[spec.alias] = np.array(
                 [compute_aggregate_values(spec, values, rel.num_rows)]
             )
-        result = Table(cols, name="aggregate")
     elif rel.num_rows == 0:
         for alias in pa.key_aliases:
             cols[alias] = np.array([])
         for spec in pa.specs:
             cols[spec.alias] = np.array([])
-        result = Table(cols, name="aggregate")
     else:
         key_arrays = [_broadcast_item(fn, rel) for fn in pa.key_fns]
         group_ids, key_columns = encode_groups_arrays(key_arrays)
@@ -526,20 +528,33 @@ def run_prepared_aggregate(prepared: PreparedChain, rel) -> Table:
             cols[spec.alias] = compute_grouped_aggregate_values(
                 spec, values, group_ids, num_groups
             )
-        result = Table(cols, name="aggregate")
-    if pa.having_fn is not None:
-        mask = np.asarray(pa.having_fn(result), dtype=bool)
-        result = result.take(mask)
-    return result
+    return cols
+
+
+def run_prepared_aggregate(prepared: PreparedChain, rel) -> Table:
+    """Fold the compiled aggregate over the (masked) relation, then run
+    HAVING and the steps above it over the folded columns.
+
+    Allocates exactly one Table, the result: the aggregate's own columns
+    are a lazy relation to the steps above it, never a Table.
+    """
+    cols = _fold(prepared.aggregate, rel)
+    if not prepared.post_steps:
+        return Table(cols, name="aggregate")
+    num_rows = len(next(iter(cols.values())))
+    folded = LazyRelation(
+        {name: (lambda arr=arr: arr) for name, arr in cols.items()}, num_rows
+    )
+    out = apply_steps(prepared.post_steps, folded)
+    return materialize_relation(out, "aggregate", DEFAULT_BLOCK_SIZE)
 
 
 def materialize_relation(rel, name: str, block_size: int) -> Table:
     """Force a lazy relation out into a contiguous Table.
 
     Called only when a consumer genuinely needs one — the chain sits
-    under a join/union/ORDER BY/LIMIT or is the plan top. Column order,
-    name and block size match what the materializing operator stack
-    would have produced.
+    under a join/union/ORDER BY/LIMIT or is the plan top, or a bare scan
+    is not the whole base table.
     """
     return Table(
         {n: rel[n] for n in rel.column_names},

@@ -158,7 +158,7 @@ class _ShardQuery:
 
     def fold(self, table: Table, start: int, stop: int) -> Table:
         """The partial aggregate table of one row range."""
-        rel = apply_steps(self.prepared, self.view(table, start, stop))
+        rel = apply_steps(self.prepared.steps, self.view(table, start, stop))
         return run_prepared_aggregate(self.prepared, rel)
 
 

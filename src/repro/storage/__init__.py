@@ -3,10 +3,7 @@
 from .blocks import (
     AccessStats,
     BLOCK_ID_COLUMN,
-    block_sample_scan,
     clustered_layout,
-    full_scan,
-    row_sample_scan,
     shuffled_layout,
 )
 from .cost import CostEstimate, CostParameters, DEFAULT_COST
@@ -32,10 +29,7 @@ __all__ = [
     "configure_global_cache",
     "get_global_cache",
     "set_global_cache",
-    "block_sample_scan",
     "clustered_layout",
     "compute_table_stats",
-    "full_scan",
-    "row_sample_scan",
     "shuffled_layout",
 ]

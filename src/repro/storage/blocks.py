@@ -4,13 +4,13 @@ The survey's efficiency arguments hinge on *what fraction of storage a
 technique touches*: row-level samplers still read every block, while
 block-level samplers skip non-sampled blocks entirely. This module makes
 that distinction concrete — every access path reports how many blocks and
-rows it materialized, which the cost model converts into simulated I/O.
+rows it touched, which the cost model converts into simulated I/O.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -44,18 +44,15 @@ WEIGHT_COLUMN = "__weight"
 
 @dataclass
 class ScanSelection:
-    """A scan's row selection, decoupled from its materialization.
+    """A scan's row selection: *which rows*, and what that touch costs
+    (:attr:`access`).
 
-    Every access path is the composition of two decisions: *which rows*
-    (and what that touch costs — :attr:`access`) and *whether to copy
-    them out*. The legacy ``*_scan`` functions fuse both; the fused
-    executor wants only the first, carrying :attr:`row_indices` as a
-    selection vector over zero-copy column views until (unless) a
-    consumer truly needs contiguous data.
+    Copying the rows out is a separate decision the executor makes late:
+    it carries :attr:`row_indices` as a selection vector over zero-copy
+    column views until (unless) a consumer truly needs contiguous data.
 
     ``row_indices is None`` means "all rows in order" — the full-scan
-    case, where even materialization is the identity and the base table
-    is shared, not copied.
+    case, where the base table's columns are shared, not copied.
     """
 
     table: Table
@@ -149,87 +146,6 @@ def block_sample_selection(table: Table, block_ids: Sequence[int]) -> ScanSelect
         rows_returned=rows,
     )
     return ScanSelection(table, indices, ids, stats)
-
-
-def materialize_selection(selection: ScanSelection) -> Table:
-    """Copy a selection out into a contiguous Table.
-
-    Full-scan selections return the base table itself (zero-copy), which
-    is exactly what :func:`full_scan` has always done.
-    """
-    if selection.row_indices is None:
-        result = selection.table
-    else:
-        result = selection.table.take(selection.row_indices)
-    if selection.block_id_column is not None:
-        result = result.with_column(BLOCK_ID_COLUMN, selection.block_id_column)
-    if selection.weight_column is not None:
-        result = result.with_column(WEIGHT_COLUMN, selection.weight_column)
-    return result
-
-
-def full_scan(table: Table) -> Tuple[Table, AccessStats]:
-    """Read every block (the exact-query access path)."""
-    selection = full_selection(table)
-    return materialize_selection(selection), selection.access
-
-
-def row_sample_scan(
-    table: Table, row_indices: np.ndarray
-) -> Tuple[Table, AccessStats]:
-    """Materialize specific rows (see :func:`row_sample_selection`)."""
-    selection = row_sample_selection(table, row_indices)
-    return materialize_selection(selection), selection.access
-
-
-def block_sample_scan(
-    table: Table, block_ids: Sequence[int]
-) -> Tuple[Table, AccessStats]:
-    """Materialize whole blocks (see :func:`block_sample_selection`).
-
-    The result carries a :data:`BLOCK_ID_COLUMN` column recording each
-    row's source block, which block-aware estimators require.
-    """
-    selection = block_sample_selection(table, block_ids)
-    return materialize_selection(selection), selection.access
-
-
-def iter_blocks(table: Table) -> Iterator[Tuple[int, Table]]:
-    """Yield ``(block_id, block_table)`` pairs."""
-    for bid in range(table.num_blocks):
-        yield bid, table.block(bid)
-
-
-def iter_morsels(table: Table) -> Iterator[Tuple[int, int, int]]:
-    """Yield ``(block_id, start_row, stop_row)`` morsels, in block order.
-
-    Morsels describe block-granular row ranges without materializing
-    anything — the unit of work for fused per-block pipelines (sharded
-    execution checkpoints deadlines between morsels).
-    """
-    for bid in range(table.num_blocks):
-        start, stop = table.block_bounds(bid)
-        yield bid, start, stop
-
-
-def block_row_counts(table: Table) -> np.ndarray:
-    """Number of rows in each block (last block may be short)."""
-    nb = table.num_blocks
-    if nb == 0:
-        return np.array([], dtype=np.int64)
-    counts = np.full(nb, table.block_size, dtype=np.int64)
-    counts[-1] = table.num_rows - (nb - 1) * table.block_size
-    return counts
-
-
-def assign_block_column(table: Table, name: str = "__block_id") -> Table:
-    """Append a column holding each row's block id.
-
-    Pilot-style AQP planners group by this column to measure block-level
-    statistics (per-block sums and sizes) from a block sample.
-    """
-    ids = np.arange(table.num_rows, dtype=np.int64) // table.block_size
-    return table.with_column(name, ids)
 
 
 def clustered_layout(table: Table, order_by: str) -> Table:

@@ -1,6 +1,9 @@
 """Tests for the advisor routing, the session facade, and the trade-off
 model (the paper's thesis as executable assertions)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro import (
     comparison_matrix,
     no_silver_bullet,
 )
+from repro.core.advisor import TECHNIQUES, Advisor
 from repro.core.options import QueryOptions
 from repro.core.tradeoff import (
     TECHNIQUE_PROFILES,
@@ -23,7 +27,9 @@ from repro.core.tradeoff import (
     format_matrix,
 )
 from repro.offline import SampleEntry, SynopsisCatalog
+from repro.resilience import ResilientEngine
 from repro.sampling.stratified import stratified_sample
+from repro.sql.binder import bind_sql
 
 
 @pytest.fixture
@@ -144,6 +150,63 @@ class TestSessionRouting:
     def test_explain(self, db):
         text = db.explain("SELECT SUM(value) AS s FROM facts WHERE sel < 0.5")
         assert "Scan(facts" in text
+
+
+class TestRefusalRetention:
+    """A planner that refuses is freed when its query returns, not at the
+    next full garbage collection. Refusals are exceptions; one kept past
+    its handler holds, through its traceback, every frame of the refusing
+    planner — and the tables and arrays those frames hold."""
+
+    @pytest.fixture
+    def planners(self, monkeypatch):
+        """``(technique, weakref to planner)`` for every planner built."""
+        made = []
+        for name, factory in list(TECHNIQUES.items()):
+            def tracked(db, seed, pilot_rate, _factory=factory, _name=name):
+                planner = _factory(db, seed, pilot_rate)
+                made.append((_name, weakref.ref(planner)))
+                return planner
+
+            monkeypatch.setitem(TECHNIQUES, name, tracked)
+        return made
+
+    @pytest.fixture
+    def no_gc(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("door", ["advisor", "ladder"])
+    @pytest.mark.parametrize(
+        "sql,served",
+        [
+            # offline_sample refuses (no synopsis), the pilot answers
+            ("SELECT g, SUM(value) AS s FROM facts GROUP BY g", "pilot"),
+            # every technique refuses MAX; exact execution answers
+            ("SELECT MAX(value) AS m FROM facts", "exact"),
+        ],
+    )
+    def test_refused_planner_is_freed_with_its_query(
+        self, db, planners, no_gc, door, sql, served
+    ):
+        if door == "advisor":
+            result = Advisor(db).run(
+                bind_sql(sql, db), ErrorSpec(0.05, 0.95), seed=1
+            )
+        else:
+            result = ResilientEngine(db, warn_on_degrade=False).sql(
+                sql + " ERROR WITHIN 5% CONFIDENCE 95%",
+                options=QueryOptions(seed=1),
+            )
+        assert getattr(result, "technique", "exact") == served
+        refused = [name for name, _ in planners if name != served]
+        assert refused, "no planner refused; the test proves nothing"
+        alive = [
+            name for name, ref in planners if name != served and ref() is not None
+        ]
+        assert alive == []
 
 
 class TestTradeoffModel:

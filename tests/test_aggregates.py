@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from repro import PlanError, Table
 from repro.engine.aggregates import (
     AggregateSpec,
-    compute_aggregate,
-    compute_grouped_aggregate,
+    compute_aggregate_values,
+    compute_grouped_aggregate_values,
     encode_groups,
     grouped_count_distinct,
     grouped_var,
 )
 from repro.engine.expressions import col
+
+
+def compute_aggregate(spec: AggregateSpec, table: Table) -> float:
+    """Scalar aggregate of ``spec`` over every row of ``table``."""
+    values = None if spec.func == "count" else spec.argument.evaluate(table)
+    return compute_aggregate_values(spec, values, table.num_rows)
 
 
 class TestAggregateSpec:
@@ -122,7 +128,8 @@ class TestGroupedAggregates:
         )
         ids, keys = encode_groups([t["g"]])
         spec = AggregateSpec(func, col("v") if func != "count" else None, "out")
-        out = compute_grouped_aggregate(spec, t, ids, len(keys))
+        values = None if func == "count" else t["v"]
+        out = compute_grouped_aggregate_values(spec, values, ids, len(keys))
         for gi, (k,) in enumerate(keys):
             vals = t["v"][t["g"] == k]
             if func == "sum":

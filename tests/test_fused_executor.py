@@ -1,13 +1,15 @@
-"""Differential suite for the fused zero-copy pipeline (``pytest -m fused``).
+"""The one executor's contract suite (``pytest -m fused``).
 
-The fused executor (``Executor(fused=True)``, the default) must be
-*bitwise indistinguishable* from the legacy materializing executor in
-everything except wall-clock and allocations: result tables (values,
-dtypes, column order), ``ExecutionStats``, RNG consumption under
-``TABLESAMPLE``, and behaviour under deadlines, budgets, and shard
-quorum degradation. Hypothesis fuzzes the query space; fixed tests pin
-the allocation contract (zero intermediate Tables), the kernel cache,
-the ``encode_groups`` integer fast path, and ``Table.take`` mask/index
+Filter, Project and GroupByAggregate run only as fused kernels, over a
+scan's selection vector or over any child run to a Table. What they must
+produce — result tables (values, dtypes, column order) and
+``ExecutionStats`` under ``TABLESAMPLE``, deadlines and budgets, over
+single tables, joins, HAVING, ORDER BY/LIMIT and UNION ALL — is pinned by
+the golden corpus (``tests/executor_corpus.py``), recorded from the fused
+executor and the per-operator materializing executor it replaced while
+both still existed. Fixed tests pin the allocation contract (zero
+intermediate Tables), the kernel cache, shard quorum degradation, the
+``encode_groups`` integer fast path, and ``Table.take`` mask/index
 normalization.
 """
 
@@ -19,51 +21,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.core.exceptions import QueryRefused, SchemaError
+from repro.core.exceptions import DeadlineExceeded, QueryRefused, SchemaError
 from repro.core.options import QueryOptions
 from repro.engine.aggregates import AggregateSpec, encode_groups_arrays
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
 from repro.engine.kernel_cache import KernelCache
-from repro.engine.plan import Filter, GroupByAggregate, Project, SampleClause, Scan
+from repro.engine.plan import Filter, GroupByAggregate, Project, Scan
 from repro.engine.table import Table, count_table_allocations
+from repro.obs.trace import Tracer, trace_scope
 from repro.resilience import (
     Deadline,
     FaultInjector,
     FaultSpec,
     ManualClock,
-    ResourceBudget,
-    deadline_scope,
     inject,
     shard_site,
 )
 from repro.sharding import ScatterGatherExecutor, ShardedTable
 from repro.sql.binder import bind_sql
 
-pytestmark = pytest.mark.fused
+from . import executor_corpus as corpus
 
-ROWS = 3000
+pytestmark = pytest.mark.fused
 
 
 @pytest.fixture(scope="module")
 def db():
-    rng = np.random.default_rng(321)
-    db = Database()
-    db.create_table(
-        "f",
-        {
-            "a": rng.integers(0, 40, ROWS),
-            "b": rng.integers(-5, 6, ROWS),
-            "v": np.round(rng.exponential(10.0, ROWS), 3),
-            "w": np.round(rng.random(ROWS), 6),
-            "tag": rng.choice(np.array(["x", "y", "z"], dtype=object), ROWS),
-        },
-        block_size=128,
-    )
-    return db
+    return corpus.fused_db()
 
-
-# --- bitwise comparison helpers ---------------------------------------
 
 def assert_tables_identical(left: Table, right: Table) -> None:
     assert left.column_names == right.column_names
@@ -77,106 +63,20 @@ def assert_tables_identical(left: Table, right: Table) -> None:
             assert np.array_equal(la, ra), name
 
 
-def stats_snapshot(stats) -> dict:
-    return {
-        "rows_scanned": stats.rows_scanned,
-        "blocks_scanned": stats.blocks_scanned,
-        "rows_sampled": stats.rows_sampled,
-        "join_input_rows": stats.join_input_rows,
-        "agg_input_rows": stats.agg_input_rows,
-        "rows_output": stats.rows_output,
-        "blocks_available": stats.blocks_available,
-        "per_table": {
-            name: (a.rows_scanned, a.blocks_scanned, a.rows_returned)
-            for name, a in stats.per_table.items()
-        },
-        "cost": stats.simulated_cost().total,
-    }
-
-
-def run_both(db, sql, seed=0, optimize=False, deadline=None, budget=None):
-    """Execute one bound plan under both modes; assert bit-identity."""
-    plan = bind_sql(sql, db).plan
-    fused_t, fused_s = db.execute(
-        plan, seed=seed, optimize=optimize, deadline=deadline, budget=budget
-    )
-    mat_t, mat_s = db.execute(
-        plan,
-        seed=seed,
-        optimize=optimize,
-        deadline=deadline,
-        budget=budget,
-        fused=False,
-    )
-    assert_tables_identical(fused_t, mat_t)
-    assert stats_snapshot(fused_s) == stats_snapshot(mat_s), sql
-    return fused_t, fused_s
-
-
-# --- fuzzed differential ----------------------------------------------
-
-comparators = st.sampled_from(["<", "<=", ">", ">=", "=", "<>"])
-numeric_cols = st.sampled_from(["a", "b", "v", "w"])
-AGGS = st.sampled_from(
-    ["SUM({v})", "COUNT(*)", "AVG({v})", "SUM({v} * {w})", "MIN({w})", "MAX({a})"]
-)
-GROUPS = st.sampled_from([(), ("b",), ("a",), ("tag",), ("a", "b"), ("b", "tag")])
-SAMPLES = st.sampled_from(
-    [
-        "",
-        " TABLESAMPLE BERNOULLI (40)",
-        " TABLESAMPLE SYSTEM (50)",
-    ]
-)
-
-
-@st.composite
-def predicates(draw):
-    parts = []
-    for _ in range(draw(st.integers(1, 3))):
-        c = draw(numeric_cols)
-        op = draw(comparators)
-        value = (
-            draw(st.integers(-5, 40))
-            if c in ("a", "b")
-            else round(draw(st.floats(0, 30)), 3)
-        )
-        parts.append(f"{c} {op} {value}")
-    return draw(st.sampled_from([" AND ", " OR "])).join(parts)
-
-
-@st.composite
-def queries(draw):
-    templates = draw(st.lists(AGGS, min_size=1, max_size=3, unique=True))
-    aggs = [t.format(v="v", w="w", a="a") for t in templates]
-    groups = list(draw(GROUPS))
-    select = ", ".join(
-        [f"{g} AS g{i}" for i, g in enumerate(groups)]
-        + [f"{a} AS c{i}" for i, a in enumerate(aggs)]
-    )
-    sql = f"SELECT {select} FROM f" + draw(SAMPLES)
-    where = draw(st.one_of(st.none(), predicates()))
-    if where is not None:
-        sql += f" WHERE {where}"
-    if groups:
-        sql += " GROUP BY " + ", ".join(groups)
-    return sql
-
+# --- golden corpus ------------------------------------------------------
 
 class TestFusedDifferential:
-    @given(queries(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_fuzzed_bit_identity(self, db, sql, seed):
-        run_both(db, sql, seed=seed)
+    """Every corpus entry replays bitwise: the executor against the
+    answers both executors gave before the materializing one went."""
 
-    @given(queries(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_fuzzed_bit_identity_optimized(self, db, sql, seed):
-        run_both(db, sql, seed=seed, optimize=True)
+    def test_fuzzed_bit_identity(self):
+        corpus.replay("fuzz", optimize=False)
 
-    def test_non_aggregate_chains(self, db):
-        run_both(db, "SELECT a AS a, v * 2 AS v2 FROM f WHERE v > 5")
-        run_both(db, "SELECT v AS v FROM f WHERE tag = 'x' ORDER BY v LIMIT 7")
+    def test_fuzzed_bit_identity_optimized(self):
+        corpus.replay("fuzz", optimize=True)
+
+    def test_non_aggregate_chains(self):
+        corpus.replay("chain")
 
     @pytest.mark.parametrize(
         "sample",
@@ -185,54 +85,46 @@ class TestFusedDifferential:
             "TABLESAMPLE SYSTEM (30)",
         ],
     )
-    def test_sampled_scans_consume_rng_identically(self, db, sample):
-        sql = f"SELECT SUM(v) AS s, COUNT(*) AS c FROM f {sample} WHERE a < 20"
-        for seed in (0, 7, 991):
-            run_both(db, sql, seed=seed)
+    def test_sampled_scans_consume_rng_identically(self, sample):
+        corpus.replay(f"sampled:{sample}")
 
     @pytest.mark.parametrize("optimize", [False, True])
-    def test_distinct_directive_identical_in_both_modes(self, db, optimize):
+    def test_distinct_directive_identical_in_both_modes(self, optimize):
         """The ``distinct_rows`` scan directive and its hidden ``__weight``
-        column: same rows, weights and accounting fused or materialized."""
-        scan = Scan(
-            "f",
-            alias="f",
-            sample=SampleClause(
-                "distinct_rows", rate=0.2, columns=("a", "b"), cap=2
-            ),
-        )
-        plan = Project(
-            Filter(scan, col("f.v") > 2.0),
-            ((col("f.a"), "a"), (col("f.v") * col("f.__weight"), "wv")),
-        )
-        for seed in (0, 7, 991):
-            fused_t, fused_s = db.execute(plan, seed=seed, optimize=optimize)
-            mat_t, mat_s = db.execute(
-                plan, seed=seed, optimize=optimize, fused=False
-            )
-            assert_tables_identical(fused_t, mat_t)
-            assert stats_snapshot(fused_s) == stats_snapshot(mat_s)
-            assert fused_s.rows_scanned == ROWS
+        column: same rows, weights and accounting as recorded."""
+        corpus.replay("distinct", optimize=optimize)
+        for rec in corpus.recorded("distinct"):
+            assert rec["stats"]["rows_scanned"] == corpus.ROWS
 
-    def test_identical_under_deadline_scope(self, db):
-        sql = "SELECT b AS b, AVG(v) AS m FROM f WHERE w < 0.8 GROUP BY b"
-        with deadline_scope(Deadline(60.0)):
-            run_both(db, sql)
+    def test_bare_scans(self):
+        """Full, pruned, aliased and sampled scans with nothing above."""
+        corpus.replay("bare_scan")
 
-    def test_identical_under_budget(self, db):
-        sql = "SELECT SUM(v * w) AS s FROM f WHERE a >= 3"
-        run_both(db, sql, budget=ResourceBudget(max_rows=10 * ROWS))
+    @pytest.mark.parametrize("group", ["join", "having", "order_limit", "union"])
+    def test_operators_above_and_around_chains(self, group):
+        corpus.replay(group)
+
+    def test_identical_under_deadline_scope(self):
+        corpus.replay("deadline")
+
+    def test_identical_under_budget(self):
+        corpus.replay("budget")
 
     def test_expired_deadline_raises_in_both_modes(self, db):
-        from repro.core.exceptions import DeadlineExceeded
-
-        plan = bind_sql("SELECT SUM(v) AS s FROM f", db).plan
-        for fused in (True, False):
+        """Over a scan and over a join alike, the first checkpoint raises."""
+        chain = bind_sql("SELECT SUM(v) AS s FROM f", db).plan
+        tpch = corpus.world("tpch")
+        join = bind_sql(
+            "SELECT o.o_orderpriority AS p, COUNT(*) AS n FROM lineitem l "
+            "JOIN orders o ON l.l_orderkey = o.o_orderkey GROUP BY o.o_orderpriority",
+            tpch,
+        ).plan
+        for database, plan in ((db, chain), (tpch, join)):
             clock = ManualClock()
             deadline = Deadline(1.0, clock=clock)
             clock.advance(5.0)
             with pytest.raises(DeadlineExceeded):
-                db.execute(plan, optimize=False, deadline=deadline, fused=fused)
+                database.execute(plan, optimize=False, deadline=deadline)
 
 
 # --- shard quorum degradation -----------------------------------------
@@ -321,12 +213,6 @@ class TestZeroIntermediateTables:
         assert probe.count == 1
         assert result.num_rows > 0
 
-    def test_materializing_reference_allocates_more(self, db):
-        executor = Executor(db, fused=False)
-        with count_table_allocations() as probe:
-            executor.execute(self._plan())
-        assert probe.count > 1
-
     def test_fused_filter_project_allocates_one_table(self, db):
         plan = Project(
             child=Filter(child=Scan(table_name="f"), predicate=col("a") < 10),
@@ -336,6 +222,77 @@ class TestZeroIntermediateTables:
         with count_table_allocations() as probe:
             executor.execute(plan)
         assert probe.count == 1
+
+
+class TestJoinAggregatesFuse:
+    """GROUP BY … HAVING above a join runs as one cached kernel chain over
+    the join's output, not as one materialized Table per operator."""
+
+    SQL = (
+        "SELECT a.k AS k, SUM(a.v * b.w) AS s, COUNT(*) AS c "
+        "FROM a JOIN b ON a.id = b.id WHERE b.w > 0.2 "
+        "GROUP BY a.k HAVING COUNT(*) > 135"
+    )
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        rng = np.random.default_rng(17)
+        n = 2000
+        db = Database()
+        db.create_table(
+            "a",
+            {
+                "id": rng.integers(0, 500, n),
+                "k": rng.integers(0, 12, n),
+                "v": np.round(rng.exponential(5.0, n), 3),
+            },
+            block_size=128,
+        )
+        db.create_table(
+            "b",
+            {"id": np.arange(500), "w": np.round(rng.random(500), 4)},
+            block_size=128,
+        )
+        return db
+
+    def test_matches_numpy_oracle(self, world):
+        result, _ = Executor(world, kernel_cache=KernelCache()).execute(
+            bind_sql(self.SQL, world).plan
+        )
+        a, b = world.table("a"), world.table("b")
+        w = b["w"][a["id"]]  # b.id is 0..499, so row i of b has id i
+        keep = w > 0.2
+        expected = {}
+        for k in np.unique(a["k"][keep]):
+            rows = keep & (a["k"] == k)
+            if rows.sum() > 135:
+                expected[int(k)] = (float(np.sum(a["v"][rows] * w[rows])), rows.sum())
+        assert 0 < len(expected) < 12  # HAVING keeps some groups, not all
+        assert sorted(result["k"].tolist()) == sorted(expected)
+        for k, s, c in zip(result["k"], result["s"], result["c"]):
+            assert s == pytest.approx(expected[int(k)][0], rel=1e-12)
+            assert c == expected[int(k)][1]
+
+    def test_second_run_hits_the_kernel_cache(self, world):
+        plan = bind_sql(self.SQL, world).plan
+        cache = KernelCache()
+        hits = []
+        for _ in range(2):
+            tracer = Tracer()
+            with trace_scope(tracer):
+                Executor(world, kernel_cache=cache).execute(plan)
+            (kernel,) = tracer.find("kernel")
+            hits.append(kernel.attributes["cache_hit"])
+        assert hits == [False, True]
+
+    def test_allocates_join_inputs_join_output_and_result(self, world):
+        plan = bind_sql(self.SQL, world).plan
+        executor = Executor(world, kernel_cache=KernelCache())
+        with count_table_allocations() as probe:
+            executor.execute(plan)
+        # the two aliased scans, the join output, the result: Filter,
+        # GroupByAggregate, HAVING and the output Project copy nothing
+        assert probe.count <= 2 + 1 + 1
 
 
 # --- kernel cache ------------------------------------------------------

@@ -701,15 +701,13 @@ class TestStatsContract:
 
         sql = "SELECT SUM(price) AS s FROM sales WHERE price > 2"
         plan = bind_sql(sql, db).plan
-        _, fused_stats = db.execute(plan, optimize=False)
-        _, mat_stats = db.execute(plan, optimize=False, fused=False)
+        _, engine_stats = db.execute(plan, optimize=False)
         ladder_result = ResilientEngine(db, warn_on_degrade=False).sql(sql)
         sharded = ShardedTable.from_table(db.table("sales"), 3)
         shard_result = ScatterGatherExecutor(sharded, max_workers=1).sql(sql)
 
         docs = {
-            "fused": fused_stats.to_dict(),
-            "materializing": mat_stats.to_dict(),
+            "engine": engine_stats.to_dict(),
             "ladder": ladder_result.stats.to_dict(),
             "sharded": shard_result.stats.to_dict(),
         }

@@ -32,41 +32,42 @@ def table():
 
 class TestAccessPaths:
     def test_full_scan(self, table):
-        out, stats = B.full_scan(table)
-        assert out.num_rows == 100
-        assert stats.blocks_scanned == table.num_blocks
+        sel = B.full_selection(table)
+        assert sel.row_indices is None and sel.num_rows == 100
+        assert sel.access.blocks_scanned == table.num_blocks
 
     def test_row_sample_touches_owning_blocks(self, table):
-        out, stats = B.row_sample_scan(table, np.array([0, 1, 50]))
-        assert out.num_rows == 3
-        assert stats.blocks_scanned == 2  # rows 0,1 share a block; 50 another
+        sel = B.row_sample_selection(table, np.array([0, 1, 50]))
+        assert sel.num_rows == 3
+        assert sel.access.blocks_scanned == 2  # rows 0,1 share a block; 50 another
 
     def test_row_sample_empty(self, table):
-        out, stats = B.row_sample_scan(table, np.array([], dtype=np.int64))
-        assert out.num_rows == 0 and stats.blocks_scanned == 0
+        sel = B.row_sample_selection(table, np.array([], dtype=np.int64))
+        assert sel.num_rows == 0 and sel.access.blocks_scanned == 0
 
     def test_block_sample_returns_whole_blocks(self, table):
-        out, stats = B.block_sample_scan(table, [0, 2])
-        assert out.num_rows == 32
-        assert stats.blocks_scanned == 2
-        assert set(np.unique(out[B.BLOCK_ID_COLUMN])) == {0, 2}
+        sel = B.block_sample_selection(table, [0, 2])
+        assert sel.num_rows == 32
+        assert sel.access.blocks_scanned == 2
+        assert set(np.unique(sel.block_id_column)) == {0, 2}
 
     def test_block_sample_dedupes(self, table):
-        out, _ = B.block_sample_scan(table, [1, 1, 1])
-        assert out.num_rows == 16
+        assert B.block_sample_selection(table, [1, 1, 1]).num_rows == 16
 
     def test_iter_blocks(self, table):
-        blocks = list(B.iter_blocks(table))
-        assert len(blocks) == table.num_blocks
-        assert blocks[0][1].num_rows == 16
+        assert table.num_blocks == 7
+        assert table.block(0).num_rows == 16
+        assert table.block_bounds(6) == (96, 100)
 
     def test_block_row_counts_short_tail(self):
         t = Table({"v": np.arange(10)}, block_size=4)
-        assert B.block_row_counts(t).tolist() == [4, 4, 2]
+        sel = B.block_sample_selection(t, range(t.num_blocks))
+        assert np.bincount(sel.block_id_column).tolist() == [4, 4, 2]
 
     def test_assign_block_column(self, table):
-        out = B.assign_block_column(table)
-        assert out["__block_id"][17] == 1
+        sel = B.block_sample_selection(table, range(table.num_blocks))
+        assert sel.row_indices.tolist() == list(range(100))
+        assert sel.block_id_column[17] == 1
 
     def test_layouts(self, table):
         clustered = B.clustered_layout(table, "g")

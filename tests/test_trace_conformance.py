@@ -7,10 +7,12 @@ Four guarantees, pinned here:
    validates against the committed JSON schema
    (``tests/golden/span_schema.json``), and span/parent ids form a
    consistent tree.
-2. **Structural equivalence** — the fused and materializing executors
-   emit structurally identical span trees (modulo the fused-only
-   ``kernel`` span), and a sharded run's tree is invariant to the shard
-   count once ``shard.<i>`` subtrees are collapsed.
+2. **Structural equivalence** — a traced execution returns the golden
+   corpus's recorded answer and stats (``tests/executor_corpus.py``),
+   its tree holds the ``scan`` and ``kernel`` spans, the ``sql()`` tree
+   runs from ``query`` down to ``scan``, and a sharded run's tree is
+   invariant to the shard count once ``shard.<i>`` subtrees are
+   collapsed.
 3. **Tracing off is free** — with no tracer installed (the default),
    results, CIs, and ``ExecutionStats`` are bitwise-identical to a
    traced run of the same seed: instrumentation touches no RNG, no
@@ -44,42 +46,20 @@ from repro.resilience import (
 )
 from repro.sampling.row import srs_sample
 from repro.sharding import ScatterGatherExecutor, ShardedTable
-from repro.sql.binder import bind_sql
+
+from . import executor_corpus as corpus
+from .executor_corpus import TRACE_SQL as CORPUS
+from .executor_corpus import fuzz_db as _fuzz_db
 
 pytestmark = pytest.mark.obs
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 REGOLD = os.environ.get("REPRO_REGOLD") == "1"
 
-#: queries covering the plan shapes the executors distinguish
-CORPUS = [
-    "SELECT SUM(x) AS s FROM f",
-    "SELECT COUNT(*) AS c FROM f WHERE x > 0",
-    "SELECT AVG(y) AS a FROM f WHERE g < 3",
-    "SELECT g, SUM(y) AS s FROM f GROUP BY g",
-    "SELECT SUM(x) AS s, COUNT(*) AS c FROM f WHERE y > 1",
-]
-
 APPROX_CORPUS = [
     "SELECT SUM(x) AS s FROM f ERROR WITHIN 10% CONFIDENCE 95%",
     "SELECT AVG(y) AS a FROM f ERROR WITHIN 10% CONFIDENCE 95%",
 ]
-
-
-def _fuzz_db(seed: int) -> Database:
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2_000, 6_000))
-    db = Database()
-    db.create_table(
-        "f",
-        {
-            "x": rng.normal(5.0, 2.0, n),
-            "y": rng.exponential(10.0, n),
-            "g": rng.integers(0, 5, n),
-        },
-        block_size=int(rng.choice([128, 256, 512])),
-    )
-    return db
 
 
 def _trace(fn):
@@ -219,37 +199,24 @@ class TestStructuralEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("sql", CORPUS)
     def test_fused_matches_materializing(self, sql, seed):
-        """Same query, same seed: the two executors must emit the same
-        span tree modulo the fused-only ``kernel`` span."""
-        db = _fuzz_db(seed)
-        plan = bind_sql(sql, db).plan
-        (_, fused_stats), fused_tracer = _trace(
-            lambda: db.execute(plan, optimize=False, seed=seed)
-        )
-        (_, mat_stats), mat_tracer = _trace(
-            lambda: db.execute(plan, optimize=False, seed=seed, fused=False)
-        )
-        assert tracer_signature(
-            fused_tracer, ignore=("kernel",)
-        ) == tracer_signature(mat_tracer)
-        # The structural match is not vacuous: both paths really scanned.
-        assert fused_tracer.find("scan") and mat_tracer.find("scan")
-        assert fused_stats.to_dict() == mat_stats.to_dict()
+        """Same query, same seed: a traced bind-and-execute returns the
+        answer and the stats the corpus recorded from both executors,
+        through one scan and one kernel span."""
+        (rec,) = [
+            r for r in corpus.recorded("trace")
+            if r["sql"] == sql and r["seed"] == seed
+        ]
+        (table, stats), tracer = _trace(lambda: corpus.run_entry(rec))
+        corpus.assert_matches(rec, table, stats)
+        assert_trace_conforms(tracer)
+        assert [s.name for s in tracer.walk()] == ["plan", "scan", "kernel"]
 
     @pytest.mark.parametrize("sql", CORPUS)
     def test_full_query_trees_match_through_sql_front_end(self, sql):
-        """End-to-end (parse/bind/optimize included) the trees agree."""
+        """End-to-end (parse/bind/optimize included) the tree runs from
+        the query root down to the scan."""
         db = _fuzz_db(11)
         _, traced = _trace(lambda: db.sql(sql, options=QueryOptions(seed=3)))
-        plan = bind_sql(sql, db).plan
-        _, fused_tracer = _trace(lambda: db.execute(plan, seed=3))
-        _, mat_tracer = _trace(
-            lambda: db.execute(plan, seed=3, fused=False)
-        )
-        assert tracer_signature(
-            fused_tracer, ignore=("kernel",)
-        ) == tracer_signature(mat_tracer)
-        # and the engine-level trace embeds the same executor subtree
         names = [s.name for s in traced.walk()]
         assert names[0] == "query"
         assert "scan" in names
