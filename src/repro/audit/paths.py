@@ -537,6 +537,38 @@ def _ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
     )
 
 
+def _sharded_ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
+    """Audit scatter-gather OLA with every shard served.
+
+    Per trial, the 8-shard exponential table answers in ``ola`` mode:
+    each shard reports a fixed-stop CI from a random 30% of its rows and
+    the gather adds the shard estimates. Trials alternate by seed between
+    ``SUM(value)`` and a filtered ``AVG(value)`` (the merged SUM interval
+    divided by the merged COUNT interval); the merged CI must cover the
+    exact whole-table answer. A degraded answer means a shard went
+    missing; count it as a refusal so the path cannot pass by accident.
+    """
+    from ..sharding import ScatterGatherExecutor
+
+    values = np.asarray(ctx.exponential["value"], dtype=np.float64)
+    if seed % 2:
+        sql = "SELECT AVG(value) AS x FROM exp_t WHERE value > 50"
+        truth = float(values[values > 50].mean())
+    else:
+        sql = "SELECT SUM(value) AS x FROM exp_t"
+        truth = float(values.sum())
+    executor = ScatterGatherExecutor(ctx.sharded_exponential, max_workers=1)
+    result = executor.sql(
+        sql, options=QueryOptions(seed=seed, technique="ola")
+    )
+    if result.is_degraded:
+        return TrialResult(math.nan, math.nan, hit=False, refused=True)
+    cell = result.estimate("x", 0)
+    return TrialResult(
+        cell.value, truth, cell.covers(truth), cell.ci_low, cell.ci_high
+    )
+
+
 def _ola_peeking_stop(ctx: AuditContext, seed: int) -> TrialResult:
     # Skewed data + optional stopping: prefixes that miss the tail both
     # underestimate the sum AND report a deceptively tight CI, so the
@@ -876,6 +908,18 @@ def build_paths() -> List[AuditPath]:
             claimed_coverage=0.95,
             description="Online aggregation CI at a FIXED 10% stopping point",
             run=_ola_fixed_stop,
+        ),
+        AuditPath(
+            name="sharded_ola_fixed_stop",
+            family="online",
+            claim="ci",
+            claimed_coverage=0.95,
+            description=(
+                "Scatter-gather OLA over 8 shards, all served: per-shard "
+                "fixed-stop CIs from a random 30% of each shard, merged; "
+                "SUM and a filtered AVG must cover the whole-table answer"
+            ),
+            run=_sharded_ola_fixed_stop,
         ),
         AuditPath(
             name="ola_peeking_stop",

@@ -6,6 +6,14 @@ user stops when the interval is tight enough. The trade the survey
 emphasizes: the interval is only valid *at a fixed stopping time* — if
 the user stops the moment the CI first looks good ("peeking"), realized
 coverage drops below nominal, which experiment E13 measures.
+
+Snapshots come from running moments (Σv, Σv², Σm) advanced over the new
+rows only, so a stream of snapshots costs one pass over what it read.
+The fixed-stop path (:func:`fixed_stop_snapshot`) knows where it stops
+before it reads, draws just that many rows as a random ordered subset
+and evaluates the query over them alone: it reads 30% of the relation
+(all of it under a deadline) plus the filter's columns, which it scans
+once for the matched-row count.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from ..core.errorspec import z_value
 from ..core.exceptions import PlanError
-from ..engine.fused import filter_mask
+from ..engine.fused import LazyRelation, filter_mask
 from ..engine.table import Table
 from ..estimators.closed_form import ratio_from_sums, srs_sum_from_sums
 from ..obs.trace import event
@@ -48,12 +56,14 @@ class OLASnapshot:
 
 
 class OnlineAggregator:
-    """Progressive SUM/AVG/COUNT over a randomly permuted table.
+    """Progressive SUM/AVG/COUNT over a table read in random order.
 
-    The random permutation is the statistical heart of OLA: a prefix of a
-    random permutation is an SRS of the table, so SRS estimators apply at
-    every step. ``mask_column``-style filtering is handled by passing a
-    boolean predicate mask.
+    The random order is the statistical heart of OLA: every prefix of a
+    uniformly random order — a permutation, or a random ordered subset —
+    is an SRS of the table, so SRS estimators apply at every step.
+    ``mask_column``-style filtering is handled by passing a boolean
+    predicate mask. Snapshots advance running moments held on the
+    aggregator, so one aggregator serves one thread.
     """
 
     def __init__(
@@ -65,97 +75,110 @@ class OnlineAggregator:
         confidence: float = 0.95,
         seed: Optional[int] = None,
     ) -> None:
-        if agg not in ("sum", "avg", "count"):
-            raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
-        if agg != "count" and value_column is None:
+        if value_column is None and agg in ("sum", "avg"):
             raise PlanError(f"{agg} requires a value column")
-        self.table = table
+        n = table.num_rows
         values = (
             np.asarray(table[value_column], dtype=np.float64)
             if value_column is not None
-            else np.ones(table.num_rows)
+            else np.ones(n)
         )
-        self._init_state(values, predicate_mask, agg, confidence, seed)
+        mask = (
+            np.asarray(predicate_mask, dtype=bool)
+            if predicate_mask is not None
+            else np.ones(n, dtype=bool)
+        )
+        order = np.random.default_rng(seed).permutation(n)
+        self.table = table
+        self._init_state(
+            values[order], mask[order], n, float(np.count_nonzero(mask)),
+            agg, confidence,
+        )
 
     @classmethod
-    def from_values(
+    def from_read_order(
         cls,
         values: np.ndarray,
+        matches: np.ndarray,
+        population: int,
+        matched_rows: float,
         agg: str = "sum",
-        predicate_mask: Optional[np.ndarray] = None,
         confidence: float = 0.95,
-        seed: Optional[int] = None,
     ) -> "OnlineAggregator":
-        """Build an aggregator directly from a value vector.
+        """Build an aggregator from rows already in random read order.
 
-        Identical in behaviour (including RNG consumption, so snapshots
-        are bitwise-equal) to wrapping the vector in a one-column Table —
-        minus the Table allocation. :func:`fixed_stop_snapshot` enters
-        here.
+        ``values`` and ``matches`` (the predicate mask) cover the rows
+        that will be read, which may be fewer than ``population``;
+        ``matched_rows`` counts the predicate's matches in the whole
+        population. :func:`fixed_stop_snapshot` enters here.
         """
-        if agg not in ("sum", "avg", "count"):
-            raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
         self = cls.__new__(cls)
         self.table = None
         self._init_state(
-            np.asarray(values, dtype=np.float64),
-            predicate_mask,
-            agg,
-            confidence,
-            seed,
+            values, matches, population, matched_rows, agg, confidence
         )
         return self
 
     def _init_state(
         self,
         values: np.ndarray,
-        predicate_mask: Optional[np.ndarray],
+        matches: np.ndarray,
+        population: int,
+        matched_rows: float,
         agg: str,
         confidence: float,
-        seed: Optional[int],
     ) -> None:
+        if agg not in ("sum", "avg", "count"):
+            raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
         self.agg = agg
         self.confidence = confidence
-        n = len(values)
-        rng = np.random.default_rng(seed)
-        self._order = rng.permutation(n)
-        mask = (
-            np.asarray(predicate_mask, dtype=bool)
-            if predicate_mask is not None
-            else np.ones(n, dtype=bool)
+        # The scalar estimators only ever need Σy, Σy², Σm, Σm² and Σy·m
+        # of the prefix; with values zeroed outside the predicate and 0/1
+        # matches, Σv, Σv² and Σm provide all five.
+        self._values = np.where(
+            matches, np.asarray(values, dtype=np.float64), 0.0
         )
-        # Pre-permute so iteration is just slicing a prefix, and keep
-        # running moments so every snapshot is O(1) instead of O(prefix):
-        # the scalar estimators only ever need Σy, Σy², Σm, Σm² and Σy·m
-        # of the prefix, all of which cumulative sums provide directly.
-        self._values = np.where(mask, values, 0.0)[self._order]
-        self._matches = mask[self._order].astype(np.float64)
-        self._population = n
-        self._cum_v = np.cumsum(self._values)
-        self._cum_v2 = np.cumsum(self._values * self._values)
-        self._cum_m = np.cumsum(self._matches)
+        self._matches = matches
+        self._population = population
+        self._matched_rows = matched_rows
+        self._seen = 0
+        self._sums = (0.0, 0.0, 0.0)
 
     # ------------------------------------------------------------------
     @property
     def matched_rows(self) -> float:
         """Rows of the whole population that pass the predicate."""
-        return float(self._cum_m[-1]) if self._population else 0.0
+        return self._matched_rows
+
+    def _moments(self, n: int) -> Tuple[float, float, float]:
+        """Σv, Σv² and Σm of the first ``n`` rows read, advanced over the
+        rows since the previous snapshot (from zero when ``n`` is behind
+        it)."""
+        start, (sum_v, sum_v2, sum_m) = self._seen, self._sums
+        if n < start:
+            start, sum_v, sum_v2, sum_m = 0, 0.0, 0.0, 0.0
+        new = self._values[start:n]
+        self._sums = (
+            sum_v + float(np.sum(new)),
+            sum_v2 + float(np.dot(new, new)),
+            sum_m + float(np.count_nonzero(self._matches[start:n])),
+        )
+        self._seen = n
+        return self._sums
 
     def snapshot(self, rows_seen: int, agg: Optional[str] = None) -> OLASnapshot:
-        """Estimate from the first ``rows_seen`` rows of the permutation.
+        """Estimate from the first ``rows_seen`` rows of the read order.
 
         ``agg`` overrides the aggregator's own function: the running
-        moments serve SUM, COUNT and AVG alike, so one permutation yields
+        moments serve SUM, COUNT and AVG alike, so one read order yields
         mutually consistent components (an AVG merged across shards needs
         SUM and COUNT from the *same* prefix).
         """
         agg = agg or self.agg
-        n = min(max(rows_seen, 1), self._population)
+        n = min(max(rows_seen, 1), len(self._values))
         if n == 0:
             return OLASnapshot(0, 0.0, math.nan, -math.inf, math.inf)
-        sum_v = float(self._cum_v[n - 1])
-        sum_v2 = float(self._cum_v2[n - 1])
-        sum_m = float(self._cum_m[n - 1])
+        sum_v, sum_v2, sum_m = self._moments(n)
         if agg == "sum":
             est = srs_sum_from_sums(n, self._population, sum_v, sum_v2)
         elif agg == "count":
@@ -225,9 +248,8 @@ class OnlineAggregator:
         ):
             last = snap
         if last is None:
-            # Deadline expired before the first batch: snapshots are
-            # O(1) from the prepaid cumulative sums, so answering from
-            # one minimal batch is still within the grace allowance.
+            # Deadline expired before the first batch: one minimal batch
+            # of reads is still within the grace allowance.
             last = self.snapshot(min(batch_size, self._population))
         return last
 
@@ -250,36 +272,54 @@ def fixed_stop_snapshot(
     ones for ``COUNT``). Stopping is data-independent — the deadline
     (external) or a fixed 30% of the rows, never "stop when the CI first
     looks good", which would forfeit coverage (the peeking fallacy) — so
-    the returned snapshot's CI is honest. ``on_step`` runs after every
-    batch (fault sites, straggler checks) and may raise to abandon the
-    attempt. The aggregator comes back too, for callers that need
-    further components from the same prefix.
+    the returned snapshot's CI is honest.
+
+    Because the stop is known before reading, the read order is drawn as
+    a uniformly random ordered subset of just the rows the run can reach
+    (at least one batch, which the expired-deadline answer reads), and
+    the input vector is computed over those rows only. The filter alone
+    runs over the whole relation, for the matched-row count
+    (``matched_rows``) that transfers selectivity to missing shards.
+
+    ``on_step`` runs after every batch (fault sites, straggler checks)
+    and may raise to abandon the attempt. The aggregator comes back too,
+    for callers that need further components from the same prefix.
     """
-    input_fn = prepared.aggregate.input_fns[0]
-    values = (
-        input_fn(relation)
-        if input_fn is not None
-        else np.ones(relation.num_rows)
+    n = relation.num_rows
+    max_fraction = 1.0 if deadline is not None else 0.30
+    reach = max(int(n * max_fraction), min(batch_size, n))
+    rows = np.random.default_rng(seed).choice(n, reach, replace=False)
+    drawn = LazyRelation(
+        {
+            name: (lambda name=name: relation[name][rows])
+            for name in relation.column_names
+        },
+        reach,
     )
-    ola = OnlineAggregator.from_values(
-        values,
+    mask = filter_mask(prepared, relation)
+    if mask is None:
+        matches, matched = np.ones(reach, dtype=bool), float(n)
+    else:
+        matches, matched = mask[rows], float(np.count_nonzero(mask))
+    input_fn = prepared.aggregate.input_fns[0]
+    ola = OnlineAggregator.from_read_order(
+        input_fn(drawn) if input_fn is not None else np.ones(reach),
+        matches,
+        population=n,
+        matched_rows=matched,
         agg=agg,
-        predicate_mask=filter_mask(prepared, relation),
         confidence=confidence,
-        seed=seed,
     )
     snap = None
     for snap in ola.run(
-        batch_size=batch_size,
-        max_fraction=1.0 if deadline is not None else 0.30,
-        deadline=deadline,
+        batch_size=batch_size, max_fraction=max_fraction, deadline=deadline
     ):
         event("ola_step", rows_seen=snap.rows_seen, fraction=snap.fraction_seen)
         if on_step is not None:
             on_step()
     if snap is None:
-        # Deadline already expired: one minimal batch is O(1) to answer.
-        snap = ola.snapshot(min(batch_size, relation.num_rows))
+        # Deadline already expired: answer from one minimal batch.
+        snap = ola.snapshot(min(batch_size, n))
     return ola, snap
 
 

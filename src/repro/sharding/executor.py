@@ -4,8 +4,9 @@ This module scatters and gathers; it does not execute. One query is
 rewritten into mergeable components (``SUM`` → sum, ``COUNT`` → count,
 ``AVG`` → sum + count) and compiled *once* by the engine's own fused
 pipeline (:func:`~repro.engine.fused.prepare_partial_aggregate`, through
-the kernel cache). Per-shard workers (a thread pool) fold those kernels
-over their shard — or block by block, when a deadline, budget, hedge
+the kernel cache). Shards fold those kernels one after another in the
+calling thread (on a thread pool when the query has a deadline) over
+their shard — or block by block, when a deadline, budget, hedge
 carve-out or fault injector needs block boundaries — so a shard's
 partial *is* a small aggregate :class:`Table`: key columns plus additive
 component columns. Gathering is :func:`~.merge.merge_partial_tables`
@@ -217,8 +218,10 @@ class ScatterGatherExecutor:
     sharded:
         The shard substrate to serve from.
     max_workers:
-        Thread-pool width; ``1`` runs shards sequentially (what the
-        deterministic chaos sweeps use).
+        Thread-pool width for queries under a deadline; ``1`` runs
+        their shards sequentially too (what the deterministic chaos
+        sweeps use). A query without a deadline always runs its shards
+        sequentially in the calling thread (see ``_scatter``).
     min_coverage:
         Row-weighted coverage floor; an answer assembled from less of
         the table than this is refused (:class:`QueryRefused`).
@@ -407,7 +410,14 @@ class ScatterGatherExecutor:
         def run(shard: Shard) -> ShardOutcome:
             return self._run_shard(shard, q, tracer=tracer, parent=parent)
 
-        if workers <= 1 or len(shards) == 1:
+        # Under a deadline, concurrent shards keep one straggler from
+        # spending the others' time. Without one every shard runs to the
+        # end anyway, and the pool only overlaps numpy calls that release
+        # the GIL: on 8 shards of 250k rows and 2 cores, ola and sample
+        # shards ran slower pooled than in turn, and pooled latency moved
+        # with the other core's load (a one-core CPU hog cost 26% of
+        # throughput pooled, 4% sequential).
+        if workers <= 1 or len(shards) == 1 or q.deadline is None:
             return [run(s) for s in shards]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, shards))
@@ -620,7 +630,7 @@ class ScatterGatherExecutor:
                 give_way()
 
         # AVG merges as the ratio of its SUM and COUNT components, both
-        # taken from the same permutation prefix (same seed, same rows).
+        # taken from the same read-order prefix (same seed, same rows).
         first = "count" if agg.func == "count" else "sum"
         ola, snap = fixed_stop_snapshot(
             q.prepared,

@@ -1,5 +1,8 @@
 """Tests for online AQP: pilot planner, Quickr, OLA, ripple joins."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,11 @@ from repro import (
     Table,
     UnsupportedQueryError,
 )
+from repro.audit.acceptance import coverage_verdict
 from repro.core.advisor import Advisor
+from repro.core.options import QueryOptions
+from repro.engine.fused import SliceRelation, prepare_partial_aggregate
+from repro.engine.kernel_cache import get_kernel_cache
 from repro.online import (
     OnlineAggregator,
     PilotPlanner,
@@ -18,6 +25,9 @@ from repro.online import (
     RippleJoin,
     peeking_coverage,
 )
+from repro.online.ola import fixed_stop_snapshot
+from repro.resilience import Deadline, ManualClock
+from repro.sharding import ScatterGatherExecutor, ShardedTable
 from repro.sql import bind_sql
 from repro.workloads import zipf_group_table
 
@@ -457,6 +467,171 @@ class TestOnlineAggregation:
             OnlineAggregator(table, None, "sum")
         with pytest.raises(Exception):
             OnlineAggregator(table, "v", "median")
+
+    def test_running_moments_match_prefix_sums(self, table):
+        """Snapshots advance Σv, Σv², Σm over the new rows only, and a
+        snapshot behind the last one restarts from zero."""
+        mask = table["v"] > 20
+        order = np.random.default_rng(7).permutation(table.num_rows)
+        v = np.where(mask, table["v"], 0.0)[order]
+        m = mask[order]
+        ola = OnlineAggregator(table, "v", "avg", predicate_mask=mask, seed=7)
+        for k in (1, 700, 700, 20_000, 61_234, 80_000, 3_000):
+            ola.snapshot(k)
+            want = (np.sum(v[:k]), np.sum(v[:k] * v[:k]), np.sum(m[:k]))
+            assert ola._sums == pytest.approx(want, rel=1e-12)
+
+
+class _SpyColumn(np.ndarray):
+    """A column view that logs the length of every gather taken from it."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        if isinstance(out, np.ndarray) and not isinstance(index, slice):
+            self.log.append(out.size)
+        return out
+
+
+class _SpyRelation:
+    """Relation over named columns whose every gather is logged."""
+
+    def __init__(self, columns):
+        self.gathers = []
+        self._columns = {}
+        for name, values in columns.items():
+            view = np.asarray(values).view(_SpyColumn)
+            view.log = self.gathers
+            self._columns[name] = view
+        self.num_rows = len(next(iter(columns.values())))
+
+    @property
+    def column_names(self):
+        return list(self._columns)
+
+    def __contains__(self, name):
+        return name in self._columns
+
+    def __getitem__(self, name):
+        return self._columns[name]
+
+
+def _logged(fn, log):
+    def spy(rel):
+        out = fn(rel)
+        log.append(np.size(out))
+        return out
+
+    return spy
+
+
+class TestFixedStopSnapshot:
+    """The fixed-stop path behind sharded ``ola`` and the ladder's
+    ``partial_ola`` rung."""
+
+    @staticmethod
+    def _prepared(db, sql):
+        return prepare_partial_aggregate(bind_sql(sql, db), get_kernel_cache())
+
+    @pytest.mark.parametrize("with_deadline", [False, True])
+    def test_reads_only_the_prefix_it_answers_from(self, with_deadline):
+        n, batch = 100_000, 2_000
+        rng = np.random.default_rng(0)
+        cols = {"v": rng.exponential(5.0, n), "k": rng.integers(0, 100, n)}
+        db = Database()
+        db.create_table("t", cols)
+        prepared = self._prepared(db, "SELECT AVG(v) AS a FROM t WHERE k < 40")
+        filters, inputs = [], []
+        ((kind, predicate),) = prepared.steps
+        spied = replace(
+            prepared,
+            steps=((kind, _logged(predicate, filters)),),
+            aggregate=replace(
+                prepared.aggregate,
+                input_fns=tuple(
+                    _logged(fn, inputs) if fn is not None else None
+                    for fn in prepared.aggregate.input_fns
+                ),
+            ),
+        )
+        relation = _SpyRelation({f"t.{c}": v for c, v in cols.items()})
+        ola, snap = fixed_stop_snapshot(
+            spied, relation, "sum", 0.95, seed=3, batch_size=batch,
+            deadline=Deadline(600.0) if with_deadline else None,
+        )
+        # The one whole-population read: the filter, for matched_rows.
+        assert filters == [n]
+        assert ola.matched_rows == float(np.count_nonzero(cols["k"] < 40))
+        if with_deadline:
+            assert inputs == [n]
+            assert snap.rows_seen == n
+        else:
+            reach = max(int(0.30 * n), min(batch, n))
+            assert inputs == [reach]
+            assert relation.gathers and max(relation.gathers) <= reach
+            assert snap.rows_seen == int(0.30 * n)
+
+    @pytest.mark.parametrize("n,rows_seen", [(1, 1), (3, 3), (16, 4)])
+    @pytest.mark.parametrize("expired", [False, True])
+    def test_tiny_relations(self, n, rows_seen, expired):
+        db = Database()
+        db.create_table("t", {"v": np.arange(1.0, n + 1)})
+        relation = SliceRelation(db.table("t"), 0, n, {"v": "t.v"})
+        deadline = None
+        if expired:
+            clock = ManualClock()
+            deadline = Deadline(1.0, clock=clock)
+            clock.advance(2.0)
+        _, snap = fixed_stop_snapshot(
+            self._prepared(db, "SELECT SUM(v) AS s FROM t"), relation, "sum",
+            0.95, seed=1, batch_size=256, deadline=deadline,
+        )
+        # An expired deadline answers from one batch: the whole relation.
+        assert snap.rows_seen == (n if expired else rows_seen)
+        assert math.isfinite(snap.value)
+
+    def test_three_rows_over_two_shards(self):
+        table = Table({"v": np.array([1.0, 2.0, 3.0])}, name="t")
+        executor = ScatterGatherExecutor(
+            ShardedTable.from_table(table, num_shards=2), max_workers=1
+        )
+        result = executor.sql(
+            "SELECT SUM(v) AS s FROM t",
+            options=QueryOptions(seed=0, technique="ola"),
+        )
+        assert result.scalar() == 6.0
+
+    @pytest.mark.statistical
+    @pytest.mark.parametrize(
+        "sql,agg",
+        [
+            ("SELECT SUM(v) AS x FROM t", "sum"),
+            ("SELECT AVG(v) AS x FROM t WHERE k < 30", "avg"),
+            ("SELECT COUNT(*) AS x FROM t WHERE k < 30", "count"),
+        ],
+    )
+    def test_fixed_stop_coverage(self, sql, agg):
+        n = 20_000
+        rng = np.random.default_rng(11)
+        db = Database()
+        db.create_table(
+            "t", {"v": rng.exponential(10.0, n), "k": rng.integers(0, 100, n)}
+        )
+        truth = float(db.sql(sql).scalar())
+        prepared = self._prepared(db, sql)
+        relation = SliceRelation(
+            db.table("t"), 0, n, {"v": "t.v", "k": "t.k"}
+        )
+        trials = 240
+        hits = 0
+        for seed in range(trials):
+            _, snap = fixed_stop_snapshot(
+                prepared, relation, agg, 0.95, seed=seed, batch_size=512
+            )
+            hits += snap.covers(truth)
+        assert coverage_verdict(hits, trials, 0.95) != "fail_under"
 
 
 class TestRippleJoin:

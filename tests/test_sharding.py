@@ -11,6 +11,7 @@ accounts for a query the same way: span, counter, workload log).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -187,6 +188,30 @@ class TestExactScatterGather:
         shard_steps = [p for p in result.provenance if "shard" in p]
         assert [p["status"] for p in shard_steps] == ["served"] * NUM_SHARDS
         assert result.provenance[-1]["coverage"] == pytest.approx(1.0)
+
+    def test_only_a_deadline_fans_out_to_the_pool(self, world, monkeypatch):
+        """Without a deadline every shard runs in the calling thread;
+        under one, ``max_workers > 1`` runs them on pool threads."""
+        _db, sharded = world
+        ex = ScatterGatherExecutor(sharded, max_workers=4)
+        threads = []
+        run_shard = ex._run_shard
+
+        def spy(shard, q, **kwargs):
+            threads.append(threading.get_ident())
+            return run_shard(shard, q, **kwargs)
+
+        monkeypatch.setattr(ex, "_run_shard", spy)
+        q = "SELECT SUM(v) AS s FROM events WHERE v > 12"
+        plain = ex.sql(q)
+        assert threads == [threading.get_ident()] * NUM_SHARDS
+        threads.clear()
+        bounded = ex.sql(q, options=QueryOptions(deadline=Deadline(3600.0)))
+        assert len(threads) == NUM_SHARDS
+        assert threading.get_ident() not in threads
+        assert float(bounded.table["s"][0]) == pytest.approx(
+            float(plain.table["s"][0]), rel=1e-12
+        )
 
     @pytest.mark.parametrize("bounded", [False, True])
     @pytest.mark.parametrize("by,key", [("hash", None), ("range", "v")])
