@@ -2,9 +2,10 @@
 
 Claim: keeping precomputed samples fresh costs real work — eager refresh
 pays a full rescan per batch, threshold refresh amortizes but still
-rescans periodically, and only uniform samples enjoy a cheap incremental
-(reservoir) path. When updates are frequent relative to queries, the
-cumulative maintenance bill erases the query-time savings.
+rescans periodically, and only designs with an exact append rule (uniform
+and stratified samples, folded in by the catalog on every append) enjoy a
+cheap incremental path. When updates are frequent relative to queries,
+the cumulative maintenance bill of the rest erases the query-time savings.
 """
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_e08_policy_costs(benchmark):
     assert by["eager/uniform"][3] > by["threshold/uniform"][3]
     assert by["threshold/uniform"][3] > by["reservoir/uniform"][3]
     assert by["never/uniform"][3] == 0 and by["never/uniform"][4] > 0.5
-    # Stratified samples have no cheap path: threshold cost is rescans.
+    # Without append maintenance a stratified sample pays in rescans.
     assert by["threshold/stratified"][1] >= 1
 
 

@@ -424,6 +424,82 @@ def _sample_seek(ctx: AuditContext, seed: int) -> TrialResult:
     return TrialResult(precision, 0.0, precision <= bound, 0.0, bound)
 
 
+def _appended_sample(ctx: AuditContext, seed: int) -> TrialResult:
+    """Audit samples maintained through appends, not rebuilt.
+
+    Per trial: a stratified and a uniform sample are built over a fixed
+    table, then 12 appends of 1% each land through
+    :meth:`Database.append_rows`. The appended rows drift (a larger mean,
+    and a segment the build never saw), so a sample that merely aged
+    would miss. A grouped SUM and a scalar AVG are then answered with
+    ``technique="offline_sample"`` through the ladder: both must be
+    served fresh (not degraded, every sample at staleness 0), and both
+    must cover the current exact answer. A fully kept stratum answers
+    exactly, so its zero-width interval is compared up to summation
+    order.
+    """
+    from ..resilience.ladder import ResilientEngine
+
+    data = np.random.default_rng(ctx.DATA_SEED + 3)
+    rows = int(20_000 * max(ctx.scale, 0.25))
+    db = Database()
+    db.create_table(
+        "events",
+        {"seg": data.integers(0, 6, rows), "v": data.exponential(10.0, rows)},
+    )
+    table = db.table("events")
+    rng = _rng(seed)
+    catalog = SynopsisCatalog(db)
+    for kind, sample in (
+        ("stratified", stratified_sample(table, "seg", rows // 10, rng=rng)),
+        ("uniform", srs_sample(table, rows // 10, rng)),
+    ):
+        catalog.add_sample(
+            SampleEntry(
+                table="events",
+                sample=sample,
+                kind=kind,
+                strata_column="seg" if kind == "stratified" else None,
+                built_at_rows=rows,
+            )
+        )
+    for _ in range(12):
+        batch = rows // 100
+        db.append_rows(
+            "events",
+            {"seg": data.integers(0, 7, batch), "v": data.exponential(15.0, batch)},
+        )
+    engine = ResilientEngine(db, warn_on_degrade=False)
+    options = QueryOptions(
+        spec=ErrorSpec(relative_error=0.5, confidence=0.95),
+        seed=seed,
+        technique="offline_sample",
+    )
+    grouped = engine.sql(
+        "SELECT seg, SUM(v) AS s FROM events GROUP BY seg", options=options
+    )
+    scalar = engine.sql("SELECT AVG(v) AS a FROM events", options=options)
+    fresh = all(
+        r.technique == "offline_sample" and not r.is_degraded
+        for r in (grouped, scalar)
+    ) and all(e.staleness(db) == 0 for e in catalog.samples)
+    truths = _group_sums(db.table("events"), "seg", "v")
+    covered = set(truths) == {k.item() for k in grouped.table["seg"]}
+    for row, key in enumerate(grouped.table["seg"]):
+        cell = grouped.estimate("s", row)
+        truth = truths[key.item()]
+        covered &= cell.covers(truth) or math.isclose(cell.value, truth, rel_tol=1e-9)
+    cell = scalar.estimate("a", 0)
+    truth = float(np.mean(db.table("events")["v"]))
+    return TrialResult(
+        cell.value,
+        truth,
+        fresh and covered and cell.covers(truth),
+        cell.ci_low,
+        cell.ci_high,
+    )
+
+
 # ----------------------------------------------------------------------
 # Resilience paths (degraded answers must stay honest)
 # ----------------------------------------------------------------------
@@ -872,6 +948,19 @@ def build_paths() -> List[AuditPath]:
             ),
             run=_sample_seek,
             heavy=True,
+        ),
+        AuditPath(
+            name="appended_sample",
+            family="offline",
+            claim="ci",
+            claimed_coverage=0.95,
+            description=(
+                "Stratified and uniform samples maintained through 12 "
+                "drifting 1% appends answer a grouped SUM and a scalar AVG "
+                "fresh (staleness 0, not degraded); both must cover the "
+                "current exact answer"
+            ),
+            run=_appended_sample,
         ),
         AuditPath(
             name="degraded_stale_widened",

@@ -1,8 +1,9 @@
 """The database catalog: tables, statistics, synopses, and entry points.
 
-``Database`` is the object users hold. It stores base tables, lazily
-computes catalog statistics, owns the synopsis registry used by offline
-AQP, and exposes two entry points:
+``Database`` is the object users hold. It stores base tables, keeps
+their catalog statistics (per column, on first read, merged on append),
+hands appended rows to the synopsis catalog of offline AQP, and exposes
+two entry points:
 
 * :meth:`Database.execute` — run a logical plan exactly as given
   (including any sampling clauses it carries), and
@@ -16,11 +17,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from ..core.exceptions import SchemaError
 from ..storage.cost import CostParameters, DEFAULT_COST
-from ..storage.statistics import TableStats, compute_table_stats
+from ..storage.statistics import TableStats
 from .executor import ExecutionStats, Executor
 from .plan import PlanNode
 from .table import DEFAULT_BLOCK_SIZE, Table
@@ -33,11 +32,9 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._stats: Dict[str, TableStats] = {}
         self.cost_params = cost_params
-        #: registry used by repro.offline: (kind, table, key) -> synopsis
-        self.synopses: Dict[Tuple[str, str, str], object] = {}
         # Serving re-entrancy: concurrent queries share one Database, so
-        # catalog mutation and lazy-stats computation are serialized.
-        # Reentrant because append_rows -> replace_table nests.
+        # catalog mutation (appends included, with the statistics and
+        # samples they maintain) is serialized.
         self._catalog_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -93,11 +90,33 @@ class Database:
         get_global_cache().invalidate_table(name)
 
     def append_rows(self, name: str, data: Mapping[str, Iterable]) -> None:
-        """Append rows to a table (invalidates cached stats)."""
+        """Append rows to a table, maintaining what the append changes.
+
+        Column statistics already computed merge the batch
+        (:meth:`TableStats.appended`), and the synopsis catalog folds it
+        into every sample with an exact append rule
+        (:meth:`~repro.offline.catalog.SynopsisCatalog.absorb_append`), so
+        neither is recomputed on the next query nor served stale.
+        """
+        from ..offline.catalog import SynopsisCatalog
+
         with self._catalog_lock:
             base = self.table(name)
             extra = Table(data, name=name, block_size=base.block_size)
-            self.replace_table(name, Table.concat([base, extra], name=name))
+            grown = Table.concat([base, extra], name=name)
+            rows_before = base.num_rows
+            self._tables[name] = grown
+            stats = self._stats.pop(name, None)
+            if stats is not None:
+                self._stats[name] = stats.appended(grown)
+            # Let the old version (and cached synopses of it) go before
+            # the samples are redrawn: an append then peaks at the two
+            # table versions, not at both plus two generations of samples.
+            del base, stats
+            self._invalidate_synopses(name)
+            SynopsisCatalog.for_database(self).absorb_append(
+                name, extra, rows_before
+            )
 
     def table(self, name: str) -> Table:
         try:
@@ -115,24 +134,21 @@ class Database:
         return sorted(self._tables)
 
     def stats(self, name: str) -> TableStats:
-        """Catalog statistics, computed on first use and cached.
+        """Catalog statistics of the table's current content.
 
-        Computation happens outside the catalog lock (it can be a full
-        pass over the table); racing computations of the same table's
-        stats produce identical values, and ``setdefault`` keeps exactly
-        one. Stats of content that was replaced meanwhile are returned
-        to their caller but not cached.
+        Nothing is computed here: a column's statistics are computed when
+        the column is first read from the returned :class:`TableStats`
+        (outside the catalog lock, as it is a pass over the column), and
+        merged rather than dropped by :meth:`append_rows`. A
+        ``TableStats`` describes one version of the table, so statistics
+        of content replaced meanwhile are returned to their caller but
+        never cached for the new content.
         """
         with self._catalog_lock:
             cached = self._stats.get(name)
-        if cached is not None:
+            if cached is None:
+                cached = self._stats[name] = TableStats(self.table(name))
             return cached
-        table = self.table(name)
-        computed = compute_table_stats(table)
-        with self._catalog_lock:
-            if self._tables.get(name) is not table:
-                return computed
-            return self._stats.setdefault(name, computed)
 
     def invalidate_stats(self, name: Optional[str] = None) -> None:
         with self._catalog_lock:

@@ -7,7 +7,11 @@ survey's main criticism of offline methods — maintenance burden and
 workload sensitivity — is only visible when they are tracked.
 
 A catalog attaches to a :class:`~repro.engine.database.Database`; the
-offline rewriter and the advisor look synopses up through it.
+offline rewriter and the advisor look synopses up through it, and
+:meth:`~repro.engine.database.Database.append_rows` hands it every
+appended batch (:meth:`SynopsisCatalog.absorb_append`), so samples with
+an exact append rule stay fresh instead of aging toward the staleness
+threshold.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.exceptions import SynopsisError
+from ..engine.table import Table
 from ..sampling.base import WeightedSample
 from ..sampling.join_synopsis import JoinSynopsis
+from ..sampling.maintain import absorb_append
 from ..storage.synopsis_cache import SynopsisCache, get_global_cache
 
 
@@ -137,6 +145,38 @@ class SynopsisCatalog:
         if entry.sample.num_rows == 0:
             raise SynopsisError("refusing to register an empty sample")
         self.samples.append(entry)
+
+    def absorb_append(self, table: str, batch: Table, rows_before: int) -> None:
+        """Fold rows appended to ``table`` into its samples.
+
+        Every whole-table sample that describes the table as it was
+        (``rows_before`` rows) and has an exact append rule
+        (:func:`~repro.sampling.maintain.absorb_append`: Bernoulli, SRS,
+        stratified) becomes the same design's draw over the grown table:
+        staleness 0, ``version + 1``. Draws are seeded from the sample's
+        content fingerprint and the entry version, so seeded runs replay.
+        The new sample is a new object; whatever the synopsis cache holds
+        under the old content's fingerprint is left as it was. Entries
+        without an exact rule, or already stale, age under
+        :attr:`staleness_threshold` as before.
+        """
+        for entry in self.samples:
+            if (
+                entry.table != table
+                or entry.shard is not None
+                or entry.built_at_rows != rows_before
+                or entry.sample.population_rows != rows_before
+            ):
+                continue
+            rng = np.random.default_rng(
+                [int(entry.sample.table.fingerprint()[:15], 16), entry.version]
+            )
+            grown = absorb_append(entry.sample, batch, rng)
+            if grown is None:
+                continue
+            entry.sample = grown
+            entry.built_at_rows = rows_before + batch.num_rows
+            entry.version += 1
 
     def find_sample(
         self,

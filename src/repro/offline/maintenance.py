@@ -13,24 +13,29 @@ Policies implemented:
 * ``threshold`` — rebuild when staleness exceeds the catalog threshold
   (the common deployment);
 * ``never``     — never rebuild (zero cost, unbounded bias);
-* ``reservoir`` — incrementally fold inserts into uniform samples via
-  reservoir updates (cheap and exact for uniform samples only — the
-  asymmetry is the point: stratified/measure-biased synopses have no such
-  cheap path).
+* ``reservoir`` — the catalog's own append maintenance
+  (:meth:`~repro.offline.catalog.SynopsisCatalog.absorb_append`): each
+  batch is folded into the sample as an exact draw of its design, at the
+  cost of the batch alone. Uniform (SRS, Bernoulli) samples and
+  stratified samples with per-stratum sizes have this cheap path;
+  measure-biased samples still do not, and fall back to ``threshold``.
+
+The first three model a catalog that is not told about appends: their
+batches land through :meth:`~repro.engine.database.Database.replace_table`,
+which swaps the table's content and leaves its samples as built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from ..core.exceptions import SynopsisError
-from ..sampling.base import WeightedSample
+from ..engine.table import Table
 from ..sampling.measure_biased import measure_biased_sample
-from ..sampling.reservoir import ReservoirSampler
 from ..sampling.row import srs_sample
 from ..sampling.stratified import stratified_sample
 from ..storage.cost import scan_cost
@@ -67,14 +72,23 @@ class MaintenanceSimulator:
         self.catalog = SynopsisCatalog.for_database(database)
         self.rng = np.random.default_rng(seed)
         self.log = MaintenanceLog()
-        #: reservoir state per uniform entry (policy == "reservoir")
-        self._reservoirs: Dict[int, ReservoirSampler] = {}
 
     # ------------------------------------------------------------------
     def apply_batch(self, table: str, rows: Mapping[str, Iterable]) -> None:
         """Insert a batch, then run the maintenance policy."""
-        self.database.append_rows(table, rows)
-        self._maintain(table, rows)
+        batch_len = len(next(iter(rows.values())))
+        if self.policy == "reservoir":
+            versions = {id(e): e.version for e in self.catalog.samples}
+            self.database.append_rows(table, rows)
+            for entry in self.catalog.samples:
+                if entry.table == table and entry.version != versions.get(id(entry)):
+                    self.log.incremental_updates += 1
+                    self.log.cost += batch_len * 0.01  # touch only the new rows
+        else:
+            base = self.database.table(table)
+            extra = Table(rows, name=table, block_size=base.block_size)
+            self.database.replace_table(table, Table.concat([base, extra], name=table))
+        self._maintain(table)
         worst = max(
             (e.staleness(self.database) for e in self.catalog.samples if e.table == table),
             default=0.0,
@@ -82,26 +96,16 @@ class MaintenanceSimulator:
         self.log.staleness_series.append(worst)
 
     # ------------------------------------------------------------------
-    def _maintain(self, table: str, new_rows: Mapping[str, Iterable]) -> None:
+    def _maintain(self, table: str) -> None:
         for entry in self.catalog.samples:
-            if entry.table != table:
+            if entry.table != table or self.policy == "never":
                 continue
-            if self.policy == "never":
-                continue
-            if self.policy == "eager":
+            # The reservoir policy's appends already absorbed what has an
+            # exact rule; what is left ages like under ``threshold``.
+            if self.policy == "eager" or (
+                entry.staleness(self.database) > self.catalog.staleness_threshold
+            ):
                 self._rebuild(entry)
-                continue
-            if self.policy == "threshold":
-                if entry.staleness(self.database) > self.catalog.staleness_threshold:
-                    self._rebuild(entry)
-                continue
-            # reservoir policy
-            if entry.kind == "uniform":
-                self._reservoir_update(entry, new_rows)
-            else:
-                # No incremental path for stratified/biased samples.
-                if entry.staleness(self.database) > self.catalog.staleness_threshold:
-                    self._rebuild(entry)
 
     def _rebuild(self, entry: SampleEntry) -> None:
         """Full rebuild: one scan of the base table + redraw."""
@@ -132,38 +136,6 @@ class MaintenanceSimulator:
         self.log.rebuilds += 1
         self.log.rows_rescanned += base.num_rows
         self.log.cost += scan_cost(base.num_blocks, base.num_rows).total
-
-    def _reservoir_update(self, entry: SampleEntry, new_rows: Mapping[str, Iterable]) -> None:
-        """Fold inserted row *indices* into a reservoir, then refresh the
-        sample table from the union of old and new rows.
-
-        Cost charged: only the size of the insert batch (no rescan).
-        """
-        key = id(entry)
-        base = self.database.table(entry.table)
-        batch_len = len(next(iter(new_rows.values())))
-        if key not in self._reservoirs:
-            reservoir = ReservoirSampler(entry.sample.num_rows, seed=int(self.rng.integers(2**31)))
-            # Seed with the rows the current sample represents.
-            reservoir.offer_many(range(entry.built_at_rows))
-            self._reservoirs[key] = reservoir
-        reservoir = self._reservoirs[key]
-        start = base.num_rows - batch_len
-        reservoir.offer_many(range(start, base.num_rows))
-        indices = np.asarray(sorted(int(i) for i in reservoir.sample()), dtype=np.int64)
-        sampled = base.take(indices)
-        weight = base.num_rows / max(len(indices), 1)
-        entry.sample = WeightedSample(
-            table=sampled,
-            weights=np.full(len(indices), weight),
-            method="srs_rows",
-            population_rows=base.num_rows,
-            params={"size": len(indices)},
-        )
-        entry.built_at_rows = base.num_rows
-        entry.version += 1
-        self.log.incremental_updates += 1
-        self.log.cost += batch_len * 0.01  # touch only the new rows
 
 
 def cumulative_overhead(

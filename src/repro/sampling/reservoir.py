@@ -3,9 +3,9 @@
 Offline AQP systems keep their precomputed samples fresh under inserts by
 maintaining them as reservoirs — each arriving row replaces a random
 reservoir slot with probability ``k/seen``. The resulting reservoir is an
-exact SRS of everything seen so far, which is what
-:mod:`repro.offline.maintenance` relies on when it ages samples instead of
-rebuilding them.
+exact SRS of everything seen so far. :mod:`repro.sampling.maintain`
+applies the same rule a batch at a time when catalog samples absorb an
+append.
 
 Algorithm L (Li 1994) is used for skipping, so feeding a large batch costs
 O(k·log(n/k)) RNG draws rather than one per row.

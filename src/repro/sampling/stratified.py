@@ -39,6 +39,7 @@ class StratumInfo:
 
     key: object
     population: int
+    #: the stratum's size ``n_h``: it holds ``min(n_h, population)`` rows
     allocated: int
     drawn: int
 
@@ -61,12 +62,28 @@ def allocate(
     fractional remainders absorb rounding drift so the result sums to at
     most ``total_sample`` (capping may leave it below).
     """
+    targets = _allocation_targets(
+        stratum_sizes, total_sample, policy, stratum_stds, min_per_stratum
+    )
+    return np.minimum(targets, np.asarray(stratum_sizes, dtype=np.int64)).tolist()
+
+
+def _allocation_targets(
+    stratum_sizes: Sequence[int],
+    total_sample: int,
+    policy: str,
+    stratum_stds: Optional[Sequence[float]],
+    min_per_stratum: int,
+) -> np.ndarray:
+    """:func:`allocate` before the population cap: the size ``n_h`` each
+    stratum is meant to hold (a stratum keeps all its rows while its
+    population is at most ``n_h``)."""
     if policy not in ALLOCATIONS:
         raise SynopsisError(f"unknown allocation policy {policy!r}")
     sizes = np.asarray(stratum_sizes, dtype=np.float64)
     h = len(sizes)
     if h == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     if policy == "neyman":
         if stratum_stds is None:
             raise SynopsisError("neyman allocation requires stratum_stds")
@@ -88,10 +105,7 @@ def allocate(
     if remainder > 0:
         order = np.argsort(raw - alloc)[::-1]
         alloc[order[:remainder]] += 1
-    # Apply floors and caps.
-    alloc = np.maximum(alloc, min_per_stratum)
-    alloc = np.minimum(alloc, sizes.astype(np.int64))
-    return alloc.tolist()
+    return np.maximum(alloc, min_per_stratum)
 
 
 def stratified_sample(
@@ -131,19 +145,15 @@ def stratified_sample(
             means = sums / counts
             var = np.maximum(sumsq / counts - means * means, 0.0)
         stds = np.sqrt(var)
-    alloc = allocate(
-        counts.tolist(),
-        total_size,
-        policy=policy,
-        stratum_stds=stds,
-        min_per_stratum=min_per_stratum,
+    targets = _allocation_targets(
+        counts.tolist(), total_size, policy, stds, min_per_stratum
     )
     pieces: List[np.ndarray] = []
     weight_pieces: List[np.ndarray] = []
     strata: List[StratumInfo] = []
     for s, key in enumerate(uniq):
         members = np.flatnonzero(inverse == s)
-        n_h = int(alloc[s])
+        n_h = int(targets[s])
         if n_h >= len(members):
             chosen = members
         else:

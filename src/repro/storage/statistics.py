@@ -1,7 +1,7 @@
 """Per-column and per-table statistics.
 
 These mirror what any DBMS catalog maintains (row counts, min/max, distinct
-value estimates, equi-depth histograms). Only the group-by NDVs are read,
+value counts, equi-depth histograms). Only the group-by NDVs are read,
 by two consumers:
 
 * Quickr's sampler choice (distinct sampler once the group count is
@@ -11,36 +11,129 @@ by two consumers:
 The optimizer does not read them (its filter selectivity is a fixed
 default), nor do the planners' "large enough to sample" checks, which use
 the bound table's row and block counts.
+
+Statistics are kept the way those readers use them: per column, on first
+read, and merged on append. A :class:`TableStats` computes a column's
+:class:`ColumnStats` only when that column is asked for, and
+:meth:`TableStats.appended` carries every computed column across an
+append by merging the appended batch — ``num_rows``, ``min``/``max`` and
+the exact ``num_distinct`` (a merge of sorted distinct values) — instead
+of rescanning the table. The descriptive fields no query reads (mean,
+variance, histogram, most common values) are derived from the column only
+when accessed. :func:`compute_column_stats` and
+:func:`compute_table_stats` compute from scratch; they are the reference
+the merged statistics must agree with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..engine.table import Table
 
 
-@dataclass
-class ColumnStats:
-    """Summary statistics for a single column."""
+def _bounds(values: np.ndarray) -> Tuple[Optional[float], Optional[float]]:
+    """(min, max) of a numeric column as floats; ``None`` otherwise."""
+    if values.dtype.kind not in ("i", "u", "f", "b") or len(values) == 0:
+        return None, None
+    vals = np.asarray(values, dtype=np.float64)
+    return float(np.min(vals)), float(np.max(vals))
 
-    name: str
-    num_rows: int
-    num_distinct: int
-    null_count: int = 0
-    min_value: Optional[float] = None
-    max_value: Optional[float] = None
-    mean: Optional[float] = None
-    variance: Optional[float] = None
-    is_numeric: bool = True
-    #: Equi-depth bucket boundaries (len = buckets+1) for numeric columns.
-    histogram_bounds: Optional[np.ndarray] = None
-    #: Most common values and their frequencies (for skew detection).
-    mcv_values: List = field(default_factory=list)
-    mcv_counts: List[int] = field(default_factory=list)
+
+def _merge_bound(old: Optional[float], new: Optional[float], pick) -> Optional[float]:
+    if old is None or new is None:
+        return new if old is None else old
+    return float(pick([old, new]))  # numpy's min/max propagate NaN
+
+
+class ColumnStats:
+    """Summary statistics for a single column.
+
+    ``num_rows``, ``num_distinct``, ``min_value`` and ``max_value`` are
+    exact when the object is made and stay exact under :meth:`appended`.
+    ``mean``, ``variance``, ``histogram_bounds`` and the MCVs are derived
+    from the column on first access.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        values: np.ndarray,
+        distinct: np.ndarray,
+        min_value: Optional[float] = None,
+        max_value: Optional[float] = None,
+        histogram_buckets: int = 32,
+        mcv: int = 8,
+    ) -> None:
+        self.name = name
+        self.num_rows = len(values)
+        self.num_distinct = len(distinct)
+        self.null_count = 0
+        self.min_value = min_value
+        self.max_value = max_value
+        self.is_numeric = values.dtype.kind in ("i", "u", "f", "b")
+        self._values = values
+        #: sorted distinct values: what an append merges to keep NDV exact
+        self._distinct = distinct
+        self._buckets = histogram_buckets
+        self._mcv = mcv
+
+    def appended(self, values: np.ndarray) -> "ColumnStats":
+        """Statistics of ``values``: this column plus the rows appended
+        after its first ``num_rows``. Costs a pass over the batch and the
+        distinct values, not over the column."""
+        batch = values[self.num_rows:]
+        lo, hi = _bounds(batch)
+        return ColumnStats(
+            self.name,
+            values,
+            np.union1d(self._distinct, np.unique(batch)),
+            _merge_bound(self.min_value, lo, np.min),
+            _merge_bound(self.max_value, hi, np.max),
+            self._buckets,
+            self._mcv,
+        )
+
+    # -- derived on first access --------------------------------------
+    @cached_property
+    def _moments(self) -> Tuple[Optional[float], Optional[float], Optional[np.ndarray]]:
+        if not self.is_numeric or self.num_rows == 0:
+            return None, None, None
+        vals = np.asarray(self._values, dtype=np.float64)
+        variance = float(np.var(vals, ddof=1)) if self.num_rows > 1 else 0.0
+        qs = np.linspace(0.0, 1.0, self._buckets + 1)
+        return float(np.mean(vals)), variance, np.quantile(vals, qs)
+
+    @cached_property
+    def _most_common(self) -> Tuple[List, List[int]]:
+        uniques, counts = np.unique(self._values, return_counts=True)
+        order = np.argsort(counts)[::-1][: self._mcv]
+        return [uniques[i] for i in order], [int(counts[i]) for i in order]
+
+    @property
+    def mean(self) -> Optional[float]:
+        return self._moments[0]
+
+    @property
+    def variance(self) -> Optional[float]:
+        return self._moments[1]
+
+    @property
+    def histogram_bounds(self) -> Optional[np.ndarray]:
+        """Equi-depth bucket boundaries (len = buckets+1), numeric only."""
+        return self._moments[2]
+
+    @property
+    def mcv_values(self) -> List:
+        """Most common values (for skew detection)."""
+        return self._most_common[0]
+
+    @property
+    def mcv_counts(self) -> List[int]:
+        return self._most_common[1]
 
     @property
     def skew_ratio(self) -> float:
@@ -65,59 +158,60 @@ class ColumnStats:
 def compute_column_stats(
     name: str, values: np.ndarray, histogram_buckets: int = 32, mcv: int = 8
 ) -> ColumnStats:
-    """Compute :class:`ColumnStats` by scanning a column once."""
-    n = len(values)
-    uniques, counts = np.unique(values, return_counts=True)
-    order = np.argsort(counts)[::-1][:mcv]
-    mcv_values = [uniques[i] for i in order]
-    mcv_counts = [int(counts[i]) for i in order]
-    numeric = values.dtype.kind in ("i", "u", "f", "b")
-    stats = ColumnStats(
-        name=name,
-        num_rows=n,
-        num_distinct=len(uniques),
-        is_numeric=numeric,
-        mcv_values=mcv_values,
-        mcv_counts=mcv_counts,
+    """Compute :class:`ColumnStats` of a column from scratch."""
+    lo, hi = _bounds(values)
+    return ColumnStats(
+        name, values, np.unique(values), lo, hi, histogram_buckets, mcv
     )
-    if numeric and n > 0:
-        vals = np.asarray(values, dtype=np.float64)
-        stats.min_value = float(np.min(vals))
-        stats.max_value = float(np.max(vals))
-        stats.mean = float(np.mean(vals))
-        stats.variance = float(np.var(vals, ddof=1)) if n > 1 else 0.0
-        qs = np.linspace(0.0, 1.0, histogram_buckets + 1)
-        stats.histogram_bounds = np.quantile(vals, qs)
-    return stats
 
 
-@dataclass
 class TableStats:
-    """Statistics for an entire table."""
+    """Statistics of one table version, computed per column on read.
 
-    name: str
-    num_rows: int
-    num_blocks: int
-    block_size: int
-    columns: Dict[str, ColumnStats] = field(default_factory=dict)
+    A ``TableStats`` is bound to the :class:`Table` it describes. Columns
+    are computed on first :meth:`column` call and kept; racing readers
+    of the same column compute identical values and one is kept.
+    """
+
+    def __init__(self, table: Table, histogram_buckets: int = 32) -> None:
+        self.name = table.name
+        self.num_rows = table.num_rows
+        self.num_blocks = table.num_blocks
+        self.block_size = table.block_size
+        self._table = table
+        self._buckets = histogram_buckets
+        self._columns: Dict[str, ColumnStats] = {}
 
     def column(self, name: str) -> Optional[ColumnStats]:
-        return self.columns.get(name)
+        cached = self._columns.get(name)
+        if cached is not None or name not in self._table:
+            return cached
+        computed = compute_column_stats(
+            name, self._table[name], histogram_buckets=self._buckets
+        )
+        return self._columns.setdefault(name, computed)
+
+    @property
+    def columns(self) -> Dict[str, ColumnStats]:
+        """Every column's statistics (computes those not read yet)."""
+        return {name: self.column(name) for name in self._table.column_names}
+
+    def appended(self, grown: Table) -> "TableStats":
+        """Statistics of ``grown``, this table with rows appended: the
+        columns computed so far merge the batch, the rest stay unread."""
+        out = TableStats(grown, self._buckets)
+        for name, stats in list(self._columns.items()):
+            out._columns[name] = stats.appended(grown[name])
+        return out
 
 
 def compute_table_stats(
     table: Table, histogram_buckets: int = 32
 ) -> TableStats:
-    stats = TableStats(
-        name=table.name,
-        num_rows=table.num_rows,
-        num_blocks=table.num_blocks,
-        block_size=table.block_size,
-    )
+    """Statistics of every column of ``table``, computed from scratch."""
+    stats = TableStats(table, histogram_buckets)
     for col_name in table.column_names:
-        stats.columns[col_name] = compute_column_stats(
-            col_name, table[col_name], histogram_buckets=histogram_buckets
-        )
+        stats.column(col_name)
     return stats
 
 

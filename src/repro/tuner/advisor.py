@@ -194,13 +194,18 @@ class SynopsisAdvisor:
 
     # ------------------------------------------------------------------
     def _covered(self, candidate: Candidate) -> bool:
-        """Is a fresh catalog entry already serving this demand?"""
+        """Is a fresh catalog entry already serving this demand?
+
+        The rule is :meth:`SynopsisCatalog.find_sample`'s: scalar demand
+        is served by any fresh uniform or stratified sample, so a uniform
+        build next to a stratified one would save no further work.
+        """
         for entry in self.catalog.samples:
             if entry.table != candidate.table or entry.shard is not None:
                 continue
             if entry.staleness(self.database) > self.catalog.staleness_threshold:
                 continue
-            if candidate.kind == "uniform" and entry.kind == "uniform":
+            if candidate.kind == "uniform" and entry.kind in ("uniform", "stratified"):
                 return True
             if candidate.kind == "stratified" and entry.kind == "stratified":
                 have = (

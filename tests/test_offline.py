@@ -87,15 +87,16 @@ class TestCatalog:
 
     def test_staleness_excludes(self, db, rng):
         cat, entry = add_uniform(db)
-        db.append_rows(
-            "events",
+        # A content swap, unlike an append, is nothing a sample can absorb.
+        extra = Table(
             {
                 "value": rng.random(20_000),
                 "city": rng.integers(0, 30, 20_000),
                 "device": rng.integers(0, 4, 20_000),
                 "selector": rng.random(20_000),
-            },
+            }
         )
+        db.replace_table("events", Table.concat([db.table("events"), extra]))
         assert entry.staleness(db) > 0.1
         assert cat.find_sample("events") is None
         assert cat.find_sample("events", require_fresh=False) is entry

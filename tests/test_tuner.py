@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Database, ErrorSpec, QueryOptions
+from repro import Database, ErrorSpec, QueryOptions, Table
 from repro.obs.metrics import get_metrics
 from repro.offline.catalog import SynopsisCatalog
 from repro.resilience.ladder import ResilientEngine
@@ -171,6 +171,18 @@ class TestAdvisor:
         second = daemon.run_cycle()
         assert second.built == []  # fresh covering entry already exists
 
+    def test_scalar_demand_is_covered_by_a_stratified_sample(self, db):
+        # find_sample serves scalar queries from a stratified sample when
+        # no uniform one exists, so a uniform build would save nothing.
+        log = WorkloadLog()
+        log.extend(_grouped_fp("seg_a") for _ in range(5))
+        daemon = TuningDaemon(db, log, storage_budget_rows=10_000, seed=0)
+        daemon.run_cycle()
+        log.extend(_scalar_fp() for _ in range(6))
+        assert daemon.run_cycle().built == []
+        entry = SynopsisCatalog.for_database(db).find_sample("events")
+        assert entry is not None and entry.kind == "stratified"
+
 
 # ----------------------------------------------------------------------
 # Daemon cycles
@@ -268,18 +280,19 @@ class TestStaleTunedEntry:
         )
         report = daemon.run_cycle()
         assert any(b["kind"] == "uniform" for b in report.built)
-        # The table grows 25% past the entry: staleness > threshold.
+        # The table's content is swapped for one 25% larger: staleness >
+        # threshold (an append would have been absorbed by the sample).
         rng = np.random.default_rng(99)
         grow = db.table("events").num_rows // 4
-        db.append_rows(
-            "events",
+        extra = Table(
             {
                 "seg_a": rng.integers(0, 8, grow),
                 "seg_b": rng.integers(0, 8, grow),
                 "v": rng.exponential(10.0, grow),
                 "price": rng.exponential(25.0, grow),
-            },
+            }
         )
+        db.replace_table("events", Table.concat([db.table("events"), extra]))
         engine = ResilientEngine(db, warn_on_degrade=False)
         result = engine.sql(
             "SELECT SUM(v) AS s FROM events",
