@@ -13,7 +13,7 @@ machinery.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Table
 from repro.core.errorspec import z_value
 from repro.estimators.closed_form import srs_sum
@@ -64,7 +64,7 @@ def coverage(t: Table):
     )
 
 
-def test_a01_coverage_on_clustered_layout(benchmark):
+def test_a01_coverage_on_clustered_layout():
     def compute():
         rows = []
         for layout in ("clustered", "shuffled"):
@@ -77,7 +77,7 @@ def test_a01_coverage_on_clustered_layout(benchmark):
             rows.append((layout, deff, naive_cov, cluster_cov, naive_w, cluster_w))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "a01_block_variance",
         table(

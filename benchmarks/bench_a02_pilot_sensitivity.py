@@ -11,7 +11,7 @@ rate plus a statistical floor rather than either extreme.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Database, ErrorSpec
 from repro.online import PilotPlanner
 from repro.sql import bind_sql
@@ -33,7 +33,7 @@ def db():
     return db
 
 
-def test_a02_pilot_rate_sweep(benchmark, db):
+def test_a02_pilot_rate_sweep(db):
     spec = ErrorSpec(0.005, 0.95)
 
     def compute():
@@ -56,7 +56,7 @@ def test_a02_pilot_rate_sweep(benchmark, db):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "a02_pilot_sensitivity",
         table(

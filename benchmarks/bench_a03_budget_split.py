@@ -12,7 +12,7 @@ level once there are many groups.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Database, ErrorSpec
 from repro.core.errorspec import z_value
 from repro.online import PilotPlanner
@@ -35,7 +35,7 @@ def db():
     return db
 
 
-def test_a03_rate_vs_group_count(benchmark, db):
+def test_a03_rate_vs_group_count(db):
     spec = ErrorSpec(0.05, 0.95)
 
     def compute():
@@ -62,7 +62,7 @@ def test_a03_rate_vs_group_count(benchmark, db):
                 rows.append((k, 1.0, per_cell_z, None))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "a03_budget_split",
         table(

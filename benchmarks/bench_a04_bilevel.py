@@ -12,7 +12,7 @@ clustering is the whole story.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Table
 from repro.sampling.bilevel import variance_tradeoff_curve
 from repro.workloads import clustered_values
@@ -28,7 +28,7 @@ def build(layout):
     return t
 
 
-def test_a04_bilevel_design_space(benchmark):
+def test_a04_bilevel_design_space():
     def compute():
         out = {}
         for layout in ("clustered", "shuffled"):
@@ -38,7 +38,7 @@ def test_a04_bilevel_design_space(benchmark):
             )
         return out
 
-    curves = once(benchmark, compute)
+    curves = compute()
     rows = []
     for layout, curve in curves.items():
         for q, io, rmse in curve:

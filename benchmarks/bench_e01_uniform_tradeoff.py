@@ -10,7 +10,7 @@ actually tracks the sampling rate.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Database, Table
 from repro.core.options import QueryOptions
 from repro.estimators.closed_form import bernoulli_sum
@@ -41,8 +41,8 @@ def measure_errors(data):
     return rows
 
 
-def test_e01_error_decay(benchmark, data):
-    rows = once(benchmark, lambda: measure_errors(data))
+def test_e01_error_decay(data):
+    rows = measure_errors(data)
     report = [(r, f"{med:.4%}", f"{worst:.4%}") for r, med, worst in rows]
     write_report(
         "e01_error_decay",
@@ -58,7 +58,7 @@ def test_e01_error_decay(benchmark, data):
     assert at_1pct < 0.05
 
 
-def test_e01_cost_rows_vs_blocks(benchmark, data):
+def test_e01_cost_rows_vs_blocks(data):
     def compute():
         nb, bs = data.num_blocks, data.block_size
         full = scan_cost(nb, data.num_rows).total
@@ -73,7 +73,7 @@ def test_e01_cost_rows_vs_blocks(benchmark, data):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     report = [(r, f"{rowc:.3f}", f"{blockc:.3f}") for r, rowc, blockc in rows]
     write_report(
         "e01_cost_model",
@@ -85,7 +85,7 @@ def test_e01_cost_rows_vs_blocks(benchmark, data):
     assert r1[2] < 0.1
 
 
-def test_e01_engine_accounting_matches_model(benchmark, data):
+def test_e01_engine_accounting_matches_model(data):
     """The executor's measured blocks-touched reproduces the model's gap."""
     db = Database()
     db.create_table("t", data)
@@ -103,7 +103,7 @@ def test_e01_engine_accounting_matches_model(benchmark, data):
             out[method] = res.stats.fraction_blocks_read
         return out
 
-    fractions = once(benchmark, run)
+    fractions = run()
     write_report(
         "e01_engine_accounting",
         table(

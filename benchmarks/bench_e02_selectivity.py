@@ -10,7 +10,7 @@ entirely; (c) the pilot planner detects the selective regime and refuses
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Database, InfeasiblePlanError, ErrorSpec, Table
 from repro.estimators.closed_form import bernoulli_sum
 from repro.online import PilotPlanner
@@ -28,7 +28,7 @@ def data():
     return Table(selectivity_table(400_000, seed=3), block_size=1024)
 
 
-def test_e02_error_vs_selectivity(benchmark, data):
+def test_e02_error_vs_selectivity(data):
     def compute():
         rows = []
         values = data["value"]
@@ -45,7 +45,7 @@ def test_e02_error_vs_selectivity(benchmark, data):
             rows.append((sel, float(np.median(errs))))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e02_selectivity",
         table(
@@ -58,7 +58,7 @@ def test_e02_error_vs_selectivity(benchmark, data):
     assert rows[-1][1] > 10 * rows[0][1]
 
 
-def test_e02_group_loss(benchmark):
+def test_e02_group_loss():
     def compute():
         data = Table(zipf_group_table(300_000, num_groups=1000, zipf_s=1.4, seed=4))
         total_groups = len(np.unique(data["group_id"]))
@@ -71,7 +71,7 @@ def test_e02_group_loss(benchmark):
             rows.append((size, total_groups, float(np.mean(seen))))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e02_group_loss",
         table(
@@ -85,7 +85,7 @@ def test_e02_group_loss(benchmark):
     assert rows[-1][2] > rows[0][2]
 
 
-def test_e02_planner_refuses_selective_queries(benchmark):
+def test_e02_planner_refuses_selective_queries():
     db = Database()
     db.create_table("t", selectivity_table(400_000, seed=5), block_size=1024)
 
@@ -102,7 +102,7 @@ def test_e02_planner_refuses_selective_queries(benchmark):
                 out.append((sel, "fallback-to-exact", None))
         return out
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e02_planner_refusal",
         table(["selectivity", "decision", "rate"], rows),

@@ -9,7 +9,7 @@ allocation additionally wins when per-stratum variances differ.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Table
 from repro.sampling.row import srs_sample
 from repro.sampling.stratified import group_estimates, stratified_sample
@@ -54,7 +54,7 @@ def per_group_errors_stratified(data, truth, policy, seed):
     return {g: abs(ests[g].value - t) / t for g, t in truth.items() if g in ests}
 
 
-def test_e03_worst_group_error(benchmark, data):
+def test_e03_worst_group_error(data):
     def compute():
         truth = truth_by_group(data)
         rows = []
@@ -81,7 +81,7 @@ def test_e03_worst_group_error(benchmark, data):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e03_stratified",
         table(
@@ -99,7 +99,7 @@ def test_e03_worst_group_error(benchmark, data):
     assert by_name["congress"][3] < 0.2
 
 
-def test_e03_group_coverage(benchmark, data):
+def test_e03_group_coverage(data):
     def compute():
         total = len(np.unique(data["group_id"]))
         uniform_seen = []
@@ -114,7 +114,7 @@ def test_e03_group_coverage(benchmark, data):
             strat_seen.append(len(np.unique(st.table["group_id"])))
         return total, float(np.mean(uniform_seen)), float(np.mean(strat_seen))
 
-    total, uniform_seen, strat_seen = once(benchmark, compute)
+    total, uniform_seen, strat_seen = compute()
     write_report(
         "e03_coverage",
         table(

@@ -10,7 +10,7 @@ achieves a similar effect without an index. Sweep the tail weight σ.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Table
 from repro.sampling.measure_biased import estimate_sum as mb_sum
 from repro.sampling.measure_biased import measure_biased_sample
@@ -32,7 +32,7 @@ def median_err(errs):
     return float(np.median(errs))
 
 
-def test_e04_error_by_tail_weight(benchmark):
+def test_e04_error_by_tail_weight():
     def compute():
         rows = []
         for sigma in SIGMAS:
@@ -63,7 +63,7 @@ def test_e04_error_by_tail_weight(benchmark):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e04_outlier",
         table(

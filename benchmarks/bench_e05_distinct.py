@@ -9,7 +9,7 @@ frequency skew.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro.sketches import HyperLogLog, KMVSketch
 from repro.sketches.hyperloglog import sample_based_distinct_estimate
 from repro.workloads import distinct_count_table
@@ -20,7 +20,7 @@ NUM_ROWS = 500_000
 SAMPLE_FRACTION = 0.01
 
 
-def test_e05_distinct_estimators(benchmark):
+def test_e05_distinct_estimators():
     def compute():
         rows = []
         for skew in SKEWS:
@@ -49,7 +49,7 @@ def test_e05_distinct_estimators(benchmark):
                 )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e05_distinct",
         table(
@@ -69,7 +69,7 @@ def test_e05_distinct_estimators(benchmark):
     assert worst_sample > 0.5  # sampling fails catastrophically somewhere
 
 
-def test_e05_memory_accuracy_curve(benchmark):
+def test_e05_memory_accuracy_curve():
     cols = distinct_count_table(NUM_ROWS, num_distinct=100_000, seed=12)
     values = cols["user_id"]
     true_d = 100_000
@@ -88,7 +88,7 @@ def test_e05_memory_accuracy_curve(benchmark):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e05_memory_curve",
         table(

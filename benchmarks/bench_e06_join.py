@@ -11,7 +11,7 @@ sampling of both sides keeps matching keys together and recovers accuracy;
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Database, Table
 from repro.engine.executor import join_indices
 from repro.sampling.join_synopsis import ForeignKeyEdge, build_join_synopsis
@@ -40,7 +40,7 @@ def join_sum(lk, lv, rk, rw):
     return float(np.sum(lv[li] * rw[ri])), lk[li]
 
 
-def test_e06_independent_vs_universe(benchmark, join_data):
+def test_e06_independent_vs_universe(join_data):
     fact, dim, truth = join_data
 
     def compute():
@@ -77,7 +77,7 @@ def test_e06_independent_vs_universe(benchmark, join_data):
             float(np.median(universe_errs)),
         )
 
-    indep, single, universe = once(benchmark, compute)
+    indep, single, universe = compute()
     write_report(
         "e06_join_strategies",
         table(
@@ -95,7 +95,7 @@ def test_e06_independent_vs_universe(benchmark, join_data):
     assert indep > 3 * universe
 
 
-def test_e06_join_synopsis_on_star_schema(benchmark):
+def test_e06_join_synopsis_on_star_schema():
     db = generate_ssb(scale=2.0, seed=15, block_size=512)
 
     def compute():
@@ -121,7 +121,7 @@ def test_e06_join_synopsis_on_star_schema(benchmark):
             out.append((str(region), truth, est.value, abs(est.value - truth) / truth))
         return out
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e06_join_synopsis",
         table(

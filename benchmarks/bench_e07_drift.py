@@ -10,7 +10,7 @@ the live workload drifts toward B.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import ApproximateResult, Database
 from repro.core.options import QueryOptions
 from repro.offline import BlinkDBSelector, SynopsisCatalog, workload_coverage
@@ -54,7 +54,7 @@ def setup():
     return db, catalog, spec
 
 
-def test_e07_coverage_decay(benchmark, setup):
+def test_e07_coverage_decay(setup):
     db, catalog, spec = setup
 
     def compute():
@@ -64,7 +64,7 @@ def test_e07_coverage_decay(benchmark, setup):
             rows.append((amount, workload_coverage(catalog, live)))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e07_coverage_decay",
         table(["drift", "catalog coverage"], [(d, f"{c:.1%}") for d, c in rows]),
@@ -75,7 +75,7 @@ def test_e07_coverage_decay(benchmark, setup):
     assert all(rows[i][1] >= rows[i + 1][1] - 0.05 for i in range(len(rows) - 1))
 
 
-def test_e07_served_share_end_to_end(benchmark, setup):
+def test_e07_served_share_end_to_end(setup):
     db, catalog, spec = setup
 
     def compute():
@@ -97,7 +97,7 @@ def test_e07_served_share_end_to_end(benchmark, setup):
             rows.append((amount, served / len(queries)))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e07_served_share",
         table(

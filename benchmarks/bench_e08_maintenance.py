@@ -11,7 +11,7 @@ the cumulative maintenance bill of the rest erases the query-time savings.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Database
 from repro.offline import (
     MaintenanceSimulator,
@@ -68,7 +68,7 @@ def batch(rng):
     }
 
 
-def test_e08_policy_costs(benchmark):
+def test_e08_policy_costs():
     def compute():
         rows = []
         for policy, kind in (
@@ -95,7 +95,7 @@ def test_e08_policy_costs(benchmark):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e08_policies",
         table(
@@ -112,7 +112,7 @@ def test_e08_policy_costs(benchmark):
     assert by["threshold/stratified"][1] >= 1
 
 
-def test_e08_break_even(benchmark):
+def test_e08_break_even():
     """Net benefit = savings − maintenance, as the query:update ratio varies."""
 
     def compute():
@@ -130,7 +130,7 @@ def test_e08_break_even(benchmark):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e08_break_even",
         table(

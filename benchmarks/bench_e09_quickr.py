@@ -11,7 +11,7 @@ guarantees or refuses; (c) the distinct sampler keeps group coverage.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import ApproximateResult, ErrorSpec
 from repro.online import QuickrPlanner, PilotPlanner
 from repro.core.exceptions import InfeasiblePlanError, UnsupportedQueryError
@@ -30,7 +30,7 @@ def truth_map(db, sql, aggs):
     return exact, out
 
 
-def test_e09_quickr_vs_pilot_behaviour(benchmark, tpch):
+def test_e09_quickr_vs_pilot_behaviour(tpch):
     spec = ErrorSpec(0.05, 0.95)
 
     def compute():
@@ -55,7 +55,7 @@ def test_e09_quickr_vs_pilot_behaviour(benchmark, tpch):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e09_quickr_vs_pilot",
         table(
@@ -73,7 +73,7 @@ def test_e09_quickr_vs_pilot_behaviour(benchmark, tpch):
         assert 0.8 < speedup < 3.0
 
 
-def test_e09_a_posteriori_misses(benchmark, tpch):
+def test_e09_a_posteriori_misses(tpch):
     """Run many grouped queries under a tight spec: quickr answers all of
     them, and a nonzero share fails the spec a posteriori."""
 
@@ -88,7 +88,7 @@ def test_e09_a_posteriori_misses(benchmark, tpch):
                 missed += 1
         return answered, missed
 
-    answered, missed = once(benchmark, compute)
+    answered, missed = compute()
     write_report(
         "e09_misses",
         table(
@@ -100,7 +100,7 @@ def test_e09_a_posteriori_misses(benchmark, tpch):
     assert missed >= 1  # best-effort errors: some misses expected
 
 
-def test_e09_distinct_sampler_group_coverage(benchmark, tpch):
+def test_e09_distinct_sampler_group_coverage(tpch):
     def compute():
         sql = (
             "SELECT l_partkey, SUM(l_extendedprice) AS s FROM lineitem "
@@ -111,7 +111,7 @@ def test_e09_distinct_sampler_group_coverage(benchmark, tpch):
         res = QuickrPlanner(tpch, seed=6).run(bound, ErrorSpec(0.1, 0.9))
         return exact_groups, res.table.num_rows, res.diagnostics["sampler"]
 
-    exact_groups, approx_groups, sampler = once(benchmark, compute)
+    exact_groups, approx_groups, sampler = compute()
     write_report(
         "e09_group_coverage",
         table(

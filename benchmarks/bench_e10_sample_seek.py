@@ -11,7 +11,7 @@ group shares) that a same-size uniform sample cannot match on skew.
 import numpy as np
 import pytest
 
-from common import once, record_metric, table, write_report
+from common import table, write_report
 from repro import Table
 from repro.offline import (
     answer_group_by_sum,
@@ -41,7 +41,7 @@ def group_truth(data):
     return out
 
 
-def test_e10_sample_seek_split(benchmark, data):
+def test_e10_sample_seek_split(data):
     def compute():
         # seed= (not a live rng) keeps the build deterministic, so the
         # synopsis cache can memoize it across runs in one process.
@@ -78,13 +78,7 @@ def test_e10_sample_seek_split(benchmark, data):
             "cost": cost,
         }
 
-    out = once(benchmark, compute)
-    record_metric("bench_e10_sample_seek", "simulated_cost", out["cost"])
-    record_metric(
-        "bench_e10_sample_seek",
-        "distribution_precision",
-        out["distribution_precision"],
-    )
+    out = compute()
     write_report(
         "e10_sample_seek",
         table(
@@ -108,7 +102,7 @@ def test_e10_sample_seek_split(benchmark, data):
     assert out["distribution_precision"] < 0.02
 
 
-def test_e10_seek_cost_proportional_to_small_groups(benchmark, data):
+def test_e10_seek_cost_proportional_to_small_groups(data):
     def compute():
         rows = []
         for sample_size in (2000, 8000, 32_000):
@@ -120,7 +114,7 @@ def test_e10_seek_cost_proportional_to_small_groups(benchmark, data):
             rows.append((sample_size, seeks, round(cost, 1)))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e10_seek_cost",
         table(["sample size", "groups seeked", "total cost"], rows),

@@ -9,7 +9,7 @@ mergeability is lossless (distributed ingestion gives the same state).
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro.sketches import CountMinSketch, CountSketch, GKQuantileSketch
 
 STREAM = 400_000
@@ -22,7 +22,7 @@ def stream():
     return vals[vals < 100_000]
 
 
-def test_e11_countmin_memory_curve(benchmark, stream):
+def test_e11_countmin_memory_curve(stream):
     truth = np.bincount(stream)
     probes = np.flatnonzero(truth)[:500]
 
@@ -42,7 +42,7 @@ def test_e11_countmin_memory_curve(benchmark, stream):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e11_countmin",
         table(
@@ -57,7 +57,7 @@ def test_e11_countmin_memory_curve(benchmark, stream):
         assert mx <= 3 * bound
 
 
-def test_e11_countsketch_vs_countmin_bias(benchmark, stream):
+def test_e11_countsketch_vs_countmin_bias(stream):
     truth = np.bincount(stream)
     light = np.flatnonzero((truth > 0) & (truth < 10))[:300]
 
@@ -74,7 +74,7 @@ def test_e11_countsketch_vs_countmin_bias(benchmark, stream):
             float(np.mean(np.abs(cs_err))),
         )
 
-    cm_bias, cs_bias, cs_abs = once(benchmark, compute)
+    cm_bias, cs_bias, cs_abs = compute()
     write_report(
         "e11_bias",
         table(
@@ -88,7 +88,7 @@ def test_e11_countsketch_vs_countmin_bias(benchmark, stream):
     assert abs(cs_bias) < cm_bias / 2
 
 
-def test_e11_gk_epsilon_curve(benchmark, rng):
+def test_e11_gk_epsilon_curve(rng):
     data = rng.lognormal(0, 1, 50_000)
     sorted_data = np.sort(data)
 
@@ -105,7 +105,7 @@ def test_e11_gk_epsilon_curve(benchmark, rng):
             rows.append((eps, g.memory_entries(), worst))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e11_gk",
         table(
@@ -118,7 +118,7 @@ def test_e11_gk_epsilon_curve(benchmark, rng):
     assert rows[-1][1] > rows[0][1]  # tighter ε costs more entries
 
 
-def test_e11_merge_losslessness(benchmark, stream):
+def test_e11_merge_losslessness(stream):
     def compute():
         half = len(stream) // 2
         whole = CountMinSketch.with_shape(5, 2048, seed=3)
@@ -130,7 +130,7 @@ def test_e11_merge_losslessness(benchmark, stream):
         merged = a.merge(b)
         return bool(np.array_equal(merged.counters, whole.counters))
 
-    identical = once(benchmark, compute)
+    identical = compute()
     write_report(
         "e11_merge",
         ["distributed (merge of halves) == centralized ingest: %s" % identical],

@@ -12,7 +12,7 @@ column), the histogram is useless — the generality cliff.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro.histograms import equi_depth, equi_width, maxdiff, v_optimal
 from repro.sampling.row import srs_sample
 from repro import Table
@@ -42,7 +42,7 @@ def range_queries(data, rng):
         yield lo, hi
 
 
-def test_e12_builder_comparison(benchmark, skewed):
+def test_e12_builder_comparison(skewed):
     def compute():
         rng = np.random.default_rng(26)
         queries = list(range_queries(skewed, rng))
@@ -84,7 +84,7 @@ def test_e12_builder_comparison(benchmark, skewed):
             rows.append((f"sample_{size}_rows", size, float(np.mean(errs))))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e12_range_count",
         table(
@@ -102,7 +102,7 @@ def test_e12_builder_comparison(benchmark, skewed):
     assert by[f"sample_2000_rows"] < 5 * by["equi_depth"]
 
 
-def test_e12_generality_cliff(benchmark, skewed):
+def test_e12_generality_cliff(skewed):
     """A histogram on column v cannot answer a query filtered on another
     column — it does not even have the information; a sample can."""
     rng = np.random.default_rng(27)
@@ -120,7 +120,7 @@ def test_e12_generality_cliff(benchmark, skewed):
         hist_est = h.range_sum(None, 50) * 0.25
         return truth, sample_est, hist_est
 
-    truth, sample_est, hist_est = once(benchmark, compute)
+    truth, sample_est, hist_est = compute()
     write_report(
         "e12_generality",
         table(

@@ -10,7 +10,7 @@ below the nominal level.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import Table
 from repro.online import OnlineAggregator, RippleJoin, peeking_coverage
 
@@ -21,7 +21,7 @@ def skewed_pop():
     return rng.lognormal(2.0, 1.3, 200_000)
 
 
-def test_e13_convergence_curve(benchmark, skewed_pop):
+def test_e13_convergence_curve(skewed_pop):
     data = Table({"v": skewed_pop})
     truth = float(skewed_pop.sum())
 
@@ -39,7 +39,7 @@ def test_e13_convergence_curve(benchmark, skewed_pop):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e13_convergence",
         table(
@@ -54,7 +54,7 @@ def test_e13_convergence_curve(benchmark, skewed_pop):
         assert err < 3 * width
 
 
-def test_e13_ripple_join_convergence(benchmark, rng):
+def test_e13_ripple_join_convergence(rng):
     n, d = 150_000, 2000
     keys = rng.integers(0, d, n)
     fact = Table({"k": keys, "v": rng.exponential(5.0, n)})
@@ -75,7 +75,7 @@ def test_e13_ripple_join_convergence(benchmark, rng):
             )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e13_ripple",
         table(
@@ -87,7 +87,7 @@ def test_e13_ripple_join_convergence(benchmark, rng):
     assert rows[-1][1] < 0.05
 
 
-def test_e13_fixed_vs_peeking_coverage(benchmark, skewed_pop):
+def test_e13_fixed_vs_peeking_coverage(skewed_pop):
     def compute():
         # Fixed-time coverage at a pre-registered 5k-row stop.
         data = Table({"v": skewed_pop[:50_000]})
@@ -109,7 +109,7 @@ def test_e13_fixed_vs_peeking_coverage(benchmark, skewed_pop):
         )
         return fixed, peek
 
-    fixed, peek = once(benchmark, compute)
+    fixed, peek = compute()
     write_report(
         "e13_peeking",
         table(
@@ -124,7 +124,7 @@ def test_e13_fixed_vs_peeking_coverage(benchmark, skewed_pop):
     assert peek < fixed
 
 
-def test_e13_wander_vs_ripple(benchmark, rng):
+def test_e13_wander_vs_ripple(rng):
     """On sparse (near-key-unique) joins, a ripple join's early prefixes
     contain almost no matching pairs, so it must read a large share of
     both inputs before its CI tightens; wander join completes one joined
@@ -158,7 +158,7 @@ def test_e13_wander_vs_ripple(benchmark, rng):
             abs(rsnap.value - truth) / truth,
         )
 
-    wrows, werr, rrows, rerr = once(benchmark, compute)
+    wrows, werr, rrows, rerr = compute()
     write_report(
         "e13_wander",
         table(

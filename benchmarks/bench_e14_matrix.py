@@ -16,7 +16,7 @@ Assertion: no technique maximizes all three — the thesis, measured.
 import numpy as np
 import pytest
 
-from common import once, table, write_report
+from common import table, write_report
 from repro import ApproximateResult, Database, ErrorSpec
 from repro.core.exceptions import InfeasiblePlanError, UnsupportedQueryError
 from repro.offline import BlinkDBSelector, QueryTemplate, SynopsisCatalog
@@ -108,7 +108,7 @@ def run_technique(db, sql, technique, seed=7):
     raise ValueError(technique)
 
 
-def test_e14_measured_matrix(benchmark, suite):
+def test_e14_measured_matrix(suite):
     db, queries = suite
 
     def compute():
@@ -141,7 +141,7 @@ def test_e14_measured_matrix(benchmark, suite):
         rows.append(("exact", 1.0, 1.0, 1.0, 0))
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "e14_matrix",
         table(
@@ -166,7 +166,7 @@ def test_e14_measured_matrix(benchmark, suite):
     assert by["pilot"][2] >= by["quickr"][2]  # guarantees beat best-effort
 
 
-def test_e14_refusals_are_the_guarantee(benchmark, suite):
+def test_e14_refusals_are_the_guarantee(suite):
     """Pilot/offline achieve their within-spec share *because* they refuse
     the queries they cannot bound; quickr answers everything linear and
     eats the misses."""
@@ -185,7 +185,7 @@ def test_e14_refusals_are_the_guarantee(benchmark, suite):
             out[technique] = decisions
         return out
 
-    decisions = once(benchmark, compute)
+    decisions = compute()
     rows = [
         (name, dict(decisions["pilot"])[name], dict(decisions["quickr"])[name])
         for name, _ in decisions["pilot"]

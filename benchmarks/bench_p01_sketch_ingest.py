@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from common import once, record_metric, table, write_report
+from common import table, write_report
 from repro.sketches import CountMinSketch, HyperLogLog, KMVSketch
 
 N_BATCH = 1_000_000
@@ -60,7 +60,7 @@ def _rows_per_sec_batch(kind: str, keys: np.ndarray) -> float:
     return len(keys) / elapsed
 
 
-def test_p01_ingest_throughput(benchmark, keys):
+def test_p01_ingest_throughput(keys):
     def compute():
         rows = []
         for kind in ("countmin", "hll", "kmv"):
@@ -68,14 +68,9 @@ def test_p01_ingest_throughput(benchmark, keys):
             batch = _rows_per_sec_batch(kind, keys)
             speedup = batch / scalar
             rows.append((kind, f"{scalar:,.0f}", f"{batch:,.0f}", f"{speedup:.1f}x"))
-            record_metric(
-                "bench_p01_sketch_ingest",
-                f"{kind}_rows_per_sec",
-                {"scalar": scalar, "batch": batch, "speedup": speedup},
-            )
         return rows
 
-    rows = once(benchmark, compute)
+    rows = compute()
     write_report(
         "P01_sketch_ingest",
         [

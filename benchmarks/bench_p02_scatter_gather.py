@@ -1,27 +1,24 @@
 """P2 — scatter-gather fan-out: N-shard serving vs the single-table path.
 
 The robustness layer must not tax the happy path: fanning an aggregate
-out to shard workers and merging partials has to cost no more than
-running the same query through the single-table engine. Each shard
-worker skips the per-query plan machinery (the query is bound once, the
-shard scan is a straight columnar pass), so even on one core the fan-out
-amortizes; with real cores the shards run in parallel on top.
+out to shards and merging partials has to cost no more than running the
+same query through the single-table engine. Each shard skips the
+per-query plan machinery (the query is bound once, the shard scan is a
+straight columnar pass), so the fan-out amortizes.
 
 We time SUM+COUNT with a selective predicate over 2M rows, single-table
-engine vs scatter-gather at 1/2/4/8 shards, best-of-3 per point, and at
-each shard count take the better of sequential and pooled workers (a
-deployment picks its pool width; on a 1-core container sequential IS the
-right width). The claim pinned: >= 4 shards is no slower than the
-single-table path, within a noise allowance.
+engine vs scatter-gather at 1/2/4/8 shards, best-of-3 per point. With no
+deadline the executor runs shards one after another in the calling
+thread, so the pool width does not enter. The claim pinned: >= 4 shards
+is no slower than the single-table path, within a noise allowance.
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from common import once, record_metric, table, write_report
+from common import table, write_report
 from repro import Database
 from repro.sharding import ScatterGatherExecutor, ShardedTable
 
@@ -57,7 +54,7 @@ def _best(fn, repeats: int = REPEATS) -> float:
     return min(times)
 
 
-def test_p02_scatter_gather(benchmark, world):
+def test_p02_scatter_gather(world):
     db = world
     base = db.table("events")
     exact = db.sql(QUERY).table["s"][0]
@@ -67,47 +64,24 @@ def test_p02_scatter_gather(benchmark, world):
         rows = []
         ratios = {}
         for shards in SHARD_COUNTS:
-            sharded = ShardedTable.from_table(base, shards)
-            widths = (1,) if shards == 1 else (1, os.cpu_count() or 1)
-            timings = {}
-            for width in widths:
-                ex = ScatterGatherExecutor(sharded, max_workers=width)
-                result = ex.sql(QUERY)
-                assert abs(result.table["s"][0] - exact) < 1e-4
-                timings[width] = _best(lambda: ex.sql(QUERY))
-            best_width = min(timings, key=timings.get)
-            elapsed = timings[best_width]
+            ex = ScatterGatherExecutor(ShardedTable.from_table(base, shards))
+            result = ex.sql(QUERY)
+            assert abs(result.table["s"][0] - exact) < 1e-4
+            elapsed = _best(lambda: ex.sql(QUERY))
             ratios[shards] = elapsed / single
             rows.append(
-                (
-                    shards,
-                    best_width,
-                    f"{elapsed * 1e3:.1f}",
-                    f"{ratios[shards]:.2f}x",
-                )
+                (shards, f"{elapsed * 1e3:.1f}", f"{ratios[shards]:.2f}x")
             )
-            record_metric(
-                "bench_p02_scatter_gather",
-                f"shards_{shards}",
-                {
-                    "seconds": elapsed,
-                    "ratio_vs_single": ratios[shards],
-                    "workers": best_width,
-                },
-            )
-        record_metric(
-            "bench_p02_scatter_gather", "single_table_seconds", single
-        )
         return single, rows, ratios
 
-    single, rows, ratios = once(benchmark, compute)
+    single, rows, ratios = compute()
     write_report(
         "P02_scatter_gather",
         [
             f"scatter-gather vs single-table, {N_ROWS:,} rows, "
             f"single-table {single * 1e3:.1f} ms (best of {REPEATS})",
             "",
-            *table(["shards", "workers", "ms", "vs single"], rows),
+            *table(["shards", "ms", "vs single"], rows),
         ],
     )
     for shards in SHARD_COUNTS:

@@ -18,5 +18,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy>=1.21"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
 )

@@ -22,7 +22,7 @@ Keys are ``(table_fingerprint, plan_signature)``:
   content, and no explicit invalidation hook is required.
 
 Entries are held under an LRU entry budget; hit/miss/eviction counters
-are exported to the benchmark harness next to the synopsis-cache stats.
+are exported to the metrics registry next to the synopsis-cache stats.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ DEFAULT_MAX_ENTRIES = 512
 
 @dataclass
 class KernelCacheStats:
-    """Counters exposed for tests and the benchmark harness."""
+    """Lookup counters, read by tests and the metrics registry."""
 
     hits: int = 0
     misses: int = 0
@@ -68,9 +68,6 @@ class KernelCacheStats:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
 
 
 class KernelCache:

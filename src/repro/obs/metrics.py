@@ -20,9 +20,8 @@ tracing there is no off switch. The metric families (DESIGN.md §2.13):
 
 Labels render Prometheus-style (``name{k="v"}``) with sorted keys, so a
 snapshot is a flat, diffable JSON object. ``snapshot()`` also folds in
-the kernel-/synopsis-cache counters as gauges, which is what ``python -m
-repro bench`` persists into ``BENCH_results.json`` for the cache-hit
-regression check.
+the kernel-/synopsis-cache counters as gauges; ``to_json()`` is the
+dump.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 @dataclass
 class CacheStats:
-    """Counters exposed for tests and the benchmark harness."""
+    """Lookup counters, read by tests and the metrics registry."""
 
     hits: int = 0
     misses: int = 0
@@ -62,10 +62,6 @@ class CacheStats:
             "failed_builds": self.failed_builds,
             "hit_rate": self.hit_rate,
         }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.invalidations = 0
-        self.failed_builds = 0
 
 
 @dataclass

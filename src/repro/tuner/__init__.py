@@ -27,8 +27,8 @@ from the query log. This package closes the loop:
   degradation ladder's existing ``stale_synopsis`` rung (served with
   honestly widened bounds) rather than vanishing.
 * :mod:`~repro.tuner.replay` replays a seeded two-phase workload so
-  tuning decisions are testable and ``python -m repro tune-replay``
-  can demonstrate the adaptivity win end to end.
+  tuning decisions are testable and ``python -m repro tune`` can
+  narrate the adaptivity win end to end.
 
 Everything is deterministic under a seed: same seed + same replayed log
 ⇒ identical catalog decisions.

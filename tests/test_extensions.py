@@ -325,6 +325,24 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "60" in out
 
+    def test_csv_short_row_names_file_and_line(self, tmp_path):
+        from repro.__main__ import main
+
+        path = tmp_path / "short.csv"
+        path.write_text("price,region\n10,east\n20\n")
+        with pytest.raises(SystemExit) as info:
+            main(["--csv", f"sales={path}", "SELECT SUM(price) AS s FROM sales"])
+        assert f"{path}:3:" in str(info.value.code)
+
+    def test_csv_empty_file_names_file(self, tmp_path):
+        from repro.__main__ import main
+
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(SystemExit) as info:
+            main(["--csv", f"sales={path}", "SELECT SUM(price) AS s FROM sales"])
+        assert str(path) in str(info.value.code)
+
     def test_error_surfaced_cleanly(self, capsys):
         from repro.__main__ import main
 

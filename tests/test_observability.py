@@ -3,7 +3,7 @@
 Covers the :class:`Tracer`/:class:`Span` machinery, the no-op contract
 when tracing is off, the process-wide :class:`MetricsRegistry`, the
 span JSON-schema validator, ``EXPLAIN`` / ``EXPLAIN ANALYZE`` through
-the SQL front-end, the ``python -m repro trace`` CLI, and the
+the SQL front-end and the CLI, and the
 ``ExecutionStats.to_dict`` contract shared by every execution path.
 
 The cross-path conformance suite (differential span trees, bitwise
@@ -635,32 +635,18 @@ class TestTraceCLI:
         return str(path)
 
     def test_trace_subcommand(self, tmp_path, capsys):
+        """The CLI's one door prints the EXPLAIN ANALYZE span tree."""
         from repro.__main__ import main
 
         rc = main([
-            "trace",
             "--csv", f"sales={self._csv(tmp_path)}",
-            "--no-timing",
-            "SELECT SUM(price) AS s FROM sales WHERE qty > 1",
+            "EXPLAIN ANALYZE SELECT SUM(price) AS s FROM sales WHERE qty > 1",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "trace:" in out
         assert "+ query" in out
         assert "+ scan" in out
-
-    def test_trace_subcommand_metrics(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        rc = main([
-            "trace",
-            "--csv", f"sales={self._csv(tmp_path)}",
-            "--metrics",
-            "SELECT COUNT(*) AS c FROM sales",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert '"counters"' in out
 
     def test_repl_runner_formats_explain(self, tmp_path):
         from repro.__main__ import run_query
