@@ -103,10 +103,10 @@ def main() -> None:
     # eats past its carve-out of the deadline; the hedged retry finishes.
     clock = ManualClock()
     straggle = FaultSpec(
-        site=shard_site(2, "scan"), kind="slow", delay=3.0,
+        site=shard_site(2, "scan"), kind="slow", delay=6.0,
         probability=1.0, max_fires=1,
     )
-    hedger = ScatterGatherExecutor(sharded, hedge_fraction=0.2)
+    hedger = ScatterGatherExecutor(sharded)
     with inject(FaultInjector([straggle], clock=clock)):
         result = hedger.sql(
             QUERY,
@@ -123,13 +123,13 @@ def main() -> None:
          truth=truth)
 
     # Coda — below quorum there is no honest interval left to widen.
-    doomed = ScatterGatherExecutor(sharded, min_coverage=0.75)
-    specs = [kill_shard(i) for i in range(4)]
+    doomed = ScatterGatherExecutor(sharded)
+    specs = [kill_shard(i) for i in range(5)]
     try:
         with inject(FaultInjector(specs)):
             doomed.sql(QUERY)
     except QueryRefused as exc:
-        show("coda: 4 of 8 dead, typed refusal with provenance",
+        show("coda: 5 of 8 dead, typed refusal with provenance",
              refusal=exc)
 
     print("scatter-gather kept every answer honest: exact when whole, "

@@ -203,7 +203,6 @@ def run_tune(argv: List[str]) -> int:
         storage_budget_rows=args.budget_rows,
         sample_fraction=0.15,
         seed=args.seed,
-        min_demand=2,
     )
     queries = two_phase_workload(args.seed, queries_per_phase=args.queries)
     previous = install_workload_log(log)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -179,29 +179,3 @@ def audit_query(
     return GuaranteeReport(
         spec=spec, trials=trials, violations=violations, outcomes=outcomes
     )
-
-
-def ci_calibration(
-    outcomes: Sequence[TrialOutcome],
-    results: Sequence[ApproximateResult],
-) -> float:
-    """Fraction of audited cells whose reported CI contained the truth."""
-    hits = total = 0
-    for outcome, result in zip(outcomes, results):
-        if outcome.fell_back_to_exact:
-            continue
-        exact_by = {(c.alias, c.key): c.exact for c in outcome.cells}
-        key_cols = [
-            c for c in result.table.column_names if c not in result.ci_low
-        ]
-        for alias in result.ci_low:
-            for i in range(result.table.num_rows):
-                key = tuple(result.table[k][i] for k in key_cols)
-                truth = exact_by.get((alias, key))
-                if truth is None:
-                    continue
-                total += 1
-                cell = result.estimate(alias, i)
-                if cell.ci_low <= truth <= cell.ci_high:
-                    hits += 1
-    return hits / total if total else 1.0

@@ -18,7 +18,6 @@ dashboards) can consume any front door's answer without type-switching.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -262,17 +261,6 @@ class ApproximateResult(ResultEnvelope):
     def max_relative_half_width(self) -> float:
         """Worst-case reported relative CI half-width across all cells."""
         return max_relative_half_width(self.table, self.ci_low, self.ci_high)
-
-    def mean_relative_half_width(self) -> float:
-        """Average reported relative CI half-width (audit diagnostics)."""
-        widths = [
-            cell.relative_half_width
-            for _, _, cell in self.iter_estimates()
-            if math.isfinite(cell.relative_half_width)
-        ]
-        if not widths:
-            return math.inf
-        return sum(widths) / len(widths)
 
     def to_pylist(self) -> List[Dict[str, object]]:
         return self.table.to_pylist()

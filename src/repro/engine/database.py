@@ -18,7 +18,6 @@ import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.exceptions import SchemaError
-from ..storage.cost import CostParameters, DEFAULT_COST
 from ..storage.statistics import TableStats
 from .executor import ExecutionStats, Executor
 from .plan import PlanNode
@@ -28,10 +27,9 @@ from .table import DEFAULT_BLOCK_SIZE, Table
 class Database:
     """An in-memory database instance."""
 
-    def __init__(self, cost_params: CostParameters = DEFAULT_COST) -> None:
+    def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._stats: Dict[str, TableStats] = {}
-        self.cost_params = cost_params
         # Serving re-entrancy: concurrent queries share one Database, so
         # catalog mutation (appends included, with the statistics and
         # samples they maintain) is serialized.
@@ -150,13 +148,6 @@ class Database:
                 cached = self._stats[name] = TableStats(self.table(name))
             return cached
 
-    def invalidate_stats(self, name: Optional[str] = None) -> None:
-        with self._catalog_lock:
-            if name is None:
-                self._stats.clear()
-            else:
-                self._stats.pop(name, None)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -179,13 +170,7 @@ class Database:
             from .optimizer import optimize_plan
 
             plan = optimize_plan(plan, self)
-        executor = Executor(
-            self,
-            seed=seed,
-            cost_params=self.cost_params,
-            deadline=deadline,
-            budget=budget,
-        )
+        executor = Executor(self, seed=seed, deadline=deadline, budget=budget)
         return executor.execute(plan)
 
     def sql(self, query: str, options: Optional[QueryOptions] = None):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.exceptions import PlanError, SchemaError
 from ..storage import blocks as blockio
-from ..storage.cost import CostEstimate, CostParameters, DEFAULT_COST
+from ..storage import cost
 from .fused import (
     FusedChain,
     LazyRelation,
@@ -68,15 +68,15 @@ class ExecutionStats:
             return 0.0
         return self.blocks_scanned / self.blocks_available
 
-    def simulated_cost(self, params: CostParameters = DEFAULT_COST) -> CostEstimate:
+    def simulated_cost(self) -> cost.CostEstimate:
         """Convert the accounting into cost-model units."""
-        io = self.blocks_scanned * params.block_read_cost
+        io = self.blocks_scanned * cost.BLOCK_READ_COST
         cpu = (
-            self.rows_scanned * params.row_cpu_cost
-            + self.join_input_rows * params.row_join_cost
-            + self.agg_input_rows * params.row_agg_cost
+            self.rows_scanned * cost.ROW_CPU_COST
+            + self.join_input_rows * cost.ROW_JOIN_COST
+            + self.agg_input_rows * cost.ROW_AGG_COST
         )
-        return CostEstimate(io=io, cpu=cpu, detail={"blocks": float(self.blocks_scanned)})
+        return cost.CostEstimate(io=io, cpu=cpu, detail={"blocks": float(self.blocks_scanned)})
 
     def to_dict(self) -> Dict[str, object]:
         """One canonical JSON-able form, shared by results and spans.
@@ -131,13 +131,11 @@ class Executor:
     """
 
     def __init__(self, database, seed: Optional[int] = None,
-                 cost_params: CostParameters = DEFAULT_COST,
                  deadline=None, budget=None, kernel_cache=None) -> None:
         from ..resilience.deadline import resolve_budget, resolve_deadline
 
         self.database = database
         self.rng = np.random.default_rng(seed)
-        self.cost_params = cost_params
         self.deadline = resolve_deadline(deadline)
         self.budget = resolve_budget(budget)
         self.kernel_cache = kernel_cache if kernel_cache is not None else get_kernel_cache()

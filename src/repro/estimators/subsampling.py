@@ -91,20 +91,6 @@ def block_sample_avg(
     return Estimate(r, var, m, estimator="block_avg")
 
 
-def design_effect(block_sums: np.ndarray, block_counts: np.ndarray) -> float:
-    """Ratio of cluster variance to the naive i.i.d. variance.
-
-    >1 means blocks are internally homogeneous (clustered layouts) and a
-    block sample needs proportionally more rows than a row sample; ≈1
-    means blocks look like random subsets (shuffled layouts). This is the
-    quantity behind the survey's 'block sampling is statistically fine
-    when blocks are heterogeneous' argument.
-    """
-    s = np.asarray(block_sums, dtype=np.float64)
-    c = np.asarray(block_counts, dtype=np.float64)
-    return _deff_from_rows(s, c)
-
-
 def design_effect_from_rows(values: np.ndarray, block_ids: np.ndarray) -> float:
     """Kish design effect 1 + (b̄-1)·ρ computed from raw rows.
 

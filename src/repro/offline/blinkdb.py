@@ -16,7 +16,6 @@ enforces at query time.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,12 +49,6 @@ class CandidateSample:
     columns: Tuple[str, ...]
     storage_rows: int
     covered_weight: float = 0.0
-
-    @property
-    def benefit_per_row(self) -> float:
-        if self.storage_rows <= 0:
-            return math.inf
-        return self.covered_weight / self.storage_rows
 
 
 class BlinkDBSelector:

@@ -27,7 +27,12 @@ from ..engine.table import Table
 from ..sampling.base import WeightedSample
 from ..sampling.join_synopsis import JoinSynopsis
 from ..sampling.maintain import absorb_append
-from ..storage.synopsis_cache import SynopsisCache, get_global_cache
+from ..storage.synopsis_cache import get_global_cache
+
+#: Relative growth of its base table past which a synopsis is stale:
+#: lookups skip it (outside :meth:`SynopsisCatalog.allow_stale`) and
+#: maintenance rebuilds it.
+STALENESS_THRESHOLD = 0.1
 
 
 @dataclass
@@ -87,19 +92,13 @@ class SynopsisCatalog:
 
     _ATTR = "_repro_synopsis_catalog"
 
-    def __init__(
-        self,
-        database,
-        staleness_threshold: float = 0.1,
-        cache: Optional[SynopsisCache] = None,
-    ) -> None:
+    def __init__(self, database) -> None:
         self.database = database
-        self.staleness_threshold = staleness_threshold
         self.samples: List[SampleEntry] = []
         self.sketches: Dict[Tuple[str, str, str], SketchEntry] = {}
         self.join_synopses: List[JoinSynopsis] = []
         #: content-addressed store shared across catalog rebuilds
-        self.cache = get_global_cache() if cache is None else cache
+        self.cache = get_global_cache()
         #: >0 inside :meth:`allow_stale` — freshness gates are suspended
         self._stale_depth = 0
         #: per-sketch circuit breakers guarding repeated build failures
@@ -123,7 +122,7 @@ class SynopsisCatalog:
         """Suspend the freshness gate for the enclosed lookups.
 
         The degradation ladder's stale-synopsis rung deliberately serves
-        from entries that failed :attr:`staleness_threshold` — it widens
+        from entries that failed :data:`STALENESS_THRESHOLD` — it widens
         their error bars afterwards — so it needs lookups that see those
         entries without loosening the gate for everyone else. Nests
         safely; the gate is restored on exit even if the body raises.
@@ -158,7 +157,7 @@ class SynopsisCatalog:
         The new sample is a new object; whatever the synopsis cache holds
         under the old content's fingerprint is left as it was. Entries
         without an exact rule, or already stale, age under
-        :attr:`staleness_threshold` as before.
+        :data:`STALENESS_THRESHOLD` as before.
         """
         for entry in self.samples:
             if (
@@ -202,7 +201,7 @@ class SynopsisCatalog:
             and (
                 not require_fresh
                 or self.stale_allowed
-                or e.staleness(self.database) <= self.staleness_threshold
+                or e.staleness(self.database) <= STALENESS_THRESHOLD
             )
         ]
         if group_columns:
@@ -246,7 +245,7 @@ class SynopsisCatalog:
         if (
             require_fresh
             and not self.stale_allowed
-            and entry.staleness(self.database) > self.staleness_threshold
+            and entry.staleness(self.database) > STALENESS_THRESHOLD
         ):
             return None
         return entry
@@ -258,7 +257,6 @@ class SynopsisCatalog:
         kind: str,
         builder: Callable[..., object],
         params: Optional[Dict[str, object]] = None,
-        retry=None,
     ) -> SketchEntry:
         """A fresh sketch entry, built through the synopsis cache.
 
@@ -271,10 +269,7 @@ class SynopsisCatalog:
         build failures the breaker opens and further calls fail fast
         with :class:`~repro.core.exceptions.SynopsisUnavailable` until
         its cooldown half-opens it — a flapping builder cannot stall
-        every query that wants the sketch. Pass a
-        :class:`~repro.resilience.retry.RetryPolicy` as ``retry`` to
-        also retry transient build failures with backoff; the default is
-        a single attempt.
+        every query that wants the sketch. Each call makes one attempt.
         """
         existing = self.find_sketch(table, column, kind)
         if existing is not None:
@@ -285,7 +280,7 @@ class SynopsisCatalog:
         skey = (table, column, kind)
         breaker = self._sketch_breakers.get(skey)
         if breaker is None:
-            breaker = CircuitBreaker(failure_threshold=3, cooldown=2)
+            breaker = CircuitBreaker()
             self._sketch_breakers[skey] = breaker
         table_obj = self.database.table(table)
 
@@ -299,9 +294,7 @@ class SynopsisCatalog:
                 builder=lambda: builder(table_obj, column),
             )
 
-        policy = retry if retry is not None else RetryPolicy(
-            max_attempts=1, jitter=0.0, seed=0
-        )
+        policy = RetryPolicy(max_attempts=1, jitter=0.0, seed=0)
         sketch = policy.call(
             _build, site=f"sketch:{table}.{column}:{kind}", breaker=breaker
         )
@@ -349,5 +342,5 @@ class SynopsisCatalog:
         return [
             e
             for e in self.samples
-            if e.staleness(self.database) > self.staleness_threshold
+            if e.staleness(self.database) > STALENESS_THRESHOLD
         ]

@@ -39,7 +39,7 @@ from ..sampling.measure_biased import measure_biased_sample
 from ..sampling.row import srs_sample
 from ..sampling.stratified import stratified_sample
 from ..storage.cost import scan_cost
-from .catalog import SampleEntry, SynopsisCatalog
+from .catalog import STALENESS_THRESHOLD, SampleEntry, SynopsisCatalog
 
 POLICIES = ("eager", "threshold", "never", "reservoir")
 
@@ -103,7 +103,7 @@ class MaintenanceSimulator:
             # The reservoir policy's appends already absorbed what has an
             # exact rule; what is left ages like under ``threshold``.
             if self.policy == "eager" or (
-                entry.staleness(self.database) > self.catalog.staleness_threshold
+                entry.staleness(self.database) > STALENESS_THRESHOLD
             ):
                 self._rebuild(entry)
 

@@ -36,7 +36,7 @@ from ..online.estimation import (
 from ..sql.binder import BoundQuery
 from ..storage import blocks as blockio
 from ..storage.cost import aggregation_cost, scan_cost
-from .catalog import SynopsisCatalog
+from .catalog import STALENESS_THRESHOLD, SynopsisCatalog
 
 
 class OfflineRewriter:
@@ -136,7 +136,7 @@ class OfflineRewriter:
                 self.database.table(fact.name).num_rows - synopsis.built_at_rows
             )
             / max(synopsis.built_at_rows, 1)
-            > self.catalog.staleness_threshold
+            > STALENESS_THRESHOLD
         ):
             raise InfeasiblePlanError("join synopsis is stale")
         qualified = self._qualify_join_synopsis(bound, synopsis, fact.alias)

@@ -156,7 +156,7 @@ class ReuseCache:
         reused = first_run_stats is None
         stats = ExecutionStats() if reused else first_run_stats
         stats.agg_input_rows += entry.relation.num_rows  # the estimator's fold
-        approx_cost = stats.simulated_cost(self.database.cost_params).total
+        approx_cost = stats.simulated_cost().total
         exact_cost = 0.0
         for name, _ in entry.table_versions:
             t = self.database.table(name)

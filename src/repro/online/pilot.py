@@ -93,12 +93,6 @@ class SamplingPlan:
     pilot_blocks: int
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def speedup_estimate(self) -> float:
-        if self.estimated_cost <= 0:
-            return math.inf
-        return self.exact_cost / self.estimated_cost
-
 
 @dataclass
 class _GroupStats:
@@ -242,7 +236,7 @@ class PilotPlanner:
             optimize_plan(agg_plan, self.database), optimize=False
         )
         sampled_blocks = stats.per_table[target.name].blocks_scanned
-        pilot_cost = stats.simulated_cost(self.database.cost_params).total
+        pilot_cost = stats.simulated_cost().total
         return table, sampled_blocks, pilot_cost
 
     def _per_block_aggregate_plan(
@@ -469,7 +463,7 @@ class PilotPlanner:
         exact = plan.exact_cost
         # The pilot pass is real work; charge it to the approximate plan.
         pilot_cost = float(plan.diagnostics.get("pilot_cost", 0.0))
-        approx = stats.simulated_cost(self.database.cost_params).total + pilot_cost
+        approx = stats.simulated_cost().total + pilot_cost
         return ApproximateResult(
             table=out_table,
             stats=stats,

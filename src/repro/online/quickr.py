@@ -105,7 +105,7 @@ class QuickrPlanner:
             ci_low=ci_low,
             ci_high=ci_high,
             fraction_scanned=stats.fraction_blocks_read,
-            approx_cost=stats.simulated_cost(self.database.cost_params).total,
+            approx_cost=stats.simulated_cost().total,
             exact_cost=exact_cost,
             diagnostics={
                 "sampler": sampler,

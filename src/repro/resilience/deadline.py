@@ -189,11 +189,6 @@ class ResourceBudget:
             return None
         return max(self.max_rows - self.rows_charged, 0)
 
-    def remaining_blocks(self) -> Optional[int]:
-        if self.max_blocks is None:
-            return None
-        return max(self.max_blocks - self.blocks_charged, 0)
-
 
 # ----------------------------------------------------------------------
 # Ambient (contextvar) propagation

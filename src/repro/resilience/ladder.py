@@ -161,50 +161,32 @@ class ResilientEngine:
     ----------
     database:
         The :class:`~repro.engine.database.Database` to serve.
-    retry:
-        Policy for transient failures on the synopsis-backed rungs
-        (requested / stale). Defaults to 2 attempts with seeded jitter.
-    breaker_threshold / breaker_cooldown:
-        Per-rung circuit breakers: after this many consecutive transient
-        failures a rung is skipped outright (the ladder moves on) until
-        the cooldown half-opens it.
     warn_on_degrade:
         Emit a :class:`DegradedAnswer` warning whenever an answer comes
         from below the requested rung.
+
+    Transient failures on the synopsis-backed rungs (requested / stale)
+    get a second attempt with seeded jitter. Each rung sits behind a
+    :class:`CircuitBreaker`: after repeated transient failures the rung
+    is skipped outright (the ladder moves on) until its cooldown
+    half-opens it.
     """
 
-    def __init__(
-        self,
-        database,
-        retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 2,
-        warn_on_degrade: bool = True,
-    ) -> None:
+    def __init__(self, database, warn_on_degrade: bool = True) -> None:
         self.database = database
-        self.retry = (
-            retry
-            if retry is not None
-            else RetryPolicy(max_attempts=2, seed=0, retry_on=_TRANSIENT)
-        )
+        self.retry = RetryPolicy(max_attempts=2, seed=0, retry_on=_TRANSIENT)
         self._one_shot = RetryPolicy(
             max_attempts=1, jitter=0.0, seed=0, retry_on=_TRANSIENT
         )
         self.breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
         self.warn_on_degrade = warn_on_degrade
 
     # ------------------------------------------------------------------
     def breaker(self, rung: str) -> CircuitBreaker:
         with self._breakers_lock:
             if rung not in self.breakers:
-                self.breakers[rung] = CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    cooldown=self._breaker_cooldown,
-                    name=f"ladder.{rung}",
-                )
+                self.breakers[rung] = CircuitBreaker(name=f"ladder.{rung}")
             return self.breakers[rung]
 
     # ------------------------------------------------------------------
@@ -244,6 +226,11 @@ class ResilientEngine:
                 f"unknown entry rung {entry_rung!r} (expected one of "
                 f"{LADDER_RUNGS})"
             )
+        technique = options.technique
+        if technique not in (None, "exact") and technique not in TECHNIQUES:
+            # Refused up front: a misspelt technique would otherwise fail
+            # the requested rung and be served by a lower one.
+            raise UnsupportedQueryError(f"unknown technique {technique!r}")
         labels: Dict[str, object] = {}
         provenance: List[Dict[str, object]] = []
         rungs = self._build_rungs(bound, spec, options)

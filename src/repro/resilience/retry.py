@@ -198,7 +198,7 @@ class CircuitBreaker:
     def __init__(
         self,
         failure_threshold: int = 3,
-        cooldown: int = 5,
+        cooldown: int = 2,
         name: str = "",
     ) -> None:
         if failure_threshold < 1:

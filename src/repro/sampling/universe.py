@@ -85,29 +85,3 @@ def estimate_join_sum(
     # Poisson sampling over the key universe: Var = (1-p)/p^2 * sum t_k^2
     variance = float(np.sum(per_key * per_key)) * (1.0 - rate) / (rate * rate)
     return Estimate(total, variance, k, estimator="universe_join_sum")
-
-
-def independent_join_variance_blowup(
-    left_values_by_key: np.ndarray, fanout_by_key: np.ndarray, rate: float
-) -> float:
-    """Analytic variance ratio of independent-Bernoulli vs universe join
-    sampling for a SUM over an FK join (diagnostic used in E6's write-up).
-
-    With independent sampling at rate ``p`` on both sides only ``p²`` of
-    output pairs survive, so the scale-up is ``1/p²`` and the effective
-    sample of the join is quadratically smaller; universe sampling keeps a
-    ``p`` fraction at ``1/p`` scale-up. The returned ratio is ≈ ``1/p``
-    times a fanout-dependent constant.
-    """
-    t = np.asarray(left_values_by_key, dtype=np.float64) * np.asarray(
-        fanout_by_key, dtype=np.float64
-    )
-    sum_t2 = float(np.sum(t * t))
-    if sum_t2 == 0:
-        return 1.0
-    var_universe = sum_t2 * (1.0 - rate) / (rate * rate)
-    p2 = rate * rate
-    var_indep = sum_t2 * (1.0 - p2) / (p2 * p2) * rate  # crude upper-shape
-    if var_universe <= 0:
-        return math.inf
-    return var_indep / var_universe

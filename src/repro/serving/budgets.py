@@ -120,22 +120,12 @@ class _TenantState:
 class TenantBudgets:
     """Registry of per-tenant buckets with charge/reconcile accounting.
 
-    Unknown tenants get a bucket of (``default_capacity``,
-    ``default_refill_rate``) on first use; per-tenant overrides are
-    registered with :meth:`configure`. ``default_capacity=None`` makes
-    unconfigured tenants unlimited (admission always succeeds) — the
-    single-user library default, so wrapping a Database in a frontend
-    changes nothing until budgets are asked for.
+    Tenants get buckets through :meth:`configure`; an unconfigured
+    tenant is unlimited (admission always succeeds), so wrapping a
+    Database in a frontend changes nothing until budgets are asked for.
     """
 
-    def __init__(
-        self,
-        default_capacity: Optional[float] = None,
-        default_refill_rate: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.default_capacity = default_capacity
-        self.default_refill_rate = default_refill_rate
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
         self._tenants: Dict[str, _TenantState] = {}
         self._lock = threading.Lock()
@@ -157,20 +147,9 @@ class TenantBudgets:
         return bucket
 
     def _state(self, tenant: str) -> Optional[_TenantState]:
+        """The tenant's accounting, or ``None`` for an unlimited tenant."""
         with self._lock:
-            state = self._tenants.get(tenant)
-            if state is None:
-                if self.default_capacity is None:
-                    return None  # unlimited tenant
-                state = _TenantState(
-                    TokenBucket(
-                        self.default_capacity,
-                        self.default_refill_rate,
-                        clock=self.clock,
-                    )
-                )
-                self._tenants[tenant] = state
-            return state
+            return self._tenants.get(tenant)
 
     # ------------------------------------------------------------------
     def admit(self, tenant: str, estimate: float) -> bool:

@@ -51,7 +51,6 @@ from ..core.options import QueryOptions, resolve_options
 from ..engine.database import Database
 from ..obs.metrics import get_metrics
 from ..obs.trace import span
-from ..resilience.deadline import Deadline
 from ..resilience.faults import query_scope, splitmix64
 from ..resilience.ladder import ResilientEngine
 from ..storage.cost import scan_cost
@@ -152,10 +151,10 @@ class ServingFrontend:
     ----------
     database:
         The :class:`Database` to serve (wrapped in a
-        :class:`ResilientEngine` unless ``engine`` is given).
+        :class:`ResilientEngine` that does not warn on degraded answers,
+        unless ``engine`` is given).
     engine:
-        A prebuilt :class:`ResilientEngine` (custom retry/breaker
-        policy) to serve through instead.
+        A prebuilt :class:`ResilientEngine` to serve through instead.
     workers:
         Service threads draining the admission queue.
     max_queue:
@@ -172,9 +171,6 @@ class ServingFrontend:
         The :class:`OverloadController`; defaults to one sized to
         ``max_queue``. Pass ``None`` explicitly configured controllers
         for different thresholds.
-    default_deadline_s:
-        Per-query execution deadline applied when the caller does not
-        pass one.
     seed:
         Seed for queue tie-breaking and derived query ids.
     clock:
@@ -191,8 +187,6 @@ class ServingFrontend:
         queue_deadline_s: Optional[float] = None,
         budgets: Optional[TenantBudgets] = None,
         controller: Optional[OverloadController] = None,
-        default_deadline_s: Optional[float] = None,
-        warn_on_degrade: bool = False,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -202,16 +196,13 @@ class ServingFrontend:
             raise ValueError("workers must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        self.engine = engine or ResilientEngine(
-            database, warn_on_degrade=warn_on_degrade
-        )
+        self.engine = engine or ResilientEngine(database, warn_on_degrade=False)
         self.database: Database = self.engine.database
         self.workers = workers
         self.max_queue = max_queue
         self.queue_deadline_s = queue_deadline_s
         self.budgets = budgets or TenantBudgets(clock=clock)
         self.controller = controller or OverloadController(max_queue)
-        self.default_deadline_s = default_deadline_s
         self.seed = seed
         self.clock = clock
 
@@ -302,9 +293,7 @@ class ServingFrontend:
         total = 0.0
         for bt in bound.tables:
             table = self.database.table(bt.name)
-            total += scan_cost(
-                table.num_blocks, table.num_rows, self.database.cost_params
-            ).total
+            total += scan_cost(table.num_blocks, table.num_rows).total
         return total
 
     def submit(
@@ -463,11 +452,8 @@ class ServingFrontend:
             return
         entry_rung = None if entry.no_shed else self.controller.entry_rung()
         ticket.shed_to = entry_rung
-        options = entry.options
+        options = entry.options.replace(entry_rung=entry_rung)
         deadline = options.deadline
-        if deadline is None and self.default_deadline_s is not None:
-            deadline = Deadline(self.default_deadline_s, clock=self.clock)
-        options = options.replace(deadline=deadline, entry_rung=entry_rung)
         result = None
         error: Optional[BaseException] = None
         try:
@@ -480,9 +466,7 @@ class ServingFrontend:
             error = exc
         # Settlement: measured actuals replace the a-priori estimate.
         if result is not None:
-            actual = result.stats.simulated_cost(
-                self.database.cost_params
-            ).total
+            actual = result.stats.simulated_cost().total
             self.budgets.reconcile(ticket.tenant, entry.estimate, actual)
         missed = bool(
             (deadline is not None and deadline.expired)

@@ -20,7 +20,7 @@ is that the answer stays *honest* while the substrate fails:
   ``deadline_scope``) and check it at block boundaries; a shard that
   cannot finish fails *typed*, it does not wedge the query.
 * **Hedging** — the primary attempt on a shard is abandoned at a block
-  boundary once it has consumed ``hedge_fraction`` of the remaining
+  boundary once it has consumed :data:`HEDGE_FRACTION` of the remaining
   deadline (the straggler carve-out), and a second, hedged attempt runs
   at the ``shard.<i>.hedge`` fault site. Deterministic under a
   :class:`ManualClock`: "slow" faults advance the clock, the worker
@@ -36,14 +36,14 @@ is that the answer stays *honest* while the substrate fails:
   reported CI deterministically contains every answer the lost data
   could have produced, on top of the served shards' own sampling error.
   The point estimate transfers the served shards' observed selectivity
-  onto the missing rows. Below ``min_coverage`` (row-weighted fraction
-  of shards served) the query is refused with full provenance.
+  onto the missing rows. Below :data:`MIN_COVERAGE` (row-weighted
+  fraction of shards served) the query is refused with full provenance.
 * **Provenance** — one ``scatter_gather`` step per shard records its
   fate (``served`` / ``served_hedged`` / ``failed`` / ``breaker_open``,
   plus any abandoned attempts), and a summary step under the
   ``reshard_degraded`` rung carries the coverage; degraded answers set
   the same ``degraded`` flag the ladder uses, so ``result.is_degraded``
-  and :class:`DegradedAnswer` warnings behave identically.
+  behaves identically.
 
 Widening is only possible for bare-column aggregates (the catalog holds
 per-column envelopes, not per-expression ones); an expression aggregate
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -65,7 +64,6 @@ from ..core.errorspec import ErrorSpec
 from ..core.exceptions import (
     BudgetExhausted,
     DeadlineExceeded,
-    DegradedAnswer,
     QueryRefused,
     ReproError,
     SynopsisUnavailable,
@@ -108,6 +106,15 @@ __all__ = ["ScatterGatherExecutor", "ShardOutcome", "SCATTER_RUNG"]
 
 #: provenance rung name for the per-shard fan-out steps
 SCATTER_RUNG = "scatter_gather"
+
+#: Row-weighted coverage floor: an answer assembled from less of the
+#: table than this is refused (:class:`QueryRefused`).
+MIN_COVERAGE = 0.5
+#: Straggler policy: under a deadline, the primary attempt on a shard
+#: may use this fraction of the deadline remaining at its start before
+#: it is abandoned for one hedged retry (which also fires after a failed
+#: primary, hedged retries being cheaper than losing the shard).
+HEDGE_FRACTION = 0.5
 
 #: the per-shard techniques ``QueryOptions.technique`` may name;
 #: ``"offline_sample"`` (the engine-wide spelling) means ``"sample"`` here
@@ -222,50 +229,20 @@ class ScatterGatherExecutor:
         their shards sequentially too (what the deterministic chaos
         sweeps use). A query without a deadline always runs its shards
         sequentially in the calling thread (see ``_scatter``).
-    min_coverage:
-        Row-weighted coverage floor; an answer assembled from less of
-        the table than this is refused (:class:`QueryRefused`).
-    hedge / hedge_fraction:
-        Straggler policy: the primary attempt on a shard may use
-        ``hedge_fraction`` of the deadline remaining at its start before
-        it is abandoned for one hedged retry (which also fires after a
-        failed primary, hedged retries being cheaper than losing the
-        shard). ``hedge=False`` gives every shard a single attempt.
-    breaker_threshold / breaker_cooldown:
-        Per-shard :class:`CircuitBreaker` configuration.
-    catalog:
-        Catalog for ``technique="sample"`` lookups; defaults to the
-        binder database's catalog (where
-        :meth:`ShardedTable.build_shard_samples` registers).
-    warn_on_degrade:
-        Emit :class:`DegradedAnswer` for k-of-n answers.
+
+    ``technique="sample"`` reads the per-shard samples that
+    :meth:`ShardedTable.build_shard_samples` registers in the binder
+    database's catalog. Every shard gets a primary and one hedged
+    attempt, behind its own :class:`CircuitBreaker`.
     """
 
     def __init__(
         self,
         sharded: ShardedTable,
         max_workers: Optional[int] = None,
-        min_coverage: float = 0.5,
-        hedge: bool = True,
-        hedge_fraction: float = 0.5,
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 2,
-        catalog=None,
-        warn_on_degrade: bool = False,
     ) -> None:
-        if not (0.0 < min_coverage <= 1.0):
-            raise ValueError("min_coverage must be in (0, 1]")
-        if not (0.0 < hedge_fraction <= 1.0):
-            raise ValueError("hedge_fraction must be in (0, 1]")
         self.sharded = sharded
         self.max_workers = max_workers
-        self.min_coverage = min_coverage
-        self.hedge = hedge
-        self.hedge_fraction = hedge_fraction
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
-        self.catalog = catalog
-        self.warn_on_degrade = warn_on_degrade
         self.breakers: Dict[int, CircuitBreaker] = {}
         # breaker() is called from pool worker threads; guard the
         # check-then-insert (the breakers themselves carry their own lock).
@@ -275,11 +252,7 @@ class ScatterGatherExecutor:
     def breaker(self, shard_id: int) -> CircuitBreaker:
         with self._breakers_lock:
             if shard_id not in self.breakers:
-                self.breakers[shard_id] = CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    cooldown=self._breaker_cooldown,
-                    name=f"shard.{shard_id}",
-                )
+                self.breakers[shard_id] = CircuitBreaker(name=f"shard.{shard_id}")
             return self.breakers[shard_id]
 
     # ------------------------------------------------------------------
@@ -455,8 +428,7 @@ class ScatterGatherExecutor:
         attempts: List[str] = []
         last: Optional[BaseException] = None
         detail = ""
-        max_attempts = 2 if self.hedge else 1
-        for attempt in range(max_attempts):
+        for attempt in range(2):
             if deadline is not None and deadline.expired:
                 last = last or DeadlineExceeded(
                     f"deadline expired before shard {shard.shard_id} attempt",
@@ -470,11 +442,11 @@ class ScatterGatherExecutor:
                     "shard_hedges_total", shard=str(shard.shard_id)
                 )
             give_way = None
-            if attempt == 0 and self.hedge and deadline is not None:
+            if attempt == 0 and deadline is not None:
                 give_way = self._straggler_check(
                     shard.shard_id,
                     clock,
-                    max(deadline.remaining(), 0.0) * self.hedge_fraction,
+                    max(deadline.remaining(), 0.0) * HEDGE_FRACTION,
                 )
             try:
                 # Every attempt passes the shard's "exec" hazard (a killed
@@ -663,11 +635,7 @@ class ScatterGatherExecutor:
     ) -> Tuple[Table, int]:
         from ..offline.catalog import SynopsisCatalog
 
-        catalog = self.catalog
-        if catalog is None:
-            catalog = SynopsisCatalog.for_database(
-                self.sharded.binder_database()
-            )
+        catalog = SynopsisCatalog.for_database(self.sharded.binder_database())
         entry = catalog.find_sample(
             self.sharded.name, require_fresh=False, shard=shard.shard_id
         )
@@ -744,10 +712,9 @@ class ScatterGatherExecutor:
         }
         provenance.append(summary)
         refusal = None
-        if not served or coverage < self.min_coverage:
+        if not served or coverage < MIN_COVERAGE:
             summary["detail"] = (
-                f"coverage {coverage:.2%} below floor "
-                f"{self.min_coverage:.2%}"
+                f"coverage {coverage:.2%} below floor {MIN_COVERAGE:.2%}"
             )
             refusal = f"scatter-gather quorum failed: {summary['detail']}"
         else:
@@ -761,19 +728,9 @@ class ScatterGatherExecutor:
                 "queries_refused_total", engine="scatter_gather"
             )
             raise QueryRefused(refusal, provenance=provenance)
-        result = self._assemble(
+        return self._assemble(
             q, served, served_rows, widens, coverage, provenance
         )
-        if missing_ids and self.warn_on_degrade:
-            warnings.warn(
-                DegradedAnswer(
-                    f"answer assembled from {len(served)}/{len(outcomes)} "
-                    f"shards (coverage {coverage:.2%}); CIs widened for "
-                    f"the missing partitions"
-                ),
-                stacklevel=5,  # the caller of sql(), past run_query
-            )
-        return result
 
     def _widening(
         self, bound: BoundQuery, missing_ids: List[int]

@@ -6,7 +6,7 @@ from .blocks import (
     clustered_layout,
     shuffled_layout,
 )
-from .cost import CostEstimate, CostParameters, DEFAULT_COST
+from .cost import CostEstimate
 from .statistics import ColumnStats, TableStats, compute_table_stats
 from .synopsis_cache import (
     CacheStats,
@@ -22,8 +22,6 @@ __all__ = [
     "CacheStats",
     "ColumnStats",
     "CostEstimate",
-    "CostParameters",
-    "DEFAULT_COST",
     "SynopsisCache",
     "TableStats",
     "configure_global_cache",

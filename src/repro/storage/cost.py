@@ -7,7 +7,7 @@ The model charges for the two resources AQP trades against accuracy:
 * **CPU**: rows flowing through operators (filters, joins, aggregation).
 
 Costs are unitless "work" numbers; every claim we reproduce compares
-*relative* costs (speedups), so only ratios matter. The defaults weight a
+*relative* costs (speedups), so only ratios matter. The unit costs weight a
 block read as the cost of processing one block's worth of rows times an
 I/O amplification factor, which makes scan-bound queries scan-bound —
 matching the regime the survey's speedup arguments assume.
@@ -16,22 +16,16 @@ matching the regime the survey's speedup arguments assume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
-@dataclass(frozen=True)
-class CostParameters:
-    """Tunable unit costs."""
-
-    block_read_cost: float = 50.0  #: cost to fetch one block from storage
-    row_cpu_cost: float = 0.01  #: cost to run one row through one operator
-    row_join_cost: float = 0.03  #: cost per probe-side row in a hash join
-    row_agg_cost: float = 0.02  #: cost per row entering aggregation
-    sample_overhead_per_block: float = 5.0  #: RNG/bookkeeping per candidate block
-    seek_cost: float = 120.0  #: one random index seek (B-tree descent + page)
-
-
-DEFAULT_COST = CostParameters()
+#: Unit costs, in work units.
+BLOCK_READ_COST = 50.0  #: cost to fetch one block from storage
+ROW_CPU_COST = 0.01  #: cost to run one row through one operator
+ROW_JOIN_COST = 0.03  #: cost per probe-side row in a hash join
+ROW_AGG_COST = 0.02  #: cost per row entering aggregation
+SAMPLE_OVERHEAD_PER_BLOCK = 5.0  #: RNG/bookkeeping per candidate block
+SEEK_COST = 120.0  #: one random index seek (B-tree descent + page)
 
 
 @dataclass
@@ -56,13 +50,11 @@ class CostEstimate:
         return f"CostEstimate(total={self.total:.1f}, io={self.io:.1f}, cpu={self.cpu:.1f})"
 
 
-def scan_cost(
-    num_blocks: int, num_rows: int, params: CostParameters = DEFAULT_COST
-) -> CostEstimate:
+def scan_cost(num_blocks: int, num_rows: int) -> CostEstimate:
     """Full sequential scan."""
     return CostEstimate(
-        io=num_blocks * params.block_read_cost,
-        cpu=num_rows * params.row_cpu_cost,
+        io=num_blocks * BLOCK_READ_COST,
+        cpu=num_rows * ROW_CPU_COST,
         detail={"scan_blocks": float(num_blocks)},
     )
 
@@ -71,17 +63,16 @@ def block_sample_cost(
     num_blocks: int,
     block_size: int,
     sampling_rate: float,
-    params: CostParameters = DEFAULT_COST,
 ) -> CostEstimate:
     """Block Bernoulli sampling: reads ~rate fraction of blocks, plus a small
     per-block decision overhead for *every* block (the sampler must flip a
     coin per block even when it skips it)."""
     expected_blocks = num_blocks * sampling_rate
     return CostEstimate(
-        io=expected_blocks * params.block_read_cost,
+        io=expected_blocks * BLOCK_READ_COST,
         cpu=(
-            expected_blocks * block_size * params.row_cpu_cost
-            + num_blocks * params.sample_overhead_per_block * 0.01
+            expected_blocks * block_size * ROW_CPU_COST
+            + num_blocks * SAMPLE_OVERHEAD_PER_BLOCK * 0.01
         ),
         detail={"sampled_blocks": expected_blocks},
     )
@@ -91,7 +82,6 @@ def row_sample_cost(
     num_blocks: int,
     block_size: int,
     sampling_rate: float,
-    params: CostParameters = DEFAULT_COST,
 ) -> CostEstimate:
     """Row-level Bernoulli sampling on block storage.
 
@@ -102,35 +92,22 @@ def row_sample_cost(
     prob_block_touched = 1.0 - (1.0 - sampling_rate) ** block_size
     touched = num_blocks * prob_block_touched
     return CostEstimate(
-        io=touched * params.block_read_cost,
-        cpu=num_blocks * block_size * sampling_rate * params.row_cpu_cost
-        + num_blocks * block_size * params.sample_overhead_per_block * 0.001,
+        io=touched * BLOCK_READ_COST,
+        cpu=num_blocks * block_size * sampling_rate * ROW_CPU_COST
+        + num_blocks * block_size * SAMPLE_OVERHEAD_PER_BLOCK * 0.001,
         detail={"touched_blocks": touched},
     )
 
 
-def index_seek_cost(
-    matching_rows: float, params: CostParameters = DEFAULT_COST
-) -> CostEstimate:
+def index_seek_cost(matching_rows: float) -> CostEstimate:
     """Point lookups for ``matching_rows`` rows via a secondary index
     (the "seek" half of Sample+Seek)."""
     return CostEstimate(
-        io=matching_rows * params.seek_cost * 0.05,  # amortized: clustered postings
-        cpu=matching_rows * params.row_cpu_cost,
+        io=matching_rows * SEEK_COST * 0.05,  # amortized: clustered postings
+        cpu=matching_rows * ROW_CPU_COST,
         detail={"seeks": float(matching_rows)},
     )
 
 
-def join_cost(
-    build_rows: float, probe_rows: float, params: CostParameters = DEFAULT_COST
-) -> CostEstimate:
-    return CostEstimate(
-        cpu=(build_rows + probe_rows) * params.row_join_cost,
-        detail={"join_rows": build_rows + probe_rows},
-    )
-
-
-def aggregation_cost(
-    input_rows: float, params: CostParameters = DEFAULT_COST
-) -> CostEstimate:
-    return CostEstimate(cpu=input_rows * params.row_agg_cost)
+def aggregation_cost(input_rows: float) -> CostEstimate:
+    return CostEstimate(cpu=input_rows * ROW_AGG_COST)

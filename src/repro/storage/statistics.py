@@ -147,13 +147,6 @@ class ColumnStats:
         uniform = self.num_rows / self.num_distinct
         return self.mcv_counts[0] / uniform if uniform > 0 else 1.0
 
-    @property
-    def coefficient_of_variation(self) -> float:
-        """stddev/mean — the quantity that drives required sample sizes."""
-        if self.mean is None or self.variance is None or self.mean == 0:
-            return float("inf")
-        return float(np.sqrt(max(self.variance, 0.0)) / abs(self.mean))
-
 
 def compute_column_stats(
     name: str, values: np.ndarray, histogram_buckets: int = 32, mcv: int = 8

@@ -18,11 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..offline.catalog import SampleEntry, SynopsisCatalog
+from ..offline.catalog import STALENESS_THRESHOLD, SampleEntry, SynopsisCatalog
 from ..storage.cost import scan_cost
 from .workload import WorkloadLog
 
 __all__ = ["Candidate", "TuningPlan", "SynopsisAdvisor"]
+
+#: Floors below which a candidate is not worth the bookkeeping: a
+#: proposed sample holds at least ``MIN_ROWS`` rows, and a candidate
+#: needs ``MIN_DEMAND`` logged queries it would serve.
+MIN_ROWS = 256
+MIN_DEMAND = 2
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ class SynopsisAdvisor:
         against (or evicted for) the tuner's budget.
     sample_fraction:
         Proposed sample size as a fraction of the base table.
-    min_rows / min_demand:
-        Floors below which a candidate is not worth the bookkeeping.
     """
 
     def __init__(
@@ -107,30 +111,24 @@ class SynopsisAdvisor:
         log: WorkloadLog,
         storage_budget_rows: int = 50_000,
         sample_fraction: float = 0.1,
-        min_rows: int = 256,
-        min_demand: int = 2,
     ) -> None:
         self.database = database
         self.log = log
         self.storage_budget_rows = storage_budget_rows
         self.sample_fraction = sample_fraction
-        self.min_rows = min_rows
-        self.min_demand = min_demand
         self.catalog = SynopsisCatalog.for_database(database)
 
     # ------------------------------------------------------------------
     def _proposed_rows(self, table_name: str) -> int:
         table = self.database.table(table_name)
-        return max(self.min_rows, int(table.num_rows * self.sample_fraction))
+        return max(MIN_ROWS, int(table.num_rows * self.sample_fraction))
 
     def _benefit_per_query(self, table_name: str, rows: int) -> float:
         """Work saved by answering from ``rows`` instead of a full scan."""
         table = self.database.table(table_name)
-        full = scan_cost(
-            table.num_blocks, table.num_rows, self.database.cost_params
-        ).total
+        full = scan_cost(table.num_blocks, table.num_rows).total
         sample_blocks = max(1, rows // max(table.block_size, 1))
-        approx = scan_cost(sample_blocks, rows, self.database.cost_params).total
+        approx = scan_cost(sample_blocks, rows).total
         return max(full - approx, 0.0)
 
     # ------------------------------------------------------------------
@@ -150,7 +148,7 @@ class SynopsisAdvisor:
             rows = self._proposed_rows(table_name)
             benefit = self._benefit_per_query(table_name, rows)
             scalar = self.log.scalar_demand(table_name)
-            if scalar >= self.min_demand:
+            if scalar >= MIN_DEMAND:
                 out.append(
                     Candidate(
                         table=table_name,
@@ -161,7 +159,7 @@ class SynopsisAdvisor:
                     )
                 )
             for group_cols, count in self.log.group_demand(table_name).items():
-                if count < self.min_demand:
+                if count < MIN_DEMAND:
                     continue
                 out.append(
                     Candidate(
@@ -177,7 +175,7 @@ class SynopsisAdvisor:
                 # Only worth a dedicated biased sample when the measure
                 # dominates scalar SUM/AVG traffic; grouped queries are
                 # already covered by stratified candidates.
-                if count < max(self.min_demand, 2 * scalar) or scalar == 0:
+                if count < max(MIN_DEMAND, 2 * scalar) or scalar == 0:
                     continue
                 out.append(
                     Candidate(
@@ -203,7 +201,7 @@ class SynopsisAdvisor:
         for entry in self.catalog.samples:
             if entry.table != candidate.table or entry.shard is not None:
                 continue
-            if entry.staleness(self.database) > self.catalog.staleness_threshold:
+            if entry.staleness(self.database) > STALENESS_THRESHOLD:
                 continue
             if candidate.kind == "uniform" and entry.kind in ("uniform", "stratified"):
                 return True

@@ -3,11 +3,10 @@
 One :meth:`TuningDaemon.run_cycle` takes a snapshot of the workload log,
 asks the :class:`~repro.tuner.advisor.SynopsisAdvisor` for a plan, and
 applies it: winning candidates are materialized into the catalog
-(through the content-addressed synopsis cache, deadline-scoped and
-circuit-breaker-wrapped like every other synopsis build), cold
-tuner-built entries are evicted, and the cycle is recorded as a span
-(``tuner_cycle``) plus metrics (``tuner_builds``, ``tuner_evictions``,
-``synopsis_hit_rate``).
+(through the content-addressed synopsis cache, circuit-breaker-wrapped
+like every other synopsis build), cold tuner-built entries are evicted,
+and the cycle is recorded as a span (``tuner_cycle``) plus metrics
+(``tuner_builds``, ``tuner_evictions``, ``synopsis_hit_rate``).
 
 Determinism: the RNG for every build is derived from
 ``splitmix64(seed, cycle, crc32(candidate.key))`` — no wall clock, no
@@ -34,7 +33,6 @@ from ..core.exceptions import ReproError
 from ..obs.metrics import get_metrics
 from ..obs.trace import span
 from ..offline.catalog import SampleEntry, SynopsisCatalog
-from ..resilience.deadline import Deadline, deadline_scope
 from ..resilience.faults import maybe_fault, splitmix64
 from ..resilience.retry import CircuitBreaker, RetryPolicy
 from ..sampling.measure_biased import measure_biased_sample
@@ -44,6 +42,14 @@ from .advisor import Candidate, SynopsisAdvisor, TuningPlan
 from .workload import WorkloadLog
 
 __all__ = ["TuningDaemon", "TuningReport"]
+
+#: :meth:`TuningDaemon.should_retune` fires when group-column churn or
+#: the error-contract miss rate crosses these.
+DRIFT_CHURN_THRESHOLD = 0.5
+DRIFT_MISS_THRESHOLD = 0.2
+#: Cadence (seconds) of the background thread; cycles also run early
+#: when drift is detected.
+INTERVAL_S = 5.0
 
 
 @dataclass
@@ -89,19 +95,10 @@ class TuningDaemon:
     ----------
     database / log:
         What to tune and the evidence to tune from.
-    storage_budget_rows / sample_fraction / min_demand:
+    storage_budget_rows / sample_fraction:
         Forwarded to the :class:`SynopsisAdvisor`.
     seed:
         Root of every build RNG (see module docstring).
-    build_deadline_s:
-        Per-build cooperative deadline; a build that blows it fails that
-        candidate (feeding its breaker) without poisoning the cycle.
-    drift_churn_threshold / drift_miss_threshold:
-        :meth:`should_retune` fires when group-column churn or the
-        error-contract miss rate crosses these.
-    interval_s:
-        Cadence of the background thread (:meth:`start`); cycles also
-        run early when drift is detected.
     """
 
     def __init__(
@@ -110,12 +107,7 @@ class TuningDaemon:
         log: WorkloadLog,
         storage_budget_rows: int = 50_000,
         sample_fraction: float = 0.1,
-        min_demand: int = 2,
         seed: int = 0,
-        build_deadline_s: Optional[float] = None,
-        drift_churn_threshold: float = 0.5,
-        drift_miss_threshold: float = 0.2,
-        interval_s: float = 5.0,
     ) -> None:
         self.database = database
         self.log = log
@@ -125,13 +117,8 @@ class TuningDaemon:
             log,
             storage_budget_rows=storage_budget_rows,
             sample_fraction=sample_fraction,
-            min_demand=min_demand,
         )
         self.seed = seed
-        self.build_deadline_s = build_deadline_s
-        self.drift_churn_threshold = drift_churn_threshold
-        self.drift_miss_threshold = drift_miss_threshold
-        self.interval_s = interval_s
         self.cycle = 0
         self.reports: List[TuningReport] = []
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -143,9 +130,7 @@ class TuningDaemon:
     def breaker(self, key: str) -> CircuitBreaker:
         with self._lock:
             if key not in self._breakers:
-                self._breakers[key] = CircuitBreaker(
-                    failure_threshold=3, cooldown=2, name=f"tuner.{key}"
-                )
+                self._breakers[key] = CircuitBreaker(name=f"tuner.{key}")
             return self._breakers[key]
 
     # ------------------------------------------------------------------
@@ -154,8 +139,8 @@ class TuningDaemon:
     def should_retune(self) -> bool:
         """Re-tune early when the workload stopped matching the catalog."""
         return (
-            self.log.column_churn() > self.drift_churn_threshold
-            or self.log.error_miss_rate() > self.drift_miss_threshold
+            self.log.column_churn() > DRIFT_CHURN_THRESHOLD
+            or self.log.error_miss_rate() > DRIFT_MISS_THRESHOLD
         )
 
     # ------------------------------------------------------------------
@@ -232,14 +217,9 @@ class TuningDaemon:
         ) % (2**31)
 
     def _build(self, candidate: Candidate, cycle: int) -> SampleEntry:
-        """Materialize one candidate behind its breaker + deadline."""
+        """Materialize one candidate behind its breaker."""
         table_obj = self.database.table(candidate.table)
         build_seed = self._build_seed(candidate, cycle)
-        deadline = (
-            Deadline(self.build_deadline_s)
-            if self.build_deadline_s is not None
-            else None
-        )
 
         def _sample():
             rng = np.random.default_rng(build_seed)
@@ -272,13 +252,11 @@ class TuningDaemon:
             )
 
         policy = RetryPolicy(max_attempts=1, jitter=0.0, seed=0)
-        with deadline_scope(deadline, None):
-            sample = policy.call(
-                _cached_build,
-                site=f"tuner:{candidate.key}",
-                deadline=deadline,
-                breaker=self.breaker(candidate.key),
-            )
+        sample = policy.call(
+            _cached_build,
+            site=f"tuner:{candidate.key}",
+            breaker=self.breaker(candidate.key),
+        )
         return self._register(candidate, sample, table_obj.num_rows)
 
     def _register(
@@ -332,7 +310,7 @@ class TuningDaemon:
     # Background operation
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Run cycles on ``interval_s`` cadence (drift checks between)."""
+        """Run cycles on :data:`INTERVAL_S` cadence (drift checks between)."""
         if self._thread is not None:
             return
         self._stop.clear()
@@ -350,11 +328,11 @@ class TuningDaemon:
     def _loop(self) -> None:
         # Check for drift at a finer grain than the full-cycle cadence so
         # a phase shift is answered within ~interval/5, not a full period.
-        tick = max(self.interval_s / 5.0, 0.05)
+        tick = max(INTERVAL_S / 5.0, 0.05)
         elapsed = 0.0
         while not self._stop.wait(timeout=tick):
             elapsed += tick
-            if elapsed >= self.interval_s:
+            if elapsed >= INTERVAL_S:
                 self.run_cycle(triggered_by="interval")
                 elapsed = 0.0
             elif self.should_retune():

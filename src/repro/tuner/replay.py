@@ -213,7 +213,6 @@ def run_tune_replay(
         storage_budget_rows=storage_budget_rows,
         sample_fraction=0.15,
         seed=seed,
-        min_demand=2,
     )
     previous = install_workload_log(log)
     try:

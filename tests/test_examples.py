@@ -78,6 +78,27 @@ class TestExamples:
         assert "covers truth: True  degraded=True" in out
         assert "typed refusal with provenance" in out
 
+    def test_serving_demo(self, capsys, monkeypatch):
+        mod = load("serving_demo")
+        monkeypatch.setattr(mod, "NUM_ROWS", 20_000)
+        mod.main()
+        out = capsys.readouterr().out
+        assert "identical — at shed level 0 the wrapper adds nothing" in out
+        assert "rejected (reason='budget'" in out
+        assert "rejected synchronously (typed, reason='overload')" in out
+        assert "back to level 0 after" in out
+
+    def test_observability_demo(self, capsys, monkeypatch):
+        mod = load("observability_demo")
+        monkeypatch.setattr(mod, "NUM_ROWS", 20_000)
+        mod.main()
+        out = capsys.readouterr().out
+        assert "work units" in out
+        assert "schema errors: none" in out
+        assert "served from rung: stale_synopsis" in out
+        assert "shard_status=served" in out
+        assert 'shard_outcomes_total{status="served"}' in out
+
     def test_adhoc_exploration_importable(self):
         # The ad-hoc session builds a scale-5 TPC-H; too heavy for unit
         # tests, but its SESSION queries must at least parse and bind.

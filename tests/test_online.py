@@ -269,7 +269,7 @@ class TestQuickr:
         # the estimator folds the filtered sample, and that is charged too
         assert 0 < res.stats.agg_input_rows < access.rows_returned
         assert res.approx_cost == pytest.approx(
-            res.stats.simulated_cost(db.cost_params).total
+            res.stats.simulated_cost().total
         )
 
     def test_sample_is_column_pruned(self, db):

@@ -2,8 +2,10 @@
 
 ``tests/golden/public_api.json`` records the surface a user programs
 against: the top-level exports, the unified :class:`QueryOptions` field
-list, the result-envelope key set, the tuner package's exports, and the
-exact signatures of every ``sql()`` front door. Any drift fails here —
+list, the result-envelope key set, the tuner package's exports, the
+exact signatures of every ``sql()`` front door, and the constructors of
+the engine, catalog, shard executor, ladder, frontend, budgets and
+tuner (so a re-added option is a deliberate diff). Any drift fails here —
 an API change must be deliberate: regenerate with ``REPRO_REGOLD=1``
 and review the diff.
 
@@ -26,9 +28,13 @@ from repro.core.options import QUERY_OPTION_FIELDS
 from repro.core.result import ENVELOPE_KEYS
 from repro.core.session import AQPEngine
 from repro.engine.database import Database
+from repro.offline.catalog import SynopsisCatalog
 from repro.resilience.ladder import ResilientEngine
+from repro.serving.budgets import TenantBudgets
 from repro.serving.frontend import ServingFrontend
 from repro.sharding.executor import ScatterGatherExecutor
+from repro.tuner.advisor import SynopsisAdvisor
+from repro.tuner.daemon import TuningDaemon
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGOLD = os.environ.get("REPRO_REGOLD") == "1"
@@ -43,6 +49,18 @@ ENTRY_POINTS = {
     "ServingFrontend.submit": ServingFrontend.submit,
 }
 
+#: classes whose constructor options are under contract
+CONSTRUCTORS = (
+    Database,
+    SynopsisCatalog,
+    ScatterGatherExecutor,
+    ResilientEngine,
+    ServingFrontend,
+    TenantBudgets,
+    TuningDaemon,
+    SynopsisAdvisor,
+)
+
 
 def current_api() -> dict:
     return {
@@ -53,6 +71,10 @@ def current_api() -> dict:
         "entry_point_signatures": {
             name: str(inspect.signature(fn))
             for name, fn in ENTRY_POINTS.items()
+        },
+        "constructor_signatures": {
+            cls.__name__: str(inspect.signature(cls.__init__))
+            for cls in CONSTRUCTORS
         },
     }
 

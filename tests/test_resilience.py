@@ -22,6 +22,7 @@ from repro.core.exceptions import (
     InjectedFault,
     QueryRefused,
     SynopsisUnavailable,
+    UnsupportedQueryError,
 )
 from repro.core.options import QueryOptions
 from repro.engine.database import Database
@@ -44,6 +45,7 @@ from repro.resilience import (
 )
 from repro.resilience.deadline import current_budget, current_deadline
 from repro.sampling.row import srs_sample
+from repro.serving import ServingFrontend
 from repro.storage.synopsis_cache import SynopsisCache
 
 
@@ -660,6 +662,25 @@ class TestLadder:
         assert result.provenance[-1]["rung"] == "requested"
         assert not result.is_degraded
 
+    def test_misspelt_technique_is_refused_before_any_rung(self, sales_db):
+        # A misspelt technique must not fail the requested rung and be
+        # served, degraded, by a lower one: every door refuses it typed,
+        # as Database.sql does.
+        engine = ResilientEngine(sales_db)
+        frontend = ServingFrontend(engine=engine, workers=1)
+        options = QueryOptions(seed=1, technique="quikr")
+        try:
+            for door in (engine.sql, frontend.sql, sales_db.sql):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DegradedAnswer)
+                    with pytest.raises(
+                        UnsupportedQueryError, match="unknown technique 'quikr'"
+                    ):
+                        door(APPROX_SQL, options=options)
+        finally:
+            frontend.close()
+        assert engine.breakers == {}  # no rung was attempted
+
     def test_stale_rung_widens_and_warns(self, sales_db, prices):
         _add_stale_sample(sales_db, prices)
         engine = ResilientEngine(sales_db)
@@ -808,9 +829,9 @@ class TestLadder:
         assert step["detail"] == "budget"
 
     def test_breaker_skips_a_flapping_rung(self, sales_db):
-        engine = ResilientEngine(
-            sales_db, warn_on_degrade=False, breaker_threshold=2,
-            breaker_cooldown=100,
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        engine.breakers["requested"] = CircuitBreaker(
+            failure_threshold=2, cooldown=100, name="ladder.requested"
         )
         injector = FaultInjector(
             [FaultSpec(site="ladder.requested", kind="error")], seed=7

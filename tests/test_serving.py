@@ -202,7 +202,7 @@ def test_budget_reconciled_from_actuals(serving_db):
             options=QueryOptions(tenant="t", seed=5),
             timeout=60.0,
         )
-        actual = result.stats.simulated_cost(serving_db.cost_params).total
+        actual = result.stats.simulated_cost().total
         # Quickr serves this query: one full pass over the table plus the
         # estimator's fold over the ~10% it kept, so the measured cost
         # sits just above the scan bound admission charged.

@@ -33,8 +33,8 @@ from repro.resilience.faults import (
     query_scope,
     splitmix64,
 )
-from repro.resilience.ladder import ResilientEngine
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.ladder import LADDER_RUNGS, ResilientEngine
+from repro.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.serving import OverloadController, ServingFrontend
 
 pytestmark = [pytest.mark.chaos, pytest.mark.stress]
@@ -165,14 +165,14 @@ def test_concurrent_chaos_exactly_one_outcome(chaos_db, seed):
 def _run_schedule(db, seed: int, workers: int):
     """One full workload under the chaos seed; returns (faults, answers)."""
     injector = _chaos_injector(seed)
-    engine = ResilientEngine(
-        db,
-        # Breakers count *globally* across queries, so their trips depend
-        # on the drain order; disarm them to isolate the per-query RNG
-        # claim (breaker determinism is pinned by the sequential suite).
-        breaker_threshold=10**6,
-        warn_on_degrade=False,
-    )
+    engine = ResilientEngine(db, warn_on_degrade=False)
+    # Breakers count *globally* across queries, so their trips depend on
+    # the drain order; disarm them to isolate the per-query RNG claim
+    # (breaker determinism is pinned by the sequential suite).
+    for rung in LADDER_RUNGS:
+        engine.breakers[rung] = CircuitBreaker(
+            failure_threshold=10**6, name=f"ladder.{rung}"
+        )
     fe = ServingFrontend(
         engine=engine,
         workers=workers,

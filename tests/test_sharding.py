@@ -460,13 +460,11 @@ class TestHedgingAndBreakers:
         slow = FaultSpec(
             site=shard_site(0, "scan"),
             kind="slow",
-            delay=2.0,
+            delay=6.0,
             probability=1.0,
             max_fires=1,
         )
-        ex = ScatterGatherExecutor(
-            sharded, max_workers=1, hedge_fraction=0.1
-        )
+        ex = ScatterGatherExecutor(sharded, max_workers=1)
         with inject(FaultInjector([slow], clock=clock)):
             result = ex.sql(
                 q,
@@ -487,13 +485,11 @@ class TestHedgingAndBreakers:
         slow = FaultSpec(
             site=shard_site(0, "scan"),
             kind="slow",
-            delay=2.0,
+            delay=6.0,
             probability=1.0,
             max_fires=1,
         )
-        ex = ScatterGatherExecutor(
-            sharded, max_workers=1, hedge_fraction=0.1
-        )
+        ex = ScatterGatherExecutor(sharded, max_workers=1)
         with inject(FaultInjector([slow], clock=clock)):
             ex.sql(
                 "SELECT SUM(v) AS s FROM events",

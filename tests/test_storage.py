@@ -6,7 +6,6 @@ import pytest
 from repro import Table
 from repro.storage import blocks as B
 from repro.storage.cost import (
-    CostParameters,
     block_sample_cost,
     index_seek_cost,
     row_sample_cost,
@@ -152,10 +151,3 @@ class TestCostModel:
         c = a.add(b)
         assert c.total == pytest.approx(a.total + b.total)
         assert c.detail["scan_blocks"] == 15
-
-    def test_custom_parameters(self):
-        cheap_io = CostParameters(block_read_cost=1.0)
-        assert (
-            scan_cost(100, 1000, cheap_io).io
-            < scan_cost(100, 1000).io
-        )

@@ -241,7 +241,7 @@ class TestDaemon:
     def test_should_retune_fires_on_churn(self, db):
         log = WorkloadLog()
         log.extend(_grouped_fp("seg_a") for _ in range(6))
-        daemon = TuningDaemon(db, log, seed=0, drift_churn_threshold=0.5)
+        daemon = TuningDaemon(db, log, seed=0)
         assert not daemon.should_retune()
         log.extend(_grouped_fp("seg_b") for _ in range(6))
         assert daemon.should_retune()
@@ -338,7 +338,7 @@ class TestReplay:
             database = make_replay_database(seed, rows=12_000)
             daemon = TuningDaemon(
                 database, log, storage_budget_rows=10_000,
-                sample_fraction=0.15, seed=seed, min_demand=2,
+                sample_fraction=0.15, seed=seed,
             )
             return daemon.run_cycle()
 
