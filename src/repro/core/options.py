@@ -18,7 +18,9 @@ Python's own :class:`TypeError` at the call site, in the caller's thread
 Fields an entry point cannot honor are accepted but inert (documented
 per entry point) — passing ``entry_rung`` to the exact
 :meth:`Database.sql` path is not an error, the same way passing a
-``deadline`` to a query that finishes early is not.
+``deadline`` to a query that finishes early is not. A value no entry
+point could honor (a ``pilot_rate`` outside (0, 1], an unknown
+``entry_rung``) is refused by every door alike, before binding.
 """
 
 from __future__ import annotations
@@ -29,14 +31,26 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .errorspec import ErrorSpec
+from .exceptions import UnsupportedQueryError
 
 __all__ = [
+    "LADDER_RUNGS",
     "QueryOptions",
     "QUERY_OPTION_FIELDS",
     "resolve_options",
     "effective_spec",
     "maybe_trace",
 ]
+
+#: degradation-ladder rung names in fall-through order (documentation,
+#: provenance schema, and the values ``entry_rung`` may take)
+LADDER_RUNGS = (
+    "requested",
+    "stale_synopsis",
+    "cheaper_technique",
+    "partial_ola",
+    "exact_no_guarantee",
+)
 
 
 @dataclass(frozen=True)
@@ -56,15 +70,15 @@ class QueryOptions:
         scatter-gather executor additionally understands ``"ola"`` and
         ``"sample"`` (its per-shard modes).
     pilot_rate:
-        Stage-1 sampling rate for pilot-style online planners.
+        Stage-1 sampling rate for pilot-style online planners, in (0, 1].
     deadline / budget:
         Cooperative :class:`~repro.resilience.deadline.Deadline` /
         :class:`~repro.resilience.deadline.ResourceBudget` bounding the
         query.
     entry_rung:
-        Start the degradation ladder below ``requested`` (overload
-        shedding / operator override); inert on entry points without a
-        ladder.
+        Start the degradation ladder at this rung of
+        :data:`LADDER_RUNGS` (overload shedding / operator override);
+        inert on entry points without a ladder.
     tenant / priority:
         Multi-tenant attribution and admission-queue class. Outside the
         serving frontend these only label spans/metrics/fingerprints.
@@ -121,13 +135,27 @@ QUERY_OPTION_FIELDS: Tuple[str, ...] = tuple(
 def resolve_options(
     options: Optional[QueryOptions] = None, entry: str = "sql()"
 ) -> QueryOptions:
-    """``options`` itself, or the defaults when the caller passed none."""
+    """``options`` itself, or the defaults when the caller passed none.
+
+    Raises :class:`UnsupportedQueryError` naming ``entry`` for a value no
+    door can honor, so every door refuses it the same way.
+    """
     if options is None:
         return QueryOptions()
     if not isinstance(options, QueryOptions):
         raise TypeError(
             f"{entry}: options must be a QueryOptions, "
             f"got {type(options).__name__}"
+        )
+    if not 0.0 < options.pilot_rate <= 1.0:
+        raise UnsupportedQueryError(
+            f"{entry}: pilot_rate must be in (0, 1], "
+            f"got {options.pilot_rate!r}"
+        )
+    if options.entry_rung is not None and options.entry_rung not in LADDER_RUNGS:
+        raise UnsupportedQueryError(
+            f"{entry}: unknown entry rung {options.entry_rung!r} "
+            f"(expected one of {LADDER_RUNGS})"
         )
     return options
 

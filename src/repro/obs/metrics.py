@@ -11,7 +11,9 @@ tracing there is no off switch. The metric families (DESIGN.md §2.13):
   in the advisor's chain (``Advisor.first_answer``)
 * ``deadline_misses_total{site}`` — a :class:`Deadline` checkpoint fired
 * ``breaker_transitions_total{breaker,to}`` — circuit-breaker state flips
-* ``retry_attempts_total{site}`` — retries beyond the first attempt
+  (ladder rungs and shards)
+* ``retry_attempts_total{site}`` — the ladder's second attempt of a
+  synopsis-backed rung (``site`` is the rung)
 * ``shard_hedges_total`` / ``shard_outcomes_total{status}``
 * ``faults_injected_total{site,kind}`` — chaos-harness firings
 * ``kernel_cache_lookups_total{result}`` /

@@ -101,8 +101,6 @@ class SynopsisCatalog:
         self.cache = get_global_cache()
         #: >0 inside :meth:`allow_stale` — freshness gates are suspended
         self._stale_depth = 0
-        #: per-sketch circuit breakers guarding repeated build failures
-        self._sketch_breakers: Dict[Tuple[str, str, str], object] = {}
         setattr(database, self._ATTR, self)
 
     # ------------------------------------------------------------------
@@ -265,38 +263,22 @@ class SynopsisCatalog:
         (a benchmark rerun, a fresh session over the same data) reuses
         the sketch bytes instead of re-ingesting the column.
 
-        Builds run behind a per-sketch circuit breaker: after repeated
-        build failures the breaker opens and further calls fail fast
-        with :class:`~repro.core.exceptions.SynopsisUnavailable` until
-        its cooldown half-opens it — a flapping builder cannot stall
-        every query that wants the sketch. Each call makes one attempt.
+        Each call makes one attempt; a failed build raises its own error
+        and registers nothing.
         """
         existing = self.find_sketch(table, column, kind)
         if existing is not None:
             return existing
         from ..resilience.faults import maybe_fault
-        from ..resilience.retry import CircuitBreaker, RetryPolicy
 
-        skey = (table, column, kind)
-        breaker = self._sketch_breakers.get(skey)
-        if breaker is None:
-            breaker = CircuitBreaker()
-            self._sketch_breakers[skey] = breaker
         table_obj = self.database.table(table)
-
-        def _build() -> object:
-            maybe_fault("catalog.sketch_build")
-            return self.cache.get_or_build(
-                table_obj,
-                kind=f"sketch:{kind}",
-                columns=(column,),
-                params=params,
-                builder=lambda: builder(table_obj, column),
-            )
-
-        policy = RetryPolicy(max_attempts=1, jitter=0.0, seed=0)
-        sketch = policy.call(
-            _build, site=f"sketch:{table}.{column}:{kind}", breaker=breaker
+        maybe_fault("catalog.sketch_build")
+        sketch = self.cache.get_or_build(
+            table_obj,
+            kind=f"sketch:{kind}",
+            columns=(column,),
+            params=params,
+            builder=lambda: builder(table_obj, column),
         )
         entry = SketchEntry(
             table=table,

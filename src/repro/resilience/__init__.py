@@ -1,4 +1,4 @@
-"""Resilient query serving: deadlines, degradation, retries, chaos.
+"""Resilient query serving: deadlines, degradation, breakers, chaos.
 
 The paper's survey is about what AQP techniques *trade away*; this
 package is about what a deployment must survive *around* them: synopses
@@ -12,12 +12,13 @@ Four pieces:
 * :mod:`~repro.resilience.ladder` — :class:`ResilientEngine`, the
   degradation ladder that turns any failure into the best answer the
   remaining budget allows (or a typed refusal with full provenance);
-* :mod:`~repro.resilience.retry` — deterministic retry/backoff and
-  circuit breaking for synopsis construction and cache fills;
+* :mod:`~repro.resilience.breaker` — counting circuit breakers for the
+  ladder's rungs and the scatter-gather executor's shards;
 * :mod:`~repro.resilience.faults` — the seeded fault-injection harness
   the chaos suite drives.
 """
 
+from .breaker import CircuitBreaker
 from .deadline import (
     Deadline,
     ManualClock,
@@ -38,7 +39,6 @@ from .faults import (
     slow_shard,
 )
 from .ladder import LADDER_RUNGS, RESHARD_RUNG, ResilientEngine
-from .retry import CircuitBreaker, RetryPolicy
 
 __all__ = [
     "Deadline",
@@ -60,5 +60,4 @@ __all__ = [
     "LADDER_RUNGS",
     "RESHARD_RUNG",
     "CircuitBreaker",
-    "RetryPolicy",
 ]

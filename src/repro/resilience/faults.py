@@ -74,7 +74,7 @@ def splitmix64(*words: int) -> int:
 
     The splitmix64 finalizer applied over a running state absorbing each
     word — the same construction the vectorized sketch hashes use, kept
-    in pure ints here so fault/jitter derivation never touches numpy's
+    in pure ints here so fault derivation never touches numpy's
     stateful generators.
     """
     state = 0x9E3779B97F4A7C15
@@ -105,10 +105,10 @@ _QUERY_ID: ContextVar[Optional[int]] = ContextVar(
 def query_scope(query_id: Optional[int]) -> Iterator[None]:
     """Make ``query_id`` ambient for the enclosed code.
 
-    The fault injector and retry jitter key their RNG draws on the
-    ambient query id when one is set, which is what decouples chaos
-    determinism from thread scheduling. ``None`` inherits any enclosing
-    scope (mirroring :func:`repro.resilience.deadline.deadline_scope`).
+    The fault injector keys its RNG draws on the ambient query id when
+    one is set, which is what decouples chaos determinism from thread
+    scheduling. ``None`` inherits any enclosing scope (mirroring
+    :func:`repro.resilience.deadline.deadline_scope`).
     """
     prev = _QUERY_ID.get()
     token = _QUERY_ID.set(query_id if query_id is not None else prev)

@@ -68,7 +68,7 @@ from ..core.exceptions import (
     SynopsisUnavailable,
     UnsupportedQueryError,
 )
-from ..core.options import QueryOptions
+from ..core.options import LADDER_RUNGS, QueryOptions
 from ..core.result import ApproximateResult
 from ..core.session import execute_exact, run_query
 from ..engine.executor import ExecutionStats
@@ -80,20 +80,11 @@ from ..obs.trace import event, span
 from ..offline.catalog import SynopsisCatalog
 from ..online.ola import fixed_stop_snapshot
 from ..sql.binder import BoundQuery
-from .deadline import Deadline
+from .breaker import CircuitBreaker
+from .deadline import current_deadline
 from .faults import maybe_fault
-from .retry import CircuitBreaker, RetryPolicy
 
 __all__ = ["ResilientEngine", "LADDER_RUNGS", "RESHARD_RUNG"]
-
-#: rung names in fall-through order (documentation + provenance schema)
-LADDER_RUNGS = (
-    "requested",
-    "stale_synopsis",
-    "cheaper_technique",
-    "partial_ola",
-    "exact_no_guarantee",
-)
 
 #: provenance rung used by the scatter-gather executor when an answer is
 #: assembled from k-of-n shards with CIs widened for the missing ones —
@@ -108,15 +99,14 @@ _TRANSIENT = (InjectedFault, OSError, MemoryError, ConnectionError)
 #: describes a different table and the rung refuses instead of widening
 _MAX_WIDEN_STALENESS = 4.0
 
-#: rungs whose transient failures are retried (the synopsis-backed ones)
+#: rungs whose transient failures get a second attempt (the
+#: synopsis-backed ones)
 _RETRYABLE = ("requested", "stale_synopsis")
 
 #: rungs cheap enough to run past expiry (snapshots are O(1) once
-#: built), and what ``RetryPolicy.call`` checks for them instead of the
-#: query's ambient deadline: the rung's own loop observes the real one
-#: and stops gracefully
+#: built): no deadline check before their attempt — the rung's own loop
+#: observes the real deadline and stops gracefully
 _RUNS_EXPIRED = ("partial_ola",)
-_NO_DEADLINE = Deadline(math.inf)
 
 #: provenance ``detail`` of a failed rung, by what it raised (first
 #: match; anything that is not a ReproError is "unexpected")
@@ -166,18 +156,13 @@ class ResilientEngine:
         from below the requested rung.
 
     Transient failures on the synopsis-backed rungs (requested / stale)
-    get a second attempt with seeded jitter. Each rung sits behind a
-    :class:`CircuitBreaker`: after repeated transient failures the rung
-    is skipped outright (the ladder moves on) until its cooldown
-    half-opens it.
+    get a second attempt. Each rung sits behind a :class:`CircuitBreaker`:
+    after repeated transient failures the rung is skipped outright (the
+    ladder moves on) until its cooldown half-opens it.
     """
 
     def __init__(self, database, warn_on_degrade: bool = True) -> None:
         self.database = database
-        self.retry = RetryPolicy(max_attempts=2, seed=0, retry_on=_TRANSIENT)
-        self._one_shot = RetryPolicy(
-            max_attempts=1, jitter=0.0, seed=0, retry_on=_TRANSIENT
-        )
         self.breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
         self.warn_on_degrade = warn_on_degrade
@@ -221,11 +206,6 @@ class ResilientEngine:
     def _stage(self, bound: BoundQuery, spec, options: QueryOptions):
         """The rung loop: the first rung that answers serves the query."""
         deadline, entry_rung = options.deadline, options.entry_rung
-        if entry_rung is not None and entry_rung not in LADDER_RUNGS:
-            raise ValueError(
-                f"unknown entry rung {entry_rung!r} (expected one of "
-                f"{LADDER_RUNGS})"
-            )
         technique = options.technique
         if technique not in (None, "exact") and technique not in TECHNIQUES:
             # Refused up front: a misspelt technique would otherwise fail
@@ -297,20 +277,50 @@ class ResilientEngine:
 
     # ------------------------------------------------------------------
     def _attempt(self, name: str, fn: Callable[[], object]):
-        def guarded():
-            # The fault hook runs inside the retry/breaker wrapper so
-            # injected rung failures are retried like any transient
-            # error and feed the rung's circuit breaker.
-            maybe_fault(f"ladder.{name}")
-            return fn()
+        """Run one rung behind its breaker, twice if it is retryable.
 
-        policy = self.retry if name in _RETRYABLE else self._one_shot
-        return policy.call(
-            guarded,
-            site=name,
-            deadline=_NO_DEADLINE if name in _RUNS_EXPIRED else None,
-            breaker=self.breaker(name),
-        )
+        Before each attempt the ambient deadline is checked (except on
+        rungs that run expired) and the breaker asked; an open breaker
+        raises :class:`SynopsisUnavailable` — the ladder's cue to move
+        on. A transient failure (the fault hook runs inside, so injected
+        rung failures count) feeds the breaker. :class:`DeadlineExceeded`
+        is never retried, but it re-opens a half-open breaker: a probe
+        that blew the deadline has not demonstrated recovery. Any other
+        error propagates without touching the breaker.
+        """
+        breaker = self.breaker(name)
+        deadline = None if name in _RUNS_EXPIRED else current_deadline()
+        attempts = 2 if name in _RETRYABLE else 1
+        for attempt in range(attempts):
+            if attempt:
+                event(
+                    "retry",
+                    site=name,
+                    attempt=attempt,
+                    error=f"{type(last).__name__}: {last}",
+                )
+                get_metrics().inc("retry_attempts_total", site=name)
+            if deadline is not None:
+                deadline.check(site=f"retry:{name}")
+            if not breaker.allow():
+                raise SynopsisUnavailable(
+                    f"circuit open for {name}; not retrying"
+                )
+            try:
+                maybe_fault(f"ladder.{name}")
+                result = fn()
+            except DeadlineExceeded:
+                if breaker.state == "half_open":
+                    breaker.reopen()
+                raise
+            except _TRANSIENT as exc:
+                breaker.record_failure()
+                if attempt + 1 == attempts:
+                    raise
+                last = exc
+            else:
+                breaker.record_success()
+                return result
 
     @staticmethod
     def _describe(result) -> str:

@@ -22,8 +22,7 @@ sheds *work*. The pipeline per query:
    :class:`~repro.resilience.ladder.ResilientEngine` under the ambient
    deadline/budget scope (which also reaches scatter-gather shards) and
    inside a :func:`~repro.resilience.faults.query_scope`, so fault
-   injection and retry jitter stay deterministic per query no matter
-   the interleaving;
+   injection stays deterministic per query no matter the interleaving;
 4. **settlement**: the admission charge is reconciled against the
    measured :class:`~repro.engine.executor.ExecutionStats` actuals, and
    the query's fate (deadline miss? refusal?) feeds the overload

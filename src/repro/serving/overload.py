@@ -36,8 +36,8 @@ import threading
 from collections import deque
 from typing import Deque, Optional
 
+from ..core.options import LADDER_RUNGS
 from ..obs.metrics import get_metrics
-from ..resilience.ladder import LADDER_RUNGS
 
 __all__ = ["OverloadController"]
 

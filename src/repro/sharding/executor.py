@@ -97,7 +97,7 @@ from ..resilience.deadline import (
 )
 from ..resilience.faults import get_injector, maybe_fault, shard_site
 from ..resilience.ladder import RESHARD_RUNG
-from ..resilience.retry import CircuitBreaker
+from ..resilience.breaker import CircuitBreaker
 from ..sql.binder import BoundQuery
 from .merge import merge_partial_tables
 from .table import ShardedTable, Shard

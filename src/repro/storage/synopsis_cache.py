@@ -10,8 +10,7 @@ and explicit invalidation is only an eviction hint, not a correctness
 requirement.
 
 Entries are held under an LRU byte budget; hit/miss/eviction counters
-make reuse measurable (the parallel bench harness reports them per
-experiment).
+make reuse measurable (the metrics snapshot folds them in as gauges).
 """
 
 from __future__ import annotations

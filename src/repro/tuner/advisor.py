@@ -8,9 +8,7 @@ catalog state, which is what makes tuning decisions replayable.
 Scoring follows the BlinkDB/VerdictDB shape: a candidate synopsis is
 worth (queries it would serve) × (work it saves each one), normalized by
 the storage rows it occupies; candidates are admitted greedily under the
-budget. The observed miss rate of the content-addressed synopsis cache
-scales the urgency — a workload whose lookups keep missing is a workload
-whose synopses are not the ones being asked for.
+budget.
 """
 
 from __future__ import annotations
@@ -134,11 +132,6 @@ class SynopsisAdvisor:
     # ------------------------------------------------------------------
     def candidates(self) -> List[Candidate]:
         """All scoring candidates, best first (ties broken by key)."""
-        # A missing synopsis shows up as cache misses; the higher the
-        # observed miss rate, the more urgent building becomes.
-        stats = self.catalog.cache_stats()
-        miss_rate = 1.0 - float(stats.get("hit_rate", 0.0))
-        urgency = 1.0 + miss_rate
         out: List[Candidate] = []
         for table_name in self.log.tables():
             try:
@@ -155,7 +148,7 @@ class SynopsisAdvisor:
                         kind="uniform",
                         rows=rows,
                         demand=scalar,
-                        score=urgency * scalar * benefit / max(rows, 1),
+                        score=scalar * benefit / max(rows, 1),
                     )
                 )
             for group_cols, count in self.log.group_demand(table_name).items():
@@ -168,7 +161,7 @@ class SynopsisAdvisor:
                         columns=group_cols,
                         rows=rows,
                         demand=count,
-                        score=urgency * count * benefit / max(rows, 1),
+                        score=count * benefit / max(rows, 1),
                     )
                 )
             for measure, count in self.log.measure_demand(table_name).items():
@@ -184,7 +177,7 @@ class SynopsisAdvisor:
                         columns=(measure,),
                         rows=rows,
                         demand=count,
-                        score=0.5 * urgency * count * benefit / max(rows, 1),
+                        score=0.5 * count * benefit / max(rows, 1),
                     )
                 )
         out.sort(key=lambda c: (-c.score, c.key))

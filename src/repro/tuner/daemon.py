@@ -3,8 +3,8 @@
 One :meth:`TuningDaemon.run_cycle` takes a snapshot of the workload log,
 asks the :class:`~repro.tuner.advisor.SynopsisAdvisor` for a plan, and
 applies it: winning candidates are materialized into the catalog
-(through the content-addressed synopsis cache, circuit-breaker-wrapped
-like every other synopsis build), cold tuner-built entries are evicted,
+(through the content-addressed synopsis cache; a failed build fails its
+candidate, not the cycle), cold tuner-built entries are evicted,
 and the cycle is recorded as a span (``tuner_cycle``) plus metrics
 (``tuner_builds``, ``tuner_evictions``, ``synopsis_hit_rate``).
 
@@ -34,7 +34,6 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import span
 from ..offline.catalog import SampleEntry, SynopsisCatalog
 from ..resilience.faults import maybe_fault, splitmix64
-from ..resilience.retry import CircuitBreaker, RetryPolicy
 from ..sampling.measure_biased import measure_biased_sample
 from ..sampling.row import srs_sample
 from ..sampling.stratified import stratified_sample
@@ -121,17 +120,9 @@ class TuningDaemon:
         self.seed = seed
         self.cycle = 0
         self.reports: List[TuningReport] = []
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-
-    # ------------------------------------------------------------------
-    def breaker(self, key: str) -> CircuitBreaker:
-        with self._lock:
-            if key not in self._breakers:
-                self._breakers[key] = CircuitBreaker(name=f"tuner.{key}")
-            return self._breakers[key]
 
     # ------------------------------------------------------------------
     # Drift policy
@@ -217,7 +208,7 @@ class TuningDaemon:
         ) % (2**31)
 
     def _build(self, candidate: Candidate, cycle: int) -> SampleEntry:
-        """Materialize one candidate behind its breaker."""
+        """Materialize one candidate; a failed build raises."""
         table_obj = self.database.table(candidate.table)
         build_seed = self._build_seed(candidate, cycle)
 
@@ -239,23 +230,15 @@ class TuningDaemon:
                 table_obj, candidate.columns[0], candidate.rows, rng=rng
             )
 
-        def _cached_build():
-            # Arrive at the hazard point on every attempt (not just cache
-            # misses) so fault schedules see deterministic arrivals.
-            maybe_fault("tuner.build")
-            return self.catalog.cache.get_or_build(
-                table_obj,
-                kind=f"tuned:{candidate.kind}",
-                columns=candidate.columns,
-                params={"rows": candidate.rows, "seed": build_seed},
-                builder=_sample,
-            )
-
-        policy = RetryPolicy(max_attempts=1, jitter=0.0, seed=0)
-        sample = policy.call(
-            _cached_build,
-            site=f"tuner:{candidate.key}",
-            breaker=self.breaker(candidate.key),
+        # Arrive at the hazard point on every build (not just cache
+        # misses) so fault schedules see deterministic arrivals.
+        maybe_fault("tuner.build")
+        sample = self.catalog.cache.get_or_build(
+            table_obj,
+            kind=f"tuned:{candidate.kind}",
+            columns=candidate.columns,
+            params={"rows": candidate.rows, "seed": build_seed},
+            builder=_sample,
         )
         return self._register(candidate, sample, table_obj.num_rows)
 

@@ -359,7 +359,7 @@ class TestEngineMetrics:
         ) == 1.0
 
     def test_breaker_transition_metrics(self, fresh_metrics):
-        from repro.resilience.retry import CircuitBreaker
+        from repro.resilience.breaker import CircuitBreaker
 
         b = CircuitBreaker(failure_threshold=2, cooldown=1, name="t")
         b.record_failure()
@@ -373,28 +373,28 @@ class TestEngineMetrics:
         assert mv("breaker_transitions_total", breaker="t", to="half_open") == 1.0
         assert mv("breaker_transitions_total", breaker="t", to="closed") == 1.0
 
-    def test_retry_attempt_metric_and_span(self, fresh_metrics):
-        from repro.resilience.retry import RetryPolicy
+    def test_retry_attempt_metric_and_span(self, db, fresh_metrics):
+        from repro.resilience import FaultInjector, FaultSpec, inject
+        from repro.resilience.ladder import ResilientEngine
 
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 2:
-                raise OSError("transient")
-            return "ok"
-
+        engine = ResilientEngine(db, warn_on_degrade=False)
+        injector = FaultInjector(
+            [FaultSpec(site="ladder.requested", max_fires=1)]
+        )
         tracer = Tracer()
-        policy = RetryPolicy(max_attempts=3, seed=0, retry_on=(OSError,))
-        with trace_scope(tracer):
-            assert policy.call(flaky, site="builder") == "ok"
+        with trace_scope(tracer), inject(injector):
+            engine.sql(
+                "SELECT SUM(price) AS s FROM sales "
+                "ERROR WITHIN 10% CONFIDENCE 95%",
+                options=QueryOptions(seed=1),
+            )
         assert fresh_metrics.counter_value(
-            "retry_attempts_total", site="builder"
+            "retry_attempts_total", site="requested"
         ) == 1.0
         (retry_span,) = tracer.find("retry")
-        assert retry_span.attributes["site"] == "builder"
+        assert retry_span.attributes["site"] == "requested"
         assert retry_span.attributes["attempt"] == 1
-        assert "OSError" in retry_span.error
+        assert "InjectedFault" in retry_span.error
 
     def test_synopsis_cache_lookup_counters(self, fresh_metrics):
         from repro.storage.synopsis_cache import SynopsisCache

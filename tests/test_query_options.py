@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import Database, QueryOptions
+from repro.core.exceptions import UnsupportedQueryError
 from repro.core.options import (
     QUERY_OPTION_FIELDS,
     maybe_trace,
@@ -135,6 +136,37 @@ class TestResolveOptions:
             assert tracer is None
         with maybe_trace(QueryOptions(trace=True)) as tracer:
             assert tracer is not None
+
+
+# ----------------------------------------------------------------------
+# Option values no door can honor are refused alike, before binding
+# ----------------------------------------------------------------------
+
+class TestInvalidOptionValues:
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            (QueryOptions(seed=1, pilot_rate=0.0), "pilot_rate"),
+            (QueryOptions(seed=1, pilot_rate=1.5), "pilot_rate"),
+            (QueryOptions(seed=1, entry_rung="bogus"), "unknown entry rung"),
+        ],
+    )
+    def test_every_door_refuses_typed(self, db, options, match):
+        sharded = ShardedTable.from_table(db.table("events"), 4)
+        frontend = ServingFrontend(db, workers=1, seed=0)
+        doors = [
+            ("Database.sql", db.sql),
+            ("ResilientEngine.sql", ResilientEngine(db).sql),
+            # raised synchronously, in the caller's thread
+            ("ServingFrontend.submit", frontend.submit),
+            ("ScatterGatherExecutor.sql", ScatterGatherExecutor(sharded).sql),
+        ]
+        try:
+            for name, door in doors:
+                with pytest.raises(UnsupportedQueryError, match=match):
+                    door(SPEC_SQL, options=options)
+        finally:
+            frontend.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Tests for the resilience serving layer.
 
 Covers the cooperative deadline/budget objects, their threading through
-the executor and the online loops, the deterministic retry/backoff and
-circuit-breaker pair, the synopsis cache's failed-build semantics, the
-fault injector, and the degradation ladder's rung-by-rung behaviour.
+the executor and the online loops, the circuit breaker, the synopsis
+cache's failed-build semantics, the fault injector, and the degradation
+ladder's rung-by-rung behaviour and its retry of synopsis-backed rungs.
 The randomized fault sweeps live in ``test_chaos.py``.
 """
 
@@ -39,7 +39,6 @@ from repro.resilience import (
     ManualClock,
     ResilientEngine,
     ResourceBudget,
-    RetryPolicy,
     deadline_scope,
     inject,
 )
@@ -192,114 +191,8 @@ class TestExecutorLimits:
 
 
 # ----------------------------------------------------------------------
-# Retry / circuit breaker
+# Circuit breaker
 # ----------------------------------------------------------------------
-
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_under_a_seed(self):
-        a = RetryPolicy(max_attempts=5, seed=11)
-        b = RetryPolicy(max_attempts=5, seed=11)
-        assert [a.backoff(k) for k in range(4)] == [
-            b.backoff(k) for k in range(4)
-        ]
-
-    def test_retries_then_succeeds(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError("transient")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=3, seed=0, retry_on=(OSError,))
-        assert policy.call(flaky, site="build") == "ok"
-        assert calls["n"] == 3
-        assert len(policy.delays) == 2
-
-    def test_exhausted_attempts_reraise_last_error(self):
-        policy = RetryPolicy(max_attempts=2, seed=0, retry_on=(OSError,))
-        with pytest.raises(OSError):
-            policy.call(lambda: (_ for _ in ()).throw(OSError("boom")))
-
-    def test_deadline_exceeded_is_never_retried(self):
-        calls = {"n": 0}
-
-        def dies():
-            calls["n"] += 1
-            raise DeadlineExceeded("late", site="inner")
-
-        policy = RetryPolicy(max_attempts=5, seed=0)
-        with pytest.raises(DeadlineExceeded):
-            policy.call(dies)
-        assert calls["n"] == 1
-
-    def test_non_transient_errors_propagate_immediately(self):
-        calls = {"n": 0}
-
-        def bug():
-            calls["n"] += 1
-            raise ValueError("a bug, not weather")
-
-        policy = RetryPolicy(max_attempts=3, seed=0, retry_on=(OSError,))
-        with pytest.raises(ValueError):
-            policy.call(bug)
-        assert calls["n"] == 1
-
-    def test_deadline_checked_between_attempts(self):
-        clock = ManualClock()
-        dl = Deadline(1.0, clock=clock)
-
-        def fail_and_stall():
-            clock.advance(2.0)
-            raise OSError("slow failure")
-
-        policy = RetryPolicy(max_attempts=3, seed=0, retry_on=(OSError,))
-        with pytest.raises(DeadlineExceeded):
-            policy.call(fail_and_stall, site="build", deadline=dl)
-
-    def test_backoff_never_sleeps_past_the_deadline(self):
-        clock = ManualClock()
-        dl = Deadline(1.0, clock=clock)
-        policy = RetryPolicy(
-            max_attempts=3,
-            base_delay=10.0,
-            max_delay=10.0,
-            jitter=0.0,
-            seed=0,
-            sleeper=clock.advance,
-            retry_on=(OSError,),
-        )
-
-        def always_fails():
-            raise OSError("transient")
-
-        # The un-capped schedule would sleep 10s; the cap trims it to the
-        # deadline's remaining 1s, and the between-attempt check then
-        # converts the exhausted budget into DeadlineExceeded.
-        with pytest.raises(DeadlineExceeded):
-            policy.call(always_fails, site="build", deadline=dl)
-        assert policy.delays == [1.0]
-        assert clock.now() == pytest.approx(1.0)
-
-    def test_backoff_cap_uses_the_ambient_deadline(self):
-        clock = ManualClock()
-        dl = Deadline(0.5, clock=clock)
-        policy = RetryPolicy(
-            max_attempts=2,
-            base_delay=10.0,
-            max_delay=10.0,
-            jitter=0.0,
-            seed=0,
-            sleeper=clock.advance,
-            retry_on=(OSError,),
-        )
-        with deadline_scope(dl):
-            with pytest.raises(DeadlineExceeded):
-                policy.call(lambda: (_ for _ in ()).throw(OSError("x")))
-        assert policy.delays == [0.5]
-        assert clock.now() == pytest.approx(0.5)
-
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_and_half_opens_after_cooldown(self):
@@ -326,19 +219,21 @@ class TestCircuitBreaker:
         assert breaker.state == "open"
         assert breaker.times_opened == 2
 
-    def test_retry_policy_respects_open_breaker(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=100)
+    def test_retry_policy_respects_open_breaker(self, sales_db):
+        # The ladder's retry asks the rung's breaker before every
+        # attempt: an open one fails the rung without running it.
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        breaker = engine.breakers["requested"] = CircuitBreaker(
+            failure_threshold=1, cooldown=100, name="ladder.requested"
+        )
         breaker.record_failure()
-        policy = RetryPolicy(max_attempts=3, seed=0)
-        calls = {"n": 0}
-
-        def never_called():
-            calls["n"] += 1
-            return "x"
-
-        with pytest.raises(SynopsisUnavailable):
-            policy.call(never_called, site="build", breaker=breaker)
-        assert calls["n"] == 0
+        injector = FaultInjector([FaultSpec(site="ladder.requested")])
+        with inject(injector):
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
+        assert injector.fired_at("ladder.requested") == 0
+        steps = {p["rung"]: p for p in result.provenance}
+        assert steps["requested"]["detail"] == "synopsis unavailable"
+        assert "circuit open for requested" in steps["requested"]["error"]
 
     def test_reopen_does_not_count_an_ordinary_failure(self):
         breaker = CircuitBreaker(failure_threshold=3, cooldown=1)
@@ -350,28 +245,29 @@ class TestCircuitBreaker:
         assert breaker.total_failures == 1
         assert breaker.consecutive_failures == 1
 
-    def test_aborted_half_open_probe_reopens_without_a_failure(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=1)
+    def test_aborted_half_open_probe_reopens_without_a_failure(
+        self, sales_db
+    ):
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        breaker = engine.breakers["requested"] = CircuitBreaker(
+            failure_threshold=2, cooldown=1, name="ladder.requested"
+        )
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == "open"
         breaker.allow()  # cooldown rejection -> half_open
         assert breaker.state == "half_open"
 
-        calls = {"n": 0}
-
-        def probe_blows_deadline():
-            calls["n"] += 1
-            raise DeadlineExceeded("probe aborted", site="probe")
-
-        policy = RetryPolicy(max_attempts=3, seed=0, retry_on=(OSError,))
-        with pytest.raises(DeadlineExceeded):
-            policy.call(
-                probe_blows_deadline, site="build", breaker=breaker
-            )
-        # the deadline abort consumed no retries ...
-        assert calls["n"] == 1
-        assert policy.delays == []
+        # The admitted probe blows its deadline.
+        injector = FaultInjector(
+            [FaultSpec(site="ladder.requested", error_type=DeadlineExceeded)]
+        )
+        with inject(injector):
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
+        # the deadline abort consumed no retry ...
+        assert injector.fired_at("ladder.requested") == 1
+        steps = {p["rung"]: p for p in result.provenance}
+        assert steps["requested"]["detail"] == "deadline"
         # ... and the breaker is back to open — but the abort was not
         # recorded as an observed failure (the probe's health is unknown)
         assert breaker.state == "open"
@@ -498,7 +394,7 @@ class TestCatalogResilience:
                 raise RuntimeError("body died")
         assert not catalog.stale_allowed
 
-    def test_sketch_build_breaker_opens_after_repeated_failures(self):
+    def test_failing_sketch_build_raises_every_time(self):
         db = Database()
         db.create_table("t", {"x": np.arange(100.0)})
         catalog = SynopsisCatalog(db)
@@ -512,15 +408,11 @@ class TestCatalogResilience:
             return object()
 
         with inject(injector):
-            for _ in range(3):
+            for _ in range(4):
                 with pytest.raises(InjectedFault):
                     catalog.ensure_sketch("t", "x", "hll", builder)
-            # Breaker open: fails fast with the typed error, builder
-            # never reached.
-            with pytest.raises(SynopsisUnavailable):
-                catalog.ensure_sketch("t", "x", "hll", builder)
         assert builds["n"] == 0
-        assert catalog._sketch_breakers[("t", "x", "hll")].state == "open"
+        assert catalog.sketches == {}
 
 
 # ----------------------------------------------------------------------
@@ -847,6 +739,82 @@ class TestLadder:
         assert injector.fired_at("ladder.requested") == arrivals_before
         steps = {p["rung"]: p for p in result.provenance}
         assert steps["requested"]["detail"] == "synopsis unavailable"
+
+
+# ----------------------------------------------------------------------
+# The ladder's retry of its synopsis-backed rungs
+# ----------------------------------------------------------------------
+
+class TestLadderRetry:
+    """A transient failure of ``requested`` gets one more attempt."""
+
+    def test_retries_then_succeeds(self, sales_db):
+        engine = ResilientEngine(sales_db)
+        injector = FaultInjector(
+            [FaultSpec(site="ladder.requested", max_fires=1)]
+        )
+        with inject(injector), warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedAnswer)
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
+        assert [p["rung"] for p in result.provenance] == ["requested"]
+        assert not result.is_degraded
+        breaker = engine.breakers["requested"]
+        assert (breaker.total_failures, breaker.total_successes) == (1, 1)
+
+    def test_exhausted_attempts_reraise_last_error(self, sales_db):
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        injector = FaultInjector([FaultSpec(site="ladder.requested")])
+        with inject(injector):
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
+        assert injector.fired_at("ladder.requested") == 2
+        steps = {p["rung"]: p for p in result.provenance}
+        assert steps["requested"]["outcome"] == "failed"
+        assert steps["requested"]["error"].endswith("(arrival 1)")
+        assert result.provenance[-1]["rung"] == "cheaper_technique"
+
+    def test_deadline_exceeded_is_never_retried(self, sales_db):
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        injector = FaultInjector(
+            [FaultSpec(site="ladder.requested", error_type=DeadlineExceeded)]
+        )
+        with inject(injector):
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
+        assert injector.fired_at("ladder.requested") == 1
+        steps = {p["rung"]: p for p in result.provenance}
+        assert steps["requested"]["detail"] == "deadline"
+        assert engine.breakers["requested"].total_failures == 0
+
+    def test_non_transient_errors_propagate_immediately(self, sales_db):
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        injector = FaultInjector(
+            [FaultSpec(site="ladder.requested", error_type=ValueError)]
+        )
+        with inject(injector):
+            result = engine.sql(APPROX_SQL, options=QueryOptions(seed=1))
+        assert injector.fired_at("ladder.requested") == 1
+        steps = {p["rung"]: p for p in result.provenance}
+        assert steps["requested"]["detail"] == "unexpected"
+        assert engine.breakers["requested"].total_failures == 0
+
+    def test_deadline_checked_between_attempts(self, sales_db, monkeypatch):
+        clock = ManualClock()
+        engine = ResilientEngine(sales_db, warn_on_degrade=False)
+        calls = []
+
+        def fail_and_stall(*_):
+            calls.append(1)
+            clock.advance(2.0)
+            raise OSError("slow failure")
+
+        monkeypatch.setattr(engine, "_run_requested", fail_and_stall)
+        result = engine.sql(
+            APPROX_SQL,
+            options=QueryOptions(seed=1, deadline=Deadline(1.0, clock=clock)),
+        )
+        assert calls == [1]
+        steps = {p["rung"]: p for p in result.provenance}
+        assert steps["requested"]["detail"] == "deadline"
+        assert "retry:requested" in steps["requested"]["error"]
 
 
 # ----------------------------------------------------------------------

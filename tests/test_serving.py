@@ -16,7 +16,11 @@ import pytest
 
 from repro import Database
 from repro.core.errorspec import ErrorSpec
-from repro.core.exceptions import QueryRefused, QueryRejected
+from repro.core.exceptions import (
+    QueryRefused,
+    QueryRejected,
+    UnsupportedQueryError,
+)
 from repro.core.options import QueryOptions
 from repro.engine.table import Table
 from repro.resilience.deadline import ManualClock
@@ -415,7 +419,7 @@ def test_entry_rung_validation():
     db = Database()
     db.create_table("t", {"x": np.arange(10.0)})
     engine = ResilientEngine(db, warn_on_degrade=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedQueryError, match="unknown entry rung"):
         engine.sql(
             "SELECT SUM(x) FROM t",
             options=QueryOptions(entry_rung="nonsense"),

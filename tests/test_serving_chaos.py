@@ -26,6 +26,7 @@ import pytest
 from repro import Database
 from repro.core.exceptions import QueryRefused, QueryRejected
 from repro.core.options import QueryOptions
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import (
     FaultInjector,
     FaultSpec,
@@ -34,7 +35,6 @@ from repro.resilience.faults import (
     splitmix64,
 )
 from repro.resilience.ladder import LADDER_RUNGS, ResilientEngine
-from repro.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.serving import OverloadController, ServingFrontend
 
 pytestmark = [pytest.mark.chaos, pytest.mark.stress]
@@ -230,28 +230,6 @@ def test_same_seed_two_schedules_same_faults_and_answers(chaos_db, seed):
         assert answers_seq[qid] == answers_par[qid], (
             f"query {qid} diverged between schedules"
         )
-
-
-def test_retry_jitter_is_schedule_free():
-    """Backoff draws are pure functions of (seed, site, query, attempt)."""
-    policy = RetryPolicy(max_attempts=3, jitter=0.5, seed=42)
-    with query_scope(7):
-        a0 = policy.backoff(0, site="ladder.requested")
-        a1 = policy.backoff(1, site="ladder.requested")
-    with query_scope(8):
-        b0 = policy.backoff(0, site="ladder.requested")
-    # Draw order reversed, different interleaving: same values.
-    with query_scope(8):
-        b0_again = policy.backoff(0, site="ladder.requested")
-    with query_scope(7):
-        a1_again = policy.backoff(1, site="ladder.requested")
-        a0_again = policy.backoff(0, site="ladder.requested")
-    assert (a0, a1, b0) == (a0_again, a1_again, b0_again)
-    assert a0 != b0, "different queries draw different jitter"
-    # A second policy with the same seed agrees exactly.
-    twin = RetryPolicy(max_attempts=3, jitter=0.5, seed=42)
-    with query_scope(7):
-        assert twin.backoff(0, site="ladder.requested") == a0
 
 
 def test_fault_decisions_keyed_per_query():

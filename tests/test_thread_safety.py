@@ -20,7 +20,7 @@ from repro import Database
 from repro.engine.kernel_cache import KernelCache
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.deadline import ManualClock
-from repro.resilience.retry import CircuitBreaker
+from repro.resilience.breaker import CircuitBreaker
 from repro.serving import TokenBucket
 from repro.storage.synopsis_cache import SynopsisCache
 

@@ -247,7 +247,7 @@ class TestDaemon:
         assert daemon.should_retune()
         assert daemon.maybe_tune() is not None
 
-    def test_build_failures_trip_the_breaker_not_the_cycle(self, db):
+    def test_build_failures_fail_the_candidate_not_the_cycle(self, db):
         from repro.resilience import FaultInjector, FaultSpec, inject
 
         log = WorkloadLog()
