@@ -20,7 +20,8 @@ per entry point) — passing ``entry_rung`` to the exact
 :meth:`Database.sql` path is not an error, the same way passing a
 ``deadline`` to a query that finishes early is not. A value no entry
 point could honor (a ``pilot_rate`` outside (0, 1], an unknown
-``entry_rung``) is refused by every door alike, before binding.
+``entry_rung`` or ``priority``) is refused by every door alike, before
+binding.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .exceptions import UnsupportedQueryError
 
 __all__ = [
     "LADDER_RUNGS",
+    "PRIORITY_CLASSES",
     "QueryOptions",
     "QUERY_OPTION_FIELDS",
     "resolve_options",
@@ -51,6 +53,10 @@ LADDER_RUNGS = (
     "partial_ola",
     "exact_no_guarantee",
 )
+
+#: admission priority classes in service order (lower value served
+#: first); the values ``priority`` may take
+PRIORITY_CLASSES: Dict[str, int] = {"interactive": 0, "batch": 1}
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,11 @@ def resolve_options(
         raise UnsupportedQueryError(
             f"{entry}: unknown entry rung {options.entry_rung!r} "
             f"(expected one of {LADDER_RUNGS})"
+        )
+    if options.priority not in PRIORITY_CLASSES:
+        raise UnsupportedQueryError(
+            f"{entry}: unknown priority {options.priority!r} "
+            f"(expected one of {sorted(PRIORITY_CLASSES)})"
         )
     return options
 

@@ -186,7 +186,7 @@ class Database:
 
         ``options`` is a :class:`~repro.core.options.QueryOptions`.
         """
-        from ..core.session import AQPEngine
+        from ..core.session import AQPEngine, run_query
         from ..sql.parser import split_explain
 
         mode, inner = split_explain(query)
@@ -196,7 +196,14 @@ class Database:
             from ..obs.explain import run_explain_analyze
 
             return run_explain_analyze(self, inner, options=options)
-        return AQPEngine(self).sql(inner, options=options)
+        return run_query(
+            inner,
+            options,
+            door="Database.sql()",
+            engine="aqp",
+            database=self,
+            stage=AQPEngine(self)._stage,
+        )
 
     def explain(self, query: str) -> str:
         """Textual optimized plan for a SQL string."""

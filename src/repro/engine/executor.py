@@ -232,7 +232,9 @@ class Executor:
         n = table.num_rows
         nb = table.num_blocks
         if sample.method == "bernoulli_rows":
-            rows = np.flatnonzero(rng.random(n) < sample.rate)
+            from ..sampling.row import bernoulli_positions
+
+            rows = bernoulli_positions(n, sample.rate, rng)
             return blockio.row_sample_selection(
                 table, rows, np.full(len(rows), 1.0 / sample.rate)
             )

@@ -317,20 +317,21 @@ class Table:
         """
         if self._fingerprint_cache is not None:
             return self._fingerprint_cache
+        from ..sketches.hashing import hash64
+        from .aggregates import sorted_unique
+
         h = hashlib.blake2b(digest_size=16)
         n = self.num_rows
         h.update(f"rows={n};block={self.block_size};".encode())
         if n:
             take = min(n, _FINGERPRINT_SAMPLES)
-            probe = np.unique(
+            probe = sorted_unique(
                 np.concatenate(
                     [np.linspace(0, n - 1, take).astype(np.int64), [0, n - 1]]
                 )
             )
         else:
             probe = np.array([], dtype=np.int64)
-        from ..sketches.hashing import hash64
-
         for name in sorted(self._columns):
             arr = self._columns[name]
             h.update(f"{name}:{arr.dtype.str};".encode())

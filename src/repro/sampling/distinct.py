@@ -18,9 +18,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.aggregates import encode_groups_arrays
+from ..engine.aggregates import encode_groups_arrays, sorted_unique
 from ..engine.table import Table
 from .base import WeightedSample
+from .row import bernoulli_positions
 
 #: Rows are ranked within their group only if their random priority falls
 #: under a per-group threshold that lets through about this many times the
@@ -42,13 +43,22 @@ def distinct_selection(
     the sampler itself; :func:`distinct_sample` copies the rows out and a
     ``distinct_rows`` scan directive feeds them to a fused scan.
 
-    Every row draws a priority; the ``min(cap, size)`` smallest priorities
-    of each group are kept outright and every other row with probability
-    ``rate``. Rows of a group are exchangeable, so a row is among the
-    outright keeps with probability ``q = min(cap, size)/size`` and
-    ``π = q + (1-q)·rate`` exactly. Finding the smallest priorities needs
-    no sort of the table: only rows whose priority is under
-    ``cap·multiplier/size`` can be among them, and those few are sorted.
+    Every row has a uniform priority; the ``min(cap, size)`` smallest
+    priorities of each group are kept outright and every other row with
+    probability ``rate``. Rows of a group are exchangeable, so a row is
+    among the outright keeps with probability ``q = min(cap, size)/size``
+    and ``π = q + (1-q)·rate`` exactly.
+
+    Only priorities that can matter are drawn. A group no larger than
+    the cap is kept whole. A group of at most ``cap·multiplier`` rows
+    ranks every row. A larger group ranks only the rows whose priority is
+    under ``t = cap·multiplier/size``: those are drawn as Bernoulli
+    positions at the largest such ``t`` with priorities uniform below it,
+    then thinned to their own group's ``t`` — the same law as a priority
+    per row. A group that falls short of its cap that way ranks all of
+    its rows on fresh priorities, which leaves its outright keeps a
+    uniform ``min(cap, size)``-subset, as before. The rows kept at
+    ``rate`` are drawn as Bernoulli positions too.
     """
     if not (0.0 < rate <= 1.0):
         raise ValueError(f"rate must be in (0, 1], got {rate}")
@@ -61,24 +71,52 @@ def distinct_selection(
     num_groups = len(key_columns[0])
     sizes = np.bincount(group_ids, minlength=num_groups)
     quota = np.minimum(frequency_cap, sizes)
-    priority = rng.random(n)
     threshold = np.minimum(1.0, _CANDIDATE_MULTIPLIER * frequency_cap / sizes)
-    is_candidate = priority < threshold[group_ids]
-    candidates = np.flatnonzero(is_candidate)
-    short = np.bincount(group_ids[candidates], minlength=num_groups) < quota
-    if short.any():
-        candidates = np.flatnonzero(is_candidate | short[group_ids])
-    candidate_groups = group_ids[candidates]
-    order = np.lexsort((priority[candidates], candidate_groups))
+    whole = sizes <= frequency_cap
+    thinned = ~whole & (threshold < 1.0)
+    ranked = ~whole & ~thinned
+    outright = [_rows_of(whole, group_ids)]
+    candidates = [_rows_of(ranked, group_ids)]
+    priorities = [rng.random(len(candidates[0]))]
+    if thinned.any():
+        top = float(threshold[thinned].max())
+        drawn = bernoulli_positions(n, top, rng)
+        drawn = drawn[thinned[group_ids[drawn]]]
+        priority = top * rng.random(len(drawn))
+        under = priority < threshold[group_ids[drawn]]
+        drawn, priority = drawn[under], priority[under]
+        short = thinned & (np.bincount(group_ids[drawn], minlength=num_groups) < quota)
+        if short.any():
+            fallback = _rows_of(short, group_ids)
+            candidates.append(fallback)
+            priorities.append(rng.random(len(fallback)))
+            enough = ~short[group_ids[drawn]]
+            drawn, priority = drawn[enough], priority[enough]
+        candidates.append(drawn)
+        priorities.append(priority)
+    candidate_rows = np.concatenate(candidates)
+    candidate_groups = group_ids[candidate_rows]
+    # Rank by one int64 key, the group above the priority's leading bits:
+    # a tenth of a two-key lexsort's time. A table under 2^31 rows keeps
+    # at least 31 priority bits; a float priority ties too, at 2^-53.
+    shift = 62 - num_groups.bit_length()
+    key = np.concatenate(priorities) * float(2 ** shift)
+    order = np.argsort(key.astype(np.int64) | candidate_groups << shift)
     sorted_groups = candidate_groups[order]
     first = np.searchsorted(sorted_groups, np.arange(num_groups))
     rank = np.arange(len(order)) - first[sorted_groups]
-    keep = rng.random(n) < rate
-    keep[candidates[order[rank < frequency_cap]]] = True
-    rows = np.flatnonzero(keep)
+    outright.append(candidate_rows[order[rank < frequency_cap]])
+    rows = sorted_unique(np.concatenate([bernoulli_positions(n, rate, rng), *outright]))
     q = quota / sizes
     weight_of_group = 1.0 / (q + (1.0 - q) * rate)
     return rows, weight_of_group[group_ids[rows]], num_groups
+
+
+def _rows_of(group_mask: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
+    """Ascending rows whose group is set in ``group_mask``."""
+    if not group_mask.any():
+        return np.array([], dtype=np.int64)
+    return np.flatnonzero(group_mask[group_ids])
 
 
 def distinct_sample(

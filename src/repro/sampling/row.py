@@ -9,12 +9,47 @@ the inefficiency experiment E1/E3's cost curves expose.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from ..engine.table import Table
 from .base import WeightedSample
+
+#: At or above this rate one uniform per row costs less than one gap per
+#: kept row, and :func:`bernoulli_positions` draws the row mask instead.
+_GAP_RATE_LIMIT = 0.3
+
+
+def bernoulli_positions(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Ascending positions in ``[0, n)``, each present independently with
+    probability ``rate``.
+
+    Below :data:`_GAP_RATE_LIMIT` the positions are drawn as the running
+    sum of the gaps between successes, which are i.i.d. Geometric(rate):
+    ``1 + floor(E / -log(1 - rate))`` with ``E`` standard exponential. That
+    is O(rate·n) draws instead of one per row, with the same law; the
+    random stream differs from a per-row mask's.
+    """
+    if rate >= _GAP_RATE_LIMIT:
+        return np.flatnonzero(rng.random(n) < rate)
+    scale = -1.0 / math.log1p(-rate)
+    parts = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while last < n - 1:
+        expected = (n - 1 - last) * rate
+        steps = rng.standard_exponential(int(expected + 4.0 * math.sqrt(expected)) + 16)
+        steps *= scale
+        np.minimum(steps, n, out=steps)  # a gap past the end: keeps sums in int64
+        gaps = steps.astype(np.int64)
+        gaps += 1
+        positions = np.cumsum(gaps)
+        positions += last
+        parts.append(positions)
+        last = int(positions[-1])
+    rows = np.concatenate(parts)
+    return rows[: np.searchsorted(rows, n)]
 
 
 def bernoulli_sample(

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import SynopsisError
+from ..engine.aggregates import sorted_unique
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from .base import WeightedSample
@@ -209,7 +210,7 @@ def group_estimates(
     strata: List[StratumInfo] = sample.params["strata"]  # type: ignore[assignment]
     by_key = {s.key: s for s in strata}
     keys = sample.table[group_column]
-    uniq = np.unique(keys)
+    uniq = sorted_unique(keys)
     out: Dict[object, Estimate] = {}
     for key in uniq:
         mask = keys == key

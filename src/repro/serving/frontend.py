@@ -46,7 +46,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
 from ..core.exceptions import QueryRejected, QueryRefused, ReproError
-from ..core.options import QueryOptions, resolve_options
+from ..core.options import PRIORITY_CLASSES, QueryOptions, resolve_options
 from ..engine.database import Database
 from ..obs.metrics import get_metrics
 from ..obs.trace import span
@@ -57,9 +57,6 @@ from .budgets import TenantBudgets
 from .overload import OverloadController
 
 __all__ = ["ServingFrontend", "QueryTicket", "PRIORITY_CLASSES"]
-
-#: priority classes in service order (lower value served first)
-PRIORITY_CLASSES: Dict[str, int] = {"interactive": 0, "batch": 1}
 
 
 class QueryTicket:
@@ -318,11 +315,6 @@ class ServingFrontend:
         """
         options = resolve_options(options, entry="ServingFrontend.submit()")
         tenant, priority = options.tenant, options.priority
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(
-                f"unknown priority {priority!r} "
-                f"(expected one of {sorted(PRIORITY_CLASSES)})"
-            )
         metrics = get_metrics()
         with self._lock:
             if self._closed:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.aggregates import sorted_unique
 from ..engine.table import Table
 
 
@@ -90,7 +91,7 @@ class ColumnStats:
         return ColumnStats(
             self.name,
             values,
-            np.union1d(self._distinct, np.unique(batch)),
+            sorted_unique(np.concatenate([self._distinct, batch])),
             _merge_bound(self.min_value, lo, np.min),
             _merge_bound(self.max_value, hi, np.max),
             self._buckets,
@@ -154,7 +155,7 @@ def compute_column_stats(
     """Compute :class:`ColumnStats` of a column from scratch."""
     lo, hi = _bounds(values)
     return ColumnStats(
-        name, values, np.unique(values), lo, hi, histogram_buckets, mcv
+        name, values, sorted_unique(values), lo, hi, histogram_buckets, mcv
     )
 
 

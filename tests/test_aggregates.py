@@ -13,6 +13,7 @@ from repro.engine.aggregates import (
     encode_groups,
     grouped_count_distinct,
     grouped_var,
+    sorted_unique,
 )
 from repro.engine.expressions import col
 
@@ -177,3 +178,68 @@ class TestGroupedAggregates:
     def test_grouped_count_distinct_empty(self):
         out = grouped_count_distinct(np.array([], dtype=np.int64), np.array([]), 0)
         assert len(out) == 0
+
+
+# ----------------------------------------------------------------------
+# sorted_unique: np.unique's answer without its integer hash table
+# ----------------------------------------------------------------------
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(11)
+    for dtype in INT_DTYPES:
+        info = np.iinfo(dtype)
+        extremes = np.array([info.min, info.max, info.min, 0, info.max], dtype=dtype)
+        body = rng.integers(info.min, info.max, 300, dtype=dtype, endpoint=True)
+        small = rng.integers(0, 5, 300).astype(dtype)
+        yield np.dtype(dtype).name, np.concatenate([extremes, body, small])
+    yield "bool", rng.random(50) < 0.3
+    yield "bool_one_value", np.ones(7, dtype=bool)
+    yield "float_specials", np.array(
+        [np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, np.nan, -0.0, np.inf, 1.5]
+    )
+    yield "float_all_nan", np.full(4, np.nan)
+    yield "object_strings", np.array(["b", "a", "b", "", "ä", "a"], dtype=object)
+    yield "unicode", np.array(["b", "a", "b", "a"])
+    yield "empty_int", np.array([], dtype=np.int64)
+    yield "empty_float", np.array([], dtype=np.float64)
+    yield "single", np.array([42], dtype=np.int32)
+
+
+EQUIVALENCE_CASES = dict(_equivalence_cases())
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_np_unique(self, case):
+        values = EQUIVALENCE_CASES[case]
+        expected = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == expected.dtype
+        if values.dtype.kind == "f":
+            np.testing.assert_array_equal(got, expected)  # NaNs collapse alike
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        else:
+            assert got.tolist() == expected.tolist()
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3, 1, 2, 1], dtype=np.int64)
+        sorted_unique(values)
+        assert values.tolist() == [3, 1, 2, 1]
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_count_distinct_kernel_matches_np_unique(self, case):
+        values = EQUIVALENCE_CASES[case]
+        spec = AggregateSpec("count", col("x"), "c", distinct=True)
+        got = compute_aggregate_values(spec, values, len(values))
+        assert got == float(len(np.unique(values)))
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_grouped_count_distinct_matches_np_unique(self, case):
+        values = EQUIVALENCE_CASES[case]
+        groups = np.arange(len(values)) % 3
+        out = grouped_count_distinct(groups, values, 3)
+        for g in range(3):
+            assert out[g] == len(np.unique(values[groups == g])), g

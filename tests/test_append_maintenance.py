@@ -266,6 +266,40 @@ def test_merged_statistics_equal_a_fresh_computation():
         assert (merged.min_value, merged.max_value) == (fresh.min_value, fresh.max_value)
 
 
+def _column(kind, rng, n, step):
+    if kind == "int":
+        return rng.integers(-(10 ** 12), 10 ** 12, n) // (10 ** (12 - step))
+    if kind == "uint8":
+        return rng.integers(0, 40 + 50 * step, n).astype(np.uint8)
+    if kind == "bool":
+        return rng.random(n) < 0.1 * step
+    if kind == "float":
+        out = np.round(rng.normal(0.0, 3.0, n), 1)
+        out[rng.random(n) < 0.05] = np.nan
+        out[rng.random(n) < 0.05] = -0.0
+        return out
+    return np.array([f"s{i}" for i in rng.integers(0, 20 * (step + 1), n)], dtype=object)
+
+
+@pytest.mark.parametrize("kind", ["int", "uint8", "bool", "float", "object"])
+def test_merged_distinct_values_equal_a_fresh_computation(kind):
+    """Several appends merge into the same sorted distinct values, and so
+    the same NDV, as one computation over the grown column."""
+    rng = np.random.default_rng(3)
+    column = _column(kind, rng, 500, 0)
+    merged = compute_column_stats("c", column)
+    for step in range(1, 5):
+        column = np.concatenate([column, _column(kind, rng, 200, step)])
+        merged = merged.appended(column)
+    fresh = compute_column_stats("c", column)
+    assert merged.num_distinct == fresh.num_distinct
+    assert merged._distinct.dtype == fresh._distinct.dtype
+    if kind == "float":
+        np.testing.assert_array_equal(merged._distinct, fresh._distinct)
+    else:
+        assert merged._distinct.tolist() == fresh._distinct.tolist()
+
+
 def test_reading_a_column_after_an_append_computes_no_other(monkeypatch):
     computed = []
     real = statistics.compute_column_stats

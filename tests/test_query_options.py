@@ -149,6 +149,7 @@ class TestInvalidOptionValues:
             (QueryOptions(seed=1, pilot_rate=0.0), "pilot_rate"),
             (QueryOptions(seed=1, pilot_rate=1.5), "pilot_rate"),
             (QueryOptions(seed=1, entry_rung="bogus"), "unknown entry rung"),
+            (QueryOptions(seed=1, priority="bogus"), "unknown priority"),
         ],
     )
     def test_every_door_refuses_typed(self, db, options, match):
@@ -167,6 +168,13 @@ class TestInvalidOptionValues:
                     door(SPEC_SQL, options=options)
         finally:
             frontend.close()
+
+    def test_error_names_the_door_it_came_through(self, db):
+        options = QueryOptions(seed=1, pilot_rate=0.0)
+        with pytest.raises(UnsupportedQueryError, match=r"^Database\.sql\(\): pilot_rate"):
+            db.sql(SPEC_SQL, options=options)
+        with pytest.raises(UnsupportedQueryError, match=r"^AQPEngine\.sql\(\): pilot_rate"):
+            AQPEngine(db).sql(SPEC_SQL, options=options)
 
 
 # ----------------------------------------------------------------------

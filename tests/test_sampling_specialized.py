@@ -186,6 +186,10 @@ def _design_keys(kind):
         return [cols["group_id"]]
     if kind == "singletons":  # every group smaller than the cap
         return [np.arange(400, dtype=np.int64) // 2 * 7]
+    if kind == "mixed":  # kept whole, every row ranked, and thinned groups
+        sizes = [2, 5, 9, 20, 21, 45, 300]
+        keys = np.repeat(np.arange(len(sizes)), sizes)
+        return [np.random.default_rng(8).permutation(keys)]
     # composite (int, int) key, sparse in its packed range
     return [cols["group_id"] % 9 - 4, (cols["id"] % 3) * 1_000]
 
@@ -194,17 +198,18 @@ def _design_keys(kind):
 @pytest.mark.parametrize(
     "select,multiplier",
     [
-        (distinct_selection, None),
+        (distinct_selection, None),  # candidates drawn by gaps, thinned per group
         (distinct_selection, 0.4),  # most big groups fall back to a full rank
         (_argsort_distinct_selection, None),
     ],
     ids=["threshold", "fallback", "argsort-reference"],
 )
-@pytest.mark.parametrize("kind", ["zipf", "singletons", "composite"])
+@pytest.mark.parametrize("kind", ["zipf", "singletons", "composite", "mixed"])
 def test_distinct_sampler_design(select, multiplier, kind, repro_seed, monkeypatch):
-    """The sort-free sampler and the argsort reference realise one design:
-    ``min(cap, size)`` rows of every group kept outright, the others each
-    with probability ``rate``, weights ``1/π`` with ``π = q + (1-q)·rate``."""
+    """The gap-drawn sampler, its short-group fallback and the argsort
+    reference realise one design: ``min(cap, size)`` rows of every group
+    kept outright, the others each with probability ``rate``, weights
+    ``1/π`` with ``π = q + (1-q)·rate``."""
     if multiplier is not None:
         monkeypatch.setattr(distinct_module, "_CANDIDATE_MULTIPLIER", multiplier)
     keys = _design_keys(kind)

@@ -222,7 +222,7 @@ def test_budget_reconciled_from_actuals(serving_db):
 def test_unknown_priority_rejected(serving_db):
     fe = ServingFrontend(serving_db, workers=1, max_queue=2)
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedQueryError, match="unknown priority 'turbo'"):
             fe.submit(
                 "SELECT SUM(v) FROM events",
                 options=QueryOptions(priority="turbo"),
