@@ -1,9 +1,9 @@
 """Query rewriting onto precomputed samples (the AQUA/VerdictDB move).
 
 Given a bound aggregate query, the rewriter asks the catalog for a sample
-that covers it, evaluates the query's filters/keys directly on the sample
-rows (their HT weights make every linear aggregate unbiased), and checks
-*before answering* whether the resulting CIs meet the error spec — if
+that covers it, folds the query's HT moments over the sample rows in one
+pass with the WHERE as its filter (their HT weights make every linear
+aggregate unbiased), and checks *before answering* whether the resulting CIs meet the error spec — if
 they cannot, it refuses and the advisor moves on. That refusal is the
 honest version of offline AQP's a-priori guarantee: the guarantee only
 exists when the precomputed sample happens to be big and relevant enough.
@@ -26,15 +26,15 @@ from ..core.errorspec import ErrorSpec
 from ..core.exceptions import InfeasiblePlanError
 from ..core.result import ApproximateResult, max_relative_half_width
 from ..engine.executor import ExecutionStats
-from ..engine.table import Table
+from ..engine.fused import SliceRelation
 from ..online.estimation import (
+    ROWS_COLUMN,
     estimate_groups_row_level,
     group_columns_on,
     project_output_with_intervals,
     require_linear_aggregates,
 )
 from ..sql.binder import BoundQuery
-from ..storage import blocks as blockio
 from ..storage.cost import aggregation_cost, scan_cost
 from .catalog import STALENESS_THRESHOLD, SynopsisCatalog
 
@@ -55,12 +55,16 @@ class OfflineRewriter:
             "offline samples answer aggregates only",
             "offline samples cannot answer {func}",
         )
-        sample_table, weights, provenance = self._find_covering_sample(bound)
-        estimates = estimate_groups_row_level(bound, sample_table, weights)
-        if not estimates:
+        sample, weights, provenance = self._find_covering_sample(bound)
+        where = bound.where.columns() if bound.where is not None else ()
+        missing = [c for c in where if c not in sample]
+        if missing:
+            raise InfeasiblePlanError(f"sample does not carry predicate columns {missing}")
+        moments = estimate_groups_row_level(bound, sample, weights, bound.where)
+        if moments.num_rows == 0:
             raise InfeasiblePlanError("the precomputed sample has no matching rows")
         out_table, ci_low, ci_high = project_output_with_intervals(
-            bound, spec, estimates
+            bound, spec, moments
         )
         # A-priori gate: refuse if any CI is wider than the spec allows.
         for alias in ci_low:
@@ -72,12 +76,14 @@ class OfflineRewriter:
                     f"precomputed sample is too small for ±"
                     f"{spec.relative_error:.1%} on {alias!r}"
                 )
+        # The WHERE reads every sample row; the fold aggregates those it keeps.
         stats = ExecutionStats()
-        stats.rows_scanned = sample_table.num_rows
-        stats.agg_input_rows = sample_table.num_rows
-        approx_cost = aggregation_cost(sample_table.num_rows).total + scan_cost(
-            max(sample_table.num_rows // 1024, 1), sample_table.num_rows
-        ).total
+        stats.rows_scanned = sample.num_rows
+        stats.agg_input_rows = int(moments[ROWS_COLUMN].sum())
+        approx_cost = (
+            scan_cost(max(stats.rows_scanned // 1024, 1), stats.rows_scanned).total
+            + aggregation_cost(stats.agg_input_rows).total
+        )
         exact_cost = self._exact_cost(bound)
         return ApproximateResult(
             table=out_table,
@@ -95,9 +101,9 @@ class OfflineRewriter:
     # ------------------------------------------------------------------
     def _find_covering_sample(
         self, bound: BoundQuery
-    ) -> Tuple[Table, np.ndarray, Dict[str, object]]:
-        """Locate a covering synopsis and present it under the query's
-        qualified column names."""
+    ) -> Tuple[SliceRelation, np.ndarray, Dict[str, object]]:
+        """Locate a covering synopsis and present it, uncopied, under the
+        query's qualified column names, with its rows' weights."""
         if len(bound.tables) == 1:
             target = bound.tables[0]
             group_cols = group_columns_on(bound, target.alias)
@@ -112,11 +118,10 @@ class OfflineRewriter:
                 raise InfeasiblePlanError(
                     f"no fresh covering sample for table {target.name!r}"
                 )
-            qualified = entry.sample.table.rename(
-                {c: f"{target.alias}.{c}" for c in entry.sample.table.column_names}
-            )
-            filtered, weights = self._apply_where(bound, qualified, entry.sample.weights)
-            return filtered, weights, {
+            table = entry.sample.table
+            mapping = {c: f"{target.alias}.{c}" for c in table.column_names}
+            qualified = SliceRelation(table, 0, table.num_rows, mapping)
+            return qualified, entry.sample.weights, {
                 "synopsis": entry.kind,
                 "table": entry.table,
                 "strata_column": entry.strata_column,
@@ -140,10 +145,7 @@ class OfflineRewriter:
         ):
             raise InfeasiblePlanError("join synopsis is stale")
         qualified = self._qualify_join_synopsis(bound, synopsis, fact.alias)
-        filtered, weights = self._apply_where(
-            bound, qualified, synopsis.sample.weights
-        )
-        return filtered, weights, {
+        return qualified, synopsis.sample.weights, {
             "synopsis": "join_synopsis",
             "fact_table": fact.name,
             "dimensions": dims,
@@ -152,7 +154,7 @@ class OfflineRewriter:
 
     def _qualify_join_synopsis(
         self, bound: BoundQuery, synopsis, fact_alias: str
-    ) -> Table:
+    ) -> SliceRelation:
         """Rename synopsis columns to the query's qualified names.
 
         The synopsis stores fact columns bare and dimension columns as
@@ -160,27 +162,15 @@ class OfflineRewriter:
         FROM-clause aliases.
         """
         alias_of = {t.name: t.alias for t in bound.tables}
+        table = synopsis.sample.table
         mapping: Dict[str, str] = {}
-        for col in synopsis.sample.table.column_names:
+        for col in table.column_names:
             if "." in col:
                 dim, raw = col.split(".", 1)
                 mapping[col] = f"{alias_of.get(dim, dim)}.{raw}"
             else:
                 mapping[col] = f"{fact_alias}.{col}"
-        return synopsis.sample.table.rename(mapping)
-
-    def _apply_where(
-        self, bound: BoundQuery, table: Table, weights: np.ndarray
-    ) -> Tuple[Table, np.ndarray]:
-        if bound.where is None:
-            return table, np.asarray(weights, dtype=np.float64)
-        missing = [c for c in bound.where.columns() if c not in table]
-        if missing:
-            raise InfeasiblePlanError(
-                f"sample does not carry predicate columns {missing}"
-            )
-        mask = np.asarray(bound.where.evaluate(table), dtype=bool)
-        return table.take(mask), np.asarray(weights, dtype=np.float64)[mask]
+        return SliceRelation(table, 0, table.num_rows, mapping)
 
     def _exact_cost(self, bound: BoundQuery) -> float:
         total = 0.0

@@ -1,38 +1,40 @@
-"""Shared estimation machinery for the online planners.
+"""Shared estimation machinery for the sampling planners.
 
-Turns per-(group, block) sub-aggregate rows into per-group estimates with
-block-correct variances, then projects the user's SELECT expressions with
-interval arithmetic so composite aggregates get (conservative) confidence
-intervals consistent with the error-propagation rules.
+Every sampled answer reduces to a *moment table*: per group, its key
+columns and, per SUM/COUNT piece ``p`` of :func:`expanded_aggregates`,
+the estimated total ``p``, its variance ``p__var`` and the rows (or
+blocks) behind it, ``__rows``. :func:`aggregate_intervals` turns that
+into value + CI per user aggregate, and
+:func:`project_output_with_intervals` carries those through the SELECT
+list with interval arithmetic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errorspec import ErrorSpec, z_value
+from ..core.errorspec import ErrorSpec, student_t_ppf, z_value
 from ..core.exceptions import PlanError, UnsupportedQueryError
 from ..engine import expressions as E
-from ..engine.aggregates import AggregateSpec, encode_groups
+from ..engine.aggregates import AggregateSpec, encode_groups_arrays
+from ..engine import fused
+from ..engine.kernel_cache import get_kernel_cache
+from ..engine.plan import Filter, GroupByAggregate, PlanNode, Scan
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate
 from ..sql.binder import BoundQuery
+from ..storage.blocks import WEIGHT_COLUMN
 
 #: Tables smaller than this are never sampled by a query-time technique:
 #: sampling overhead beats the savings ("only sample big scanned tables").
 MIN_SAMPLABLE_ROWS = 10_000
 
+#: Groups with fewer rows (or blocks) than this get Student's t.
+SMALL_SAMPLE = 100
 
-@dataclass
-class GroupEstimates:
-    """Estimates of all simple aggregates for one group."""
-
-    key: Tuple
-    simple: Dict[str, Estimate] = field(default_factory=dict)
+VARIANCE_SUFFIX = "__var"
+ROWS_COLUMN = "__rows"
 
 
 def require_linear_aggregates(
@@ -87,43 +89,59 @@ def expanded_aggregates(bound: BoundQuery) -> List[AggregateSpec]:
     return out
 
 
+def moment_aggregate(
+    bound: BoundQuery, child: PlanNode, weight_column: str
+) -> GroupByAggregate:
+    """The moment table of ``bound`` over a row-weighted ``child`` whose
+    ``weight_column`` holds each row's ``w = 1/π``: per piece, the HT
+    total ``SUM(w·y)`` and its variance estimate ``SUM(w·(w−1)·y²)``
+    (``y = 1`` for COUNT) — valid for every Poisson design (uniform,
+    distinct, stratified, measure-biased) and additive across rows."""
+    w = E.Column(weight_column)
+    var_w = E.BinaryOp("*", w, E.BinaryOp("-", w, E.Literal(1.0)))
+    specs: List[AggregateSpec] = []
+    for piece in expanded_aggregates(bound):
+        total, variance = w, var_w
+        if piece.func != "count":
+            y = piece.argument
+            total = E.BinaryOp("*", w, y)
+            variance = E.BinaryOp("*", E.BinaryOp("*", var_w, y), y)
+        specs.append(AggregateSpec("sum", total, piece.alias))
+        specs.append(AggregateSpec("sum", variance, piece.alias + VARIANCE_SUFFIX))
+    specs.append(AggregateSpec("count", None, ROWS_COLUMN))
+    return GroupByAggregate(
+        child=child, keys=tuple(bound.group_keys), aggregates=tuple(specs)
+    )
+
+
+#: Source of the in-memory moment fold; prepared kernels read only the
+#: chain's expressions, so a placeholder scan keys the kernel cache.
+_RELATION = Scan(table_name="<relation>")
+
+
 def estimate_groups_row_level(
     bound: BoundQuery,
-    pre_agg: Table,
+    relation,
     weights: np.ndarray,
-) -> List[GroupEstimates]:
-    """Per-group HT estimates from a row-weighted sample relation.
-
-    For Poisson designs with weight ``w = 1/π`` the HT total of y is
-    ``Σ w·y`` with variance estimate ``Σ w(w-1)·y²`` — valid for uniform,
-    distinct and measure-biased samplers alike.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    n = pre_agg.num_rows
-    if bound.group_keys:
-        key_arrays = [expr.evaluate(pre_agg) for expr, _ in bound.group_keys]
-        gids, key_tuples = encode_groups(key_arrays)
-    else:
-        gids = np.zeros(n, dtype=np.int64)
-        key_tuples = [()]
-    num_groups = len(key_tuples)
-    counts = np.bincount(gids, minlength=num_groups).tolist()
-    var_weights = weights * (weights - 1.0)
-    out = [GroupEstimates(key=key) for key in key_tuples]
-    for spec_ in expanded_aggregates(bound):
-        if spec_.func == "count":
-            wy, wy2 = weights, var_weights
-        else:
-            y = np.asarray(spec_.argument.evaluate(pre_agg), dtype=np.float64)
-            wy = weights * y
-            wy2 = var_weights * y * y
-        totals = np.bincount(gids, weights=wy, minlength=num_groups).tolist()
-        variances = np.bincount(gids, weights=wy2, minlength=num_groups).tolist()
-        for ge, total, variance, count in zip(out, totals, variances, counts):
-            ge.simple[spec_.alias] = Estimate(
-                total, variance, count, estimator="row_ht"
-            )
-    return out
+    where: Optional[E.Expression] = None,
+) -> Table:
+    """The moment table of a row-weighted in-memory ``relation`` (under
+    the query's qualified names), with ``where`` as the fold's filter:
+    one pass of the cached :func:`moment_aggregate` kernels, reading
+    only the columns the predicate, keys and aggregates reference."""
+    getters = {
+        name: (lambda name=name: relation[name]) for name in relation.column_names
+    }
+    getters[WEIGHT_COLUMN] = lambda: np.asarray(weights, dtype=np.float64)
+    node = _RELATION if where is None else Filter(_RELATION, where)
+    chain = fused.extract_chain(moment_aggregate(bound, node, WEIGHT_COLUMN))
+    prepared = get_kernel_cache().get_or_compile(
+        ("moments", fused.chain_signature(chain)), lambda: fused.compile_chain(chain)
+    )
+    rel = fused.apply_steps(
+        prepared.steps, fused.LazyRelation(getters, relation.num_rows)
+    )
+    return fused.run_prepared_aggregate(prepared, rel)
 
 
 def estimate_groups_from_blocks(
@@ -133,8 +151,8 @@ def estimate_groups_from_blocks(
     sampled_blocks: int,
     total_blocks: int,
     expanded_aggs: Sequence[AggregateSpec],
-) -> List[GroupEstimates]:
-    """Per-group HT estimates from Bernoulli block sampling.
+) -> Table:
+    """The moment table of a Bernoulli block sample.
 
     Conditional on the number ``m`` of blocks a Bernoulli sampler drew,
     those blocks are an SRS of the ``B`` blocks, so each total is
@@ -142,67 +160,81 @@ def estimate_groups_from_blocks(
     ``B² (1−m/B) s²/m`` over per-block contributions ``t_b`` — computed
     *per group*, counting sampled blocks where the group was absent as
     zeros (forgetting the zeros is the classic way to bias block-sample
-    estimates).
+    estimates): a group's ``Σt`` and ``Σt²`` are ``bincount``s over its
+    per-(group, block) rows, to which absent blocks add nothing.
     """
     key_aliases = [alias for _, alias in bound.group_keys]
-    out: List[GroupEstimates] = []
-    if per_block.num_rows == 0:
-        return out
+    cols: Dict[str, np.ndarray] = {}
+    gids = np.zeros(per_block.num_rows, dtype=np.int64)
     if key_aliases:
-        gids, key_tuples = encode_groups([per_block[a] for a in key_aliases])
-    else:
-        gids = np.zeros(per_block.num_rows, dtype=np.int64)
-        key_tuples = [()]
+        gids, keys = encode_groups_arrays([per_block[a] for a in key_aliases])
+        cols.update(zip(key_aliases, keys))
+    num_groups = int(gids.max()) + 1 if len(gids) else 0
     m = max(sampled_blocks, 1)
-    for gi, key in enumerate(key_tuples):
-        ge = GroupEstimates(key=key)
-        mask = gids == gi
-        for spec in expanded_aggs:
-            t = np.asarray(per_block[spec.alias], dtype=np.float64)[mask]
-            # Mean-of-blocks (self-normalized) estimator over the m drawn
-            # blocks, zero-padding blocks where the group was absent.
-            s1 = float(np.sum(t))
-            s2 = float(np.sum(t * t))
-            mean = s1 / m
-            var_blocks = max(s2 / m - mean * mean, 0.0)
-            if m > 1:
-                var_blocks *= m / (m - 1)
-            total = total_blocks * mean
-            fpc = max(1.0 - m / total_blocks, 0.0) if total_blocks else 1.0
-            variance = total_blocks * total_blocks * fpc * var_blocks / m
-            ge.simple[spec.alias] = Estimate(
-                total, variance, m, estimator="block_mean"
-            )
-        out.append(ge)
+    fpc = max(1.0 - m / total_blocks, 0.0) if total_blocks else 1.0
+    cols[ROWS_COLUMN] = np.full(num_groups, m)
+    for spec in expanded_aggs:
+        t = np.asarray(per_block[spec.alias], dtype=np.float64)
+        mean = np.bincount(gids, weights=t, minlength=num_groups) / m
+        s2 = np.bincount(gids, weights=t * t, minlength=num_groups)
+        var_blocks = np.maximum(s2 / m - mean * mean, 0.0)
+        if m > 1:
+            var_blocks *= m / (m - 1)
+        cols[spec.alias] = total_blocks * mean
+        cols[spec.alias + VARIANCE_SUFFIX] = (
+            total_blocks * total_blocks * fpc * var_blocks / m
+        )
+    return Table(cols)
+
+
+def aggregate_intervals(
+    bound: BoundQuery, moments: Table, confidence: float
+) -> Dict[str, "_Interval"]:
+    """Value and two-sided CI per group of every user aggregate, from a
+    moment table.
+
+    SUM and COUNT are their piece's total ± critical value × standard
+    error: Student's t with ``rows − 1`` degrees of freedom for groups
+    under :data:`SMALL_SAMPLE` rows (one quantile per distinct size),
+    the normal quantile otherwise, unbounded for one row or fewer. AVG
+    is SUM/COUNT with the conservative interval quotient (counts are
+    positive): NaN where the COUNT is 0, unbounded where the COUNT's
+    interval reaches 0.
+    """
+    sizes = np.asarray(moments[ROWS_COLUMN], dtype=np.int64)
+    crit = np.full(len(sizes), z_value(confidence))
+    small = sizes < SMALL_SAMPLE
+    if small.any():
+        t_crit = np.zeros(SMALL_SAMPLE)
+        for size in set(sizes[small].tolist()) - {0, 1}:
+            t_crit[size] = student_t_ppf(0.5 + confidence / 2.0, size - 1)
+        crit[small] = t_crit[sizes[small]]
+    unbounded = sizes <= 1
+
+    def piece(alias: str) -> "_Interval":
+        total = moments[alias]
+        std = np.sqrt(np.maximum(moments[alias + VARIANCE_SUFFIX], 0.0))
+        half = np.where(unbounded, np.inf, crit * std)
+        return _Interval(total, total - half, total + half)
+
+    out: Dict[str, _Interval] = {}
+    for agg in bound.aggregates:
+        if agg.func in ("sum", "count"):
+            out[agg.alias] = piece(f"{agg.alias}__{agg.func}")
+            continue
+        if agg.func != "avg":
+            raise PlanError(f"cannot combine aggregate {agg.func!r}")
+        s = piece(f"{agg.alias}__sum")
+        c = piece(f"{agg.alias}__count")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(c.value == 0, np.nan, s.value / c.value)
+            a, b = s.low / c.low, s.low / c.high
+            d, e = s.high / c.low, s.high / c.high
+        open_ = c.low <= 0
+        low = np.where(open_, -np.inf, np.minimum(np.minimum(a, b), np.minimum(d, e)))
+        high = np.where(open_, np.inf, np.maximum(np.maximum(a, b), np.maximum(d, e)))
+        out[agg.alias] = _Interval(value, low, high)
     return out
-
-
-def combine_user_aggregate(
-    agg: AggregateSpec, simple: Dict[str, Estimate], confidence: float
-) -> Tuple[float, float, float]:
-    """(value, ci_low, ci_high) of one user aggregate from its pieces."""
-    if agg.func == "sum":
-        est = simple[f"{agg.alias}__sum"]
-        lo, hi = est.ci(confidence)
-        return est.value, lo, hi
-    if agg.func == "count":
-        est = simple[f"{agg.alias}__count"]
-        lo, hi = est.ci(confidence)
-        return est.value, lo, hi
-    if agg.func == "avg":
-        s = simple[f"{agg.alias}__sum"]
-        c = simple[f"{agg.alias}__count"]
-        if c.value == 0:
-            return math.nan, -math.inf, math.inf
-        value = s.value / c.value
-        s_lo, s_hi = s.ci(confidence)
-        c_lo, c_hi = c.ci(confidence)
-        # Conservative interval quotient (counts are positive).
-        if c_lo <= 0:
-            return value, -math.inf, math.inf
-        candidates = [s_lo / c_lo, s_lo / c_hi, s_hi / c_lo, s_hi / c_hi]
-        return value, min(candidates), max(candidates)
-    raise PlanError(f"cannot combine aggregate {agg.func!r}")
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +299,7 @@ def _interval_eval(
 def project_output_with_intervals(
     bound: BoundQuery,
     spec: ErrorSpec,
-    estimates: List[GroupEstimates],
+    moments: Table,
 ) -> Tuple[Table, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
     """Build the user-facing result table plus CI dictionaries.
 
@@ -275,29 +307,13 @@ def project_output_with_intervals(
     user's confidence across all (group × simple-aggregate) cells, which
     matches how the planner budgeted stage-2 failure probability.
     """
-    n = len(estimates)
+    n = moments.num_rows
     num_cells = max(n * max(len(bound.aggregates), 1), 1)
     cell_conf = 1.0 - spec.failure_probability / 2.0 / num_cells
     cell_conf = min(max(cell_conf, 0.5), 1 - 1e-12)
-
-    # Per-user-aggregate interval columns.
-    agg_columns: Dict[str, _Interval] = {}
-    for agg in bound.aggregates:
-        vals = np.empty(n)
-        lows = np.empty(n)
-        highs = np.empty(n)
-        for i, ge in enumerate(estimates):
-            vals[i], lows[i], highs[i] = combine_user_aggregate(
-                agg, ge.simple, cell_conf
-            )
-        agg_columns[agg.alias] = _Interval(vals, lows, highs)
-
-    # Group-key passthrough columns.
+    agg_columns = aggregate_intervals(bound, moments, cell_conf)
     key_aliases = [alias for _, alias in bound.group_keys]
-    key_arrays: Dict[str, np.ndarray] = {}
-    for pos, alias in enumerate(key_aliases):
-        values = [ge.key[pos] for ge in estimates]
-        key_arrays[alias] = np.asarray(values)
+    key_arrays = {alias: moments[alias] for alias in key_aliases}
 
     out_cols: Dict[str, np.ndarray] = {}
     ci_low: Dict[str, np.ndarray] = {}
@@ -320,8 +336,9 @@ def project_output_with_intervals(
     # kept aligned through the same row selection.
     selector = np.arange(table.num_rows)
     if bound.having is not None:
-        mask = np.asarray(bound.having.evaluate(_having_view(bound, table, agg_columns, key_arrays)), dtype=bool)
-        selector = selector[mask]
+        view = {alias: interval.value for alias, interval in agg_columns.items()}
+        mask = bound.having.evaluate(Table({**view, **key_arrays}))
+        selector = selector[np.asarray(mask, dtype=bool)]
     if bound.order_by:
         sub = table.take(selector)
         order = _order_indices(sub, bound.order_by)
@@ -335,20 +352,6 @@ def project_output_with_intervals(
         ci_low = {k: v[selector] for k, v in ci_low.items()}
         ci_high = {k: v[selector] for k, v in ci_high.items()}
     return table, ci_low, ci_high
-
-
-def _having_view(
-    bound: BoundQuery,
-    table: Table,
-    agg_columns: Dict[str, _Interval],
-    key_arrays: Dict[str, np.ndarray],
-) -> Table:
-    """Table over which HAVING can be evaluated: agg aliases + key aliases."""
-    cols: Dict[str, np.ndarray] = {}
-    for alias, interval in agg_columns.items():
-        cols[alias] = interval.value
-    cols.update(key_arrays)
-    return Table(cols)
 
 
 def _order_indices(table: Table, items: List[Tuple[str, bool]]) -> np.ndarray:

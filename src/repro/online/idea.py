@@ -127,7 +127,7 @@ class ReuseCache:
         planner = QuickrPlanner(self.database, rate=self.rate, seed=self.seed)
         target = planner.choose_table(bound)
         relation, weights, stats, sampler_kind = planner.sampled_relation(
-            bound, target, prune=False
+            bound, target
         )
         entry = CacheEntry(
             relation=relation,
@@ -149,9 +149,9 @@ class ReuseCache:
         entry: CacheEntry,
         first_run_stats: Optional[ExecutionStats] = None,
     ) -> ApproximateResult:
-        estimates = estimate_groups_row_level(bound, entry.relation, entry.weights)
+        moments = estimate_groups_row_level(bound, entry.relation, entry.weights)
         out_table, ci_low, ci_high = project_output_with_intervals(
-            bound, spec, estimates
+            bound, spec, moments
         )
         reused = first_run_stats is None
         stats = ExecutionStats() if reused else first_run_stats

@@ -449,7 +449,7 @@ class PilotPlanner:
         )
 
         base_table = self.database.table(plan.table_name)
-        estimates = estimate_groups_from_blocks(
+        moments = estimate_groups_from_blocks(
             bound,
             per_block,
             rate=plan.rate,
@@ -458,7 +458,7 @@ class PilotPlanner:
             expanded_aggs=expanded_aggregates(bound),
         )
         out_table, ci_low, ci_high = project_output_with_intervals(
-            bound, spec, estimates
+            bound, spec, moments
         )
         exact = plan.exact_cost
         # The pilot pass is real work; charge it to the approximate plan.

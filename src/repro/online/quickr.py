@@ -16,8 +16,8 @@ Our reimplementation keeps the decision structure:
   ``Scan``, executed inside the one fused pass, which exposes each kept
   row's Horvitz–Thompson weight as a hidden ``__weight`` column — the
   row-level mirror of the pilot planner's ``system_blocks`` clause and
-  its ``__block_id`` column. Downstream operators run unchanged on the
-  weighted rows; nothing is registered in the catalog.
+  its ``__block_id`` column. The same pass folds the per-group HT
+  moments, so no sampled relation is materialized or registered.
 
 Cost accounting is what that pass measured: every row of the sampled
 table read once, the kept rows flowing on — which is why Quickr's
@@ -34,17 +34,16 @@ import numpy as np
 from ..core.errorspec import ErrorSpec
 from ..core.exceptions import InfeasiblePlanError
 from ..core.result import ApproximateResult, max_relative_half_width
-from ..engine import expressions as E
 from ..engine.executor import ExecutionStats
-from ..engine.plan import Project, SampleClause, attach_sample
+from ..engine.plan import SampleClause, attach_sample
 from ..engine.table import Table
 from ..sql.binder import BoundQuery, BoundTable
 from ..storage.blocks import WEIGHT_COLUMN
 from ..storage.cost import aggregation_cost, scan_cost
 from .estimation import (
     MIN_SAMPLABLE_ROWS,
-    estimate_groups_row_level,
     group_columns_on,
+    moment_aggregate,
     project_output_with_intervals,
     require_linear_aggregates,
 )
@@ -86,12 +85,17 @@ class QuickrPlanner:
             "Quickr cannot sample through {func}",
         )
         target = self.choose_table(bound)
-        pre_agg, weights, stats, sampler = self.sampled_relation(bound, target)
-        estimates = estimate_groups_row_level(bound, pre_agg, weights)
-        out_table, ci_low, ci_high = project_output_with_intervals(
-            bound, spec, estimates
+        sample = self._choose_sampler(bound, target)
+        moments, stats = self.database.execute(
+            moment_aggregate(
+                bound,
+                attach_sample(bound.pre_agg_plan, target.name, sample),
+                f"{target.alias}.{WEIGHT_COLUMN}",
+            )
         )
-        stats.agg_input_rows += pre_agg.num_rows  # the estimator's fold
+        out_table, ci_low, ci_high = project_output_with_intervals(
+            bound, spec, moments
+        )
         base = self.database.table(target.name)
         exact_cost = (
             scan_cost(base.num_blocks, base.num_rows).total
@@ -108,7 +112,7 @@ class QuickrPlanner:
             approx_cost=stats.simulated_cost().total,
             exact_cost=exact_cost,
             diagnostics={
-                "sampler": sampler,
+                "sampler": _SAMPLER_NAMES[sample.method],
                 "rate": self.rate,
                 "sampled_table": target.name,
                 "sample_rows": stats.per_table[target.name].rows_returned,
@@ -147,26 +151,18 @@ class QuickrPlanner:
 
     # ------------------------------------------------------------------
     def sampled_relation(
-        self, bound: BoundQuery, target: BoundTable, prune: bool = True
+        self, bound: BoundQuery, target: BoundTable
     ) -> Tuple[Table, np.ndarray, ExecutionStats, str]:
-        """The weighted pre-aggregation relation, in one pass.
+        """The weighted pre-aggregation relation at full width, in one
+        pass — what the reuse cache keeps for queries yet to come.
 
         Runs the query's joins and filters with the sampler attached to
         the target's scan and returns ``(relation, weights, stats,
-        sampler name)``. With ``prune`` the relation keeps only what this
-        query's group keys and aggregates read; the reuse cache turns it
-        off to keep every column for queries yet to come.
+        sampler name)``.
         """
         sample = self._choose_sampler(bound, target)
-        plan = attach_sample(bound.pre_agg_plan, target.name, sample)
-        weight_column = f"{target.alias}.{WEIGHT_COLUMN}"
-        if prune:
-            needed = {weight_column}
-            for expr, _ in bound.group_keys:
-                needed |= expr.columns()
-            for agg in bound.aggregates:
-                needed |= agg.columns()
-            plan = Project(plan, tuple((E.Column(c), c) for c in sorted(needed)))
-        relation, stats = self.database.execute(plan)
-        return relation, relation[weight_column], stats, _SAMPLER_NAMES[sample.method]
-
+        relation, stats = self.database.execute(
+            attach_sample(bound.pre_agg_plan, target.name, sample)
+        )
+        weights = relation[f"{target.alias}.{WEIGHT_COLUMN}"]
+        return relation, weights, stats, _SAMPLER_NAMES[sample.method]

@@ -414,25 +414,44 @@ def split_explain(text: str) -> Tuple[Optional[str], str]:
 
     Returns ``(mode, inner_sql)`` where ``mode`` is ``None`` (no
     prefix), ``"explain"`` or ``"analyze"``. EXPLAIN/ANALYZE are not
-    lexer keywords — they arrive as IDENT tokens — so the prefix is
-    matched case-insensitively on token values and the inner statement
-    is sliced out of the original text by source offset, preserving it
-    byte-for-byte for the downstream parser.
+    lexer keywords, so the prefix is matched case-insensitively on the
+    leading words, read past whitespace and ``--`` comments as the lexer
+    reads them; the statement is left for the parser to tokenize, once.
+    The inner statement is sliced out of the original text by source
+    offset, byte-for-byte.
     """
-    tokens = tokenize(text)
-    if not tokens or tokens[0].kind != "IDENT":
+    word, start, end = _leading_word(text, 0)
+    if word.upper() != "EXPLAIN":
         return None, text
-    if tokens[0].value.upper() != "EXPLAIN":
-        return None, text
-    if len(tokens) < 2 or tokens[1].kind == "EOF":
-        raise SQLSyntaxError("EXPLAIN requires a statement", tokens[0].position)
     mode = "explain"
-    rest = tokens[1]
-    if rest.kind == "IDENT" and rest.value.upper() == "ANALYZE":
+    word, rest, after = _leading_word(text, end)
+    if rest == len(text):
+        raise SQLSyntaxError("EXPLAIN requires a statement", start)
+    if word.upper() == "ANALYZE":
         mode = "analyze"
-        if len(tokens) < 3 or tokens[2].kind == "EOF":
-            raise SQLSyntaxError(
-                "EXPLAIN ANALYZE requires a statement", rest.position
-            )
-        rest = tokens[2]
-    return mode, text[rest.position:]
+        analyze = rest
+        _, rest, _ = _leading_word(text, after)
+        if rest == len(text):
+            raise SQLSyntaxError("EXPLAIN ANALYZE requires a statement", analyze)
+    return mode, text[rest:]
+
+
+def _leading_word(text: str, i: int) -> Tuple[str, int, int]:
+    """``(word, start, end)`` of the first token at or after offset ``i``:
+    ``start`` skips whitespace and ``--`` line comments (``len(text)``
+    when none is left) and ``word`` is the token's text when it is a bare
+    word, else empty."""
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+        elif text.startswith("--", i):
+            newline = text.find("\n", i)
+            i = n if newline < 0 else newline
+        else:
+            break
+    j = i
+    if i < n and (text[i].isalpha() or text[i] == "_"):
+        while j < n and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+    return text[i:j], i, j

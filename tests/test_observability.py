@@ -581,6 +581,52 @@ class TestExplain:
         with pytest.raises(SQLSyntaxError):
             split_explain("EXPLAIN ANALYZE")
 
+    def test_split_explain_offsets_and_comments(self):
+        text = "-- dashboard\n  EXPLAIN -- why\n ANALYZE\tSELECT a FROM t"
+        assert split_explain(text) == ("analyze", "SELECT a FROM t")
+        assert split_explain("EXPLAINx SELECT a FROM t") == (
+            None, "EXPLAINx SELECT a FROM t"
+        )
+        with pytest.raises(SQLSyntaxError) as err:
+            split_explain("  EXPLAIN -- nothing follows")
+        assert err.value.position == 2
+        with pytest.raises(SQLSyntaxError) as err:
+            split_explain("EXPLAIN  analyze ")
+        assert err.value.position == 9
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT SUM(price) AS s FROM sales",
+            "SELECT SUM(price) AS s FROM sales ERROR WITHIN 10% CONFIDENCE 95%",
+            "-- a comment first\nSELECT COUNT(*) AS c FROM sales",
+            "EXPLAIN SELECT SUM(price) AS s FROM sales",
+        ],
+    )
+    def test_one_sql_call_tokenizes_once(self, db, monkeypatch, query):
+        from repro.sql import parser
+
+        texts = []
+        real = parser.tokenize
+
+        def spy(text):
+            texts.append(text)
+            return real(text)
+
+        monkeypatch.setattr(parser, "tokenize", spy)
+        db.sql(query)
+        assert len(texts) == 1
+
+    def test_syntax_error_positions_survive_the_prefix_scan(self, db):
+        text = "SELECT SUM(price) AS s FROM sales WHERE price > 'open"
+        with pytest.raises(SQLSyntaxError) as err:
+            db.sql(text)
+        assert err.value.position == text.index("'")
+        text = "SELECT SUM(price) AS s FROM sales WHERE price >> 5"
+        with pytest.raises(SQLSyntaxError) as err:
+            db.sql(text)
+        assert err.value.position == text.index(">>") + 1
+
     def test_explain_returns_plan_text(self, db):
         text = db.sql("EXPLAIN SELECT SUM(price) AS s FROM sales")
         assert isinstance(text, str)

@@ -1,6 +1,8 @@
 """Tests for offline AQP: catalog, BlinkDB selection, Sample+Seek,
 maintenance, and the rewriter."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,52 @@ class TestOfflineRewriter:
         result = OfflineRewriter(db).run(bound, ErrorSpec(0.2, 0.95))
         truth = db.table("events")["value"][db.table("events")["selector"] < 0.5].sum()
         assert result.scalar() == pytest.approx(truth, rel=0.1)
+
+    def test_reads_only_the_columns_the_query_references(self, db):
+        """The fold reads the sample's predicate, key and measure columns;
+        reading any other column raises, and the answer is still served."""
+
+        class SpyTable(Table):
+            def __getitem__(self, name):
+                if name not in ("value", "city", "selector"):
+                    raise AssertionError(f"read unreferenced column {name!r}")
+                return super().__getitem__(name)
+
+        table = db.table("events")
+        sample = srs_sample(table, 20_000, np.random.default_rng(1))
+        spy = SpyTable(sample.table.columns_dict(), name=sample.table.name)
+        SynopsisCatalog.for_database(db).add_sample(
+            SampleEntry(
+                table="events",
+                sample=replace(sample, table=spy),
+                kind="uniform",
+                built_at_rows=table.num_rows,
+            )
+        )
+        bound = bind_sql(
+            "SELECT SUM(value) AS s, AVG(city) AS c FROM events WHERE selector < 0.5",
+            db,
+        )
+        result = OfflineRewriter(db).run(bound, ErrorSpec(0.2, 0.95))
+        assert result.technique == "offline_sample"
+        truth = table["value"][table["selector"] < 0.5].sum()
+        assert result.table["s"][0] == pytest.approx(truth, rel=0.1)
+
+    def test_accounting_reads_every_sample_row(self, db):
+        """The WHERE runs over every sample row: those are the rows
+        scanned; the ~10% it keeps are the rows aggregated."""
+        from repro.storage.cost import aggregation_cost, scan_cost
+
+        _, entry = add_uniform(db, size=20_000)
+        bound = bind_sql(
+            "SELECT SUM(value) AS s FROM events WHERE selector < 0.1", db
+        )
+        result = OfflineRewriter(db).run(bound, ErrorSpec(0.5, 0.9))
+        matched = int(np.count_nonzero(entry.sample.table["selector"] < 0.1))
+        assert 1_500 < matched < 2_500
+        assert result.stats.rows_scanned == 20_000
+        assert result.stats.agg_input_rows == matched
+        assert result.approx_cost == pytest.approx(
+            scan_cost(20_000 // 1024, 20_000).total
+            + aggregation_cost(matched).total
+        )

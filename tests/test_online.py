@@ -272,21 +272,34 @@ class TestQuickr:
             res.stats.simulated_cost().total
         )
 
-    def test_sample_is_column_pruned(self, db):
+    def test_sample_is_column_pruned(self, db, monkeypatch):
+        """Quickr's one pass scans only the columns the query references;
+        the reuse cache's sampled relation keeps every column."""
+        import repro.engine.executor as executor_mod
+
+        scanned = []
+        real = executor_mod.scan_relation
+
+        def spy(table, columns, selection, alias):
+            scanned.append(sorted(columns))
+            return real(table, columns, selection, alias)
+
+        monkeypatch.setattr(executor_mod, "scan_relation", spy)
         bound = bind_sql(
             "SELECT group_id, SUM(value) AS s FROM big WHERE selector < 0.5 "
             "GROUP BY group_id",
             db,
         )
+        QuickrPlanner(db, seed=9).run(bound, ErrorSpec(0.1, 0.95))
+        assert scanned == [["group_id", "selector", "value"]]
         planner = QuickrPlanner(db, seed=9)
-        target = planner.choose_table(bound)
-        pruned, weights, _, _ = planner.sampled_relation(bound, target)
-        assert sorted(pruned.column_names) == [
-            "big.__weight", "big.group_id", "big.value"
+        full, weights, _, _ = planner.sampled_relation(
+            bound, planner.choose_table(bound)
+        )
+        assert sorted(full.column_names) == [
+            "big.__weight", "big.group_id", "big.selector", "big.value"
         ]
-        assert len(weights) == pruned.num_rows
-        full, _, _, _ = planner.sampled_relation(bound, target, prune=False)
-        assert "big.selector" in full.column_names
+        assert len(weights) == full.num_rows
 
     def test_join_through_sample(self, db):
         bound = bind_sql(
@@ -351,14 +364,19 @@ def test_advisor_on_a_three_block_table_serves_quickrs_answer(query):
 
 
 def _loop_estimate_groups_row_level(bound, pre_agg, weights):
-    """The per-group masking loop ``estimate_groups_row_level`` replaced,
-    kept as the reference its vectorised form must reproduce."""
+    """The per-group masking loop the row-level HT fold replaced, kept as
+    the reference it must reproduce: ``{(key, piece): (total, variance,
+    rows)}``. Sums run left to right (``cumsum``), the order ``bincount``
+    adds in, so a grouped fold must match it bitwise."""
     from repro.engine.aggregates import encode_groups
     from repro.online.estimation import expanded_aggregates
 
-    gids, key_tuples = encode_groups(
-        [expr.evaluate(pre_agg) for expr, _ in bound.group_keys]
-    )
+    if bound.group_keys:
+        gids, key_tuples = encode_groups(
+            [expr.evaluate(pre_agg) for expr, _ in bound.group_keys]
+        )
+    else:
+        gids, key_tuples = np.zeros(pre_agg.num_rows, dtype=np.int64), [()]
     out = {}
     for gi, key in enumerate(key_tuples):
         mask = gids == gi
@@ -369,15 +387,140 @@ def _loop_estimate_groups_row_level(bound, pre_agg, weights):
             else:
                 y = np.asarray(spec_.argument.evaluate(pre_agg), dtype=np.float64)[mask]
             out[key, spec_.alias] = (
-                float(np.sum(w * y)),
-                float(np.sum(w * (w - 1.0) * y * y)),
+                _sequential_sum(w * y),
+                _sequential_sum(w * (w - 1.0) * y * y),
                 int(mask.sum()),
             )
     return out
 
 
+def _sequential_sum(values):
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _loop_estimate_groups_from_blocks(bound, per_block, sampled_blocks, total_blocks):
+    """The per-group masking loop ``estimate_groups_from_blocks`` replaced
+    (O(groups x rows)), kept as its reference, in the same form."""
+    from repro.engine.aggregates import encode_groups
+    from repro.online.estimation import expanded_aggregates
+
+    if per_block.num_rows == 0:
+        return {}
+    key_aliases = [alias for _, alias in bound.group_keys]
+    if key_aliases:
+        gids, key_tuples = encode_groups([per_block[a] for a in key_aliases])
+    else:
+        gids, key_tuples = np.zeros(per_block.num_rows, dtype=np.int64), [()]
+    m = max(sampled_blocks, 1)
+    out = {}
+    for gi, key in enumerate(key_tuples):
+        mask = gids == gi
+        for spec_ in expanded_aggregates(bound):
+            t = np.asarray(per_block[spec_.alias], dtype=np.float64)[mask]
+            s1 = float(np.sum(t))
+            s2 = float(np.sum(t * t))
+            mean = s1 / m
+            var_blocks = max(s2 / m - mean * mean, 0.0)
+            if m > 1:
+                var_blocks *= m / (m - 1)
+            fpc = max(1.0 - m / total_blocks, 0.0) if total_blocks else 1.0
+            out[key, spec_.alias] = (
+                total_blocks * mean,
+                total_blocks * total_blocks * fpc * var_blocks / m,
+                m,
+            )
+    return out
+
+
+def _loop_combine(agg, cells, key, confidence):
+    """``(value, low, high)`` of one user aggregate in one group: the
+    per-cell ``Estimate.ci`` loop the vectorised intervals replaced."""
+    from repro.estimators.closed_form import Estimate
+
+    def est(piece):
+        return Estimate(*cells[key, f"{agg.alias}__{piece}"])
+
+    if agg.func in ("sum", "count"):
+        e = est(agg.func)
+        return (e.value, *e.ci(confidence))
+    s, c = est("sum"), est("count")
+    if c.value == 0:
+        return math.nan, -math.inf, math.inf
+    value = s.value / c.value
+    s_lo, s_hi = s.ci(confidence)
+    c_lo, c_hi = c.ci(confidence)
+    if c_lo <= 0:
+        return value, -math.inf, math.inf
+    quots = [s_lo / c_lo, s_lo / c_hi, s_hi / c_lo, s_hi / c_hi]
+    return value, min(quots), max(quots)
+
+
+def _loop_project(bound, spec, cells):
+    """The per-group ``project_output_with_intervals`` loop, over the
+    reference cells: ``(table, ci_low, ci_high)``."""
+    from repro.online import estimation as est
+
+    keys = list(dict.fromkeys(key for key, _ in cells))
+    n = len(keys)
+    num_cells = max(n * max(len(bound.aggregates), 1), 1)
+    conf = min(max(1.0 - spec.failure_probability / 2.0 / num_cells, 0.5), 1 - 1e-12)
+    agg_columns = {}
+    for agg in bound.aggregates:
+        triples = np.array(
+            [_loop_combine(agg, cells, key, conf) for key in keys]
+        ).reshape(n, 3)
+        agg_columns[agg.alias] = est._Interval(*triples.T)
+    key_arrays = {
+        alias: np.asarray([key[pos] for key in keys])
+        for pos, (_, alias) in enumerate(bound.group_keys)
+    }
+    out_cols, ci_low, ci_high = {}, {}, {}
+    for expr, alias in bound.output_items:
+        referenced = expr.columns()
+        if referenced and referenced <= set(key_arrays):
+            out_cols[alias] = expr.evaluate(Table(key_arrays))
+            continue
+        interval = est._interval_eval(expr, agg_columns, n)
+        out_cols[alias] = interval.value
+        ci_low[alias] = interval.low
+        ci_high[alias] = interval.high
+    table = Table(out_cols)
+    selector = np.arange(table.num_rows)
+    if bound.having is not None:
+        view = {alias: iv.value for alias, iv in agg_columns.items()}
+        mask = bound.having.evaluate(Table({**view, **key_arrays}))
+        selector = selector[np.asarray(mask, dtype=bool)]
+    if bound.order_by:
+        selector = selector[est._order_indices(table.take(selector), bound.order_by)]
+    if bound.limit is not None:
+        selector = selector[: bound.limit]
+    return (
+        table.take(selector),
+        {k: v[selector] for k, v in ci_low.items()},
+        {k: v[selector] for k, v in ci_high.items()},
+    )
+
+
+def _assert_same_answer(got, want, bitwise):
+    """``got``/``want`` are ``(table, ci_low, ci_high)``; values and bounds
+    agree bitwise, or within 1e-12 relative where summation order moved."""
+    (table, low, high), (w_table, w_low, w_high) = got, want
+    assert table.column_names == w_table.column_names
+    assert low.keys() == w_low.keys() == high.keys() == w_high.keys()
+    pairs = [(table[c], w_table[c]) for c in table.column_names]
+    pairs += [(low[a], w_low[a]) for a in low] + [(high[a], w_high[a]) for a in high]
+    for a, b in pairs:
+        if a.dtype == object or b.dtype == object or bitwise:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, equal_nan=True)
+
+
 def test_row_level_estimates_match_masking_loop(rng):
-    from repro.online.estimation import estimate_groups_row_level
+    from repro.online.estimation import (
+        estimate_groups_row_level,
+        expanded_aggregates,
+    )
 
     n = 40_000
     db = Database()
@@ -399,13 +542,270 @@ def test_row_level_estimates_match_masking_loop(rng):
     weights = 1.0 / rng.uniform(0.05, 1.0, n)
     expected = _loop_estimate_groups_row_level(bound, pre_agg, weights)
     got = estimate_groups_row_level(bound, pre_agg, weights)
-    assert len(got) == 50 * 7
-    for ge in got:
-        for alias, est in ge.simple.items():
-            total, variance, count = expected[ge.key, alias]
-            assert est.value == pytest.approx(total, rel=1e-12, abs=1e-9)
-            assert est.variance == pytest.approx(variance, rel=1e-12)
-            assert est.sample_size == count
+    assert got.num_rows == 50 * 7
+    keys = list(zip(got["g"].tolist(), got["h"].tolist()))
+    for alias in (piece.alias for piece in expanded_aggregates(bound)):
+        for g, key in enumerate(keys):
+            total, variance, count = expected[key, alias]
+            assert got[alias][g] == total
+            assert got[alias + "__var"][g] == variance
+            assert got["__rows"][g] == count
+
+
+def _differential_db(rng):
+    """Groups of 1 row, of fewer than 100 rows and of 100 or more, under
+    int, string and composite keys."""
+    sizes = np.array([1, 1, 2, 5, 40, 99, 100, 300, 2000, 6000])
+    g = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(g)
+    n = len(g)
+    db = Database()
+    db.create_table(
+        "t",
+        {
+            "g": g,
+            "r": np.array(["north", "south", "east"], dtype=object)[g % 3],
+            "x": rng.exponential(20.0, n),
+            "k": rng.integers(0, 9, n),
+            "sel": rng.random(n),
+        },
+    )
+    return db
+
+
+DIFFERENTIAL_QUERIES = [
+    ("SELECT SUM(x) AS s FROM t", False),
+    ("SELECT COUNT(*) AS c, AVG(x) AS a FROM t WHERE sel < 0.3", False),
+    ("SELECT AVG(x) AS a, SUM(x) / COUNT(*) AS q FROM t WHERE sel > 2", False),
+    ("SELECT g, SUM(x) AS s, COUNT(*) AS c, AVG(k) AS a FROM t GROUP BY g", True),
+    ("SELECT r, SUM(x) / COUNT(*) AS q FROM t WHERE sel < 0.7 GROUP BY r", True),
+    ("SELECT r, g, COUNT(*) AS c, AVG(x) AS a FROM t GROUP BY r, g", True),
+    ("SELECT g, SUM(x) AS s FROM t GROUP BY g HAVING SUM(x) > 500", True),
+    ("SELECT g, AVG(x) AS a FROM t GROUP BY g ORDER BY a DESC LIMIT 4", True),
+]
+
+
+@pytest.mark.parametrize("query,grouped", DIFFERENTIAL_QUERIES)
+def test_row_level_answer_matches_per_group_loop(rng, query, grouped):
+    """Folded moments + vectorised intervals == the masking loop + per-cell
+    ``ci()``; bitwise for grouped folds (``bincount`` on both sides)."""
+    from repro.online.estimation import (
+        estimate_groups_row_level,
+        project_output_with_intervals,
+    )
+
+    db = _differential_db(rng)
+    bound = bind_sql(query, db)
+    table = db.table("t")
+    relation = table.rename({c: f"t.{c}" for c in table.column_names})
+    weights = 1.0 / rng.uniform(0.02, 1.0, table.num_rows)
+    spec = ErrorSpec(0.1, 0.95)
+    got = project_output_with_intervals(
+        bound, spec, estimate_groups_row_level(bound, relation, weights, bound.where)
+    )
+    mask = (
+        np.ones(table.num_rows, dtype=bool)
+        if bound.where is None
+        else np.asarray(bound.where.evaluate(relation), dtype=bool)
+    )
+    cells = _loop_estimate_groups_row_level(bound, relation.take(mask), weights[mask])
+    _assert_same_answer(got, _loop_project(bound, spec, cells), bitwise=grouped)
+
+
+def _paths_db(rng):
+    n = 120_000
+    db = Database()
+    db.create_table(
+        "big",
+        {
+            "value": rng.exponential(50, n),
+            "group_id": rng.integers(0, 6, n),
+            "wide": rng.integers(0, 400, n),
+            "city": np.array([f"c{i}" for i in range(12)], dtype=object)[
+                rng.integers(0, 12, n)
+            ],
+            "selector": rng.random(n),
+        },
+        block_size=256,
+    )
+    return db
+
+
+PATH_QUERIES = [
+    "SELECT SUM(value) AS s, AVG(value) AS a FROM big WHERE selector < 0.4",
+    "SELECT group_id, SUM(value) / COUNT(*) AS q, COUNT(*) AS c FROM big "
+    "GROUP BY group_id HAVING SUM(value) > 0 ORDER BY q LIMIT 4",
+    "SELECT city, group_id, AVG(value) AS a FROM big WHERE selector > 0.2 "
+    "GROUP BY city, group_id",
+    "SELECT wide, SUM(value) AS s FROM big GROUP BY wide",
+]
+
+
+@pytest.mark.parametrize("query", PATH_QUERIES)
+def test_quickr_answer_matches_per_group_loop(rng, query):
+    """The fold inside Quickr's sampled scan answers what the per-group
+    loops answer over the same draw (uniform and distinct samplers)."""
+    db = _paths_db(rng)
+    bound = bind_sql(query, db)
+    spec = ErrorSpec(0.1, 0.95)
+    res = QuickrPlanner(db, seed=11).run(bound, spec)
+    planner = QuickrPlanner(db, seed=11)
+    relation, weights, _, sampler = planner.sampled_relation(
+        bound, planner.choose_table(bound)
+    )
+    assert sampler == res.diagnostics["sampler"]
+    cells = _loop_estimate_groups_row_level(bound, relation, weights)
+    _assert_same_answer(
+        (res.table, res.ci_low, res.ci_high),
+        _loop_project(bound, spec, cells),
+        bitwise=bool(bound.group_keys),
+    )
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT SUM(value) AS s, AVG(value) AS a FROM big WHERE selector < 0.4",
+        "SELECT group_id, SUM(value) / COUNT(*) AS q, COUNT(*) AS c FROM big "
+        "WHERE selector < 0.9 GROUP BY group_id HAVING SUM(value) > 0 "
+        "ORDER BY q LIMIT 4",
+        "SELECT city, group_id, AVG(value) AS a FROM big WHERE selector > 0.2 "
+        "GROUP BY city, group_id",
+    ],
+)
+def test_offline_answer_matches_per_group_loop(rng, query):
+    """The rewriter's fold over the catalog sample (WHERE as its filter)
+    answers what the per-group loops answer over the filtered sample."""
+    from repro.offline import OfflineRewriter, SampleEntry, SynopsisCatalog
+    from repro.sampling.stratified import stratified_sample
+
+    db = _paths_db(rng)
+    base = db.table("big")
+    sample = stratified_sample(
+        base, ["city", "group_id"], 30_000, min_per_stratum=100, rng=rng
+    )
+    SynopsisCatalog.for_database(db).add_sample(
+        SampleEntry(
+            table="big", sample=sample, kind="stratified",
+            strata_column=("city", "group_id"), built_at_rows=base.num_rows,
+        )
+    )
+    bound = bind_sql(query, db)
+    spec = ErrorSpec(0.5, 0.9)
+    res = OfflineRewriter(db).run(bound, spec)
+    relation = sample.table.rename({c: f"big.{c}" for c in sample.table.column_names})
+    mask = np.asarray(bound.where.evaluate(relation), dtype=bool)
+    cells = _loop_estimate_groups_row_level(
+        bound, relation.take(mask), sample.weights[mask]
+    )
+    _assert_same_answer(
+        (res.table, res.ci_low, res.ci_high),
+        _loop_project(bound, spec, cells),
+        bitwise=bool(bound.group_keys),
+    )
+
+
+def test_quickr_differential_covers_both_samplers(rng):
+    db = _paths_db(rng)
+    samplers = {
+        QuickrPlanner(db, seed=11).run(bind_sql(q, db), ErrorSpec(0.1, 0.95))
+        .diagnostics["sampler"]
+        for q in PATH_QUERIES
+    }
+    assert samplers == {"uniform", "distinct"}
+
+
+@pytest.mark.parametrize("query", PATH_QUERIES)
+def test_reuse_cache_answer_matches_per_group_loop(rng, query):
+    from repro.online.idea import ReuseCache
+
+    db = _paths_db(rng)
+    bound = bind_sql(query, db)
+    spec = ErrorSpec(0.1, 0.95)
+    cache = ReuseCache(db, seed=5)
+    cache.run(bound, spec)
+    res = cache.run(bound, spec)
+    assert res.technique == "idea_reuse"
+    (entry,) = cache._entries.values()
+    cells = _loop_estimate_groups_row_level(bound, entry.relation, entry.weights)
+    _assert_same_answer(
+        (res.table, res.ci_low, res.ci_high),
+        _loop_project(bound, spec, cells),
+        bitwise=bool(bound.group_keys),
+    )
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT SUM(value) AS s, AVG(value) AS a FROM big WHERE selector < 0.4",
+        "SELECT group_id, SUM(value) / COUNT(*) AS q, COUNT(*) AS c FROM big "
+        "GROUP BY group_id ORDER BY q DESC LIMIT 3",
+        "SELECT city, AVG(value) AS a FROM big GROUP BY city HAVING AVG(value) > 0",
+    ],
+)
+def test_pilot_answer_matches_per_group_loop(rng, monkeypatch, query):
+    """Block moments by ``bincount`` == the per-group masking loop, through
+    the pilot's whole answer."""
+    from repro.online import estimation
+
+    db = _paths_db(rng)
+    bound = bind_sql(query, db)
+    spec = ErrorSpec(0.25, 0.9)
+    seen = []
+    real = estimation.estimate_groups_from_blocks
+
+    def spy(bound_, per_block, **kwargs):
+        seen.append((per_block, kwargs))
+        return real(bound_, per_block, **kwargs)
+
+    monkeypatch.setattr(estimation, "estimate_groups_from_blocks", spy)
+    res = PilotPlanner(db, seed=3).run(bound, spec)
+    ((per_block, kwargs),) = seen
+    cells = _loop_estimate_groups_from_blocks(
+        bound, per_block, kwargs["sampled_blocks"], kwargs["total_blocks"]
+    )
+    _assert_same_answer(
+        (res.table, res.ci_low, res.ci_high),
+        _loop_project(bound, spec, cells),
+        bitwise=False,
+    )
+
+
+def test_block_moments_match_masking_loop_on_2000_groups(rng):
+    from repro.online.estimation import (
+        estimate_groups_from_blocks,
+        expanded_aggregates,
+    )
+
+    db = Database()
+    db.create_table("t", {"g": np.arange(10), "x": np.ones(10)})
+    bound = bind_sql("SELECT g, SUM(x) AS s, AVG(x) AS a FROM t GROUP BY g", db)
+    blocks, groups = 60, 2000
+    pairs = np.unique(
+        np.stack([rng.integers(0, groups, 30_000), rng.integers(0, blocks, 30_000)]),
+        axis=1,
+    )
+    columns = {"g": pairs[0], "__pilot_block": pairs[1]}
+    for piece in expanded_aggregates(bound):
+        columns[piece.alias] = (
+            rng.integers(1, 300, pairs.shape[1]).astype(np.float64)
+            if piece.func == "count"
+            else rng.normal(50.0, 20.0, pairs.shape[1])
+        )
+    per_block = Table(columns)
+    got = estimate_groups_from_blocks(
+        bound, per_block, rate=0.1, sampled_blocks=blocks, total_blocks=700,
+        expanded_aggs=expanded_aggregates(bound),
+    )
+    want = _loop_estimate_groups_from_blocks(bound, per_block, blocks, 700)
+    assert got.num_rows == groups
+    for piece in expanded_aggregates(bound):
+        for g, key in enumerate(got["g"].tolist()):
+            total, variance, m = want[(key,), piece.alias]
+            assert got[piece.alias][g] == pytest.approx(total, rel=1e-12)
+            assert got[piece.alias + "__var"][g] == pytest.approx(variance, rel=1e-12)
+            assert got["__rows"][g] == m
 
 
 class TestOnlineAggregation:
