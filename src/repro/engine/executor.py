@@ -21,6 +21,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import PlanError, SchemaError
+from ..sampling.block import block_bernoulli_selection
+from ..sampling.distinct import distinct_selection
+from ..sampling.row import bernoulli_selection, srs_selection
 from ..storage import blocks as blockio
 from ..storage import cost
 from .fused import (
@@ -221,7 +224,9 @@ class Executor:
         self, table: Table, sample: Optional[SampleClause]
     ) -> blockio.ScanSelection:
         """Row selection for a scan — where a sample's randomness lives:
-        an explicit sample seed, else ``self.rng``."""
+        an explicit sample seed, else ``self.rng``. Each method is its
+        design's one selection function, the same call the library
+        sampler makes (:mod:`repro.sampling`)."""
         if sample is None:
             return blockio.full_selection(table)
         rng = (
@@ -229,34 +234,25 @@ class Executor:
             if sample.seed is not None
             else self.rng
         )
-        n = table.num_rows
-        nb = table.num_blocks
-        if sample.method == "bernoulli_rows":
-            from ..sampling.row import bernoulli_positions
-
-            rows = bernoulli_positions(n, sample.rate, rng)
-            return blockio.row_sample_selection(
-                table, rows, np.full(len(rows), 1.0 / sample.rate)
-            )
-        if sample.method == "distinct_rows":
-            from ..sampling.distinct import distinct_selection
-
+        method = sample.method
+        if method == "bernoulli_rows":
+            rows, weights = bernoulli_selection(table.num_rows, sample.rate, rng)
+            return blockio.row_sample_selection(table, rows, weights)
+        if method == "distinct_rows":
             rows, weights, _ = distinct_selection(
                 [table[c] for c in sample.columns], sample.rate, sample.cap, rng
             )
             return blockio.sampler_pass_selection(table, rows, weights)
-        if sample.method == "system_blocks":
-            mask = rng.random(nb) < sample.rate
-            return blockio.block_sample_selection(table, np.flatnonzero(mask))
-        if sample.method == "fixed_rows":
-            size = min(sample.size, n)
-            idx = rng.choice(n, size=size, replace=False) if size else np.array([], dtype=np.int64)
-            return blockio.row_sample_selection(table, np.sort(idx))
-        if sample.method == "fixed_blocks":
-            size = min(sample.size, nb)
-            ids = rng.choice(nb, size=size, replace=False) if size else np.array([], dtype=np.int64)
+        if method == "fixed_rows":  # fixed-size scans expose no weight column
+            rows, _ = srs_selection(table.num_rows, sample.size, rng)
+            return blockio.row_sample_selection(table, rows)
+        if method == "system_blocks":
+            ids, _ = block_bernoulli_selection(table.num_blocks, sample.rate, rng)
             return blockio.block_sample_selection(table, ids)
-        raise PlanError(f"unknown sampling method {sample.method!r}")
+        if method == "fixed_blocks":
+            ids, _ = srs_selection(table.num_blocks, sample.size, rng)
+            return blockio.block_sample_selection(table, ids)
+        raise PlanError(f"unknown sampling method {method!r}")
 
     # ------------------------------------------------------------------
     def _run_chain(self, chain: FusedChain, stats: ExecutionStats) -> Table:

@@ -5,6 +5,10 @@ sampled rows plus a per-row Horvitz–Thompson weight (``1/π_i``). That
 single convention lets downstream estimation (:mod:`repro.estimators`)
 treat uniform, stratified, measure-biased, outlier and block samples
 identically, which is exactly how systems like Quickr compose samplers.
+
+A sampler is its design's selection function — row positions (or block
+ids) and their weights, the same call a scan directive makes — followed
+by :func:`materialize_sample`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from ..estimators.horvitz_thompson import ht_count, ht_mean, ht_total
+from ..storage.blocks import BLOCK_ID_COLUMN
 
 
 @dataclass
@@ -98,3 +103,20 @@ class WeightedSample:
             population_rows=self.population_rows,
             params=dict(self.params),
         )
+
+
+def materialize_sample(
+    table: Table,
+    rows: np.ndarray,
+    weights: np.ndarray,
+    method: str,
+    params: Dict[str, object],
+    block_ids: Optional[np.ndarray] = None,
+) -> WeightedSample:
+    """The selected ``rows`` (indices or a mask) of ``table`` copied out by
+    one ``take``, with their weights and, for a block design, each row's
+    block id."""
+    sampled = table.take(rows)
+    if block_ids is not None:
+        sampled = sampled.with_column(BLOCK_ID_COLUMN, block_ids)
+    return WeightedSample(sampled, weights, method, table.num_rows, params)

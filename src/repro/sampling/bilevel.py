@@ -25,7 +25,9 @@ import numpy as np
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from ..estimators.subsampling import per_block_totals
-from .base import WeightedSample
+from ..storage.blocks import block_rows
+from .base import WeightedSample, materialize_sample
+from .block import block_bernoulli_selection
 
 
 def bilevel_sample(
@@ -38,33 +40,22 @@ def bilevel_sample(
     for name, rate in (("block_rate", block_rate), ("row_rate", row_rate)):
         if not (0.0 < rate <= 1.0):
             raise ValueError(f"{name} must be in (0, 1], got {rate}")
-    if rng is None:
-        rng = np.random.default_rng()
-    nb = table.num_blocks
-    chosen = np.flatnonzero(rng.random(nb) < block_rate)
-    idx_pieces = []
-    id_pieces = []
-    for bid in chosen:
-        start, stop = table.block_bounds(int(bid))
-        keep = rng.random(stop - start) < row_rate
-        rows = np.arange(start, stop, dtype=np.int64)[keep]
-        idx_pieces.append(rows)
-        id_pieces.append(np.full(len(rows), bid, dtype=np.int64))
-    idx = np.concatenate(idx_pieces) if idx_pieces else np.array([], dtype=np.int64)
-    ids = np.concatenate(id_pieces) if id_pieces else np.array([], dtype=np.int64)
-    sampled = table.take(idx).with_column("__block_id", ids)
-    weights = np.full(len(idx), 1.0 / (block_rate * row_rate))
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method="bilevel",
-        population_rows=table.num_rows,
-        params={
+    rng = np.random.default_rng(rng)
+    chosen, _ = block_bernoulli_selection(table.num_blocks, block_rate, rng)
+    rows, owner = block_rows(table, chosen)
+    keep = rng.random(len(rows)) < row_rate
+    return materialize_sample(
+        table,
+        rows[keep],
+        np.full(int(np.count_nonzero(keep)), 1.0 / (block_rate * row_rate)),
+        "bilevel",
+        {
             "block_rate": block_rate,
             "row_rate": row_rate,
-            "total_blocks": nb,
-            "sampled_blocks": int(len(chosen)),
+            "total_blocks": table.num_blocks,
+            "sampled_blocks": len(chosen),
         },
+        chosen[owner[keep]],
     )
 
 

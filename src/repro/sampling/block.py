@@ -9,6 +9,12 @@ over per-block totals (:mod:`repro.estimators.subsampling`).
 The ``weights`` of the returned sample are the inverse *block* inclusion
 probability, which makes HT totals unbiased: every row of a sampled block
 carries weight ``1/rate`` (Bernoulli) or ``B/m`` (fixed-size).
+
+Each design has one selection function over block ids, the one a scan
+directive calls too: :func:`block_bernoulli_selection` (``system_blocks``)
+and :func:`~repro.sampling.row.srs_selection` over the ``B`` block ids
+(``fixed_blocks``). :func:`~repro.storage.blocks.block_rows` expands the
+ids to rows for both the scan and the samplers here.
 """
 
 from __future__ import annotations
@@ -25,65 +31,49 @@ from ..estimators.subsampling import (
     block_sample_sum,
     per_block_totals,
 )
-from .base import WeightedSample
+from ..storage.blocks import block_rows
+from .base import WeightedSample, materialize_sample
+from .row import srs_selection
+
+
+def block_bernoulli_selection(
+    num_blocks: int, rate: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each of ``num_blocks`` blocks kept independently with probability
+    ``rate``: ascending block ids and their weights ``1/rate``. Blocks are
+    few, so this draws one uniform per block, the stream seeded
+    ``system_blocks`` scans have always drawn."""
+    if not (0.0 < rate <= 1.0):
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    ids = np.flatnonzero(rng.random(num_blocks) < rate)
+    return ids, np.full(len(ids), 1.0 / rate)
 
 
 def block_bernoulli_sample(
     table: Table, rate: float, rng: Optional[np.random.Generator] = None
 ) -> WeightedSample:
     """Keep each block independently with probability ``rate``."""
-    if not (0.0 < rate <= 1.0):
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if rng is None:
-        rng = np.random.default_rng()
-    nb = table.num_blocks
-    chosen = np.flatnonzero(rng.random(nb) < rate)
-    return _materialize(table, chosen, 1.0 / rate, "block_bernoulli", {"rate": rate})
+    ids, weights = block_bernoulli_selection(
+        table.num_blocks, rate, np.random.default_rng(rng)
+    )
+    return _materialize(table, ids, weights, "block_bernoulli", {"rate": rate})
 
 
 def block_fixed_sample(
     table: Table, num_blocks: int, rng: Optional[np.random.Generator] = None
 ) -> WeightedSample:
     """SRS of exactly ``num_blocks`` blocks without replacement."""
-    if num_blocks < 0:
-        raise ValueError("num_blocks must be non-negative")
-    if rng is None:
-        rng = np.random.default_rng()
-    nb = table.num_blocks
-    m = min(num_blocks, nb)
-    chosen = (
-        np.sort(rng.choice(nb, size=m, replace=False))
-        if m
-        else np.array([], dtype=np.int64)
-    )
-    weight = nb / m if m else 1.0
-    return _materialize(table, chosen, weight, "block_fixed", {"num_blocks": m})
+    ids, weights = srs_selection(table.num_blocks, num_blocks, np.random.default_rng(rng))
+    return _materialize(table, ids, weights, "block_fixed", {"num_blocks": len(ids)})
 
 
 def _materialize(
-    table: Table, block_ids: np.ndarray, weight: float, method: str, params: dict
+    table: Table, block_ids: np.ndarray, weights: np.ndarray, method: str, params: dict
 ) -> WeightedSample:
-    pieces = []
-    id_pieces = []
-    for bid in np.asarray(block_ids, dtype=np.int64):
-        start, stop = table.block_bounds(int(bid))
-        pieces.append(np.arange(start, stop, dtype=np.int64))
-        id_pieces.append(np.full(stop - start, bid, dtype=np.int64))
-    idx = np.concatenate(pieces) if pieces else np.array([], dtype=np.int64)
-    sampled = table.take(idx).with_column(
-        "__block_id",
-        np.concatenate(id_pieces) if id_pieces else np.array([], dtype=np.int64),
-    )
-    weights = np.full(len(idx), weight)
-    params = dict(params)
-    params["total_blocks"] = table.num_blocks
-    params["sampled_blocks"] = len(block_ids)
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method=method,
-        population_rows=table.num_rows,
-        params=params,
+    rows, owner = block_rows(table, block_ids)
+    params.update(total_blocks=table.num_blocks, sampled_blocks=len(block_ids))
+    return materialize_sample(
+        table, rows, weights[owner], method, params, block_ids[owner]
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..engine.aggregates import encode_groups_arrays, sorted_unique
 from ..engine.table import Table
-from .base import WeightedSample
+from .base import WeightedSample, materialize_sample
 from .row import bernoulli_positions
 
 #: Rows are ranked within their group only if their random priority falls
@@ -135,18 +135,13 @@ def distinct_sample(
     rows, weights, num_groups = distinct_selection(
         [table[c] for c in columns], rate, frequency_cap, rng
     )
-    return WeightedSample(
-        table=table.take(rows),
-        weights=weights,
-        method="distinct",
-        population_rows=table.num_rows,
-        params={
-            "columns": list(columns),
-            "rate": rate,
-            "cap": frequency_cap,
-            "num_groups": num_groups,
-        },
-    )
+    params = {
+        "columns": list(columns),
+        "rate": rate,
+        "cap": frequency_cap,
+        "num_groups": num_groups,
+    }
+    return materialize_sample(table, rows, weights, "distinct", params)
 
 
 def group_coverage(sample: WeightedSample, table: Table) -> float:

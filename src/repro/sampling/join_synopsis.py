@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import SynopsisError
-from ..engine.executor import join_indices
 from ..engine.table import Table
 from .base import WeightedSample
 from .row import srs_sample
@@ -60,6 +59,8 @@ def build_join_synopsis(
     rows that violate referential integrity (no dimension match) raise —
     a synopsis built on broken FKs would silently bias every answer.
     """
+    from ..engine.executor import join_indices  # the executor imports this package
+
     fact = database.table(fact_table)
     sample = srs_sample(fact, sample_size, rng=rng)
     joined = sample.table

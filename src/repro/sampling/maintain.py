@@ -14,6 +14,11 @@ costs a pass over the batch and the sample — never over the table:
   value first seen in a batch enters as a new stratum with the smallest
   ``n_h`` of the sample.
 
+Batches are drawn by the designs' own selection functions:
+:func:`~repro.sampling.row.bernoulli_positions` for a Bernoulli batch,
+and :func:`~repro.sampling.stratified.srs_per_stratum` for both halves of
+the SRS rule (one stratum for a plain SRS sample).
+
 Designs without such a rule (measure-biased, block, distinct samples)
 are not maintained here: :func:`absorb_append` returns ``None`` and the
 catalog's staleness rule applies to them. Reservoir sampling
@@ -31,7 +36,8 @@ import numpy as np
 from ..engine.aggregates import encode_groups_arrays
 from ..engine.table import Table
 from .base import WeightedSample
-from .stratified import StratumInfo
+from .row import bernoulli_positions
+from .stratified import StratumInfo, srs_per_stratum
 
 
 def absorb_append(
@@ -45,7 +51,8 @@ def absorb_append(
     if sample.method == "bernoulli_rows":
         rate = float(params["rate"])
         table = _stacked(
-            sample.table, slice(None), batch, rng.random(batch.num_rows) < rate
+            sample.table, slice(None), batch,
+            bernoulli_positions(batch.num_rows, rate, rng),
         )
         return WeightedSample(
             table, np.full(table.num_rows, 1.0 / rate), sample.method,
@@ -68,7 +75,7 @@ def absorb_append(
         )
     else:
         return None
-    keep, take, weights, strata = _srs_per_stratum(
+    keep, take, weights, strata = _absorb_per_stratum(
         rng, strata, sample_ids, batch_ids
     )
     if sample.method == "srs_rows":
@@ -117,7 +124,7 @@ def _stratum_ids(
     return ids[: sample.num_rows], ids[sample.num_rows:]
 
 
-def _srs_per_stratum(
+def _absorb_per_stratum(
     rng: np.random.Generator,
     strata: List[StratumInfo],
     sample_ids: np.ndarray,
@@ -131,8 +138,8 @@ def _srs_per_stratum(
     after = before + appended
     size = np.minimum([s.allocated for s in strata], after)
     from_batch = rng.hypergeometric(appended, before, size)
-    keep = _srs_per_group(rng, sample_ids, size - from_batch)
-    take = _srs_per_group(rng, batch_ids, from_batch)
+    keep = srs_per_stratum(sample_ids, size - from_batch, rng)
+    take = srs_per_stratum(batch_ids, from_batch, rng)
     weight = after / np.maximum(size, 1)
     weights = np.concatenate([weight[sample_ids[keep]], weight[batch_ids[take]]])
     updated = [
@@ -140,16 +147,3 @@ def _srs_per_stratum(
         for s, n, k in zip(strata, after, size)
     ]
     return keep, take, weights, updated
-
-
-def _srs_per_group(
-    rng: np.random.Generator, ids: np.ndarray, wanted: np.ndarray
-) -> np.ndarray:
-    """Sorted positions of a uniformly random ``wanted[g]`` of the rows
-    whose ``ids`` is ``g``, for every group ``g``: the first ``wanted[g]``
-    of each group in a random order."""
-    order = np.argsort(ids + rng.random(len(ids)))
-    grouped = ids[order]
-    counts = np.bincount(ids, minlength=len(wanted))
-    rank = np.arange(len(ids)) - (np.cumsum(counts) - counts)[grouped]
-    return np.sort(order[rank < wanted[grouped]])

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
-from .base import WeightedSample
+from .base import WeightedSample, materialize_sample
 
 
 def measure_biased_sample(
@@ -60,14 +60,9 @@ def measure_biased_sample(
         floor = min(expected_size / (10.0 * n), 1.0)
         pi = np.clip(pi, floor, 1.0)
     keep = rng.random(n) < pi
-    sampled = table.take(keep)
-    weights = 1.0 / pi[keep]
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method="measure_biased",
-        population_rows=n,
-        params={
+    return materialize_sample(
+        table, keep, 1.0 / pi[keep], "measure_biased",
+        {
             "measure_column": measure_column,
             "expected_size": expected_size,
             "measure_total": total,

@@ -5,17 +5,24 @@ The baseline samplers of all of AQP. Bernoulli sampling matches SQL's
 fixed-size draws. Both are *statistically* ideal (independent rows) but
 *systemically* expensive on block storage: they touch almost every block,
 the inefficiency experiment E1/E3's cost curves expose.
+
+Each design has one selection function, :func:`bernoulli_selection` and
+:func:`srs_selection`, returning ascending row positions and their HT
+weights. A ``bernoulli_rows`` or ``fixed_rows`` scan directive calls it
+(``fixed_blocks`` is :func:`srs_selection` over block ids), and so do the
+library samplers, which add one ``take``; seeded alike, the two select
+the same rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..engine.table import Table
-from .base import WeightedSample
+from .base import WeightedSample, materialize_sample
 
 #: At or above this rate one uniform per row costs less than one gap per
 #: kept row, and :func:`bernoulli_positions` draws the row mask instead.
@@ -52,46 +59,44 @@ def bernoulli_positions(n: int, rate: float, rng: np.random.Generator) -> np.nda
     return rows[: np.searchsorted(rows, n)]
 
 
+def bernoulli_selection(
+    n: int, rate: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bernoulli(``rate``) rows of ``n``: :func:`bernoulli_positions` and
+    their weights ``1/rate``."""
+    if not (0.0 < rate <= 1.0):
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    rows = bernoulli_positions(n, rate, rng)
+    return rows, np.full(len(rows), 1.0 / rate)
+
+
+def srs_selection(
+    n: int, size: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """An SRS of ``min(size, n)`` of ``n`` units without replacement:
+    ascending positions and their weights ``n/size``."""
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    size = min(size, n)
+    if not size:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    return np.sort(rng.choice(n, size=size, replace=False)), np.full(size, n / size)
+
+
 def bernoulli_sample(
     table: Table, rate: float, rng: Optional[np.random.Generator] = None
 ) -> WeightedSample:
     """Keep each row independently with probability ``rate``."""
-    if not (0.0 < rate <= 1.0):
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if rng is None:
-        rng = np.random.default_rng()
-    mask = rng.random(table.num_rows) < rate
-    sampled = table.take(mask)
-    weights = np.full(sampled.num_rows, 1.0 / rate)
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method="bernoulli_rows",
-        population_rows=table.num_rows,
-        params={"rate": rate},
-    )
+    rows, weights = bernoulli_selection(table.num_rows, rate, np.random.default_rng(rng))
+    return materialize_sample(table, rows, weights, "bernoulli_rows", {"rate": rate})
 
 
 def srs_sample(
     table: Table, size: int, rng: Optional[np.random.Generator] = None
 ) -> WeightedSample:
     """Simple random sample of exactly ``size`` rows without replacement."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    if rng is None:
-        rng = np.random.default_rng()
-    n = table.num_rows
-    size = min(size, n)
-    idx = rng.choice(n, size=size, replace=False) if size else np.array([], dtype=np.int64)
-    sampled = table.take(np.sort(idx))
-    weights = np.full(size, n / size if size else 1.0)
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method="srs_rows",
-        population_rows=n,
-        params={"size": size},
-    )
+    rows, weights = srs_selection(table.num_rows, size, np.random.default_rng(rng))
+    return materialize_sample(table, rows, weights, "srs_rows", {"size": len(rows)})
 
 
 def systematic_sample(
@@ -105,17 +110,10 @@ def systematic_sample(
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     n = table.num_rows
-    start = int(rng.integers(0, step)) if n else 0
+    start = int(np.random.default_rng(rng).integers(0, step)) if n else 0
     idx = np.arange(start, n, step, dtype=np.int64)
-    sampled = table.take(idx)
-    weights = np.full(len(idx), float(step))
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method="systematic_rows",
-        population_rows=n,
-        params={"step": step, "start": start},
+    return materialize_sample(
+        table, idx, np.full(len(idx), float(step)), "systematic_rows",
+        {"step": step, "start": start},
     )

@@ -29,7 +29,7 @@ from ..core.exceptions import SynopsisError
 from ..engine.aggregates import sorted_unique
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
-from .base import WeightedSample
+from .base import WeightedSample, materialize_sample
 
 ALLOCATIONS = ("proportional", "senate", "congress", "neyman")
 
@@ -149,44 +149,45 @@ def stratified_sample(
     targets = _allocation_targets(
         counts.tolist(), total_size, policy, stds, min_per_stratum
     )
-    pieces: List[np.ndarray] = []
-    weight_pieces: List[np.ndarray] = []
-    strata: List[StratumInfo] = []
-    for s, key in enumerate(uniq):
-        members = np.flatnonzero(inverse == s)
-        n_h = int(targets[s])
-        if n_h >= len(members):
-            chosen = members
-        else:
-            chosen = rng.choice(members, size=n_h, replace=False)
-        pieces.append(np.sort(chosen))
-        weight_pieces.append(np.full(len(chosen), len(members) / max(len(chosen), 1)))
-        strata.append(
-            StratumInfo(
-                key=key if not hasattr(key, "item") else key.item(),
-                population=len(members),
-                allocated=n_h,
-                drawn=len(chosen),
-            )
-        )
-    idx = np.concatenate(pieces) if pieces else np.array([], dtype=np.int64)
-    order = np.argsort(idx)
-    idx = idx[order]
-    weights = (
-        np.concatenate(weight_pieces)[order] if weight_pieces else np.array([])
-    )
-    return WeightedSample(
-        table=table.take(idx),
-        weights=weights,
-        method=f"stratified:{policy}",
-        population_rows=table.num_rows,
-        params={
-            "strata_column": strata_column,
-            "policy": policy,
-            "strata": strata,
-            "total_size": total_size,
-        },
-    )
+    drawn = np.minimum(targets, counts)
+    strata = [
+        StratumInfo(key.item() if hasattr(key, "item") else key, int(n), int(a), int(d))
+        for key, n, a, d in zip(uniq, counts, targets, drawn)
+    ]
+    rows = srs_per_stratum(inverse, targets, rng)
+    weights = (counts / np.maximum(drawn, 1))[inverse[rows]]
+    params = {
+        "strata_column": strata_column,
+        "policy": policy,
+        "strata": strata,
+        "total_size": total_size,
+    }
+    return materialize_sample(table, rows, weights, f"stratified:{policy}", params)
+
+
+def srs_per_stratum(
+    strata: np.ndarray, sizes: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    """Ascending positions of an SRS of ``min(sizes[h], N_h)`` rows from
+    every stratum ``h``, where ``strata`` holds each row's stratum and
+    ``N_h`` is its row count: the one per-stratum draw, for builds and
+    for :mod:`repro.sampling.maintain`'s appends.
+
+    Rows are grouped by stratum once, by a stable sort of the narrow
+    stratum codes; each stratum then draws from its own ascending slice,
+    in stratum order.
+    """
+    counts = np.bincount(strata, minlength=len(sizes))
+    codes = strata.astype(np.min_scalar_type(len(counts)), copy=False)
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(counts)
+    pieces = [np.empty(0, dtype=np.int64)]
+    for start, end, size in zip((ends - counts).tolist(), ends.tolist(), sizes):
+        members = order[start:end]
+        if size < len(members):
+            members = rng.choice(members, size=int(size), replace=False)
+        pieces.append(members)
+    return np.sort(np.concatenate(pieces))
 
 
 # ----------------------------------------------------------------------

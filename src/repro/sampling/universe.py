@@ -23,7 +23,7 @@ import numpy as np
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from ..sketches.hashing import hash_unit_interval
-from .base import WeightedSample
+from .base import WeightedSample, materialize_sample
 
 
 def universe_sample(
@@ -35,16 +35,10 @@ def universe_sample(
     """Keep rows whose join-key hash lands in [0, rate)."""
     if not (0.0 < rate <= 1.0):
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    coords = hash_unit_interval(table[key_column], seed=seed)
-    mask = coords < rate
-    sampled = table.take(mask)
-    weights = np.full(sampled.num_rows, 1.0 / rate)
-    return WeightedSample(
-        table=sampled,
-        weights=weights,
-        method="universe",
-        population_rows=table.num_rows,
-        params={"key_column": key_column, "rate": rate, "seed": seed},
+    keep = hash_unit_interval(table[key_column], seed=seed) < rate
+    return materialize_sample(
+        table, keep, np.full(np.count_nonzero(keep), 1.0 / rate), "universe",
+        {"key_column": key_column, "rate": rate, "seed": seed},
     )
 
 

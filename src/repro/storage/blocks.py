@@ -10,10 +10,11 @@ rows it touched, which the cost model converts into simulated I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.aggregates import sorted_unique
 from ..engine.table import Table
 
 
@@ -121,31 +122,31 @@ def sampler_pass_selection(
     return ScanSelection(table, row_indices, None, stats, weights)
 
 
+def block_rows(table: Table, block_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row of the given blocks, in order, and for each row the index
+    in ``block_ids`` of its block. ``block_ids`` must be ascending and
+    distinct (every block selection draws them so)."""
+    starts = np.asarray(block_ids, dtype=np.int64) * table.block_size
+    sizes = np.minimum(table.block_size, table.num_rows - starts)
+    owner = np.repeat(np.arange(len(starts)), sizes)
+    # row i of the result is row (i - rows before its block) of its block
+    return (starts - np.cumsum(sizes) + sizes)[owner] + np.arange(len(owner)), owner
+
+
 def block_sample_selection(table: Table, block_ids: Sequence[int]) -> ScanSelection:
     """Select whole blocks; non-sampled blocks are skipped entirely.
 
     The selection carries a :data:`BLOCK_ID_COLUMN` vector recording each
     selected row's source block, which block-aware estimators require.
     """
-    block_ids = sorted(set(int(b) for b in block_ids))
-    pieces: List[np.ndarray] = []
-    id_pieces: List[np.ndarray] = []
-    rows = 0
-    for bid in block_ids:
-        start, stop = table.block_bounds(bid)
-        pieces.append(np.arange(start, stop, dtype=np.int64))
-        id_pieces.append(np.full(stop - start, bid, dtype=np.int64))
-        rows += stop - start
-    indices = np.concatenate(pieces) if pieces else np.array([], dtype=np.int64)
-    ids = (
-        np.concatenate(id_pieces) if id_pieces else np.array([], dtype=np.int64)
-    )
+    block_ids = sorted_unique(np.asarray(block_ids, dtype=np.int64))
+    rows, owner = block_rows(table, block_ids)
     stats = AccessStats(
-        rows_scanned=rows,
+        rows_scanned=len(rows),
         blocks_scanned=len(block_ids),
-        rows_returned=rows,
+        rows_returned=len(rows),
     )
-    return ScanSelection(table, indices, ids, stats)
+    return ScanSelection(table, rows, block_ids[owner], stats)
 
 
 def clustered_layout(table: Table, order_by: str) -> Table:

@@ -1,4 +1,5 @@
-"""The row samplers' laws, checked per row over many seeds.
+"""The samplers' laws, checked per row over many seeds, and one draw
+per design.
 
 ``bernoulli_rows`` and ``distinct_rows`` scans draw row positions as
 geometric gaps between successes, not as one uniform per row. The law
@@ -7,7 +8,11 @@ probability (``rate``, or the distinct sampler's ``π``), Bernoulli rows
 independent of each other, and the returned weights ``1/π``. Inclusion
 counts over seeded trials are held to exact-binomial acceptance bands,
 Bonferroni-corrected over rows so that a false alarm anywhere has
-probability at most 1e-3.
+probability at most 1e-3. Every library entry point of
+:mod:`repro.sampling` (and the append rule of
+:mod:`repro.sampling.maintain`) is held to the same bands, and each
+library sampler with a scan twin must select, seed for seed, exactly the
+rows that scan selects.
 """
 
 from __future__ import annotations
@@ -15,12 +20,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Database
+from repro import Database, Table
 from repro.audit.acceptance import binomial_acceptance_band
 from repro.engine.plan import SampleClause, Scan
 from repro.sampling import row as row_module
-from repro.sampling.distinct import distinct_selection
-from repro.sampling.row import bernoulli_positions
+from repro.sampling.block import block_bernoulli_sample, block_fixed_sample
+from repro.sampling.distinct import distinct_sample, distinct_selection
+from repro.sampling.maintain import absorb_append
+from repro.sampling.row import bernoulli_positions, bernoulli_sample, srs_sample
+from repro.sampling.stratified import stratified_sample
 
 TRIALS = 600
 
@@ -178,3 +186,153 @@ def test_distinct_selection_on_tiny_inputs(n):
     assert rows.tolist() == list(range(n))  # a group under the cap is kept whole
     assert weights.tolist() == [1.0] * n
     assert groups == n
+
+
+# ----------------------------------------------------------------------
+# One draw per design: a library sampler selects what its scan selects
+# ----------------------------------------------------------------------
+
+#: scan directive, and its library twin called with ``default_rng(seed)``
+SAME_DRAW = {
+    "bernoulli_rows_gaps": (
+        dict(method="bernoulli_rows", rate=0.07),
+        lambda t, rng: bernoulli_sample(t, 0.07, rng),
+    ),
+    "bernoulli_rows_mask": (
+        dict(method="bernoulli_rows", rate=0.6),
+        lambda t, rng: bernoulli_sample(t, 0.6, rng),
+    ),
+    "fixed_rows": (dict(method="fixed_rows", size=37), lambda t, rng: srs_sample(t, 37, rng)),
+    "system_blocks": (
+        dict(method="system_blocks", rate=0.3),
+        lambda t, rng: block_bernoulli_sample(t, 0.3, rng),
+    ),
+    "fixed_blocks": (
+        dict(method="fixed_blocks", size=4),
+        lambda t, rng: block_fixed_sample(t, 4, rng),
+    ),
+    "distinct_rows": (
+        dict(method="distinct_rows", rate=DISTINCT_RATE, columns=("k",), cap=DISTINCT_CAP),
+        lambda t, rng: distinct_sample(t, ["k"], DISTINCT_RATE, DISTINCT_CAP, rng),
+    ),
+}
+
+
+@pytest.mark.parametrize("design", sorted(SAME_DRAW))
+def test_library_sampler_selects_what_the_scan_selects(design):
+    clause, sampler = SAME_DRAW[design]
+    keys = np.repeat(np.arange(len(MIXED_SIZES)), MIXED_SIZES)  # 276 rows, 5 blocks
+    db = _world(np.random.default_rng(4).permutation(keys))
+    for seed in range(30):
+        scanned, _ = db.execute(Scan("t", sample=SampleClause(seed=seed, **clause)))
+        drawn = sampler(db.table("t"), np.random.default_rng(seed))
+        assert scanned["id"].tolist() == drawn.table["id"].tolist()
+        # only the two Bernoulli-style scans expose weights, never a fixed-size one
+        weighted = clause["method"] in ("bernoulli_rows", "distinct_rows")
+        assert ("__weight" in scanned) == weighted
+        if weighted:
+            assert scanned["__weight"].tolist() == drawn.weights.tolist()
+        if SampleClause(**clause).is_block_level:
+            assert scanned["__block_id"].tolist() == drawn.table["__block_id"].tolist()
+
+
+# ----------------------------------------------------------------------
+# Library entry points: inclusion laws
+# ----------------------------------------------------------------------
+
+#: stratum of each of 150 rows: 100 present when a sample is built, 50
+#: appended after; stratum 4 first arrives with the appended rows
+BUILT_SEGS = np.random.default_rng(5).permutation(np.repeat([0, 1, 2, 3], [3, 14, 33, 50]))
+APPENDED_SEGS = np.random.default_rng(6).permutation(np.repeat([0, 1, 2, 3, 4], [2, 6, 17, 19, 6]))
+SEGS = np.concatenate([BUILT_SEGS, APPENDED_SEGS])
+#: senate sizes of 12 per stratum (the new stratum takes the smallest)
+HELD = np.minimum(12, np.bincount(SEGS))
+LAW_BLOCK = 16  # 150 rows: 10 blocks, the last one short
+BLOCK_RATE, FIXED_BLOCKS, SRS_ROWS, BERNOULLI_RATE = 0.3, 4, 37, 0.07
+#: a cap of 5 puts the strata of 5, 6 and 20+ rows on each branch of the
+#: distinct sampler: kept whole, every row ranked, candidates thinned
+LAW_CAP = 5
+OUTRIGHT = np.minimum(LAW_CAP, np.bincount(SEGS)) / np.bincount(SEGS)
+DISTINCT_PI = (OUTRIGHT + (1.0 - OUTRIGHT) * BERNOULLI_RATE)[SEGS]
+STRATIFIED_PI = (HELD / np.bincount(SEGS))[SEGS]
+
+
+def _rows(start, stop):
+    return Table(
+        {"id": np.arange(start, stop), "seg": SEGS[start:stop]}, block_size=LAW_BLOCK
+    )
+
+
+#: entry point (called with an rng) -> per-row inclusion probability
+LIBRARY_LAWS = {
+    "bernoulli_sample": (
+        lambda rng: bernoulli_sample(_rows(0, 150), BERNOULLI_RATE, rng),
+        np.full(150, BERNOULLI_RATE),
+    ),
+    "srs_sample": (
+        lambda rng: srs_sample(_rows(0, 150), SRS_ROWS, rng), np.full(150, SRS_ROWS / 150)
+    ),
+    "block_bernoulli_sample": (
+        lambda rng: block_bernoulli_sample(_rows(0, 150), BLOCK_RATE, rng),
+        np.full(150, BLOCK_RATE),
+    ),
+    "block_fixed_sample": (
+        lambda rng: block_fixed_sample(_rows(0, 150), FIXED_BLOCKS, rng),
+        np.full(150, FIXED_BLOCKS / 10),
+    ),
+    "absorb_append_bernoulli": (
+        lambda rng: absorb_append(
+            bernoulli_sample(_rows(0, 100), BERNOULLI_RATE, rng), _rows(100, 150), rng
+        ),
+        np.full(150, BERNOULLI_RATE),
+    ),
+    "distinct_sample": (
+        lambda rng: distinct_sample(_rows(0, 150), ["seg"], BERNOULLI_RATE, LAW_CAP, rng),
+        DISTINCT_PI,
+    ),
+    "stratified_sample": (
+        lambda rng: stratified_sample(_rows(0, 150), "seg", 60, policy="senate", rng=rng),
+        STRATIFIED_PI,
+    ),
+    "absorb_append_stratified": (
+        lambda rng: absorb_append(
+            stratified_sample(_rows(0, 100), "seg", 48, policy="senate", rng=rng),
+            _rows(100, 150),
+            rng,
+        ),
+        STRATIFIED_PI,
+    ),
+}
+
+
+@pytest.mark.statistical
+@pytest.mark.parametrize("entry", sorted(LIBRARY_LAWS))
+def test_library_inclusion_law(entry, repro_seed):
+    """Every row in as often as its design's ``π`` says, weights ``1/π``;
+    fixed-size designs hold exactly their size (per stratum, or in whole
+    blocks)."""
+    draw, pi = LIBRARY_LAWS[entry]
+    hits = np.zeros(len(SEGS), dtype=np.int64)
+    for trial in range(TRIALS):
+        sample = draw(np.random.default_rng([repro_seed, trial]))
+        ids = sample.table["id"]
+        assert np.all(np.diff(ids) > 0)
+        assert sample.population_rows == len(SEGS)
+        np.testing.assert_allclose(sample.weights, 1.0 / pi[ids], rtol=1e-12)
+        if entry.startswith("block"):
+            blocks = ids // LAW_BLOCK
+            assert sample.table["__block_id"].tolist() == blocks.tolist()
+            drawn = np.unique(blocks)  # each in whole: 16 rows, 6 in the last
+            whole = np.minimum(LAW_BLOCK, len(SEGS) - drawn * LAW_BLOCK)
+            assert np.bincount(blocks)[drawn].tolist() == whole.tolist()
+        if entry == "block_fixed_sample":
+            assert len(drawn) == FIXED_BLOCKS
+        if entry == "srs_sample":
+            assert len(ids) == SRS_ROWS
+        if "stratified" in entry:
+            assert np.bincount(SEGS[ids], minlength=len(HELD)).tolist() == HELD.tolist()
+        hits[ids] += 1
+    for p in np.unique(pi):
+        rows = np.flatnonzero(pi == p)
+        lo, hi = binomial_acceptance_band(TRIALS, float(p), alpha=1e-3 / len(SEGS))
+        assert lo <= hits[rows].min() and hits[rows].max() <= hi, (entry, p, (lo, hi))
