@@ -613,29 +613,31 @@ def _ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
     )
 
 
-def _sharded_ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
-    """Audit scatter-gather OLA with every shard served.
+#: (SQL, exact answer over the value column) of the sharded-path trials:
+#: a SUM, a filtered AVG, and a COUNT selective enough that each shard's
+#: sample holds fewer than 100 matched rows
+_SHARDED_QUERIES = (
+    ("SELECT SUM(value) AS x FROM exp_t", lambda v: v.sum()),
+    ("SELECT AVG(value) AS x FROM exp_t WHERE value > 50", lambda v: v[v > 50].mean()),
+    ("SELECT COUNT(*) AS x FROM exp_t WHERE value > 300", lambda v: (v > 300).sum()),
+)
 
-    Per trial, the 8-shard exponential table answers in ``ola`` mode:
-    each shard reports a fixed-stop CI from a random 30% of its rows and
-    the gather adds the shard estimates. Trials alternate by seed between
-    ``SUM(value)`` and a filtered ``AVG(value)`` (the merged SUM interval
-    divided by the merged COUNT interval); the merged CI must cover the
-    exact whole-table answer. A degraded answer means a shard went
-    missing; count it as a refusal so the path cannot pass by accident.
-    """
+
+def _sharded_trial(
+    ctx: AuditContext, seed: int, technique: str, queries: int
+) -> TrialResult:
+    """One scatter-gather answer over the 8-shard exponential table, all
+    shards served; trials cycle by seed through the first ``queries`` of
+    :data:`_SHARDED_QUERIES`, and the merged CI must cover the exact
+    whole-table answer. A degraded answer means a shard went missing;
+    count it as a refusal so the path cannot pass by accident."""
     from ..sharding import ScatterGatherExecutor
 
-    values = np.asarray(ctx.exponential["value"], dtype=np.float64)
-    if seed % 2:
-        sql = "SELECT AVG(value) AS x FROM exp_t WHERE value > 50"
-        truth = float(values[values > 50].mean())
-    else:
-        sql = "SELECT SUM(value) AS x FROM exp_t"
-        truth = float(values.sum())
+    sql, exact = _SHARDED_QUERIES[seed % queries]
+    truth = float(exact(np.asarray(ctx.exponential["value"], dtype=np.float64)))
     executor = ScatterGatherExecutor(ctx.sharded_exponential, max_workers=1)
     result = executor.sql(
-        sql, options=QueryOptions(seed=seed, technique="ola")
+        sql, options=QueryOptions(seed=seed, technique=technique)
     )
     if result.is_degraded:
         return TrialResult(math.nan, math.nan, hit=False, refused=True)
@@ -643,6 +645,20 @@ def _sharded_ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
     return TrialResult(
         cell.value, truth, cell.covers(truth), cell.ci_low, cell.ci_high
     )
+
+
+def _sharded_ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
+    """Scatter-gather OLA: each shard estimates from a random 30% of its
+    rows; trials alternate ``SUM(value)`` and a filtered ``AVG(value)``."""
+    return _sharded_trial(ctx, seed, "ola", 2)
+
+
+def _sharded_sample(ctx: AuditContext, seed: int) -> TrialResult:
+    """Scatter-gather over per-shard samples drawn for this trial (a
+    sample kept across trials would score one draw N times): trials
+    cycle through SUM, a filtered AVG and a selective COUNT."""
+    ctx.sharded_exponential.build_shard_samples(rows_per_shard=1000, seed=seed)
+    return _sharded_trial(ctx, seed, "sample", 3)
 
 
 def _ola_peeking_stop(ctx: AuditContext, seed: int) -> TrialResult:
@@ -1009,6 +1025,19 @@ def build_paths() -> List[AuditPath]:
                 "SUM and a filtered AVG must cover the whole-table answer"
             ),
             run=_sharded_ola_fixed_stop,
+        ),
+        AuditPath(
+            name="sharded_sample",
+            family="offline",
+            claim="ci",
+            claimed_coverage=0.95,
+            description=(
+                "Scatter-gather over per-shard uniform samples (1000 rows "
+                "each, redrawn per trial), all 8 shards served: SUM, a "
+                "filtered AVG and a COUNT with under 100 matched sample "
+                "rows per shard must cover the whole-table answer"
+            ),
+            run=_sharded_sample,
         ),
         AuditPath(
             name="ola_peeking_stop",

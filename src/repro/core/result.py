@@ -57,6 +57,19 @@ def max_relative_half_width(
     return worst
 
 
+def claimed_relative_error(
+    asked: float,
+    table: Table,
+    ci_low: Dict[str, np.ndarray],
+    ci_high: Dict[str, np.ndarray],
+) -> float:
+    """The relative error an answer claims beside its intervals: the
+    asked error, or what the widest cell achieved when that is wider
+    (:func:`max_relative_half_width`), capped at 0.99 — so an answer with
+    an unbounded cell claims 0.99."""
+    return min(0.99, max(asked, max_relative_half_width(table, ci_low, ci_high)))
+
+
 class ResultEnvelope:
     """Shared surface of every result type (see module docstring).
 

@@ -64,6 +64,37 @@ class AggregateSpec:
         return f"{self.func.upper()}({distinct}{inner}) AS {self.alias}"
 
 
+#: rows behind each group of a mergeable partial (matched rows for an
+#: exact fold, rows read or sampled for an estimate)
+ROWS_COLUMN = "__rows"
+
+
+def expanded_aggregates(bound) -> List[AggregateSpec]:
+    """The simple SUM/COUNT pieces each user aggregate of a bound query
+    decomposes into.
+
+    AVG(x) becomes SUM(x) + COUNT(*); SUM/COUNT pass through. Aliases are
+    suffixed so all planners and estimators agree on names.
+    """
+    out: List[AggregateSpec] = []
+    seen = set()
+    for agg in bound.aggregates:
+        if agg.func == "sum":
+            pieces = [("sum", agg.argument, f"{agg.alias}__sum")]
+        elif agg.func == "count":
+            pieces = [("count", None, f"{agg.alias}__count")]
+        else:  # avg
+            pieces = [
+                ("sum", agg.argument, f"{agg.alias}__sum"),
+                ("count", None, f"{agg.alias}__count"),
+            ]
+        for func, arg, alias in pieces:
+            if alias not in seen:
+                seen.add(alias)
+                out.append(AggregateSpec(func=func, argument=arg, alias=alias))
+    return out
+
+
 # ----------------------------------------------------------------------
 # Group encoding
 # ----------------------------------------------------------------------

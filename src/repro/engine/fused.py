@@ -34,10 +34,12 @@ import numpy as np
 from ..storage.blocks import BLOCK_ID_COLUMN, WEIGHT_COLUMN, ScanSelection
 from ..core.exceptions import SchemaError
 from .aggregates import (
+    ROWS_COLUMN,
     AggregateSpec,
     compute_aggregate_values,
     compute_grouped_aggregate_values,
     encode_groups_arrays,
+    expanded_aggregates,
 )
 from .expressions import compile_expression
 from .plan import Filter, GroupByAggregate, PlanNode, Project, Scan
@@ -50,7 +52,6 @@ __all__ = [
     "chain_signature",
     "signature_digest",
     "compile_chain",
-    "PARTIAL_COUNT",
     "prepare_partial_aggregate",
     "filter_mask",
     "scan_relation",
@@ -381,32 +382,23 @@ def compile_chain(chain: FusedChain) -> PreparedChain:
     )
 
 
-#: matched-row count column every partial aggregate carries
-PARTIAL_COUNT = "__count"
-
-
 def prepare_partial_aggregate(bound, kernel_cache) -> PreparedChain:
     """Compile a bound single-table SUM/COUNT/AVG query in mergeable form.
 
-    Every aggregate is rewritten into additive components — ``SUM(x)``
-    and ``AVG(x)`` contribute ``SUM(x)`` under the aggregate's own alias,
-    and one shared ``COUNT(*)`` (:data:`PARTIAL_COUNT`) serves every
-    ``COUNT`` and every ``AVG`` denominator — over the query's own WHERE
-    and GROUP BY. Folding the chain over any row range of the table (a
-    shard, a block) yields a small table whose non-key columns *add*
-    across ranges. The kernels never touch data, so the cache key is the
-    chain signature alone and one entry serves every shard.
+    The query's own WHERE and GROUP BY fold the SUM/COUNT pieces of
+    :func:`~.aggregates.expanded_aggregates` (``AVG(x)`` is ``SUM(x)`` +
+    ``COUNT(*)``) plus the matched-row count :data:`~.aggregates.ROWS_COLUMN`:
+    the exact moment table of any row range of the table (a shard, a
+    block), whose non-key columns *add* across ranges. The kernels never
+    touch data, so the cache key is the chain signature alone and one
+    entry serves every shard.
     """
     target = bound.tables[0]
     node: PlanNode = Scan(table_name=target.name, alias=target.alias)
     if bound.where is not None:
         node = Filter(child=node, predicate=bound.where)
-    components = [
-        AggregateSpec("sum", agg.argument, agg.alias)
-        for agg in bound.aggregates
-        if agg.func != "count"
-    ]
-    components.append(AggregateSpec("count", None, PARTIAL_COUNT))
+    components = expanded_aggregates(bound)
+    components.append(AggregateSpec("count", None, ROWS_COLUMN))
     chain = extract_chain(
         GroupByAggregate(
             child=node,

@@ -3,8 +3,9 @@
 Every sampled answer reduces to a *moment table*: per group, its key
 columns and, per SUM/COUNT piece ``p`` of :func:`expanded_aggregates`,
 the estimated total ``p``, its variance ``p__var`` and the rows (or
-blocks) behind it, ``__rows``. :func:`aggregate_intervals` turns that
-into value + CI per user aggregate, and
+blocks) behind it, ``__rows``. :func:`piece_intervals` turns that into
+value + CI per piece and :func:`combine_intervals` per user aggregate
+(the shard gather adds its missing-shard widening in between), and
 :func:`project_output_with_intervals` carries those through the SELECT
 list with interval arithmetic.
 """
@@ -18,7 +19,12 @@ import numpy as np
 from ..core.errorspec import ErrorSpec, student_t_ppf, z_value
 from ..core.exceptions import PlanError, UnsupportedQueryError
 from ..engine import expressions as E
-from ..engine.aggregates import AggregateSpec, encode_groups_arrays
+from ..engine.aggregates import (
+    ROWS_COLUMN,
+    AggregateSpec,
+    encode_groups_arrays,
+    expanded_aggregates,
+)
 from ..engine import fused
 from ..engine.kernel_cache import get_kernel_cache
 from ..engine.plan import Filter, GroupByAggregate, PlanNode, Scan
@@ -34,7 +40,6 @@ MIN_SAMPLABLE_ROWS = 10_000
 SMALL_SAMPLE = 100
 
 VARIANCE_SUFFIX = "__var"
-ROWS_COLUMN = "__rows"
 
 
 def require_linear_aggregates(
@@ -62,31 +67,6 @@ def group_columns_on(bound: BoundQuery, alias: str) -> Optional[List[str]]:
             return None
         raw.append(expr.name[len(prefix):])
     return raw
-
-
-def expanded_aggregates(bound: BoundQuery) -> List[AggregateSpec]:
-    """The simple SUM/COUNT pieces each user aggregate decomposes into.
-
-    AVG(x) becomes SUM(x) + COUNT(*); SUM/COUNT pass through. Aliases are
-    suffixed so all planners and estimators agree on names.
-    """
-    out: List[AggregateSpec] = []
-    seen = set()
-    for agg in bound.aggregates:
-        if agg.func == "sum":
-            pieces = [("sum", agg.argument, f"{agg.alias}__sum")]
-        elif agg.func == "count":
-            pieces = [("count", None, f"{agg.alias}__count")]
-        else:  # avg
-            pieces = [
-                ("sum", agg.argument, f"{agg.alias}__sum"),
-                ("count", None, f"{agg.alias}__count"),
-            ]
-        for func, arg, alias in pieces:
-            if alias not in seen:
-                seen.add(alias)
-                out.append(AggregateSpec(func=func, argument=arg, alias=alias))
-    return out
 
 
 def moment_aggregate(
@@ -187,19 +167,18 @@ def estimate_groups_from_blocks(
     return Table(cols)
 
 
-def aggregate_intervals(
+def piece_intervals(
     bound: BoundQuery, moments: Table, confidence: float
 ) -> Dict[str, "_Interval"]:
-    """Value and two-sided CI per group of every user aggregate, from a
+    """Value and two-sided CI per group of every SUM/COUNT piece of a
     moment table.
 
-    SUM and COUNT are their piece's total ± critical value × standard
-    error: Student's t with ``rows − 1`` degrees of freedom for groups
-    under :data:`SMALL_SAMPLE` rows (one quantile per distinct size),
-    the normal quantile otherwise, unbounded for one row or fewer. AVG
-    is SUM/COUNT with the conservative interval quotient (counts are
-    positive): NaN where the COUNT is 0, unbounded where the COUNT's
-    interval reaches 0.
+    A piece is its total ± critical value × standard error: Student's t
+    with ``rows − 1`` degrees of freedom for groups under
+    :data:`SMALL_SAMPLE` rows (one quantile per distinct size), the
+    normal quantile otherwise, unbounded for one row or fewer. A piece
+    without a ``p__var`` column (an exact partial) is its total with a
+    zero-width interval.
     """
     sizes = np.asarray(moments[ROWS_COLUMN], dtype=np.int64)
     crit = np.full(len(sizes), z_value(confidence))
@@ -210,22 +189,36 @@ def aggregate_intervals(
             t_crit[size] = student_t_ppf(0.5 + confidence / 2.0, size - 1)
         crit[small] = t_crit[sizes[small]]
     unbounded = sizes <= 1
+    out: Dict[str, _Interval] = {}
+    for piece in expanded_aggregates(bound):
+        total = np.asarray(moments[piece.alias], dtype=np.float64)
+        half = 0.0
+        if piece.alias + VARIANCE_SUFFIX in moments:
+            variance = moments[piece.alias + VARIANCE_SUFFIX]
+            std = np.sqrt(np.maximum(variance, 0.0))
+            half = np.where(unbounded, np.inf, crit * std)
+        out[piece.alias] = _Interval(total, total - half, total + half)
+    return out
 
-    def piece(alias: str) -> "_Interval":
-        total = moments[alias]
-        std = np.sqrt(np.maximum(moments[alias + VARIANCE_SUFFIX], 0.0))
-        half = np.where(unbounded, np.inf, crit * std)
-        return _Interval(total, total - half, total + half)
 
+def combine_intervals(
+    bound: BoundQuery, pieces: Dict[str, "_Interval"]
+) -> Dict[str, "_Interval"]:
+    """Value and CI per user aggregate from its pieces' intervals.
+
+    SUM and COUNT are their piece. AVG is SUM/COUNT with the conservative
+    interval quotient (counts are positive): NaN where the COUNT is 0,
+    unbounded where the COUNT's interval reaches 0.
+    """
     out: Dict[str, _Interval] = {}
     for agg in bound.aggregates:
         if agg.func in ("sum", "count"):
-            out[agg.alias] = piece(f"{agg.alias}__{agg.func}")
+            out[agg.alias] = pieces[f"{agg.alias}__{agg.func}"]
             continue
         if agg.func != "avg":
             raise PlanError(f"cannot combine aggregate {agg.func!r}")
-        s = piece(f"{agg.alias}__sum")
-        c = piece(f"{agg.alias}__count")
+        s = pieces[f"{agg.alias}__sum"]
+        c = pieces[f"{agg.alias}__count"]
         with np.errstate(divide="ignore", invalid="ignore"):
             value = np.where(c.value == 0, np.nan, s.value / c.value)
             a, b = s.low / c.low, s.low / c.high
@@ -288,8 +281,10 @@ def _interval_eval(
                 quots = np.stack(
                     [a.low / b.low, a.low / b.high, a.high / b.low, a.high / b.high]
                 )
-                low = np.where(crosses_zero, -np.inf, np.nanmin(quots, axis=0))
-                high = np.where(crosses_zero, np.inf, np.nanmax(quots, axis=0))
+                # fmin/fmax skip NaN quotients without warning when
+                # every quotient of a cell is NaN (no sampled row matched)
+                low = np.where(crosses_zero, -np.inf, np.fmin.reduce(quots, axis=0))
+                high = np.where(crosses_zero, np.inf, np.fmax.reduce(quots, axis=0))
             return _Interval(value, low, high)
     raise PlanError(
         f"expression {expr!r} is not supported in approximate SELECT lists"
@@ -311,7 +306,9 @@ def project_output_with_intervals(
     num_cells = max(n * max(len(bound.aggregates), 1), 1)
     cell_conf = 1.0 - spec.failure_probability / 2.0 / num_cells
     cell_conf = min(max(cell_conf, 0.5), 1 - 1e-12)
-    agg_columns = aggregate_intervals(bound, moments, cell_conf)
+    agg_columns = combine_intervals(
+        bound, piece_intervals(bound, moments, cell_conf)
+    )
     key_aliases = [alias for _, alias in bound.group_keys]
     key_arrays = {alias: moments[alias] for alias in key_aliases}
 

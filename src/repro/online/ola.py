@@ -28,7 +28,11 @@ from ..core.errorspec import z_value
 from ..core.exceptions import PlanError
 from ..engine.fused import LazyRelation, filter_mask
 from ..engine.table import Table
-from ..estimators.closed_form import ratio_from_sums, srs_sum_from_sums
+from ..estimators.closed_form import (
+    Estimate,
+    ratio_from_sums,
+    srs_sum_from_sums,
+)
 from ..obs.trace import event
 
 
@@ -166,27 +170,34 @@ class OnlineAggregator:
         self._seen = n
         return self._sums
 
-    def snapshot(self, rows_seen: int, agg: Optional[str] = None) -> OLASnapshot:
-        """Estimate from the first ``rows_seen`` rows of the read order.
+    def estimate(self, rows_seen: int, agg: Optional[str] = None) -> Estimate:
+        """Estimate, with its variance, from the first ``rows_seen`` rows
+        of the read order.
 
         ``agg`` overrides the aggregator's own function: the running
         moments serve SUM, COUNT and AVG alike, so one read order yields
-        mutually consistent components (an AVG merged across shards needs
+        mutually consistent pieces (an AVG merged across shards needs
         SUM and COUNT from the *same* prefix).
         """
         agg = agg or self.agg
         n = min(max(rows_seen, 1), len(self._values))
-        if n == 0:
-            return OLASnapshot(0, 0.0, math.nan, -math.inf, math.inf)
         sum_v, sum_v2, sum_m = self._moments(n)
         if agg == "sum":
-            est = srs_sum_from_sums(n, self._population, sum_v, sum_v2)
-        elif agg == "count":
+            return srs_sum_from_sums(n, self._population, sum_v, sum_v2)
+        if agg == "count":
             # matches are 0/1 so Σm² = Σm
-            est = srs_sum_from_sums(n, self._population, sum_m, sum_m)
-        else:  # avg over matching rows: ratio estimator
-            # values are zeroed outside the predicate, so Σv·m = Σv.
-            est = ratio_from_sums(n, sum_v, sum_m, sum_v2, sum_m, sum_v)
+            return srs_sum_from_sums(n, self._population, sum_m, sum_m)
+        # avg over matching rows: ratio estimator; values are zeroed
+        # outside the predicate, so Σv·m = Σv.
+        return ratio_from_sums(n, sum_v, sum_m, sum_v2, sum_m, sum_v)
+
+    def snapshot(self, rows_seen: int, agg: Optional[str] = None) -> OLASnapshot:
+        """:meth:`estimate` as a running answer: its interval at the
+        aggregator's confidence."""
+        est = self.estimate(rows_seen, agg)
+        n = est.sample_size
+        if n == 0:
+            return OLASnapshot(0, 0.0, math.nan, -math.inf, math.inf)
         lo, hi = est.ci(self.confidence)
         return OLASnapshot(
             rows_seen=n,
@@ -268,7 +279,7 @@ def fixed_stop_snapshot(
 
     ``prepared`` is the query's partial-aggregate chain
     (:func:`~repro.engine.fused.prepare_partial_aggregate`): its filter
-    gives the predicate mask, its first component the input vector (all
+    gives the predicate mask, its first piece the input vector (all
     ones for ``COUNT``). Stopping is data-independent — the deadline
     (external) or a fixed 30% of the rows, never "stop when the CI first
     looks good", which would forfeit coverage (the peeking fallacy) — so

@@ -47,7 +47,6 @@ still cover at the claimed rate.
 
 from __future__ import annotations
 
-import math
 import threading
 import warnings
 from dataclasses import replace
@@ -69,7 +68,7 @@ from ..core.exceptions import (
     UnsupportedQueryError,
 )
 from ..core.options import LADDER_RUNGS, QueryOptions
-from ..core.result import ApproximateResult
+from ..core.result import ApproximateResult, claimed_relative_error
 from ..core.session import execute_exact, run_query
 from ..engine.executor import ExecutionStats
 from ..engine.fused import SliceRelation, prepare_partial_aggregate
@@ -468,24 +467,21 @@ class ResilientEngine:
         stats.rows_scanned = snap.rows_seen
         stats.agg_input_rows = snap.rows_seen
         stats.rows_output = 1
-        achieved = snap.relative_half_width
-        claimed = replace(
-            spec,
-            relative_error=min(
-                0.99,
-                max(
-                    spec.relative_error,
-                    achieved if math.isfinite(achieved) else 0.99,
+        table = Table({alias: np.array([snap.value])}, name="aggregate")
+        ci_low = {alias: np.array([snap.ci_low])}
+        ci_high = {alias: np.array([snap.ci_high])}
+        return ApproximateResult(
+            table=table,
+            stats=stats,
+            spec=replace(
+                spec,
+                relative_error=claimed_relative_error(
+                    spec.relative_error, table, ci_low, ci_high
                 ),
             ),
-        )
-        return ApproximateResult(
-            table=Table({alias: np.array([snap.value])}, name="aggregate"),
-            stats=stats,
-            spec=claimed,
             technique="partial_ola",
-            ci_low={alias: np.array([snap.ci_low])},
-            ci_high={alias: np.array([snap.ci_high])},
+            ci_low=ci_low,
+            ci_high=ci_high,
             fraction_scanned=snap.fraction_seen,
             approx_cost=float(snap.rows_seen),
             exact_cost=float(base.num_rows),

@@ -88,22 +88,6 @@ class WeightedSample:
             self.inclusion_probabilities(),
         )
 
-    def filtered(self, mask: np.ndarray) -> "WeightedSample":
-        """Apply a predicate; weights follow the surviving rows.
-
-        Filtering commutes with sampling for Bernoulli-style designs, so
-        the filtered object remains a valid weighted sample of the
-        filtered population.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        return WeightedSample(
-            table=self.table.take(mask),
-            weights=self.weights[mask],
-            method=self.method,
-            population_rows=self.population_rows,
-            params=dict(self.params),
-        )
-
 
 def materialize_sample(
     table: Table,

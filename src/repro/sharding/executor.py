@@ -1,19 +1,23 @@
 """Scatter-gather execution over a :class:`ShardedTable`.
 
-This module scatters and gathers; it does not execute. One query is
-rewritten into mergeable components (``SUM`` → sum, ``COUNT`` → count,
-``AVG`` → sum + count) and compiled *once* by the engine's own fused
-pipeline (:func:`~repro.engine.fused.prepare_partial_aggregate`, through
-the kernel cache). Shards fold those kernels one after another in the
-calling thread (on a thread pool when the query has a deadline) over
-their shard — or block by block, when a deadline, budget, hedge
-carve-out or fault injector needs block boundaries — so a shard's
-partial *is* a small aggregate :class:`Table`: key columns plus additive
-component columns. Gathering is :func:`~.merge.merge_partial_tables`
-(concatenate, regroup, add) for blocks within a shard and shards within
-a table alike, followed by the widening arithmetic, vectorised over the
-merged groups. The serving contract — the whole point of this module —
-is that the answer stays *honest* while the substrate fails:
+This module scatters and gathers; it does not execute. Every shard
+hands back a *moment table* (:mod:`repro.online.estimation`): per group,
+each SUM/COUNT piece ``p`` of the query (``AVG`` is SUM + COUNT), its
+variance ``p__var`` for sampled techniques, and the rows behind it,
+``__rows``. An exact shard folds the query's kernels — compiled *once*
+(:func:`~repro.engine.fused.prepare_partial_aggregate`, through the
+kernel cache) — over its shard, or block by block when a deadline,
+budget, hedge carve-out or fault injector needs block boundaries; an
+``ola`` shard reports one fixed-stop prefix; a ``sample`` shard folds
+the HT moments of its catalog sample. Shards run one after another in
+the calling thread (on a thread pool when the query has a deadline).
+Gathering is :func:`~.merge.merge_partial_tables` (concatenate,
+regroup, add) for blocks and shards alike, then the intervals every
+sampled answer gets: :func:`~repro.online.estimation.piece_intervals`
+(its t rule reads the merged rows), the missing-shard widening added to
+each piece, and :func:`~repro.online.estimation.combine_intervals`. The
+serving contract — the whole point of this module — is that the answer
+stays *honest* while the substrate fails:
 
 * **Deadlines** — workers share the query's cooperative
   :class:`~repro.resilience.deadline.Deadline` (explicit or ambient via
@@ -70,13 +74,13 @@ from ..core.exceptions import (
     UnsupportedQueryError,
 )
 from ..core.options import QueryOptions
-from ..core.result import ApproximateResult, QueryResult
+from ..core.result import ApproximateResult, QueryResult, claimed_relative_error
 from ..core.session import run_query
-from ..engine.aggregates import AggregateSpec
+from ..engine.aggregates import ROWS_COLUMN, AggregateSpec, expanded_aggregates
 from ..engine.executor import ExecutionStats
 from ..engine.expressions import Column
 from ..engine.fused import (
-    PARTIAL_COUNT,
+    MaskedRelation,
     PreparedChain,
     SliceRelation,
     apply_steps,
@@ -88,6 +92,12 @@ from ..engine.kernel_cache import get_kernel_cache
 from ..engine.table import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import current_span, current_tracer, event, span
+from ..online.estimation import (
+    VARIANCE_SUFFIX,
+    combine_intervals,
+    estimate_groups_row_level,
+    piece_intervals,
+)
 from ..online.ola import fixed_stop_snapshot
 from ..resilience.deadline import (
     Deadline,
@@ -120,14 +130,9 @@ HEDGE_FRACTION = 0.5
 #: ``"offline_sample"`` (the engine-wide spelling) means ``"sample"`` here
 _TECHNIQUES = ("exact", "ola", "sample")
 
-#: Partial-table columns beside the keys, all additive across partials.
-#: The engine's kernels produce an aggregate's SUM component under the
-#: aggregate's own alias plus the shared ``PARTIAL_COUNT``; sampled
-#: techniques add the *squared* CI half-width of each estimate (suffix
-#: ``_HW2``; independent shard estimates merge by adding them) and the
-#: matched-row count the selectivity transfer uses (exact partials need
-#: no such column: their count *is* the matched count).
-_HW2 = "__hw2"
+#: The one partial column beside a moment table's: a sampled shard's
+#: (estimated) matched-row count, which the selectivity transfer reads
+#: (an exact partial's ``__rows`` *is* its matched count).
 _MATCHED = "__matched"
 
 
@@ -165,7 +170,7 @@ class _ShardQuery:
         return SliceRelation(table, start, stop, self.rename)
 
     def fold(self, table: Table, start: int, stop: int) -> Table:
-        """The partial aggregate table of one row range."""
+        """The exact moment table of one row range."""
         rel = apply_steps(self.prepared.steps, self.view(table, start, stop))
         return run_prepared_aggregate(self.prepared, rel)
 
@@ -176,7 +181,7 @@ class ShardOutcome:
 
     shard_id: int
     status: str  # served | served_hedged | failed | breaker_open
-    #: the shard's partial aggregate table (see ``_HW2``/``_MATCHED``)
+    #: the shard's moment table (see ``_MATCHED``)
     partial: Optional[Table] = None
     #: rows actually read (work accounting)
     rows_scanned: int = 0
@@ -203,18 +208,6 @@ class _Widen:
 
 def _fmt_error(exc: Optional[BaseException]) -> str:
     return f"{type(exc).__name__}: {exc}" if exc else ""
-
-
-def _estimate_row(
-    estimates: Dict[str, Tuple[float, float, float]], matched: float
-) -> Table:
-    """One-row partial table from ``name -> (value, ci_low, ci_high)``."""
-    cols = {_MATCHED: np.array([matched])}
-    for name, (value, lo, hi) in estimates.items():
-        half = (hi - lo) / 2.0
-        cols[name] = np.array([value])
-        cols[name + _HW2] = np.array([half * half])
-    return Table(cols, name="aggregate")
 
 
 class ScatterGatherExecutor:
@@ -347,16 +340,10 @@ class ScatterGatherExecutor:
                 raise UnsupportedQueryError("OLA does not serve GROUP BY")
             if len(bound.aggregates) != 1:
                 raise UnsupportedQueryError("OLA serves one aggregate")
-        if technique == "sample":
-            if bound.group_keys:
-                raise UnsupportedQueryError(
-                    "uniform per-shard samples cannot protect groups"
-                )
-            for agg in bound.aggregates:
-                if agg.func != "count" and self._bare_column(bound, agg) is None:
-                    raise UnsupportedQueryError(
-                        "per-shard samples serve bare-column aggregates"
-                    )
+        if technique == "sample" and bound.group_keys:
+            raise UnsupportedQueryError(
+                "uniform per-shard samples cannot protect groups"
+            )
 
     @staticmethod
     def _bare_column(bound: BoundQuery, agg: AggregateSpec) -> Optional[str]:
@@ -601,13 +588,10 @@ class ScatterGatherExecutor:
             if give_way is not None:
                 give_way()
 
-        # AVG merges as the ratio of its SUM and COUNT components, both
-        # taken from the same read-order prefix (same seed, same rows).
-        first = "count" if agg.func == "count" else "sum"
         ola, snap = fixed_stop_snapshot(
             q.prepared,
             q.view(table),
-            agg=first,
+            agg=agg.func,
             confidence=q.confidence,
             seed=int(
                 np.random.SeedSequence(
@@ -618,17 +602,19 @@ class ScatterGatherExecutor:
             deadline=q.deadline,
             on_step=on_step,
         )
-        estimates = {}
-        if first == "sum":
-            estimates[agg.alias] = (snap.value, snap.ci_low, snap.ci_high)
-        if agg.func != "sum":
-            count = snap if first == "count" else ola.snapshot(
-                snap.rows_seen, agg="count"
-            )
-            estimates[PARTIAL_COUNT] = (count.value, count.ci_low, count.ci_high)
+        # An AVG's SUM and COUNT pieces come from the same prefix.
+        n = snap.rows_seen
+        cols = {
+            ROWS_COLUMN: np.array([n]),
+            _MATCHED: np.array([ola.matched_rows]),
+        }
+        for piece in expanded_aggregates(q.bound):
+            est = ola.estimate(n, piece.func)
+            cols[piece.alias] = np.array([est.value])
+            cols[piece.alias + VARIANCE_SUFFIX] = np.array([est.variance])
         if q.budget is not None:
-            q.budget.charge(rows=snap.rows_seen, site=site)
-        return _estimate_row(estimates, ola.matched_rows), snap.rows_seen
+            q.budget.charge(rows=n, site=site)
+        return Table(cols, name="aggregate"), n
 
     def _sample_partial(
         self, shard: Shard, q: _ShardQuery
@@ -649,20 +635,13 @@ class ScatterGatherExecutor:
                 f"shard {shard.shard_id} sample failed validation"
             )
         sample = entry.sample
-        mask = filter_mask(q.prepared, q.view(sample.table))
-        filtered = sample.filtered(mask) if mask is not None else sample
-        count = filtered.estimate_count()
-        estimates = {PARTIAL_COUNT: (count.value, *count.ci(q.confidence))}
-        for agg in q.bound.aggregates:
-            if agg.func == "count":
-                continue
-            if filtered.num_rows == 0:
-                estimates[agg.alias] = (0.0, 0.0, 0.0)
-            else:
-                est = filtered.estimate_sum(self._bare_column(q.bound, agg))
-                estimates[agg.alias] = (est.value, *est.ci(q.confidence))
+        rel, weights = q.view(sample.table), sample.weights
+        mask = filter_mask(q.prepared, rel)
+        if mask is not None:
+            rel, weights = MaskedRelation(rel, mask), weights[mask]
+        moments = estimate_groups_row_level(q.bound, rel, weights)
         return (
-            _estimate_row(estimates, float(max(count.value, 0.0))),
+            moments.with_column(_MATCHED, np.array([weights.sum()])),
             sample.num_rows,
         )
 
@@ -782,76 +761,66 @@ class ScatterGatherExecutor:
         merged = merge_partial_tables(
             [o.partial for o in served], q.key_aliases
         )
-        nrows = merged.num_rows
-        zeros = np.zeros(nrows)
-
-        def component(name: str) -> np.ndarray:
-            return merged[name] if name in merged else zeros
-
-        counts = component(PARTIAL_COUNT)
         matched = float(
-            (counts if technique == "exact" else component(_MATCHED)).sum()
+            merged[ROWS_COLUMN if technique == "exact" else _MATCHED].sum()
         )
         sel = min(max(matched / served_rows, 0.0), 1.0) if served_rows else 0.0
         degraded = any(w.rows or w.neg or w.pos for w in widens.values())
 
-        values: Dict[str, np.ndarray] = {}
-        lows: Dict[str, np.ndarray] = {}
-        highs: Dict[str, np.ndarray] = {}
+        # Per-group selectivity of the lost rows is unknowable, so a
+        # group keeps its served value and widens by the *full*
+        # missing-shard envelope — conservative for every group. A
+        # count is never negative, so its low end is clipped at 0.
+        share = 0.0 if bound.group_keys else sel
+        pieces = piece_intervals(bound, merged, q.confidence)
         for agg in bound.aggregates:
-            # Per-group selectivity of the lost rows is unknowable, so a
-            # group keeps its served value and widens by the *full*
-            # missing-shard envelope — conservative for every group.
-            values[agg.alias], lows[agg.alias], highs[agg.alias] = self._cell(
-                agg.func,
-                component(agg.alias),
-                component(agg.alias + _HW2),
-                counts,
-                component(PARTIAL_COUNT + _HW2),
-                widens[agg.alias],
-                0.0 if bound.group_keys else sel,
-            )
+            w = widens[agg.alias]
+            s = pieces.get(f"{agg.alias}__sum")
+            if s is not None:
+                center = min(max(share * w.total, w.neg), w.pos)
+                s.value, s.low, s.high = (
+                    s.value + center, s.low + w.neg, s.high + w.pos
+                )
+            c = pieces.get(f"{agg.alias}__count")
+            if c is not None:
+                c.value, c.low, c.high = (
+                    c.value + share * w.rows,
+                    np.maximum(c.low, 0.0),
+                    c.high + w.rows,
+                )
+        cells = combine_intervals(bound, pieces)
 
         columns: Dict[str, np.ndarray] = {}
         ci_low: Dict[str, np.ndarray] = {}
         ci_high: Dict[str, np.ndarray] = {}
         for expr, out_alias in bound.output_items:
-            name = expr.name  # validated Column in _check_supported
-            if name in values:
-                columns[out_alias] = values[name]
-                ci_low[out_alias] = lows[name]
-                ci_high[out_alias] = highs[name]
+            cell = cells.get(expr.name)  # validated Column in _check_supported
+            if cell is None:
+                columns[out_alias] = merged[expr.name]
             else:
-                columns[out_alias] = merged[name]
+                columns[out_alias] = cell.value
+                ci_low[out_alias] = cell.low
+                ci_high[out_alias] = cell.high
 
         scanned = sum(o.rows_scanned for o in served)
         stats = ExecutionStats()
         stats.rows_scanned = scanned
         stats.agg_input_rows = scanned
-        stats.rows_output = nrows
+        stats.rows_output = merged.num_rows
         table = Table(columns, name="aggregate")
         total_rows = self.sharded.total_rows
         if technique == "exact" and not degraded and spec is None:
             return QueryResult(
                 table=table, stats=stats, provenance=provenance
             )
-        achieved = 0.0
-        for alias, v in values.items():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.where(
-                    v != 0,
-                    (highs[alias] - lows[alias]) / 2.0 / np.abs(v),
-                    np.inf,
-                )
-            finite = rel[np.isfinite(rel)]
-            if len(finite):
-                achieved = max(achieved, float(finite.max()))
-        base_rel = spec.relative_error if spec is not None else 0.05
+        asked = spec.relative_error if spec is not None else 0.05
         return ApproximateResult(
             table=table,
             stats=stats,
             spec=ErrorSpec(
-                relative_error=min(0.99, max(base_rel, achieved, 1e-9)),
+                relative_error=claimed_relative_error(
+                    asked, table, ci_low, ci_high
+                ),
                 confidence=q.confidence,
             ),
             technique=f"scatter_gather_{technique}",
@@ -873,38 +842,4 @@ class ScatterGatherExecutor:
                 ),
             },
             provenance=provenance,
-        )
-
-    @staticmethod
-    def _cell(
-        func: str,
-        s: np.ndarray,
-        s_hw2: np.ndarray,
-        c: np.ndarray,
-        c_hw2: np.ndarray,
-        w: _Widen,
-        sel: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged values + CIs of one aggregate's cells (one per group),
-        widened for missing shards (see module docstring for the rule)."""
-        s_hw, c_hw = np.sqrt(s_hw2), np.sqrt(c_hw2)
-        center = min(max(sel * w.total, w.neg), w.pos)
-        s_lo, s_hi = s - s_hw + w.neg, s + s_hw + w.pos
-        c_lo, c_hi = np.maximum(c - c_hw, 0.0), c + c_hw + w.rows
-        if func == "sum":
-            return s + center, s_lo, s_hi
-        if func == "count":
-            return c + sel * w.rows, c_lo, c_hi
-        # avg: interval division of the SUM envelope by the COUNT envelope
-        denom = c + sel * w.rows
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(denom > 0, (s + center) / denom, np.nan)
-            ratios = np.stack(
-                [s_lo / c_lo, s_lo / c_hi, s_hi / c_lo, s_hi / c_hi]
-            )
-        unbounded = c_lo <= 0.0
-        return (
-            value,
-            np.where(unbounded, -np.inf, ratios.min(axis=0)),
-            np.where(unbounded, np.inf, ratios.max(axis=0)),
         )

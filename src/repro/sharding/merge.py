@@ -8,12 +8,13 @@ merge algebra:
   the whole table (exactly for the deterministic structures, to the
   sketch's own guarantee for SpaceSaving). The property tests in
   ``tests/test_merge_property.py`` assert this shard/whole equivalence.
-* **Partial aggregate tables** — what the engine's prepared kernels
-  produce when folded over a row range: key columns plus additive
-  components (sums, counts, and — for sampled techniques — *squared* CI
-  half-widths, which add because independent estimates' variances add).
-  Merging is the same operation for blocks within a shard and shards
-  within a table: concatenate, regroup on the keys, add the columns.
+* **Moment tables** — what a shard hands back (the engine's prepared
+  kernels folded over a row range, or a sampled technique's estimates):
+  key columns plus additive columns (each SUM/COUNT piece, ``__rows``,
+  and — for sampled techniques — each piece's variance ``p__var``, which
+  adds because independent estimates' variances add). Merging is the
+  same operation for blocks within a shard and shards within a table:
+  concatenate, regroup on the keys, add the columns.
 """
 
 from __future__ import annotations

@@ -241,7 +241,8 @@ class ShardedTable:
         shard id folded into the content address, and registered in
         ``catalog`` (default: the binder database's catalog) as
         :class:`~repro.offline.catalog.SampleEntry` rows carrying their
-        ``shard`` id, so shard-aware lookups find exactly their shard.
+        ``shard`` id, so shard-aware lookups find exactly their shard. A
+        rebuild replaces the table's earlier per-shard samples.
         """
         from ..offline.catalog import SampleEntry, SynopsisCatalog
         from ..sampling.row import srs_sample
@@ -250,6 +251,9 @@ class ShardedTable:
         if catalog is None:
             catalog = SynopsisCatalog.for_database(self.binder_database())
         cache = get_global_cache() if cache is None else cache
+        catalog.samples[:] = [
+            e for e in catalog.samples if e.table != self.name or e.shard is None
+        ]
         entries = []
         for shard in self.shards:
             size = min(rows_per_shard, shard.stats.rows)

@@ -12,6 +12,7 @@ from repro.audit.acceptance import (
 )
 from repro.engine.aggregates import encode_groups
 from repro.engine.executor import join_indices
+from repro.estimators.horvitz_thompson import scale_up_weights
 from repro.sampling import distinct as distinct_module
 from repro.sampling.distinct import (
     distinct_sample,
@@ -392,10 +393,10 @@ class TestJoinSynopsis:
             star, "fact", [ForeignKeyEdge("fk", "dim", "k")], 5000, rng
         )
         mask = syn.sample.table["dim.cat"] == 2
-        filt = syn.sample.filtered(mask)
+        est = scale_up_weights(syn.sample.table["v"][mask], syn.sample.weights[mask])
         cats = star.table("dim")["cat"][star.table("fact")["fk"]]
         truth = star.table("fact")["v"][cats == 2].sum()
-        assert filt.estimate_sum("v").value == pytest.approx(truth, rel=0.2)
+        assert est.value == pytest.approx(truth, rel=0.2)
 
     def test_broken_fk_rejected(self, rng):
         db = Database()

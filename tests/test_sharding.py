@@ -345,6 +345,28 @@ class TestMissingShardWidening:
         cell = result.estimate("a", 0)
         assert math.isinf(cell.ci_low) and math.isinf(cell.ci_high)
 
+    def test_unbounded_cell_claims_the_cap_on_every_door(self, world):
+        """No served row matches and the missing shard's COUNT may be 0,
+        so the AVG is unbounded: the shard door claims 0.99 beside it, as
+        the ladder's partial-OLA rung does for its unbounded cell."""
+        db, sharded = world
+        hi = float(np.max(np.asarray(sharded.whole_table()["v"]))) + 1.0
+        ex = ScatterGatherExecutor(sharded, max_workers=1)
+        with inject(FaultInjector([kill_shard(0)])):
+            result = ex.sql(
+                f"SELECT AVG(v) AS a FROM events WHERE v > {hi}",
+                options=QueryOptions(spec=SPEC),
+            )
+        cell = result.estimate("a", 0)
+        assert math.isinf(cell.ci_low) and math.isinf(cell.ci_high)
+        assert result.spec.relative_error == 0.99
+        ladder = ResilientEngine(db, warn_on_degrade=False).sql(
+            f"SELECT SUM(v) AS s FROM events WHERE v > {hi}",
+            options=QueryOptions(spec=SPEC, entry_rung="partial_ola"),
+        )
+        assert ladder.technique == "partial_ola"
+        assert ladder.spec.relative_error == 0.99
+
     def test_quorum_failure_refuses_with_provenance(self, world):
         _db, sharded = world
         ex = ScatterGatherExecutor(sharded, max_workers=1)
@@ -424,6 +446,25 @@ class TestApproximateModes:
         assert cell.ci_low <= truth <= cell.ci_high
         # the estimate comes from samples, not full scans
         assert result.stats.rows_scanned <= 200 * NUM_SHARDS
+
+    def test_rebuilt_shard_samples_replace_the_old_ones(self, world):
+        """A rebuild under a new seed answers as a fresh build with that
+        seed does, and leaves one catalog entry per shard."""
+        _db, sharded = world
+        q = "SELECT SUM(v) AS s, AVG(v) AS a FROM events WHERE v > 12"
+        options = QueryOptions(spec=SPEC, technique="sample")
+        sharded.build_shard_samples(rows_per_shard=200, seed=0)
+        first = ScatterGatherExecutor(sharded).sql(q, options=options)
+        sharded.build_shard_samples(rows_per_shard=200, seed=1)
+        rebuilt = ScatterGatherExecutor(sharded).sql(q, options=options)
+        catalog = SynopsisCatalog.for_database(sharded.binder_database())
+        assert len(catalog.samples) == NUM_SHARDS
+        fresh = ShardedTable.from_table(_make_table(), NUM_SHARDS)
+        fresh.build_shard_samples(rows_per_shard=200, seed=1)
+        want = ScatterGatherExecutor(fresh).sql(q, options=options)
+        for alias in ("s", "a"):
+            assert rebuilt.estimate(alias, 0) == want.estimate(alias, 0)
+        assert rebuilt.estimate("s", 0) != first.estimate("s", 0)
 
     def test_sample_mode_without_samples_refuses(self):
         sharded = ShardedTable.from_table(_make_table(seed=31), 4)
