@@ -141,28 +141,6 @@ def srs_sum(sample_values: np.ndarray, population_size: int) -> Estimate:
     )
 
 
-def srs_sum_from_sums(
-    n: int, population_size: int, sum_y: float, sum_y2: float
-) -> Estimate:
-    """:func:`srs_sum` from precomputed moments ``Σy`` and ``Σy²``.
-
-    Lets online aggregation keep O(1) snapshots off cumulative-sum
-    arrays instead of rescanning the sample prefix each time.
-    """
-    if n == 0:
-        return Estimate(math.nan, math.inf, 0, estimator="srs_sum")
-    mean = sum_y / n
-    s2 = max(sum_y2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    fpc = 1.0 - n / population_size if population_size > 0 else 1.0
-    var_mean = max(fpc, 0.0) * s2 / n
-    return Estimate(
-        mean * population_size,
-        var_mean * population_size * population_size,
-        n,
-        estimator="srs_sum",
-    )
-
-
 def ratio_from_sums(
     n: int,
     sum_num: float,

@@ -99,29 +99,61 @@ def moment_aggregate(
 _RELATION = Scan(table_name="<relation>")
 
 
+def moment_kernels(
+    bound: BoundQuery, where: Optional[E.Expression] = None
+) -> fused.PreparedChain:
+    """The cached :func:`moment_aggregate` kernels of ``bound`` over an
+    in-memory relation, with ``where`` as the fold's filter. They touch
+    no data, so a caller folding many relations builds them once."""
+    node = _RELATION if where is None else Filter(_RELATION, where)
+    chain = fused.extract_chain(moment_aggregate(bound, node, WEIGHT_COLUMN))
+    return get_kernel_cache().get_or_compile(
+        ("moments", fused.chain_signature(chain)), lambda: fused.compile_chain(chain)
+    )
+
+
+def fold_moments(
+    kernels: fused.PreparedChain, relation, weights: np.ndarray
+) -> Table:
+    """The moment table of a row-weighted in-memory ``relation`` (under
+    the query's qualified names): one pass of :func:`moment_kernels`,
+    reading only the columns the predicate, keys and aggregates
+    reference."""
+    getters = {
+        name: (lambda name=name: relation[name]) for name in relation.column_names
+    }
+    getters[WEIGHT_COLUMN] = lambda: np.asarray(weights, dtype=np.float64)
+    rel = fused.apply_steps(
+        kernels.steps, fused.LazyRelation(getters, relation.num_rows)
+    )
+    return fused.run_prepared_aggregate(kernels, rel)
+
+
 def estimate_groups_row_level(
     bound: BoundQuery,
     relation,
     weights: np.ndarray,
     where: Optional[E.Expression] = None,
 ) -> Table:
-    """The moment table of a row-weighted in-memory ``relation`` (under
-    the query's qualified names), with ``where`` as the fold's filter:
-    one pass of the cached :func:`moment_aggregate` kernels, reading
-    only the columns the predicate, keys and aggregates reference."""
-    getters = {
-        name: (lambda name=name: relation[name]) for name in relation.column_names
-    }
-    getters[WEIGHT_COLUMN] = lambda: np.asarray(weights, dtype=np.float64)
-    node = _RELATION if where is None else Filter(_RELATION, where)
-    chain = fused.extract_chain(moment_aggregate(bound, node, WEIGHT_COLUMN))
-    prepared = get_kernel_cache().get_or_compile(
-        ("moments", fused.chain_signature(chain)), lambda: fused.compile_chain(chain)
-    )
-    rel = fused.apply_steps(
-        prepared.steps, fused.LazyRelation(getters, relation.num_rows)
-    )
-    return fused.run_prepared_aggregate(prepared, rel)
+    """:func:`fold_moments` of ``relation`` under ``bound``'s kernels."""
+    return fold_moments(moment_kernels(bound, where), relation, weights)
+
+
+def srs_totals(sum_t, sum_t2, m: int, population: int):
+    """``(total, variance)`` of a population total from an SRS without
+    replacement of ``m`` of ``population`` units whose contributions
+    ``t`` have sums ``Σt`` and ``Σt²``: ``N·mean`` and
+    ``N² (1−m/N) s²/m``, elementwise over arrays of sums. No draws give
+    a NaN total with an infinite variance."""
+    sum_t = np.asarray(sum_t, dtype=np.float64)
+    if m == 0:
+        return np.full(sum_t.shape, np.nan), np.full(sum_t.shape, np.inf)
+    mean = sum_t / m
+    var_units = np.maximum(sum_t2 / m - mean * mean, 0.0)
+    if m > 1:
+        var_units *= m / (m - 1)
+    fpc = max(1.0 - m / population, 0.0) if population else 1.0
+    return population * mean, population * population * fpc * var_units / m
 
 
 def estimate_groups_from_blocks(
@@ -137,11 +169,12 @@ def estimate_groups_from_blocks(
     Conditional on the number ``m`` of blocks a Bernoulli sampler drew,
     those blocks are an SRS of the ``B`` blocks, so each total is
     estimated as ``B · mean(t_b)`` with the SRS variance
-    ``B² (1−m/B) s²/m`` over per-block contributions ``t_b`` — computed
-    *per group*, counting sampled blocks where the group was absent as
-    zeros (forgetting the zeros is the classic way to bias block-sample
-    estimates): a group's ``Σt`` and ``Σt²`` are ``bincount``s over its
-    per-(group, block) rows, to which absent blocks add nothing.
+    ``B² (1−m/B) s²/m`` over per-block contributions ``t_b``
+    (:func:`srs_totals`) — computed *per group*, counting sampled blocks
+    where the group was absent as zeros (forgetting the zeros is the
+    classic way to bias block-sample estimates): a group's ``Σt`` and
+    ``Σt²`` are ``bincount``s over its per-(group, block) rows, to which
+    absent blocks add nothing.
     """
     key_aliases = [alias for _, alias in bound.group_keys]
     cols: Dict[str, np.ndarray] = {}
@@ -151,18 +184,14 @@ def estimate_groups_from_blocks(
         cols.update(zip(key_aliases, keys))
     num_groups = int(gids.max()) + 1 if len(gids) else 0
     m = max(sampled_blocks, 1)
-    fpc = max(1.0 - m / total_blocks, 0.0) if total_blocks else 1.0
     cols[ROWS_COLUMN] = np.full(num_groups, m)
     for spec in expanded_aggs:
         t = np.asarray(per_block[spec.alias], dtype=np.float64)
-        mean = np.bincount(gids, weights=t, minlength=num_groups) / m
-        s2 = np.bincount(gids, weights=t * t, minlength=num_groups)
-        var_blocks = np.maximum(s2 / m - mean * mean, 0.0)
-        if m > 1:
-            var_blocks *= m / (m - 1)
-        cols[spec.alias] = total_blocks * mean
-        cols[spec.alias + VARIANCE_SUFFIX] = (
-            total_blocks * total_blocks * fpc * var_blocks / m
+        cols[spec.alias], cols[spec.alias + VARIANCE_SUFFIX] = srs_totals(
+            np.bincount(gids, weights=t, minlength=num_groups),
+            np.bincount(gids, weights=t * t, minlength=num_groups),
+            m,
+            total_blocks,
         )
     return Table(cols)
 

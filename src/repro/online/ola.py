@@ -7,33 +7,36 @@ emphasizes: the interval is only valid *at a fixed stopping time* — if
 the user stops the moment the CI first looks good ("peeking"), realized
 coverage drops below nominal, which experiment E13 measures.
 
-Snapshots come from running moments (Σv, Σv², Σm) advanced over the new
-rows only, so a stream of snapshots costs one pass over what it read.
-The fixed-stop path (:func:`fixed_stop_snapshot`) knows where it stops
-before it reads, draws just that many rows as a random ordered subset
-and evaluates the query over them alone: it reads 30% of the relation
-(all of it under a deadline) plus the filter's columns, which it scans
-once for the matched-row count.
+:class:`OnlineAggregator` is that progressive stream, for the library,
+E13 and the audit: snapshots come from running moments (Σv, Σv², Σm)
+advanced over the new rows only, so a stream of snapshots costs one pass
+over what it read.
+
+The ``sql()`` doors (the sharded ``ola`` technique, the ladder's
+``partial_ola`` rung) read one answer at a stop fixed before reading,
+so they need no stream: :func:`fixed_stop_snapshot` draws just the rows
+it can reach as a random ordered subset and returns the *moment table*
+(:mod:`repro.online.estimation`) of the prefix it read — 30% of the
+relation, all of it under a deadline — plus the filter's matched-row
+count over the whole relation. Its intervals come from the same
+functions as every other sampled answer's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..core.errorspec import z_value
 from ..core.exceptions import PlanError
+from ..engine.aggregates import ROWS_COLUMN
 from ..engine.fused import LazyRelation, filter_mask
 from ..engine.table import Table
-from ..estimators.closed_form import (
-    Estimate,
-    ratio_from_sums,
-    srs_sum_from_sums,
-)
+from ..estimators.closed_form import Estimate, ratio_from_sums
 from ..obs.trace import event
+from .estimation import VARIANCE_SUFFIX, srs_totals
 
 
 @dataclass
@@ -63,11 +66,11 @@ class OnlineAggregator:
     """Progressive SUM/AVG/COUNT over a table read in random order.
 
     The random order is the statistical heart of OLA: every prefix of a
-    uniformly random order — a permutation, or a random ordered subset —
-    is an SRS of the table, so SRS estimators apply at every step.
-    ``mask_column``-style filtering is handled by passing a boolean
-    predicate mask. Snapshots advance running moments held on the
-    aggregator, so one aggregator serves one thread.
+    uniformly random permutation is an SRS of the table, so SRS
+    estimators apply at every step. ``mask_column``-style filtering is
+    handled by passing a boolean predicate mask. Snapshots advance
+    running moments held on the aggregator, so one aggregator serves one
+    thread.
     """
 
     def __init__(
@@ -81,6 +84,8 @@ class OnlineAggregator:
     ) -> None:
         if value_column is None and agg in ("sum", "avg"):
             raise PlanError(f"{agg} requires a value column")
+        if agg not in ("sum", "avg", "count"):
+            raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
         n = table.num_rows
         values = (
             np.asarray(table[value_column], dtype=np.float64)
@@ -94,66 +99,18 @@ class OnlineAggregator:
         )
         order = np.random.default_rng(seed).permutation(n)
         self.table = table
-        self._init_state(
-            values[order], mask[order], n, float(np.count_nonzero(mask)),
-            agg, confidence,
-        )
-
-    @classmethod
-    def from_read_order(
-        cls,
-        values: np.ndarray,
-        matches: np.ndarray,
-        population: int,
-        matched_rows: float,
-        agg: str = "sum",
-        confidence: float = 0.95,
-    ) -> "OnlineAggregator":
-        """Build an aggregator from rows already in random read order.
-
-        ``values`` and ``matches`` (the predicate mask) cover the rows
-        that will be read, which may be fewer than ``population``;
-        ``matched_rows`` counts the predicate's matches in the whole
-        population. :func:`fixed_stop_snapshot` enters here.
-        """
-        self = cls.__new__(cls)
-        self.table = None
-        self._init_state(
-            values, matches, population, matched_rows, agg, confidence
-        )
-        return self
-
-    def _init_state(
-        self,
-        values: np.ndarray,
-        matches: np.ndarray,
-        population: int,
-        matched_rows: float,
-        agg: str,
-        confidence: float,
-    ) -> None:
-        if agg not in ("sum", "avg", "count"):
-            raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
         self.agg = agg
         self.confidence = confidence
         # The scalar estimators only ever need Σy, Σy², Σm, Σm² and Σy·m
         # of the prefix; with values zeroed outside the predicate and 0/1
         # matches, Σv, Σv² and Σm provide all five.
-        self._values = np.where(
-            matches, np.asarray(values, dtype=np.float64), 0.0
-        )
-        self._matches = matches
-        self._population = population
-        self._matched_rows = matched_rows
+        self._matches = mask[order]
+        self._values = np.where(self._matches, values[order], 0.0)
+        self._population = n
         self._seen = 0
         self._sums = (0.0, 0.0, 0.0)
 
     # ------------------------------------------------------------------
-    @property
-    def matched_rows(self) -> float:
-        """Rows of the whole population that pass the predicate."""
-        return self._matched_rows
-
     def _moments(self, n: int) -> Tuple[float, float, float]:
         """Σv, Σv² and Σm of the first ``n`` rows read, advanced over the
         rows since the previous snapshot (from zero when ``n`` is behind
@@ -170,31 +127,24 @@ class OnlineAggregator:
         self._seen = n
         return self._sums
 
-    def estimate(self, rows_seen: int, agg: Optional[str] = None) -> Estimate:
+    def estimate(self, rows_seen: int) -> Estimate:
         """Estimate, with its variance, from the first ``rows_seen`` rows
-        of the read order.
-
-        ``agg`` overrides the aggregator's own function: the running
-        moments serve SUM, COUNT and AVG alike, so one read order yields
-        mutually consistent pieces (an AVG merged across shards needs
-        SUM and COUNT from the *same* prefix).
-        """
-        agg = agg or self.agg
+        of the read order."""
         n = min(max(rows_seen, 1), len(self._values))
         sum_v, sum_v2, sum_m = self._moments(n)
-        if agg == "sum":
-            return srs_sum_from_sums(n, self._population, sum_v, sum_v2)
-        if agg == "count":
-            # matches are 0/1 so Σm² = Σm
-            return srs_sum_from_sums(n, self._population, sum_m, sum_m)
-        # avg over matching rows: ratio estimator; values are zeroed
-        # outside the predicate, so Σv·m = Σv.
-        return ratio_from_sums(n, sum_v, sum_m, sum_v2, sum_m, sum_v)
+        if self.agg == "avg":
+            # avg over matching rows: ratio estimator; values are zeroed
+            # outside the predicate, so Σv·m = Σv.
+            return ratio_from_sums(n, sum_v, sum_m, sum_v2, sum_m, sum_v)
+        # matches are 0/1, so a COUNT's Σm² is Σm
+        sum_t, sum_t2 = (sum_v, sum_v2) if self.agg == "sum" else (sum_m, sum_m)
+        total, variance = srs_totals(sum_t, sum_t2, n, self._population)
+        return Estimate(float(total), float(variance), n, estimator="srs_sum")
 
-    def snapshot(self, rows_seen: int, agg: Optional[str] = None) -> OLASnapshot:
+    def snapshot(self, rows_seen: int) -> OLASnapshot:
         """:meth:`estimate` as a running answer: its interval at the
         aggregator's confidence."""
-        est = self.estimate(rows_seen, agg)
+        est = self.estimate(rows_seen)
         n = est.sample_size
         if n == 0:
             return OLASnapshot(0, 0.0, math.nan, -math.inf, math.inf)
@@ -268,70 +218,79 @@ class OnlineAggregator:
 def fixed_stop_snapshot(
     prepared,
     relation,
-    agg: str,
-    confidence: float,
     seed: Optional[int],
     batch_size: int,
     deadline=None,
     on_step: Optional[Callable[[], None]] = None,
-) -> Tuple[OnlineAggregator, OLASnapshot]:
-    """Fixed-stop OLA answer to a bound scalar aggregate over ``relation``.
+) -> Tuple[Table, float]:
+    """Fixed-stop OLA answer to a bound scalar aggregate over ``relation``:
+    ``(moment table, matched rows)``.
 
     ``prepared`` is the query's partial-aggregate chain
     (:func:`~repro.engine.fused.prepare_partial_aggregate`): its filter
-    gives the predicate mask, its first piece the input vector (all
-    ones for ``COUNT``). Stopping is data-independent — the deadline
-    (external) or a fixed 30% of the rows, never "stop when the CI first
-    looks good", which would forfeit coverage (the peeking fallacy) — so
-    the returned snapshot's CI is honest.
+    gives the predicate match, its pieces' inputs the values (one per
+    matched row for a COUNT piece). Stopping is data-independent — the
+    deadline (external) or a fixed 30% of the rows, never "stop when the
+    CI first looks good", which would forfeit coverage (the peeking
+    fallacy) — so the prefix read is an SRS of the relation and its
+    intervals are honest.
 
-    Because the stop is known before reading, the read order is drawn as
-    a uniformly random ordered subset of just the rows the run can reach
-    (at least one batch, which the expired-deadline answer reads), and
-    the input vector is computed over those rows only. The filter alone
-    runs over the whole relation, for the matched-row count
-    (``matched_rows``) that transfers selectivity to missing shards.
-
-    ``on_step`` runs after every batch (fault sites, straggler checks)
-    and may raise to abandon the attempt. The aggregator comes back too,
-    for callers that need further components from the same prefix.
+    The read order is a uniformly random ordered subset of just the rows
+    the run can reach (at least one batch, which the expired-deadline
+    answer reads). The batches only pace the run: the deadline is checked
+    before each one, and each ends with an ``ola_step`` event and
+    ``on_step`` (fault sites, straggler checks), which may raise to
+    abandon the attempt. After the loop, one pass over the prefix takes
+    each piece's ``Σt`` and ``Σt²`` (``t`` = its input times the
+    predicate match), and :func:`~repro.online.estimation.srs_totals`
+    turns them into the piece's total and ``__var``; ``__rows`` is the
+    prefix length. Only the filter runs over the whole relation, for the
+    matched-row count that transfers selectivity to missing shards.
     """
+    from ..resilience.deadline import resolve_deadline
+
     n = relation.num_rows
-    max_fraction = 1.0 if deadline is not None else 0.30
-    reach = max(int(n * max_fraction), min(batch_size, n))
+    limit = int(n * (1.0 if deadline is not None else 0.30))
+    reach = max(limit, min(batch_size, n))
     rows = np.random.default_rng(seed).choice(n, reach, replace=False)
+    deadline = resolve_deadline(deadline)
+    seen = 0
+    while seen < limit and not (deadline is not None and deadline.expired):
+        seen = min(seen + batch_size, limit)
+        event("ola_step", rows_seen=seen, fraction=seen / n)
+        if on_step is not None:
+            on_step()
+    # Deadline already expired: answer from one minimal batch.
+    seen = seen or min(batch_size, n)
+    prefix = rows[:seen]
     drawn = LazyRelation(
         {
-            name: (lambda name=name: relation[name][rows])
+            name: (lambda name=name: relation[name][prefix])
             for name in relation.column_names
         },
-        reach,
+        seen,
     )
     mask = filter_mask(prepared, relation)
     if mask is None:
-        matches, matched = np.ones(reach, dtype=bool), float(n)
+        matches, matched = None, float(n)
     else:
-        matches, matched = mask[rows], float(np.count_nonzero(mask))
-    input_fn = prepared.aggregate.input_fns[0]
-    ola = OnlineAggregator.from_read_order(
-        input_fn(drawn) if input_fn is not None else np.ones(reach),
-        matches,
-        population=n,
-        matched_rows=matched,
-        agg=agg,
-        confidence=confidence,
-    )
-    snap = None
-    for snap in ola.run(
-        batch_size=batch_size, max_fraction=max_fraction, deadline=deadline
-    ):
-        event("ola_step", rows_seen=snap.rows_seen, fraction=snap.fraction_seen)
-        if on_step is not None:
-            on_step()
-    if snap is None:
-        # Deadline already expired: answer from one minimal batch.
-        snap = ola.snapshot(min(batch_size, n))
-    return ola, snap
+        matches, matched = mask[prefix], float(np.count_nonzero(mask))
+    cols = {}
+    for spec, input_fn in zip(prepared.aggregate.specs, prepared.aggregate.input_fns):
+        if spec.alias == ROWS_COLUMN:
+            continue
+        if spec.func == "count":
+            t = np.ones(seen) if matches is None else matches.astype(np.float64)
+        else:
+            t = np.asarray(input_fn(drawn), dtype=np.float64)
+            if matches is not None:
+                t = np.where(matches, t, 0.0)
+            t = np.broadcast_to(t, seen)
+        total, variance = srs_totals(np.sum(t), np.dot(t, t), seen, n)
+        cols[spec.alias] = np.array([total])
+        cols[spec.alias + VARIANCE_SUFFIX] = np.array([variance])
+    cols[ROWS_COLUMN] = np.array([seen])
+    return Table(cols, name="aggregate"), matched
 
 
 def peeking_coverage(

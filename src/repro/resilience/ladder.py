@@ -70,13 +70,17 @@ from ..core.exceptions import (
 from ..core.options import LADDER_RUNGS, QueryOptions
 from ..core.result import ApproximateResult, claimed_relative_error
 from ..core.session import execute_exact, run_query
+from ..engine.aggregates import ROWS_COLUMN
 from ..engine.executor import ExecutionStats
 from ..engine.fused import SliceRelation, prepare_partial_aggregate
 from ..engine.kernel_cache import get_kernel_cache
-from ..engine.table import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import event, span
 from ..offline.catalog import SynopsisCatalog
+from ..online.estimation import (
+    project_output_with_intervals,
+    require_linear_aggregates,
+)
 from ..online.ola import fixed_stop_snapshot
 from ..sql.binder import BoundQuery
 from .breaker import CircuitBreaker
@@ -102,9 +106,9 @@ _MAX_WIDEN_STALENESS = 4.0
 #: synopsis-backed ones)
 _RETRYABLE = ("requested", "stale_synopsis")
 
-#: rungs cheap enough to run past expiry (snapshots are O(1) once
-#: built): no deadline check before their attempt — the rung's own loop
-#: observes the real deadline and stops gracefully
+#: rungs that run past expiry: no deadline check before their attempt —
+#: the rung's own batch loop observes the real deadline and, expired,
+#: answers from one batch (a bounded read, within the grace allowance)
 _RUNS_EXPIRED = ("partial_ola",)
 
 #: provenance ``detail`` of a failed rung, by what it raised (first
@@ -427,22 +431,16 @@ class ResilientEngine:
         )
 
     def _run_partial_ola(self, bound, spec, options):
-        seed, deadline, budget = options.seed, options.deadline, options.budget
+        deadline, budget = options.deadline, options.budget
         if len(bound.tables) != 1:
             raise UnsupportedQueryError("partial OLA serves single-table queries")
         if bound.group_keys:
             raise UnsupportedQueryError("partial OLA does not serve GROUP BY")
-        if len(bound.aggregates) != 1:
-            raise UnsupportedQueryError("partial OLA serves one aggregate")
-        agg = bound.aggregates[0]
-        if agg.func not in ("sum", "avg", "count"):
-            raise UnsupportedQueryError(
-                f"partial OLA cannot serve {agg.func.upper()}"
-            )
-        if len(bound.output_aliases) != 1:
-            raise UnsupportedQueryError(
-                "partial OLA serves bare aggregate outputs"
-            )
+        require_linear_aggregates(
+            bound,
+            "partial OLA serves aggregate queries",
+            "partial OLA cannot serve {func}",
+        )
         target = bound.tables[0]
         base = self.database.table(target.name)
         if base.num_rows == 0:
@@ -451,25 +449,22 @@ class ResilientEngine:
             base, 0, base.num_rows,
             {c: f"{target.alias}.{c}" for c in base.column_names},
         )
-        _ola, snap = fixed_stop_snapshot(
+        moments, _matched = fixed_stop_snapshot(
             prepare_partial_aggregate(bound, get_kernel_cache()),
             qualified,
-            agg=agg.func,
-            confidence=spec.confidence,
-            seed=seed,
+            seed=options.seed,
             batch_size=max(512, base.num_rows // 50),
             deadline=deadline,
         )
+        rows_seen = int(moments[ROWS_COLUMN][0])
         if budget is not None:
-            budget.charge(rows=snap.rows_seen, site="partial_ola")
-        alias = bound.output_aliases[0]
+            budget.charge(rows=rows_seen, site="partial_ola")
+        table, ci_low, ci_high = project_output_with_intervals(bound, spec, moments)
         stats = ExecutionStats()
-        stats.rows_scanned = snap.rows_seen
-        stats.agg_input_rows = snap.rows_seen
-        stats.rows_output = 1
-        table = Table({alias: np.array([snap.value])}, name="aggregate")
-        ci_low = {alias: np.array([snap.ci_low])}
-        ci_high = {alias: np.array([snap.ci_high])}
+        stats.rows_scanned = rows_seen
+        stats.agg_input_rows = rows_seen
+        stats.rows_output = table.num_rows
+        fraction_seen = rows_seen / base.num_rows
         return ApproximateResult(
             table=table,
             stats=stats,
@@ -482,12 +477,12 @@ class ResilientEngine:
             technique="partial_ola",
             ci_low=ci_low,
             ci_high=ci_high,
-            fraction_scanned=snap.fraction_seen,
-            approx_cost=float(snap.rows_seen),
+            fraction_scanned=fraction_seen,
+            approx_cost=float(rows_seen),
             exact_cost=float(base.num_rows),
             diagnostics={
-                "rows_seen": snap.rows_seen,
-                "fraction_seen": snap.fraction_seen,
+                "rows_seen": rows_seen,
+                "fraction_seen": fraction_seen,
                 "stopped_by": "deadline" if deadline is not None else "fixed_fraction",
             },
         )

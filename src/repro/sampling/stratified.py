@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import SynopsisError
-from ..engine.aggregates import sorted_unique
+from ..engine.aggregates import encode_groups_arrays, sorted_unique
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from .base import WeightedSample, materialize_sample
@@ -125,15 +125,10 @@ def stratified_sample(
     """
     if rng is None:
         rng = np.random.default_rng()
-    if isinstance(strata_column, str):
-        keys = table[strata_column]
-        uniq, inverse = np.unique(keys, return_inverse=True)
-    else:
-        from ..engine.aggregates import encode_groups
-
-        inverse, key_tuples = encode_groups([table[c] for c in strata_column])
-        uniq = np.empty(len(key_tuples), dtype=object)
-        uniq[:] = key_tuples
+    columns = [strata_column] if isinstance(strata_column, str) else strata_column
+    inverse, key_columns = encode_groups_arrays([table[c] for c in columns])
+    values = [col.tolist() for col in key_columns]
+    uniq = values[0] if len(values) == 1 else list(zip(*values))
     counts = np.bincount(inverse, minlength=len(uniq))
     stds = None
     if policy == "neyman":
@@ -151,7 +146,7 @@ def stratified_sample(
     )
     drawn = np.minimum(targets, counts)
     strata = [
-        StratumInfo(key.item() if hasattr(key, "item") else key, int(n), int(a), int(d))
+        StratumInfo(key, int(n), int(a), int(d))
         for key, n, a, d in zip(uniq, counts, targets, drawn)
     ]
     rows = srs_per_stratum(inverse, targets, rng)

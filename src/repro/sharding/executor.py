@@ -8,8 +8,9 @@ variance ``p__var`` for sampled techniques, and the rows behind it,
 (:func:`~repro.engine.fused.prepare_partial_aggregate`, through the
 kernel cache) — over its shard, or block by block when a deadline,
 budget, hedge carve-out or fault injector needs block boundaries; an
-``ola`` shard reports one fixed-stop prefix; a ``sample`` shard folds
-the HT moments of its catalog sample. Shards run one after another in
+``ola`` shard hands back the moment table of one fixed-stop prefix
+(:func:`~repro.online.ola.fixed_stop_snapshot`); a ``sample`` shard
+folds the HT moments of its catalog sample. Shards run one after another in
 the calling thread (on a thread pool when the query has a deadline).
 Gathering is :func:`~.merge.merge_partial_tables` (concatenate,
 regroup, add) for blocks and shards alike, then the intervals every
@@ -76,7 +77,7 @@ from ..core.exceptions import (
 from ..core.options import QueryOptions
 from ..core.result import ApproximateResult, QueryResult, claimed_relative_error
 from ..core.session import run_query
-from ..engine.aggregates import ROWS_COLUMN, AggregateSpec, expanded_aggregates
+from ..engine.aggregates import ROWS_COLUMN, AggregateSpec
 from ..engine.executor import ExecutionStats
 from ..engine.expressions import Column
 from ..engine.fused import (
@@ -93,9 +94,9 @@ from ..engine.table import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import current_span, current_tracer, event, span
 from ..online.estimation import (
-    VARIANCE_SUFFIX,
     combine_intervals,
-    estimate_groups_row_level,
+    fold_moments,
+    moment_kernels,
     piece_intervals,
 )
 from ..online.ola import fixed_stop_snapshot
@@ -148,6 +149,9 @@ class _ShardQuery:
     #: the query's partial-aggregate kernels (compiled once, read-only,
     #: so sharing them across the worker pool is safe)
     prepared: PreparedChain
+    #: the HT moment kernels a ``sample`` shard folds its sample with
+    #: (built once per query, like ``prepared``); ``None`` otherwise
+    sample_kernels: Optional[PreparedChain]
     #: shard column name -> the alias-qualified name the kernels read
     rename: Dict[str, str]
     technique: str
@@ -285,6 +289,7 @@ class ScatterGatherExecutor:
         q = _ShardQuery(
             bound=bound,
             prepared=prepare_partial_aggregate(bound, get_kernel_cache()),
+            sample_kernels=moment_kernels(bound) if technique == "sample" else None,
             rename={c: f"{alias}.{c}" for c in self.sharded.column_names},
             technique=technique,
             spec=spec,
@@ -335,14 +340,10 @@ class ScatterGatherExecutor:
                 raise UnsupportedQueryError(
                     f"{agg.func.upper()} is not mergeable across shards"
                 )
-        if technique == "ola":
-            if bound.group_keys:
-                raise UnsupportedQueryError("OLA does not serve GROUP BY")
-            if len(bound.aggregates) != 1:
-                raise UnsupportedQueryError("OLA serves one aggregate")
-        if technique == "sample" and bound.group_keys:
+        if technique != "exact" and bound.group_keys:
             raise UnsupportedQueryError(
-                "uniform per-shard samples cannot protect groups"
+                f"{technique} shards do not serve GROUP BY: a uniform "
+                "prefix or sample cannot protect groups"
             )
 
     @staticmethod
@@ -579,7 +580,6 @@ class ScatterGatherExecutor:
         q: _ShardQuery,
         give_way: Optional[Callable[[], None]],
     ) -> Tuple[Table, int]:
-        agg = q.bound.aggregates[0]
         table = shard.table
         site = shard_site(shard.shard_id, "scan")
 
@@ -588,11 +588,9 @@ class ScatterGatherExecutor:
             if give_way is not None:
                 give_way()
 
-        ola, snap = fixed_stop_snapshot(
+        moments, matched = fixed_stop_snapshot(
             q.prepared,
             q.view(table),
-            agg=agg.func,
-            confidence=q.confidence,
             seed=int(
                 np.random.SeedSequence(
                     [q.seed if q.seed is not None else 0, shard.shard_id]
@@ -602,19 +600,10 @@ class ScatterGatherExecutor:
             deadline=q.deadline,
             on_step=on_step,
         )
-        # An AVG's SUM and COUNT pieces come from the same prefix.
-        n = snap.rows_seen
-        cols = {
-            ROWS_COLUMN: np.array([n]),
-            _MATCHED: np.array([ola.matched_rows]),
-        }
-        for piece in expanded_aggregates(q.bound):
-            est = ola.estimate(n, piece.func)
-            cols[piece.alias] = np.array([est.value])
-            cols[piece.alias + VARIANCE_SUFFIX] = np.array([est.variance])
+        n = int(moments[ROWS_COLUMN][0])
         if q.budget is not None:
             q.budget.charge(rows=n, site=site)
-        return Table(cols, name="aggregate"), n
+        return moments.with_column(_MATCHED, np.array([matched])), n
 
     def _sample_partial(
         self, shard: Shard, q: _ShardQuery
@@ -639,7 +628,7 @@ class ScatterGatherExecutor:
         mask = filter_mask(q.prepared, rel)
         if mask is not None:
             rel, weights = MaskedRelation(rel, mask), weights[mask]
-        moments = estimate_groups_row_level(q.bound, rel, weights)
+        moments = fold_moments(q.sample_kernels, rel, weights)
         return (
             moments.with_column(_MATCHED, np.array([weights.sum()])),
             sample.num_rows,

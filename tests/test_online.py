@@ -25,11 +25,14 @@ from repro.online import (
     RippleJoin,
     peeking_coverage,
 )
+from repro.online.estimation import combine_intervals, piece_intervals
 from repro.online.ola import fixed_stop_snapshot
 from repro.resilience import Deadline, ManualClock
 from repro.sharding import ScatterGatherExecutor, ShardedTable
 from repro.sql import bind_sql
 from repro.workloads import zipf_group_table
+
+from .ola_reference import reference_fixed_stop
 
 
 @pytest.fixture
@@ -929,7 +932,9 @@ def _logged(fn, log):
 
 class TestFixedStopSnapshot:
     """The fixed-stop path behind sharded ``ola`` and the ladder's
-    ``partial_ola`` rung."""
+    ``partial_ola`` rung: a moment table of the prefix it read, held to
+    the estimates ``OnlineAggregator`` gave for the same draw
+    (:mod:`tests.ola_reference`)."""
 
     @staticmethod
     def _prepared(db, sql):
@@ -957,21 +962,17 @@ class TestFixedStopSnapshot:
             ),
         )
         relation = _SpyRelation({f"t.{c}": v for c, v in cols.items()})
-        ola, snap = fixed_stop_snapshot(
-            spied, relation, "sum", 0.95, seed=3, batch_size=batch,
+        moments, matched = fixed_stop_snapshot(
+            spied, relation, seed=3, batch_size=batch,
             deadline=Deadline(600.0) if with_deadline else None,
         )
-        # The one whole-population read: the filter, for matched_rows.
+        # The one whole-population read: the filter, for the matched rows.
         assert filters == [n]
-        assert ola.matched_rows == float(np.count_nonzero(cols["k"] < 40))
-        if with_deadline:
-            assert inputs == [n]
-            assert snap.rows_seen == n
-        else:
-            reach = max(int(0.30 * n), min(batch, n))
-            assert inputs == [reach]
-            assert relation.gathers and max(relation.gathers) <= reach
-            assert snap.rows_seen == int(0.30 * n)
+        assert matched == float(np.count_nonzero(cols["k"] < 40))
+        rows_seen = n if with_deadline else int(0.30 * n)
+        assert inputs == [rows_seen]
+        assert relation.gathers and max(relation.gathers) <= rows_seen
+        assert list(moments["__rows"]) == [rows_seen]
 
     @pytest.mark.parametrize("n,rows_seen", [(1, 1), (3, 3), (16, 4)])
     @pytest.mark.parametrize("expired", [False, True])
@@ -984,13 +985,71 @@ class TestFixedStopSnapshot:
             clock = ManualClock()
             deadline = Deadline(1.0, clock=clock)
             clock.advance(2.0)
-        _, snap = fixed_stop_snapshot(
-            self._prepared(db, "SELECT SUM(v) AS s FROM t"), relation, "sum",
-            0.95, seed=1, batch_size=256, deadline=deadline,
+        prepared = self._prepared(db, "SELECT SUM(v) AS s FROM t")
+        moments, _ = fixed_stop_snapshot(
+            prepared, relation, seed=1, batch_size=256, deadline=deadline
         )
         # An expired deadline answers from one batch: the whole relation.
-        assert snap.rows_seen == (n if expired else rows_seen)
-        assert math.isfinite(snap.value)
+        assert list(moments["__rows"]) == [n if expired else rows_seen]
+        assert math.isfinite(moments[prepared.aggregate.specs[0].alias][0])
+
+    _REFERENCE_SQL = (
+        "SELECT SUM(v) AS x FROM t",
+        "SELECT COUNT(*) AS x FROM t WHERE k < 40",
+        "SELECT SUM(v) AS s, COUNT(*) AS c, AVG(v) AS a FROM t WHERE k < 40",
+    )
+
+    @pytest.mark.parametrize("sql", _REFERENCE_SQL)
+    @pytest.mark.parametrize("n", [1, 3, 16, 20_000])
+    @pytest.mark.parametrize("stop", ["fixed", "deadline", "expired"])
+    def test_moments_match_the_aggregator_reference(self, sql, n, stop):
+        """For the same seed, every SUM/COUNT piece's total and variance
+        is the old aggregator's estimate from the same prefix."""
+        rng = np.random.default_rng(n)
+        db = Database()
+        db.create_table(
+            "t", {"v": rng.exponential(5.0, n), "k": rng.integers(0, 100, n)}
+        )
+        relation = SliceRelation(
+            db.table("t"), 0, n, {"v": "t.v", "k": "t.k"}
+        )
+        deadline = None
+        if stop != "fixed":
+            clock = ManualClock()
+            deadline = Deadline(1.0, clock=clock)
+            if stop == "expired":
+                clock.advance(2.0)
+        prepared = self._prepared(db, sql)
+        batch = max(256, n // 20)
+        moments, matched = fixed_stop_snapshot(
+            prepared, relation, seed=7, batch_size=batch, deadline=deadline
+        )
+        want = reference_fixed_stop(
+            prepared, relation, seed=7, batch_size=batch, deadline=deadline
+        )
+        assert int(moments["__rows"][0]) == want.rows_seen
+        assert matched == want.matched
+        for spec in prepared.aggregate.specs[:-1]:
+            est = want.estimate(spec.func)
+            np.testing.assert_allclose(
+                [moments[spec.alias][0], moments[spec.alias + "__var"][0]],
+                [est.value, est.variance],
+                rtol=1e-9, atol=1e-12, err_msg=spec.alias,
+            )
+
+    def test_an_empty_relation_has_a_nan_total_and_no_bound(self):
+        db = Database()
+        db.create_table("t", {"v": np.zeros(0)})
+        relation = SliceRelation(db.table("t"), 0, 0, {"v": "t.v"})
+        prepared = self._prepared(db, "SELECT SUM(v) AS s FROM t")
+        moments, matched = fixed_stop_snapshot(
+            prepared, relation, seed=1, batch_size=256
+        )
+        piece = prepared.aggregate.specs[0].alias
+        assert matched == 0.0
+        assert list(moments["__rows"]) == [0]
+        assert math.isnan(moments[piece][0])
+        assert moments[piece + "__var"][0] == math.inf
 
     def test_three_rows_over_two_shards(self):
         table = Table({"v": np.array([1.0, 2.0, 3.0])}, name="t")
@@ -1002,6 +1061,25 @@ class TestFixedStopSnapshot:
             options=QueryOptions(seed=0, technique="ola"),
         )
         assert result.scalar() == 6.0
+
+    def test_an_empty_shard_leaves_the_answer_nan(self):
+        """A range shard with no rows reads no prefix: its NaN total with
+        an infinite variance reaches the merge, as it did when the shard
+        answered through an ``OnlineAggregator``."""
+        table = Table(
+            {"v": np.array([1.0, 2.0, 3.0]), "k": np.zeros(3, dtype=np.int64)},
+            name="t",
+        )
+        sharded = ShardedTable.from_table(table, 2, by="range", key="k")
+        assert sorted(s.table.num_rows for s in sharded.shards) == [0, 3]
+        result = ScatterGatherExecutor(sharded, max_workers=1).sql(
+            "SELECT SUM(v) AS s FROM t",
+            options=QueryOptions(
+                seed=0, technique="ola", spec=ErrorSpec(0.1, 0.95)
+            ),
+        )
+        assert math.isnan(result.scalar())
+        assert result.spec.relative_error == 0.99
 
     @pytest.mark.statistical
     @pytest.mark.parametrize(
@@ -1020,6 +1098,9 @@ class TestFixedStopSnapshot:
             "t", {"v": rng.exponential(10.0, n), "k": rng.integers(0, 100, n)}
         )
         truth = float(db.sql(sql).scalar())
+        bound = bind_sql(sql, db)
+        (aggregate,) = bound.aggregates
+        assert aggregate.func == agg
         prepared = self._prepared(db, sql)
         relation = SliceRelation(
             db.table("t"), 0, n, {"v": "t.v", "k": "t.k"}
@@ -1027,10 +1108,13 @@ class TestFixedStopSnapshot:
         trials = 240
         hits = 0
         for seed in range(trials):
-            _, snap = fixed_stop_snapshot(
-                prepared, relation, agg, 0.95, seed=seed, batch_size=512
+            moments, _ = fixed_stop_snapshot(
+                prepared, relation, seed=seed, batch_size=512
             )
-            hits += snap.covers(truth)
+            cell = combine_intervals(
+                bound, piece_intervals(bound, moments, 0.95)
+            )[aggregate.alias]
+            hits += bool(cell.low[0] <= truth <= cell.high[0])
         assert coverage_verdict(hits, trials, 0.95) != "fail_under"
 
 

@@ -24,7 +24,10 @@ from repro.core.exceptions import (
     SynopsisUnavailable,
     UnsupportedQueryError,
 )
+from repro.core.errorspec import ErrorSpec
 from repro.core.options import QueryOptions
+from repro.engine.fused import SliceRelation, prepare_partial_aggregate
+from repro.engine.kernel_cache import get_kernel_cache
 from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.offline.catalog import SampleEntry, SynopsisCatalog
@@ -45,7 +48,10 @@ from repro.resilience import (
 from repro.resilience.deadline import current_budget, current_deadline
 from repro.sampling.row import srs_sample
 from repro.serving import ServingFrontend
+from repro.sql import bind_sql
 from repro.storage.synopsis_cache import SynopsisCache
+
+from .ola_reference import reference_fixed_stop
 
 
 # ----------------------------------------------------------------------
@@ -739,6 +745,80 @@ class TestLadder:
         assert injector.fired_at("ladder.requested") == arrivals_before
         steps = {p["rung"]: p for p in result.provenance}
         assert steps["requested"]["detail"] == "synopsis unavailable"
+
+
+class TestPartialOLARung:
+    """The ``partial_ola`` rung answers from the moment table of its
+    fixed-stop prefix, through the intervals every single-node sampled
+    door uses."""
+
+    SPEC = ErrorSpec(relative_error=0.05, confidence=0.95)
+
+    def _rung(self, db, sql, seed=4, deadline=None):
+        return ResilientEngine(db, warn_on_degrade=False).sql(
+            sql,
+            options=QueryOptions(
+                spec=self.SPEC, seed=seed, deadline=deadline,
+                entry_rung="partial_ola",
+            ),
+        )
+
+    @staticmethod
+    def _reference(db, sql, seed=4, deadline=None):
+        """The estimate the rung's ``OnlineAggregator`` gave, same draw."""
+        base = db.table("sales")
+        bound = bind_sql(sql, db)
+        return reference_fixed_stop(
+            prepare_partial_aggregate(bound, get_kernel_cache()),
+            SliceRelation(base, 0, base.num_rows, {"price": "sales.price"}),
+            seed=seed,
+            batch_size=max(512, base.num_rows // 50),
+            deadline=deadline,
+        ).estimate(bound.aggregates[0].func)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(price) AS x FROM sales",
+            "SELECT COUNT(*) AS x FROM sales WHERE price > 30",
+            "SELECT AVG(price) AS x FROM sales WHERE price > 30",
+        ],
+    )
+    @pytest.mark.parametrize("expired", [False, True])
+    def test_intervals_contain_the_aggregator_rungs(self, sales_db, sql, expired):
+        """Same rows and point value as the aggregator-based rung; the
+        cell confidence is now the union-bound one and AVG the interval
+        quotient, so the interval can only grow."""
+        deadline = _tight_deadline()[1] if expired else None
+        result = self._rung(sales_db, sql, deadline=deadline)
+        assert result.technique == "partial_ola"
+        old = self._reference(sales_db, sql, deadline=deadline)
+        assert result.diagnostics["rows_seen"] == old.sample_size
+        assert result.scalar() == pytest.approx(old.value, rel=1e-9)
+        old_low, old_high = old.ci(self.SPEC.confidence)
+        assert result.ci_low["x"][0] <= old_low
+        assert result.ci_high["x"][0] >= old_high
+
+    def test_serves_an_expression_and_two_aggregates(self, sales_db, prices):
+        result = self._rung(
+            sales_db,
+            "SELECT SUM(price) / 2 AS h, COUNT(*) AS c FROM sales "
+            "WHERE price > 30",
+        )
+        assert result.technique == "partial_ola"
+        kept = prices[prices > 30]
+        truths = {"h": kept.sum() / 2, "c": float(len(kept))}
+        for alias, truth in truths.items():
+            cell = result.estimate(alias)
+            assert cell.covers(truth), alias
+        half = self._reference(
+            sales_db, "SELECT SUM(price) AS x FROM sales WHERE price > 30"
+        )
+        assert result.value("h") == pytest.approx(half.value / 2, rel=1e-9)
+        assert result.spec.relative_error >= max(
+            result.estimate(a).half_width / abs(result.estimate(a).value)
+            for a in truths
+        ) - 1e-12
 
 
 # ----------------------------------------------------------------------

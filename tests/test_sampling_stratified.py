@@ -127,3 +127,57 @@ class TestStratifiedSample:
         s = stratified_sample(skewed, "group_id", 1000, rng=rng)
         with pytest.raises(SynopsisError):
             group_estimates(s, "group_id", "value", "median")
+
+
+def _old_encoding(table, strata_column):
+    """Stratum ids and keys as ``stratified_sample`` once encoded them:
+    ``np.unique`` for one column, ``encode_groups`` tuples for several."""
+    from repro.engine.aggregates import encode_groups
+
+    if isinstance(strata_column, str):
+        uniq, inverse = np.unique(table[strata_column], return_inverse=True)
+        return inverse, [k.item() if hasattr(k, "item") else k for k in uniq]
+    inverse, keys = encode_groups([table[c] for c in strata_column])
+    return inverse, keys
+
+
+@pytest.mark.parametrize(
+    "strata_column", ["i", "s", ("i", "s")], ids=["int", "string", "composite"]
+)
+@pytest.mark.parametrize("policy", ["congress", "neyman"])
+def test_sample_is_bitwise_the_old_encodings(strata_column, policy):
+    """One ``encode_groups_arrays`` call gives the ids and keys the two
+    earlier encodings gave, in value order, so the same rows are drawn."""
+    from repro.sampling.stratified import _allocation_targets, srs_per_stratum
+
+    rng = np.random.default_rng(5)
+    n = 20_000
+    ints = rng.integers(-3, 200, n) * 7
+    table = Table(
+        {
+            "i": ints,
+            "s": np.array([f"c{k % 13}" for k in ints], dtype=object),
+            "v": rng.exponential(4.0, n),
+        },
+        name="t",
+    )
+    got = stratified_sample(
+        table, strata_column, 1_500, policy, measure_column="v",
+        rng=np.random.default_rng(9),
+    )
+    inverse, keys = _old_encoding(table, strata_column)
+    counts = np.bincount(inverse, minlength=len(keys))
+    stds = None
+    if policy == "neyman":
+        v = table["v"]
+        means = np.bincount(inverse, weights=v) / counts
+        stds = np.sqrt(np.maximum(
+            np.bincount(inverse, weights=v * v) / counts - means * means, 0.0
+        ))
+    targets = _allocation_targets(counts.tolist(), 1_500, policy, stds, 1)
+    rows = srs_per_stratum(inverse, targets, np.random.default_rng(9))
+    weights = (counts / np.maximum(np.minimum(targets, counts), 1))[inverse[rows]]
+    assert [s.key for s in got.params["strata"]] == list(keys)
+    np.testing.assert_array_equal(got.weights, weights)
+    for column in table.column_names:
+        np.testing.assert_array_equal(got.table[column], table[column][rows])

@@ -6,7 +6,9 @@ and the gather takes its intervals from
 :func:`~repro.online.estimation.combine_intervals`. The reference below
 is the earlier gather: per-shard partials carrying each estimate's
 *squared* CI half-width (``__hw2``, each shard choosing its own t or z),
-summed across shards, then widened and divided for AVG cell by cell. Exact answers must agree bitwise; sampled answers
+summed across shards, then widened and divided for AVG cell by cell; an
+``ola`` shard's estimates are the old ``OnlineAggregator`` ones
+(:mod:`tests.ola_reference`). Exact answers must agree bitwise; sampled answers
 to 1e-9 relative wherever every shard contributes ≥ 100 rows. Where a
 shard contributes fewer, the critical value is now read on the merged
 rows; that change is pinned with both intervals written down.
@@ -32,10 +34,11 @@ from repro.engine.plan import Filter, GroupByAggregate, Scan
 from repro.engine.table import Table
 from repro.estimators.horvitz_thompson import ht_count, ht_total
 from repro.offline.catalog import SynopsisCatalog
-from repro.online.ola import fixed_stop_snapshot
 from repro.resilience import Deadline, FaultInjector, inject, kill_shard
 from repro.sharding import ScatterGatherExecutor, ShardedTable, merge_partial_tables
 from repro.sql import bind_sql
+
+from .ola_reference import reference_fixed_stop
 
 N_ROWS = 4_096
 NUM_SHARDS = 8
@@ -112,14 +115,11 @@ def _reference_partial(sharded, shard, bound, prepared, technique, seed, blocks,
             return fold(0, table.num_rows)
         parts = [fold(*table.block_bounds(b)) for b in range(table.num_blocks)]
         return merge_partial_tables(parts, keys)
-    agg = bound.aggregates[0] if technique == "ola" else None
     if technique == "ola":
-        first = "count" if agg.func == "count" else "sum"
-        ola, snap = fixed_stop_snapshot(
+        agg = bound.aggregates[0]
+        ref = reference_fixed_stop(
             prepared,
             SliceRelation(table, 0, table.num_rows, rename),
-            agg=first,
-            confidence=SPEC.confidence,
             seed=int(
                 np.random.SeedSequence([seed, shard.shard_id]).generate_state(1)[0]
             ),
@@ -127,14 +127,13 @@ def _reference_partial(sharded, shard, bound, prepared, technique, seed, blocks,
             deadline=deadline,
         )
         estimates = {}
-        if first == "sum":
-            estimates[agg.alias] = (snap.value, snap.ci_low, snap.ci_high)
+        if agg.func != "count":
+            est = ref.estimate("sum")
+            estimates[agg.alias] = (est.value, *est.ci(SPEC.confidence))
         if agg.func != "sum":
-            count = snap if first == "count" else ola.snapshot(
-                snap.rows_seen, agg="count"
-            )
-            estimates[_COUNT] = (count.value, count.ci_low, count.ci_high)
-        return _estimate_row(estimates, ola.matched_rows)
+            est = ref.estimate("count")
+            estimates[_COUNT] = (est.value, *est.ci(SPEC.confidence))
+        return _estimate_row(estimates, ref.matched)
     catalog = SynopsisCatalog.for_database(sharded.binder_database())
     sample = catalog.find_sample(
         sharded.name, require_fresh=False, shard=shard.shard_id
@@ -320,3 +319,27 @@ def test_few_matched_rows_read_the_merged_count(sharded):
         np.testing.assert_allclose(
             [float(a[0]) for a in got], new, rtol=1e-9, err_msg=sql
         )
+
+
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_ola_serves_several_aggregates_in_one_statement(sharded, scenario):
+    """One statement's SUM, COUNT and AVG come from the same per-shard
+    prefixes: each equals its single-aggregate reference and covers the
+    truth."""
+    where = "FROM events WHERE v > 5"
+    kwargs = dict(_SCENARIOS[scenario], seed=11)
+    got = _served(
+        sharded,
+        f"SELECT SUM(v) AS s, COUNT(*) AS c, AVG(v) AS a {where}",
+        "ola",
+        **kwargs,
+    )
+    v = np.asarray(sharded.whole_table()["v"])
+    v = v[v > 5]
+    truths = {"s": v.sum(), "c": float(len(v)), "a": v.mean()}
+    for alias, agg in (("s", "SUM(v)"), ("c", "COUNT(*)"), ("a", "AVG(v)")):
+        want = _reference(sharded, f"SELECT {agg} AS x {where}", "ola", **kwargs)
+        for g, w in zip(got[alias], want["x"]):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=0.0, err_msg=alias)
+        _value, low, high = (float(x[0]) for x in got[alias])
+        assert low <= truths[alias] <= high, alias

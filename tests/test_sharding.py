@@ -275,7 +275,6 @@ class TestExactScatterGather:
             ("SELECT SUM(v) AS s FROM events ORDER BY s", None),
             ("SELECT MIN(v) AS m FROM events", None),
             ("SELECT k, SUM(v) AS s FROM events GROUP BY k", ola),
-            ("SELECT SUM(v) AS s, COUNT(*) AS c FROM events", ola),
         ]
         for sql, options in bad:
             with pytest.raises(UnsupportedQueryError):
