@@ -14,8 +14,8 @@ chain* instead of aborting:
 3. **cheaper_technique** — query-time sampling that needs no
    precomputation (:data:`~repro.core.advisor.QUERY_TIME_TECHNIQUES`),
    less whatever already refused this query;
-4. **partial_ola** — whatever online-aggregation snapshot fits in the
-   remaining deadline, reported with its honest CI;
+4. **partial_ola** — the fixed-stop online-aggregation prefix that fits
+   in the remaining deadline, reported with its honest CI;
 5. **exact_no_guarantee** — exact execution, dropping the error
    contract entirely (there is an answer, there is no speedup);
 6. **refusal** — a typed :class:`~repro.core.exceptions.QueryRefused`
