@@ -9,11 +9,12 @@ actually hold. This package provides that check:
   so coverage audits accept/reject with proper statistical tolerances
   instead of hard-coded thresholds (and the whole test suite can reuse
   them);
-* :mod:`~repro.audit.oracle` — an exact-answer oracle (memoized) that
-  every approximate path is diffed against;
-* :mod:`~repro.audit.paths` — the registry of audited estimator paths
-  (uniform/stratified/offline samples, Sample+Seek, OLA, ripple join,
-  sketches, histograms, wavelets, and the full engine planners);
+* :mod:`~repro.audit.doors` — the one door runner: a
+  :class:`~repro.audit.doors.DoorRow` sends a query through a ``sql()``
+  door and scores it against the same door's exact twin;
+* :mod:`~repro.audit.paths` — the registry: one door row per served
+  (entry, door) pair, plus the estimator-level paths (library samplers,
+  Sample+Seek, OLA, ripple join, sketches, histograms, wavelets);
 * :mod:`~repro.audit.runner` — repeated-trial coverage audits: N seeded
   trials per (estimator, query, confidence), hit counts against the
   claimed coverage, and a verdict from the binomial band;
@@ -34,8 +35,8 @@ from .acceptance import (
     mc_mean_within,
     within_sigma,
 )
-from .oracle import ExactOracle
-from .paths import AuditContext, AuditPath, TrialResult, build_paths
+from .doors import DoorRow, TrialResult, score
+from .paths import AuditContext, AuditPath, build_paths
 from .report import (
     AUDIT_BASELINE_JSON,
     AUDIT_REPORT_JSON,
@@ -43,15 +44,16 @@ from .report import (
     load_report,
     write_report,
 )
-from .runner import run_audit
+from .runner import audit_one, run_audit
 
 __all__ = [
     "AUDIT_BASELINE_JSON",
     "AUDIT_REPORT_JSON",
     "AuditContext",
     "AuditPath",
-    "ExactOracle",
+    "DoorRow",
     "TrialResult",
+    "audit_one",
     "binomial_acceptance_band",
     "binomial_cdf",
     "build_paths",
@@ -63,6 +65,7 @@ __all__ = [
     "mc_mean_band",
     "mc_mean_within",
     "run_audit",
+    "score",
     "within_sigma",
     "write_report",
 ]

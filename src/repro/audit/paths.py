@@ -1,10 +1,15 @@
-"""The registry of audited estimator paths.
+"""The registry of audited paths.
 
-Each :class:`AuditPath` wraps one (technique, query, guarantee) triple:
-its ``run`` callable executes a single seeded trial and reports the
-estimate, the interval or bound it claimed, and the exact answer from
-the oracle. The runner replays N trials and checks the hit count against
-the claimed coverage with a binomial band.
+Two kinds of path share one report. A :class:`~repro.audit.doors.DoorRow`
+is a served ``sql()`` query, as data: door, SQL, options and a
+per-trial fixture, run and scored by the one door runner
+(:mod:`repro.audit.doors`) against the same door's exact twin. An
+:class:`AuditPath` is an estimator-level trial (a library sampler,
+sketch or synopsis called directly) whose ``run`` callable executes one
+seeded trial and reports the estimate, the interval or bound it
+claimed, and the exact answer. The runner replays N trials of either
+and checks the hit count against the claimed coverage with a binomial
+band.
 
 Claim kinds:
 
@@ -15,7 +20,8 @@ Claim kinds:
   ε, whatever interval was reported.
 * ``"bound"`` — the path states an explicit error bound (ε·N for
   Count-Min, k·RSE for cardinality sketches, bucket mass for
-  histograms); a hit means the realized error stayed inside it.
+  histograms, a missing shard's envelope); a hit means the realized
+  error stayed inside it.
 * ``"none"`` — the paper says this synopsis has **no** a-priori
   guarantee (wavelets under arbitrary queries); the audit records the
   realized error distribution but accepts nothing.
@@ -29,19 +35,15 @@ implementation silently changed or the audit lost its power.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..core.errorspec import ErrorSpec
+from ..core.exceptions import InfeasiblePlanError
 from ..core.options import QueryOptions
-from ..core.exceptions import (
-    InfeasiblePlanError,
-    QueryRefused,
-    UnsupportedQueryError,
-)
-from ..core.result import ApproximateResult
 from ..engine.database import Database
 from ..engine.table import Table
 from ..estimators.bootstrap import bootstrap_ci
@@ -54,50 +56,21 @@ from ..offline.sample_seek import (
 )
 from ..online.ola import OnlineAggregator
 from ..online.ripple import RippleJoin
+from ..resilience.faults import kill_shard
 from ..sampling.row import bernoulli_sample, srs_sample
 from ..sampling.stratified import group_estimates, stratified_sample
+from ..sharding import ShardedTable
 from ..sketches.countmin import CountMinSketch
 from ..sketches.hyperloglog import HyperLogLog
 from ..sketches.kmv import KMVSketch
 from ..wavelets.haar import build_wavelet_synopsis
 from ..workloads import generate_tpch, heavy_tailed_table, zipf_group_table
-from .oracle import ExactOracle
-
-
-@dataclass
-class TrialResult:
-    """Outcome of one seeded trial of one audited path."""
-
-    value: float
-    exact: float
-    hit: bool
-    ci_low: float = math.nan
-    ci_high: float = math.nan
-    #: True when the technique honestly refused (no covering synopsis /
-    #: infeasible plan) instead of answering; refusals do not count
-    #: against coverage — refusing is the contract-honoring response.
-    refused: bool = False
-
-    @property
-    def relative_error(self) -> float:
-        if self.refused:
-            return 0.0
-        if self.exact == 0:
-            return 0.0 if self.value == 0 else math.inf
-        return abs(self.value - self.exact) / abs(self.exact)
-
-    @property
-    def relative_half_width(self) -> float:
-        if not (math.isfinite(self.ci_low) and math.isfinite(self.ci_high)):
-            return math.nan
-        if self.exact == 0:
-            return math.inf
-        return (self.ci_high - self.ci_low) / 2.0 / abs(self.exact)
+from .doors import DoorRow, TrialResult
 
 
 @dataclass
 class AuditPath:
-    """One audited (estimator, query, guarantee) combination."""
+    """One audited estimator-level (estimator, query, guarantee) trial."""
 
     name: str
     family: str  # sampling | offline | online | engine | sketch | synopsis
@@ -116,7 +89,7 @@ class AuditPath:
 # ----------------------------------------------------------------------
 
 class AuditContext:
-    """Seeded datasets + exact oracles shared across all paths.
+    """Seeded datasets shared across all paths.
 
     The data seed is fixed (it defines *which* population is audited);
     the per-trial seeds vary the estimator's randomness only. Everything
@@ -125,33 +98,25 @@ class AuditContext:
     """
 
     DATA_SEED = 42
+    NUM_SHARDS = 8
 
     def __init__(self, scale: float = 1.0) -> None:
         self.scale = scale
-        self._tpch: Optional[Database] = None
-        self._oracle: Optional[ExactOracle] = None
-        self._tables: Dict[str, Table] = {}
+        self._tables: Dict[str, object] = {}
 
-    # -- engine datasets -----------------------------------------------
-    @property
-    def tpch(self) -> Database:
-        if self._tpch is None:
-            self._tpch = generate_tpch(
-                scale=self.scale, seed=self.DATA_SEED, block_size=256
-            )
-        return self._tpch
-
-    @property
-    def oracle(self) -> ExactOracle:
-        if self._oracle is None:
-            self._oracle = ExactOracle(self.tpch)
-        return self._oracle
-
-    # -- synthetic tables ----------------------------------------------
-    def _table(self, key: str, builder: Callable[[], Table]) -> Table:
+    def _table(self, key: str, builder: Callable[[], object]):
         if key not in self._tables:
             self._tables[key] = builder()
         return self._tables[key]
+
+    @property
+    def tpch(self) -> Database:
+        return self._table(
+            "tpch",
+            lambda: generate_tpch(
+                scale=self.scale, seed=self.DATA_SEED, block_size=256
+            ),
+        )
 
     @property
     def exponential(self) -> Table:
@@ -171,15 +136,28 @@ class AuditContext:
         )
 
     @property
-    def sharded_exponential(self):
-        """The exponential table split into 8 hash shards (built once)."""
-        if not hasattr(self, "_sharded_exp"):
-            from ..sharding import ShardedTable
+    def sharded_exponential(self) -> ShardedTable:
+        """The exponential table split into 8 hash shards."""
+        return self._table(
+            "sharded_exponential",
+            lambda: ShardedTable.from_table(
+                self.exponential, num_shards=self.NUM_SHARDS
+            ),
+        )
 
-            self._sharded_exp = ShardedTable.from_table(
-                self.exponential, num_shards=8
-            )
-        return self._sharded_exp
+    @property
+    def range_sharded_exponential(self) -> ShardedTable:
+        """The exponential table range-sharded three ways on ``k`` (is
+        the value above its median?): two keys over three shards leave
+        the first shard empty."""
+
+        def build() -> ShardedTable:
+            v = self.exponential["value"]
+            k = (v > np.median(v)).astype(np.int64)
+            table = Table({"value": v, "k": k}, name="exp_t", block_size=512)
+            return ShardedTable.from_table(table, 3, by="range", key="k")
+
+        return self._table("range_sharded_exponential", build)
 
     @property
     def heavytail(self) -> Table:
@@ -210,6 +188,21 @@ class AuditContext:
         )
 
     @property
+    def zipf_sums(self) -> Dict[object, float]:
+        """Exact ``{group_id: SUM(value)}`` of the zipf table."""
+
+        def build() -> Dict[object, float]:
+            keys, inverse = np.unique(self.zipf["group_id"], return_inverse=True)
+            sums = np.bincount(
+                inverse,
+                weights=np.asarray(self.zipf["value"], dtype=np.float64),
+                minlength=len(keys),
+            )
+            return {k.item(): float(s) for k, s in zip(keys, sums)}
+
+        return self._table("zipf_sums", build)
+
+    @property
     def join_left(self) -> Table:
         n = int(30_000 * max(self.scale, 0.25))
         rng = np.random.default_rng(self.DATA_SEED + 1)
@@ -236,28 +229,16 @@ class AuditContext:
         )
 
     def join_truth(self) -> float:
-        key = self._tables.get("_join_truth")
-        if key is None:
+        def build() -> float:
             left, right = self.join_left, self.join_right
             w_by_key = right["w"][np.searchsorted(right["k"], left["k"])]
-            key = float(np.sum(left["v"] * w_by_key))
-            self._tables["_join_truth"] = key  # type: ignore[assignment]
-        return key  # type: ignore[return-value]
+            return float(np.sum(left["v"] * w_by_key))
+
+        return self._table("join_truth", build)
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
-
-
-def _group_sums(table: Table, group_col: str, value_col: str) -> Dict[object, float]:
-    keys = table[group_col]
-    values = np.asarray(table[value_col], dtype=np.float64)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=values, minlength=len(uniq))
-    return {
-        (k.item() if hasattr(k, "item") else k): float(s)
-        for k, s in zip(uniq, sums)
-    }
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +275,7 @@ def _bernoulli_sum_heavytail(ctx: AuditContext, seed: int) -> TrialResult:
 def _stratified_joint(ctx: AuditContext, seed: int) -> TrialResult:
     table = ctx.zipf
     spec = ErrorSpec(relative_error=0.5, confidence=0.95)
-    truths = _group_sums(table, "group_id", "value")
+    truths = ctx.zipf_sums
     sample = stratified_sample(
         table, "group_id", 3000, policy="congress", rng=_rng(seed)
     )
@@ -318,96 +299,8 @@ def _stratified_joint(ctx: AuditContext, seed: int) -> TrialResult:
 
 
 # ----------------------------------------------------------------------
-# Offline paths
+# Offline and online estimator paths
 # ----------------------------------------------------------------------
-
-_OFFLINE_SQL = (
-    "SELECT l_returnflag AS flag, SUM(l_extendedprice) AS rev "
-    "FROM lineitem GROUP BY l_returnflag"
-)
-
-
-def _offline_blinkdb(ctx: AuditContext, seed: int) -> TrialResult:
-    db = ctx.tpch
-    spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-    lineitem = db.table("lineitem")
-    sample = stratified_sample(
-        lineitem, "l_returnflag", 6000, policy="congress", rng=_rng(seed)
-    )
-    catalog = SynopsisCatalog.for_database(db)
-    catalog.samples = [
-        SampleEntry(
-            table="lineitem",
-            sample=sample,
-            kind="stratified",
-            strata_column="l_returnflag",
-            built_at_rows=lineitem.num_rows,
-        )
-    ]
-    exact = ctx.oracle.groups(_OFFLINE_SQL, "flag", "rev")
-    try:
-        result = db.sql(
-            _OFFLINE_SQL,
-            options=QueryOptions(spec=spec, technique="offline_sample"),
-        )
-    except (InfeasiblePlanError, UnsupportedQueryError):
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    return _grouped_ci_trial(result, exact, "flag", "rev")
-
-
-def _tuned_synopsis(ctx: AuditContext, seed: int) -> TrialResult:
-    """Audit a synopsis the tuner built, not a hand-placed one.
-
-    Per trial: a workload log full of grouped-SUM demand drives one
-    :class:`~repro.tuner.TuningDaemon` cycle against an empty catalog;
-    the daemon's stratified sample (seeded from the trial seed) then
-    answers the grouped query through the offline rewriter. The joint
-    CI must cover the exact per-group answers at the claimed rate —
-    the guarantee must survive the catalog being machine-chosen.
-    """
-    from ..tuner import QueryFingerprint, TuningDaemon, WorkloadLog
-
-    rng = np.random.default_rng(ctx.DATA_SEED)
-    rows = int(20_000 * max(ctx.scale, 0.25))
-    db = Database()
-    db.create_table(
-        "events",
-        {
-            "seg": rng.integers(0, 8, rows),
-            "v": rng.exponential(10.0, rows),
-        },
-    )
-    log = WorkloadLog()
-    log.extend(
-        QueryFingerprint(
-            table="events",
-            group_columns=("seg",),
-            agg_family="sum",
-            measure_columns=("v",),
-            technique="quickr",
-        )
-        for _ in range(8)
-    )
-    daemon = TuningDaemon(
-        db, log, storage_budget_rows=8_000, sample_fraction=0.3, seed=seed
-    )
-    report = daemon.run_cycle(triggered_by="manual")
-    if report.failed or not report.built:
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    sql = "SELECT seg, SUM(v) AS s FROM events GROUP BY seg"
-    exact = _group_sums(db.table("events"), "seg", "v")
-    spec = ErrorSpec(relative_error=0.20, confidence=0.95)
-    try:
-        result = db.sql(
-            sql,
-            options=QueryOptions(
-                spec=spec, technique="offline_sample", seed=seed
-            ),
-        )
-    except (InfeasiblePlanError, UnsupportedQueryError):
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    return _grouped_ci_trial(result, exact, "seg", "s")
-
 
 def _sample_seek(ctx: AuditContext, seed: int) -> TrialResult:
     table = ctx.zipf
@@ -415,191 +308,13 @@ def _sample_seek(ctx: AuditContext, seed: int) -> TrialResult:
         table, "value", "group_id", sample_size=3000, rng=_rng(seed)
     )
     answers, _cost = answer_group_by_sum(synopsis, table)
-    truth = _group_sums(table, "group_id", "value")
-    precision = distribution_precision(answers, truth)
+    precision = distribution_precision(answers, ctx.zipf_sums)
     # Measure-biased share estimates are multinomial-like:
     # E[precision²] <= 1/n, so 3/√n is a ~95%-coverage a-priori bound.
     n = max(synopsis.sample_table.num_rows, 1)
     bound = 3.0 / math.sqrt(n)
     return TrialResult(precision, 0.0, precision <= bound, 0.0, bound)
 
-
-def _appended_sample(ctx: AuditContext, seed: int) -> TrialResult:
-    """Audit samples maintained through appends, not rebuilt.
-
-    Per trial: a stratified and a uniform sample are built over a fixed
-    table, then 12 appends of 1% each land through
-    :meth:`Database.append_rows`. The appended rows drift (a larger mean,
-    and a segment the build never saw), so a sample that merely aged
-    would miss. A grouped SUM and a scalar AVG are then answered with
-    ``technique="offline_sample"`` through the ladder: both must be
-    served fresh (not degraded, every sample at staleness 0), and both
-    must cover the current exact answer. A fully kept stratum answers
-    exactly, so its zero-width interval is compared up to summation
-    order.
-    """
-    from ..resilience.ladder import ResilientEngine
-
-    data = np.random.default_rng(ctx.DATA_SEED + 3)
-    rows = int(20_000 * max(ctx.scale, 0.25))
-    db = Database()
-    db.create_table(
-        "events",
-        {"seg": data.integers(0, 6, rows), "v": data.exponential(10.0, rows)},
-    )
-    table = db.table("events")
-    rng = _rng(seed)
-    catalog = SynopsisCatalog(db)
-    for kind, sample in (
-        ("stratified", stratified_sample(table, "seg", rows // 10, rng=rng)),
-        ("uniform", srs_sample(table, rows // 10, rng)),
-    ):
-        catalog.add_sample(
-            SampleEntry(
-                table="events",
-                sample=sample,
-                kind=kind,
-                strata_column="seg" if kind == "stratified" else None,
-                built_at_rows=rows,
-            )
-        )
-    for _ in range(12):
-        batch = rows // 100
-        db.append_rows(
-            "events",
-            {"seg": data.integers(0, 7, batch), "v": data.exponential(15.0, batch)},
-        )
-    engine = ResilientEngine(db, warn_on_degrade=False)
-    options = QueryOptions(
-        spec=ErrorSpec(relative_error=0.5, confidence=0.95),
-        seed=seed,
-        technique="offline_sample",
-    )
-    grouped = engine.sql(
-        "SELECT seg, SUM(v) AS s FROM events GROUP BY seg", options=options
-    )
-    scalar = engine.sql("SELECT AVG(v) AS a FROM events", options=options)
-    fresh = all(
-        r.technique == "offline_sample" and not r.is_degraded
-        for r in (grouped, scalar)
-    ) and all(e.staleness(db) == 0 for e in catalog.samples)
-    truths = _group_sums(db.table("events"), "seg", "v")
-    covered = set(truths) == {k.item() for k in grouped.table["seg"]}
-    for row, key in enumerate(grouped.table["seg"]):
-        cell = grouped.estimate("s", row)
-        truth = truths[key.item()]
-        covered &= cell.covers(truth) or math.isclose(cell.value, truth, rel_tol=1e-9)
-    cell = scalar.estimate("a", 0)
-    truth = float(np.mean(db.table("events")["v"]))
-    return TrialResult(
-        cell.value,
-        truth,
-        fresh and covered and cell.covers(truth),
-        cell.ci_low,
-        cell.ci_high,
-    )
-
-
-# ----------------------------------------------------------------------
-# Resilience paths (degraded answers must stay honest)
-# ----------------------------------------------------------------------
-
-def _degraded_stale_widened(ctx: AuditContext, seed: int) -> TrialResult:
-    """Audit the degradation ladder's stale-synopsis rung.
-
-    Per trial: a uniform sample is built from the first 80% of the
-    table's rows, then the table "grows" to its full size (staleness
-    0.25 — past the catalog's freshness threshold). Forcing
-    ``technique="offline_sample"`` makes the requested rung refuse
-    (no *fresh* covering sample), so the ladder serves from the stale
-    rung, widening the CI by ``half·(1+s) + s·|value|``. The widened
-    interval must still cover the *current* exact answer at the claimed
-    rate, even though the estimator only ever saw the stale prefix —
-    this is the "never claim a guarantee a degraded answer cannot
-    honor" invariant, audited against the oracle.
-    """
-    from ..resilience.ladder import ResilientEngine
-
-    table = ctx.exponential
-    values = np.asarray(table["value"], dtype=np.float64)
-    truth = float(values.sum())
-    db = Database()
-    db.create_table("events", {"value": values})
-    prefix = int(table.num_rows * 0.8)
-    prefix_table = Table({"value": values[:prefix]}, name="events")
-    sample = srs_sample(prefix_table, 1500, _rng(seed))
-    catalog = SynopsisCatalog(db)
-    catalog.add_sample(
-        SampleEntry(
-            table="events",
-            sample=sample,
-            kind="uniform",
-            built_at_rows=prefix,
-        )
-    )
-    engine = ResilientEngine(db, warn_on_degrade=False)
-    spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-    try:
-        result = engine.sql(
-            "SELECT SUM(value) AS s FROM events",
-            options=QueryOptions(
-                spec=spec, seed=seed, technique="offline_sample"
-            ),
-        )
-    except QueryRefused:
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    if not getattr(result, "is_degraded", False):
-        # Served fresh: the staleness setup failed; count as a refusal
-        # so the path cannot pass by accident.
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    cell = result.estimate("s", 0)
-    return TrialResult(
-        cell.value, truth, cell.covers(truth), cell.ci_low, cell.ci_high
-    )
-
-
-def _degraded_missing_shard(ctx: AuditContext, seed: int) -> TrialResult:
-    """Audit k-of-n scatter-gather widening against the whole-table oracle.
-
-    Per trial: the 8-shard exponential table loses one shard (a seeded
-    victim is killed through the fault injector, so both the primary and
-    the hedged attempt against it fail), and the query is served in OLA
-    mode — each surviving shard reports a fixed-stop CI from 30% of its
-    rows, so the merged interval carries real sampling error, not a
-    trivially-exact answer. The missing shard contributes its catalog
-    envelope: the reported CI is widened by ``[Σ negative, Σ positive]``
-    of the victim's value column. That widened interval must cover the
-    exact whole-table SUM at ≥ the claimed rate. An answer that is not
-    degraded means the kill failed to land; count it as a refusal so the
-    path cannot pass by accident.
-    """
-    from ..resilience.faults import FaultInjector, inject, kill_shard
-    from ..sharding import ScatterGatherExecutor
-
-    sharded = ctx.sharded_exponential
-    truth = float(np.asarray(ctx.exponential["value"], dtype=np.float64).sum())
-    victim = int(_rng(seed).integers(0, sharded.num_shards))
-    executor = ScatterGatherExecutor(sharded, max_workers=1)
-    spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-    try:
-        with inject(FaultInjector([kill_shard(victim)])):
-            result = executor.sql(
-                "SELECT SUM(value) AS s FROM exp_t",
-                options=QueryOptions(spec=spec, seed=seed, technique="ola"),
-            )
-    except QueryRefused:
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    if not result.is_degraded:
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    cell = result.estimate("s", 0)
-    return TrialResult(
-        cell.value, truth, cell.covers(truth), cell.ci_low, cell.ci_high
-    )
-
-
-# ----------------------------------------------------------------------
-# Online paths
-# ----------------------------------------------------------------------
 
 def _ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
     table = ctx.exponential
@@ -611,54 +326,6 @@ def _ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
     return TrialResult(
         snap.value, truth, snap.covers(truth), snap.ci_low, snap.ci_high
     )
-
-
-#: (SQL, exact answer over the value column) of the sharded-path trials:
-#: a SUM, a filtered AVG, and a COUNT selective enough that each shard's
-#: sample holds fewer than 100 matched rows
-_SHARDED_QUERIES = (
-    ("SELECT SUM(value) AS x FROM exp_t", lambda v: v.sum()),
-    ("SELECT AVG(value) AS x FROM exp_t WHERE value > 50", lambda v: v[v > 50].mean()),
-    ("SELECT COUNT(*) AS x FROM exp_t WHERE value > 300", lambda v: (v > 300).sum()),
-)
-
-
-def _sharded_trial(
-    ctx: AuditContext, seed: int, technique: str, queries: int
-) -> TrialResult:
-    """One scatter-gather answer over the 8-shard exponential table, all
-    shards served; trials cycle by seed through the first ``queries`` of
-    :data:`_SHARDED_QUERIES`, and the merged CI must cover the exact
-    whole-table answer. A degraded answer means a shard went missing;
-    count it as a refusal so the path cannot pass by accident."""
-    from ..sharding import ScatterGatherExecutor
-
-    sql, exact = _SHARDED_QUERIES[seed % queries]
-    truth = float(exact(np.asarray(ctx.exponential["value"], dtype=np.float64)))
-    executor = ScatterGatherExecutor(ctx.sharded_exponential, max_workers=1)
-    result = executor.sql(
-        sql, options=QueryOptions(seed=seed, technique=technique)
-    )
-    if result.is_degraded:
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    cell = result.estimate("x", 0)
-    return TrialResult(
-        cell.value, truth, cell.covers(truth), cell.ci_low, cell.ci_high
-    )
-
-
-def _sharded_ola_fixed_stop(ctx: AuditContext, seed: int) -> TrialResult:
-    """Scatter-gather OLA: each shard estimates from a random 30% of its
-    rows; trials alternate ``SUM(value)`` and a filtered ``AVG(value)``."""
-    return _sharded_trial(ctx, seed, "ola", 2)
-
-
-def _sharded_sample(ctx: AuditContext, seed: int) -> TrialResult:
-    """Scatter-gather over per-shard samples drawn for this trial (a
-    sample kept across trials would score one draw N times): trials
-    cycle through SUM, a filtered AVG and a selective COUNT."""
-    ctx.sharded_exponential.build_shard_samples(rows_per_shard=1000, seed=seed)
-    return _sharded_trial(ctx, seed, "sample", 3)
 
 
 def _ola_peeking_stop(ctx: AuditContext, seed: int) -> TrialResult:
@@ -692,83 +359,180 @@ def _ripple_join(ctx: AuditContext, seed: int) -> TrialResult:
 
 
 # ----------------------------------------------------------------------
-# Full-engine planner paths (advisor-visible techniques)
+# Door fixtures: what a door row's trial reads, undone on exit
 # ----------------------------------------------------------------------
 
+def _shared(dataset: str) -> Callable:
+    """The fixture of a row that reads one of the context's datasets."""
+    return lambda ctx, seed: nullcontext(getattr(ctx, dataset))
+
+
+_tpch = _shared("tpch")
+_sharded = _shared("sharded_exponential")
+_range_sharded = _shared("range_sharded_exponential")
+
+
+@contextmanager
+def _blinkdb_sample(ctx: AuditContext, seed: int):
+    """A congress-stratified lineitem sample, drawn for the trial, is the
+    shared TPC-H catalog's only sample until the trial ends."""
+    db = ctx.tpch
+    lineitem = db.table("lineitem")
+    catalog = SynopsisCatalog.for_database(db)
+    kept = catalog.samples
+    catalog.samples = [
+        SampleEntry(
+            table="lineitem",
+            sample=stratified_sample(
+                lineitem, "l_returnflag", 6000, policy="congress",
+                rng=_rng(seed),
+            ),
+            kind="stratified",
+            strata_column="l_returnflag",
+            built_at_rows=lineitem.num_rows,
+        )
+    ]
+    try:
+        yield db
+    finally:
+        catalog.samples = kept
+
+
+def _tuned_events(ctx: AuditContext, seed: int):
+    """A workload log full of grouped-SUM demand drives one
+    :class:`~repro.tuner.TuningDaemon` cycle against an empty catalog,
+    seeded from the trial seed: the guarantee must survive the catalog
+    being machine-chosen. A cycle that builds nothing is a refusal."""
+    from ..tuner import QueryFingerprint, TuningDaemon, WorkloadLog
+
+    rng = np.random.default_rng(ctx.DATA_SEED)
+    rows = int(20_000 * max(ctx.scale, 0.25))
+    db = Database()
+    db.create_table(
+        "events",
+        {"seg": rng.integers(0, 8, rows), "v": rng.exponential(10.0, rows)},
+    )
+    log = WorkloadLog()
+    log.extend(
+        QueryFingerprint(
+            table="events",
+            group_columns=("seg",),
+            agg_family="sum",
+            measure_columns=("v",),
+            technique="quickr",
+        )
+        for _ in range(8)
+    )
+    daemon = TuningDaemon(
+        db, log, storage_budget_rows=8_000, sample_fraction=0.3, seed=seed
+    )
+    report = daemon.run_cycle(triggered_by="manual")
+    if report.failed or not report.built:
+        raise InfeasiblePlanError("the tuning cycle built no sample")
+    return nullcontext(db)
+
+
+def _appended_events(ctx: AuditContext, seed: int):
+    """A stratified and a uniform sample built over a fixed table, then
+    12 drifting 1% appends (a larger mean, and a segment the build never
+    saw) through :meth:`Database.append_rows`: a sample that merely aged
+    would miss."""
+    data = np.random.default_rng(ctx.DATA_SEED + 3)
+    rows = int(20_000 * max(ctx.scale, 0.25))
+    db = Database()
+    db.create_table(
+        "events",
+        {"seg": data.integers(0, 6, rows), "v": data.exponential(10.0, rows)},
+    )
+    table = db.table("events")
+    rng = _rng(seed)
+    catalog = SynopsisCatalog(db)
+    for kind, sample in (
+        ("stratified", stratified_sample(table, "seg", rows // 10, rng=rng)),
+        ("uniform", srs_sample(table, rows // 10, rng)),
+    ):
+        catalog.add_sample(
+            SampleEntry(
+                table="events",
+                sample=sample,
+                kind=kind,
+                strata_column="seg" if kind == "stratified" else None,
+                built_at_rows=rows,
+            )
+        )
+    for _ in range(12):
+        batch = rows // 100
+        db.append_rows(
+            "events",
+            {"seg": data.integers(0, 7, batch), "v": data.exponential(15.0, batch)},
+        )
+    return nullcontext(db)
+
+
+def _stale_prefix(ctx: AuditContext, seed: int):
+    """The exponential table, with a uniform sample built from its first
+    80% of rows: staleness 0.25, past the catalog's freshness
+    threshold."""
+    values = np.asarray(ctx.exponential["value"], dtype=np.float64)
+    db = Database()
+    db.create_table("events", {"value": values})
+    prefix = int(len(values) * 0.8)
+    sample = srs_sample(
+        Table({"value": values[:prefix]}, name="events"), 1500, _rng(seed)
+    )
+    SynopsisCatalog(db).add_sample(
+        SampleEntry(
+            table="events", sample=sample, kind="uniform", built_at_rows=prefix
+        )
+    )
+    return nullcontext(db)
+
+
+@contextmanager
+def _shard_samples(ctx: AuditContext, seed: int):
+    """Per-shard uniform samples drawn for this trial (a sample kept
+    across trials would score one draw N times), removed after it."""
+    sharded = ctx.sharded_exponential
+    sharded.build_shard_samples(rows_per_shard=1000, seed=seed)
+    try:
+        yield sharded
+    finally:
+        catalog = SynopsisCatalog.for_database(sharded.binder_database())
+        catalog.samples[:] = [e for e in catalog.samples if e.shard is None]
+
+
+def _kill_one_shard(seed: int) -> list:
+    """A seeded victim shard, gone for the primary and hedged attempts."""
+    return [kill_shard(int(_rng(seed).integers(0, AuditContext.NUM_SHARDS)))]
+
+
+_GROUPED_SQL = (
+    "SELECT l_returnflag AS flag, SUM(l_extendedprice) AS rev "
+    "FROM lineitem GROUP BY l_returnflag"
+)
+#: grouped on an integer key: an exact twin grouped on object strings
+#: costs ~10 ms per trial at smoke scale
+_LINE_SQL = (
+    "SELECT l_linenumber AS line, SUM(l_extendedprice) AS rev "
+    "FROM lineitem GROUP BY l_linenumber"
+)
 _PILOT_SQL = (
     "SELECT SUM(l_extendedprice) AS rev FROM lineitem "
     "WHERE l_shipdate < 1200"
 )
-_QUICKR_SQL = (
-    "SELECT l_returnflag AS flag, SUM(l_extendedprice) AS rev "
-    "FROM lineitem GROUP BY l_returnflag"
+#: the sharded rows' queries: a SUM, a filtered AVG, and a COUNT
+#: selective enough that each shard's sample holds fewer than 100
+#: matched rows
+_SHARDED_SQL = (
+    "SELECT SUM(value) AS x FROM exp_t",
+    "SELECT AVG(value) AS x FROM exp_t WHERE value > 50",
+    "SELECT COUNT(*) AS x FROM exp_t WHERE value > 300",
 )
 
 
-def _grouped_ci_trial(
-    result, exact: Dict[object, float], key: str, value: str
-) -> TrialResult:
-    """Joint CI-coverage hit across every group of a grouped result."""
-    if not getattr(result, "is_approximate", False):
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    assert isinstance(result, ApproximateResult)
-    keys = result.table[key]
-    all_covered = True
-    worst_missing = len(set(exact) - {
-        (k.item() if hasattr(k, "item") else k) for k in keys
-    })
-    if worst_missing:
-        all_covered = False
-    total_est = 0.0
-    total_truth = sum(exact.values())
-    for row in range(result.table.num_rows):
-        k = keys[row]
-        k = k.item() if hasattr(k, "item") else k
-        truth = exact.get(k)
-        if truth is None:
-            all_covered = False
-            continue
-        cell = result.estimate(value, row)
-        total_est += cell.value
-        if not cell.covers(truth):
-            all_covered = False
-    return TrialResult(total_est, total_truth, all_covered)
-
-
-def _pilot_engine(ctx: AuditContext, seed: int) -> TrialResult:
-    db = ctx.tpch
-    spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-    truth = ctx.oracle.scalar(_PILOT_SQL)
-    try:
-        result = db.sql(
-            _PILOT_SQL,
-            options=QueryOptions(spec=spec, technique="pilot", seed=seed),
-        )
-    except (InfeasiblePlanError, UnsupportedQueryError):
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    if not result.is_approximate:
-        return TrialResult(truth, truth, hit=True, refused=True)
-    value = result.scalar()
-    rel_err = abs(value - truth) / abs(truth) if truth else 0.0
-    cell = result.estimate("rev", 0)
-    # "spec" claim: the promise is |err| <= ε, not just CI coverage.
-    return TrialResult(
-        value, truth, rel_err <= spec.relative_error, cell.ci_low, cell.ci_high
-    )
-
-
-def _quickr_engine(ctx: AuditContext, seed: int) -> TrialResult:
-    db = ctx.tpch
-    spec = ErrorSpec(relative_error=0.10, confidence=0.95)
-    exact = ctx.oracle.groups(_QUICKR_SQL, "flag", "rev")
-    try:
-        result = db.sql(
-            _QUICKR_SQL,
-            options=QueryOptions(spec=spec, technique="quickr", seed=seed),
-        )
-    except (InfeasiblePlanError, UnsupportedQueryError):
-        return TrialResult(math.nan, math.nan, hit=False, refused=True)
-    return _grouped_ci_trial(result, exact, "flag", "rev")
+def _spec(technique=None, relative_error=0.10, **options) -> QueryOptions:
+    spec = ErrorSpec(relative_error=relative_error, confidence=0.95)
+    return QueryOptions(spec=spec, technique=technique, **options)
 
 
 # ----------------------------------------------------------------------
@@ -880,8 +644,9 @@ def _wavelet_range(ctx: AuditContext, seed: int) -> TrialResult:
 # Registry
 # ----------------------------------------------------------------------
 
-def build_paths() -> List[AuditPath]:
+def build_paths() -> List[Union[AuditPath, DoorRow]]:
     """All audited paths, in report order."""
+    # DoorRow(name, door, entry, sql, fixture, options, ...)
     return [
         AuditPath(
             name="srs_sum",
@@ -927,31 +692,21 @@ def build_paths() -> List[AuditPath]:
             run=_stratified_joint,
             expected_failure=True,
         ),
-        AuditPath(
-            name="offline_blinkdb_grouped",
-            family="offline",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "BlinkDB-style stratified offline sample answering a "
-                "grouped TPC-H query through the rewriter (joint coverage)"
-            ),
-            run=_offline_blinkdb,
-            heavy=True,
+        DoorRow(
+            "offline_blinkdb_grouped", "Database.sql", "offline_sample",
+            (_GROUPED_SQL,), _blinkdb_sample, _spec("offline_sample"),
+            family="offline", heavy=True,
+            description="BlinkDB-style stratified offline sample answering a "
+            "grouped TPC-H query through the rewriter (joint coverage)",
         ),
-        AuditPath(
-            name="tuned_synopsis",
-            family="offline",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Stratified sample chosen and built by the workload-"
-                "adaptive tuner (one daemon cycle over synthetic grouped "
-                "demand) answering the grouped query it was tuned for "
-                "(joint coverage)"
-            ),
-            run=_tuned_synopsis,
-            heavy=True,
+        DoorRow(
+            "tuned_synopsis", "Database.sql", "offline_sample",
+            ("SELECT seg, SUM(v) AS s FROM events GROUP BY seg",),
+            _tuned_events, _spec("offline_sample", relative_error=0.20),
+            family="offline", heavy=True,
+            description="Stratified sample chosen and built by the workload-"
+            "adaptive tuner (one daemon cycle over synthetic grouped demand) "
+            "answering the grouped query it was tuned for (joint coverage)",
         ),
         AuditPath(
             name="sample_seek_distribution",
@@ -965,46 +720,47 @@ def build_paths() -> List[AuditPath]:
             run=_sample_seek,
             heavy=True,
         ),
-        AuditPath(
-            name="appended_sample",
-            family="offline",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Stratified and uniform samples maintained through 12 "
-                "drifting 1% appends answer a grouped SUM and a scalar AVG "
-                "fresh (staleness 0, not degraded); both must cover the "
-                "current exact answer"
+        DoorRow(
+            "appended_sample", "ResilientEngine.sql", "requested",
+            (
+                "SELECT seg, SUM(v) AS s FROM events GROUP BY seg",
+                "SELECT AVG(v) AS a FROM events",
             ),
-            run=_appended_sample,
+            _appended_events, _spec("offline_sample", relative_error=0.5),
+            family="offline", answer="fresh",
+            description="Stratified and uniform samples maintained through "
+            "12 drifting 1% appends answer a grouped SUM and a scalar AVG "
+            "fresh (staleness 0, not degraded); both must cover the current "
+            "exact answer",
         ),
-        AuditPath(
-            name="degraded_stale_widened",
-            family="resilience",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Degradation ladder stale-synopsis rung: a sample built "
-                "at 80% of the table answers the grown table through "
-                "ResilientEngine; the staleness-widened CI must still "
-                "cover the current exact answer"
-            ),
-            run=_degraded_stale_widened,
-            heavy=True,
+        DoorRow(
+            "degraded_stale_widened", "ResilientEngine.sql", "stale_synopsis",
+            ("SELECT SUM(value) AS s FROM events",), _stale_prefix,
+            _spec("offline_sample"),
+            family="resilience", answer="degraded", heavy=True,
+            description="Degradation ladder stale-synopsis rung: a sample "
+            "built at 80% of the table answers the grown table through "
+            "ResilientEngine; the staleness-widened CI must still cover the "
+            "current exact answer",
         ),
-        AuditPath(
-            name="degraded_missing_shard",
-            family="resilience",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Scatter-gather k-of-n serving: one of 8 shards is "
-                "killed; the 7-shard OLA answer, widened by the missing "
-                "shard's catalog envelope, must still cover the exact "
-                "whole-table SUM"
-            ),
-            run=_degraded_missing_shard,
+        DoorRow(
+            "degraded_missing_shard", "ScatterGatherExecutor.sql", "ola",
+            ("SELECT SUM(value) AS s FROM exp_t",), _sharded, _spec("ola"),
+            family="resilience", answer="degraded", faults=_kill_one_shard,
             heavy=True,
+            description="Scatter-gather k-of-n serving: one of 8 shards is "
+            "killed; the 7-shard OLA answer, widened by the missing shard's "
+            "catalog envelope, must still cover the exact whole-table SUM",
+        ),
+        DoorRow(
+            "sharded_exact_missing_shard", "ScatterGatherExecutor.sql",
+            "exact", _SHARDED_SQL, _sharded, QueryOptions(technique="exact"),
+            family="resilience", claim="bound", claimed_coverage=1.0,
+            answer="degraded", cycle=True, faults=_kill_one_shard,
+            description="Scatter-gather exact with one of 8 shards killed: "
+            "the served shards' partials widened by the missing shard's "
+            "catalog envelope bound the whole-table SUM, filtered AVG and "
+            "COUNT deterministically",
         ),
         AuditPath(
             name="ola_fixed_stop",
@@ -1014,30 +770,30 @@ def build_paths() -> List[AuditPath]:
             description="Online aggregation CI at a FIXED 10% stopping point",
             run=_ola_fixed_stop,
         ),
-        AuditPath(
-            name="sharded_ola_fixed_stop",
-            family="online",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Scatter-gather OLA over 8 shards, all served: per-shard "
-                "fixed-stop CIs from a random 30% of each shard, merged; "
-                "SUM and a filtered AVG must cover the whole-table answer"
-            ),
-            run=_sharded_ola_fixed_stop,
+        DoorRow(
+            "sharded_ola_fixed_stop", "ScatterGatherExecutor.sql", "ola",
+            _SHARDED_SQL[:2], _sharded, QueryOptions(technique="ola"),
+            family="online", answer="not_degraded", cycle=True,
+            description="Scatter-gather OLA over 8 shards, all served: "
+            "per-shard fixed-stop CIs from a random 30% of each shard, "
+            "merged; SUM and a filtered AVG must cover the whole-table answer",
         ),
-        AuditPath(
-            name="sharded_sample",
-            family="offline",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Scatter-gather over per-shard uniform samples (1000 rows "
-                "each, redrawn per trial), all 8 shards served: SUM, a "
-                "filtered AVG and a COUNT with under 100 matched sample "
-                "rows per shard must cover the whole-table answer"
-            ),
-            run=_sharded_sample,
+        DoorRow(
+            "sharded_ola_empty_shard", "ScatterGatherExecutor.sql", "ola",
+            _SHARDED_SQL[:2], _range_sharded, QueryOptions(technique="ola"),
+            family="online", answer="not_degraded", cycle=True,
+            description="Scatter-gather OLA over a range-sharded twin of the "
+            "exponential table whose first shard is empty (an exact zero): "
+            "SUM and a filtered AVG must cover the whole-table answer",
+        ),
+        DoorRow(
+            "sharded_sample", "ScatterGatherExecutor.sql", "sample",
+            _SHARDED_SQL, _shard_samples, QueryOptions(technique="sample"),
+            family="offline", answer="not_degraded", cycle=True,
+            description="Scatter-gather over per-shard uniform samples (1000 "
+            "rows each, redrawn per trial), all 8 shards served: SUM, a "
+            "filtered AVG and a COUNT with under 100 matched sample rows per "
+            "shard must cover the whole-table answer",
         ),
         AuditPath(
             name="ola_peeking_stop",
@@ -1064,29 +820,44 @@ def build_paths() -> List[AuditPath]:
             run=_ripple_join,
             heavy=True,
         ),
-        AuditPath(
-            name="pilot_engine_spec",
-            family="engine",
-            claim="spec",
-            claimed_coverage=0.95,
-            description=(
-                "Two-stage pilot planner through the advisor: realized "
-                "relative error within the ERROR WITHIN 10% contract"
-            ),
-            run=_pilot_engine,
-            heavy=True,
+        DoorRow(
+            "pilot_engine_spec", "Database.sql", "pilot", (_PILOT_SQL,),
+            _tpch, _spec("pilot"), claim="spec", heavy=True,
+            description="Two-stage pilot planner through the advisor: "
+            "realized relative error within the ERROR WITHIN 10% contract",
         ),
-        AuditPath(
-            name="quickr_engine_ci",
-            family="engine",
-            claim="ci",
-            claimed_coverage=0.95,
-            description=(
-                "Quickr-style query-time sampling through the advisor: "
-                "a-posteriori CIs must still cover (joint across groups)"
-            ),
-            run=_quickr_engine,
-            heavy=True,
+        DoorRow(
+            "quickr_engine_ci", "Database.sql", "quickr", (_GROUPED_SQL,),
+            _tpch, _spec("quickr"), heavy=True,
+            description="Quickr-style query-time sampling through the "
+            "advisor: a-posteriori CIs must still cover (joint across groups)",
+        ),
+        DoorRow(
+            "database_default", "Database.sql", "default", (_LINE_SQL,),
+            _tpch, _spec(), heavy=True,
+            description="The default door, no technique forced (the "
+            "advisor chooses): the grouped answer must cover jointly",
+        ),
+        DoorRow(
+            "ladder_cheaper_technique", "ResilientEngine.sql",
+            "cheaper_technique", (_LINE_SQL,), _tpch,
+            _spec(entry_rung="cheaper_technique"),
+            family="resilience", heavy=True,
+            description="The ladder entered at its cheaper_technique rung "
+            "(an overload shed): query-time sampling must cover jointly",
+        ),
+        DoorRow(
+            "ladder_partial_ola", "ResilientEngine.sql", "partial_ola",
+            (_PILOT_SQL,), _tpch, _spec(entry_rung="partial_ola"),
+            family="resilience", heavy=True,
+            description="The ladder entered at its partial_ola rung: the "
+            "fixed-stop 30% prefix's CI must cover a filtered SUM",
+        ),
+        DoorRow(
+            "serving_frontend", "ServingFrontend.sql", "ladder",
+            (_LINE_SQL,), _tpch, _spec(), family="serving", heavy=True,
+            description="ServingFrontend over the ladder, no technique "
+            "forced: the answer a worker serves must cover jointly",
         ),
         AuditPath(
             name="countmin_point",

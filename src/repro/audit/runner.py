@@ -1,14 +1,13 @@
 """Repeated-trial coverage audits over the audited-path registry.
 
 For every path the runner replays N seeded trials, counts hits (the CI
-or bound held) and refusals (the planner declined with
-``InfeasiblePlanError`` — honoring the contract, so excluded from the
-coverage denominator), and classifies the hit count against the claimed
-coverage with the exact two-sided binomial band. All per-trial seeds are
-derived from one base seed through ``SeedSequence`` spawns keyed on the
-path name, so the whole document is a deterministic function of
-``(seed, mode)`` — wall-clock timings are quarantined under the
-``timing`` key so reports diff cleanly.
+or bound held) and refusals (the door declined — honoring the contract,
+so excluded from the coverage denominator), and classifies the hit
+count against the claimed coverage with the exact two-sided binomial
+band. All per-trial seeds are derived from one base seed through
+``SeedSequence`` spawns keyed on the path name, so the whole document
+is a deterministic function of ``(seed, mode)`` — wall-clock timings
+are quarantined under the ``timing`` key so reports diff cleanly.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .acceptance import DEFAULT_ALPHA, binomial_acceptance_band, coverage_verdict
-from .paths import AuditContext, AuditPath, TrialResult, build_paths
+from .doors import DoorRow, TrialResult
+from .paths import AuditContext, AuditPath, build_paths
 
 #: default base seed; override with ``--seed`` / ``REPRO_SEED``
 DEFAULT_SEED = 1729
@@ -60,13 +60,17 @@ def _round(x: float, digits: int = 6) -> Optional[float]:
 
 
 def audit_one(
-    path: AuditPath,
+    path: Union[AuditPath, DoorRow],
     ctx: AuditContext,
     trials: int,
     base_seed: int,
     alpha: float = DEFAULT_ALPHA,
 ) -> Dict[str, object]:
-    """Run ``trials`` seeded trials of one path and classify the result."""
+    """Run ``trials`` seeded trials of one path and classify the result.
+
+    A row whose options carry a spec also reports ``error_met_frac``:
+    the share of answered trials whose every cell met the spec's ε.
+    """
     outcomes: List[TrialResult] = []
     for trial in range(trials):
         outcomes.append(path.run(ctx, trial_seed(base_seed, path.name, trial)))
@@ -92,7 +96,7 @@ def audit_one(
         # Guarantees are one-sided contracts: "conservative" means wider
         # intervals than claimed, which wastes speedup but breaks nothing.
         ok = verdict != "fail_under" or path.expected_failure
-    return {
+    record = {
         "name": path.name,
         "family": path.family,
         "claim": path.claim,
@@ -116,6 +120,13 @@ def audit_one(
             _mean([o.relative_half_width for o in effective])
         ),
     }
+    if isinstance(path, DoorRow) and path.options.spec is not None:
+        record["error_met_frac"] = (
+            _round(sum(o.error_met for o in effective) / len(effective))
+            if effective
+            else None
+        )
+    return record
 
 
 def run_audit(

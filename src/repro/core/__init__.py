@@ -1,9 +1,10 @@
 """Core layer: error specs, results, the advisor, the trade-off model."""
 
-from .accuracy import GuaranteeReport, TrialOutcome, audit_query, compare_results
-from .advisor import Advisor
+# result before advisor: it loads the engine, which the advisor's
+# offline and sampling imports need fully initialised
 from .errorspec import ErrorSpec
 from .result import ApproximateResult, CellEstimate, QueryResult
+from .advisor import Advisor
 from .session import AQPEngine
 from .tradeoff import (
     TECHNIQUE_PROFILES,
@@ -16,10 +17,6 @@ from .tradeoff import (
 
 __all__ = [
     "Advisor",
-    "GuaranteeReport",
-    "TrialOutcome",
-    "audit_query",
-    "compare_results",
     "AQPEngine",
     "ApproximateResult",
     "CellEstimate",

@@ -143,9 +143,12 @@ def srs_totals(sum_t, sum_t2, m: int, population: int):
     """``(total, variance)`` of a population total from an SRS without
     replacement of ``m`` of ``population`` units whose contributions
     ``t`` have sums ``Σt`` and ``Σt²``: ``N·mean`` and
-    ``N² (1−m/N) s²/m``, elementwise over arrays of sums. No draws give
+    ``N² (1−m/N) s²/m``, elementwise over arrays of sums. An empty
+    population's total is exactly 0; no draws from a non-empty one give
     a NaN total with an infinite variance."""
     sum_t = np.asarray(sum_t, dtype=np.float64)
+    if population == 0:
+        return np.zeros(sum_t.shape), np.zeros(sum_t.shape)
     if m == 0:
         return np.full(sum_t.shape, np.nan), np.full(sum_t.shape, np.inf)
     mean = sum_t / m

@@ -246,6 +246,10 @@ def fixed_stop_snapshot(
     turns them into the piece's total and ``__var``; ``__rows`` is the
     prefix length. Only the filter runs over the whole relation, for the
     matched-row count that transfers selectivity to missing shards.
+
+    A relation with no rows answers an exact zero table (totals and
+    ``__var`` 0, ``__rows`` 0, no matched rows), as an exact shard's
+    would, so it adds nothing to a gather.
     """
     from ..resilience.deadline import resolve_deadline
 

@@ -41,8 +41,8 @@ the true aggregate drifts from the synopsis-time target by at most
 
 which covers both the original sampling error (inflated by the same
 growth) and the drift. The ``degraded_stale_widened`` audit path
-replays this rung against an exact oracle to verify the widened CIs
-still cover at the claimed rate.
+replays this rung against the ladder's exact answer to verify the
+widened CIs still cover at the claimed rate.
 """
 
 from __future__ import annotations

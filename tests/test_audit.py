@@ -1,20 +1,24 @@
 """Tests for the statistical guarantee-audit subsystem.
 
-Fast unit tests for the acceptance-band math, the exact oracle, and the
-report/baseline plumbing — plus a ``@pytest.mark.audit`` smoke-coverage
-test that runs the real path registry end to end (also exercised by
-``python -m repro audit --smoke`` in CI).
+Fast unit tests for the acceptance-band math, the door runner's
+scoring, and the report/baseline plumbing — plus ``@pytest.mark.audit``
+tests that run the real path registry end to end (also exercised by
+``python -m repro audit --smoke`` in CI) and hold it to one row per
+served (entry, door) pair.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.audit import (
-    ExactOracle,
+    AuditContext,
+    DoorRow,
+    audit_one,
     binomial_acceptance_band,
     binomial_cdf,
     build_paths,
@@ -24,12 +28,17 @@ from repro.audit import (
     diff_against_baseline,
     mc_mean_within,
     run_audit,
+    score,
     within_sigma,
     write_report,
 )
 from repro.audit.report import format_table, format_value
 from repro.audit.runner import trial_seed
-from repro.core.result import CellEstimate
+from repro.core.errorspec import ErrorSpec
+from repro.core.options import QueryOptions
+from repro.core.result import ApproximateResult, CellEstimate
+from repro.engine.executor import ExecutionStats
+from repro.engine.table import Table
 from repro.estimators.closed_form import Estimate
 
 
@@ -108,32 +117,72 @@ class TestCovers:
 
 
 # ----------------------------------------------------------------------
-# Exact oracle
+# The door runner's scoring
 # ----------------------------------------------------------------------
-class TestExactOracle:
-    def test_memoizes_engine_results(self, small_db):
-        oracle = ExactOracle(small_db)
-        sql = "SELECT SUM(price) AS s FROM sales"
-        first = oracle.query(sql)
-        assert oracle.query(sql) is first  # cache hit, same object
-        assert oracle.scalar(sql) == pytest.approx(360.0)
+_GROUPED = "SELECT region AS r, SUM(price) AS s FROM sales GROUP BY region"
 
-    def test_groups(self, small_db):
-        oracle = ExactOracle(small_db)
-        groups = oracle.groups(
-            "SELECT region AS r, SUM(price) AS s FROM sales GROUP BY region",
-            "r",
-            "s",
+
+def _answer(keys, values, width):
+    """An approximate grouped answer with a symmetric interval."""
+    values = np.asarray(values, dtype=np.float64)
+    return ApproximateResult(
+        table=Table({"r": np.array(keys, dtype=object), "s": values}),
+        stats=ExecutionStats(),
+        spec=ErrorSpec(0.1, 0.95),
+        technique="test",
+        ci_low={"s": values - width},
+        ci_high={"s": values + width},
+    )
+
+
+class TestDoorRunner:
+    def test_grouped_answer_is_scored_jointly_against_the_twin(self, small_db):
+        twin = small_db.sql(_GROUPED)  # e: 150, w: 210
+        trial = score(_answer(["e", "w"], [155.0, 200.0], 12.0), twin)
+        assert trial.hit and trial.error_met is None
+        assert (trial.value, trial.exact) == (355.0, 360.0)
+        # One cell outside its interval misses the joint claim.
+        assert not score(_answer(["e", "w"], [155.0, 195.0], 12.0), twin).hit
+
+    def test_missing_group_misses_coverage_and_spec(self, small_db):
+        twin = small_db.sql(_GROUPED)
+        trial = score(_answer(["e"], [150.0], 1.0), twin, ErrorSpec(0.1, 0.95))
+        assert not trial.hit and trial.error_met is False
+
+    def test_interval_edges_compare_at_rel_tol(self, small_db):
+        twin = small_db.sql(_GROUPED)  # e: 150, w: 210
+        near = _answer(["e", "w"], [150.0 * (1 + 1e-12), 210.0], 0.0)
+        assert score(near, twin).hit
+        assert not score(_answer(["e", "w"], [150.001, 210.0], 0.0), twin).hit
+        # An envelope that ends at the truth, up to summation order.
+        edge = _answer(["e", "w"], [150.0 * (1 - 1e-12) - 5.0, 205.0], 5.0)
+        assert score(edge, twin).hit
+        assert not score(_answer(["e", "w"], [144.0, 205.0], 5.0), twin).hit
+
+    def test_spec_claim_hits_on_error_met(self, small_db):
+        twin = small_db.sql(_GROUPED)
+        wide_miss = _answer(["e", "w"], [160.0, 210.0], 0.0)
+        trial = score(wide_miss, twin, ErrorSpec(0.1, 0.95), claim="spec")
+        assert trial.hit and trial.error_met
+        assert not score(wide_miss, twin, ErrorSpec(0.01, 0.95), "spec").hit
+
+    def test_truth_is_the_door_exact_twin(self, small_db):
+        """A row over one's own database: every trial is scored against
+        ``technique="exact"`` through the same door."""
+        row = DoorRow(
+            name="own_query",
+            door="ResilientEngine.sql",
+            entry="partial_ola",
+            sql=("SELECT SUM(price) AS s FROM sales",),
+            fixture=lambda ctx, seed: nullcontext(small_db),
+            options=QueryOptions(
+                spec=ErrorSpec(0.5, 0.95), entry_rung="partial_ola"
+            ),
         )
-        assert groups == {"e": pytest.approx(150.0), "w": pytest.approx(210.0)}
-
-    def test_columnar_truths(self, small_db):
-        oracle = ExactOracle(small_db)
-        assert oracle.distinct_count("sales", "region") == 2
-        assert oracle.frequencies("sales", "region")["e"] == 4
-        assert oracle.range_count("sales", "price", 20.0, 40.0) == 3
-        assert oracle.column_sum("sales", "price") == pytest.approx(360.0)
-        assert oracle.group_sums("sales", "region", "qty")["w"] == pytest.approx(13.0)
+        trial = row.run(AuditContext(), 7)
+        assert trial.exact == 360.0 and not trial.refused
+        record = audit_one(row, AuditContext(), 3, base_seed=0)
+        assert record["trials"] == 3 and "error_met_frac" in record
 
 
 # ----------------------------------------------------------------------
@@ -251,13 +300,18 @@ class TestReport:
 # ----------------------------------------------------------------------
 # End-to-end smoke coverage of the real registry
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def smoke_doc():
+    return run_audit(smoke=True)
+
+
 @pytest.mark.audit
 @pytest.mark.slow
 @pytest.mark.statistical
-def test_smoke_audit_guarantees_hold():
+def test_smoke_audit_guarantees_hold(smoke_doc):
     """The acceptance gate: every claimed guarantee passes its binomial
     band (or is a recorded paper-predicted failure) on the smoke audit."""
-    doc = run_audit(smoke=True)
+    doc = smoke_doc
     assert doc["summary"]["num_audited"] >= 8
     assert doc["summary"]["num_unexpected_failures"] == 0
     assert doc["summary"]["all_guarantees_ok"]
@@ -268,6 +322,54 @@ def test_smoke_audit_guarantees_hold():
     assert by_name["ola_peeking_stop"]["verdict"] == "fail_under"
     # Every registered path actually produced answers.
     assert all(p["effective_trials"] > 0 for p in doc["paths"])
+    # Every row that asks for a spec reports how often it was met.
+    for path in build_paths():
+        spec = getattr(path, "options", QueryOptions()).spec
+        assert ("error_met_frac" in by_name[path.name]) == (spec is not None)
+
+
+@pytest.mark.audit
+@pytest.mark.slow
+@pytest.mark.statistical
+@pytest.mark.parametrize("name", ["database_default", "quickr_engine_ci"])
+def test_a_row_alone_reports_what_it_reports_in_the_full_run(smoke_doc, name):
+    """Rows share the TPC-H database, so a row that left a synopsis
+    installed would change what later rows are served (the default door
+    would answer from it); each fixture undoes what it installs."""
+    alone = run_audit(smoke=True, path_names=[name])
+    (full,) = [p for p in smoke_doc["paths"] if p["name"] == name]
+    assert alone["paths"] == [full]
+
+
+#: every (door, entry) pair a ``sql()`` door serves
+SERVED_PAIRS = {
+    ("Database.sql", "offline_sample"),
+    ("Database.sql", "pilot"),
+    ("Database.sql", "quickr"),
+    ("Database.sql", "default"),
+    ("ResilientEngine.sql", "requested"),
+    ("ResilientEngine.sql", "stale_synopsis"),
+    ("ResilientEngine.sql", "cheaper_technique"),
+    ("ResilientEngine.sql", "partial_ola"),
+    ("ScatterGatherExecutor.sql", "exact"),
+    ("ScatterGatherExecutor.sql", "ola"),
+    ("ScatterGatherExecutor.sql", "sample"),
+    ("ServingFrontend.sql", "ladder"),
+}
+
+
+@pytest.mark.audit
+def test_every_served_pair_has_a_row():
+    rows = [p for p in build_paths() if isinstance(p, DoorRow)]
+    assert SERVED_PAIRS <= {(r.door, r.entry) for r in rows}
+    # The sharded exact pair is audited degraded: served whole it is
+    # the exact answer itself.
+    assert any(
+        r.door == "ScatterGatherExecutor.sql"
+        and r.entry == "exact"
+        and r.answer == "degraded"
+        for r in rows
+    )
 
 
 @pytest.mark.audit

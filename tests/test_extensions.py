@@ -1,15 +1,13 @@
 """Tests for the extension modules: bi-level sampling, the IDEA-style
 reuse cache, the FM sketch, the accuracy audit harness, and the CLI."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro import Database, ErrorSpec, Table, UnsupportedQueryError
-from repro.core.accuracy import (
-    GuaranteeReport,
-    audit_query,
-    compare_results,
-)
+from repro.audit import AuditContext, DoorRow, audit_one, score
 from repro.core.exceptions import MergeError
 from repro.core.options import QueryOptions
 from repro.online import ReuseCache
@@ -226,6 +224,9 @@ class TestFlajoletMartin:
 # ----------------------------------------------------------------------
 
 class TestAccuracyHarness:
+    """Repeated approximate runs of one's own query, scored against the
+    door's exact twin by the audit's door runner."""
+
     @pytest.fixture
     def db(self, rng):
         n = 200_000
@@ -237,8 +238,22 @@ class TestAccuracyHarness:
         )
         return db
 
+    @staticmethod
+    def _audit(db, sql, spec, trials, seed, technique=None, claim="spec"):
+        row = DoorRow(
+            name="own_query",
+            door="Database.sql",
+            entry=technique or "default",
+            sql=(sql,),
+            fixture=lambda ctx, trial_seed: nullcontext(db),
+            options=QueryOptions(spec=spec, technique=technique),
+            claim=claim,
+            claimed_coverage=spec.confidence,
+        )
+        return audit_one(row, AuditContext(), trials, base_seed=seed)
+
     def test_audit_reports_no_violations_for_pilot(self, db):
-        report = audit_query(
+        record = self._audit(
             db,
             "SELECT g, SUM(v) AS s FROM t GROUP BY g",
             ErrorSpec(0.1, 0.95),
@@ -246,20 +261,22 @@ class TestAccuracyHarness:
             seed=1,
             technique="pilot",
         )
-        assert report.trials == 5
-        assert report.holds
-        assert report.max_observed_error() <= 0.1
+        assert record["trials"] == record["effective_trials"] == 5
+        assert record["guarantee_ok"] and record["hits"] == 5
+        # Every cell of every trial within 10% of the exact twin.
+        assert record["error_met_frac"] == 1.0
 
     def test_audit_counts_exact_fallbacks_as_ok(self, db):
-        report = audit_query(
+        record = self._audit(
             db,
-            "SELECT MAX(v) AS m FROM t",  # advisor falls back to exact
+            "SELECT MAX(v) AS m FROM t",  # the advisor falls back to exact
             ErrorSpec(0.05, 0.95),
             trials=2,
             seed=2,
         )
-        assert report.violations == 0
-        assert all(o.fell_back_to_exact for o in report.outcomes)
+        # An exact answer is a refusal to approximate, never a miss.
+        assert record["refusals"] == 2
+        assert record["effective_trials"] == record["hits"] == 0
 
     def test_compare_results_detects_missing_groups(self, db):
         exact = db.sql("SELECT g, SUM(v) AS s FROM t GROUP BY g")
@@ -268,13 +285,23 @@ class TestAccuracyHarness:
             "ERROR WITHIN 10% CONFIDENCE 90%",
             options=QueryOptions(seed=3),
         )
-        outcome = compare_results(approx, exact)
-        assert outcome.missing_groups == 2
-        assert not outcome.within(ErrorSpec(0.1, 0.9))
+        outcome = score(approx, exact, ErrorSpec(0.1, 0.9))
+        assert not outcome.hit
+        assert outcome.error_met is False
 
-    def test_report_violation_rate(self):
-        report = GuaranteeReport(spec=ErrorSpec(0.1, 0.9), trials=10, violations=1)
-        assert report.violation_rate == 0.1
+    def test_report_violation_rate(self, db):
+        # A spec no sample can meet: every answered trial violates it.
+        record = self._audit(
+            db,
+            "SELECT g, SUM(v) AS s FROM t GROUP BY g",
+            ErrorSpec(1e-6, 0.9),
+            trials=2,
+            seed=4,
+            technique="quickr",
+            claim="ci",
+        )
+        assert record["effective_trials"] == 2
+        assert record["error_met_frac"] == 0.0
 
 
 # ----------------------------------------------------------------------

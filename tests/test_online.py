@@ -1037,7 +1037,7 @@ class TestFixedStopSnapshot:
                 rtol=1e-9, atol=1e-12, err_msg=spec.alias,
             )
 
-    def test_an_empty_relation_has_a_nan_total_and_no_bound(self):
+    def test_an_empty_relation_is_an_exact_zero_table(self):
         db = Database()
         db.create_table("t", {"v": np.zeros(0)})
         relation = SliceRelation(db.table("t"), 0, 0, {"v": "t.v"})
@@ -1048,8 +1048,8 @@ class TestFixedStopSnapshot:
         piece = prepared.aggregate.specs[0].alias
         assert matched == 0.0
         assert list(moments["__rows"]) == [0]
-        assert math.isnan(moments[piece][0])
-        assert moments[piece + "__var"][0] == math.inf
+        assert list(moments[piece]) == [0.0]
+        assert list(moments[piece + "__var"]) == [0.0]
 
     def test_three_rows_over_two_shards(self):
         table = Table({"v": np.array([1.0, 2.0, 3.0])}, name="t")
@@ -1062,10 +1062,9 @@ class TestFixedStopSnapshot:
         )
         assert result.scalar() == 6.0
 
-    def test_an_empty_shard_leaves_the_answer_nan(self):
-        """A range shard with no rows reads no prefix: its NaN total with
-        an infinite variance reaches the merge, as it did when the shard
-        answered through an ``OnlineAggregator``."""
+    def test_an_empty_shard_adds_nothing_to_the_answer(self):
+        """A range shard with no rows answers an exact zero, so the
+        served shard's prefix (here all three rows) is the answer."""
         table = Table(
             {"v": np.array([1.0, 2.0, 3.0]), "k": np.zeros(3, dtype=np.int64)},
             name="t",
@@ -1073,13 +1072,14 @@ class TestFixedStopSnapshot:
         sharded = ShardedTable.from_table(table, 2, by="range", key="k")
         assert sorted(s.table.num_rows for s in sharded.shards) == [0, 3]
         result = ScatterGatherExecutor(sharded, max_workers=1).sql(
-            "SELECT SUM(v) AS s FROM t",
+            "SELECT SUM(v) AS s, AVG(v) AS a FROM t",
             options=QueryOptions(
                 seed=0, technique="ola", spec=ErrorSpec(0.1, 0.95)
             ),
         )
-        assert math.isnan(result.scalar())
-        assert result.spec.relative_error == 0.99
+        assert result.table["s"][0] == 6.0 and result.table["a"][0] == 2.0
+        assert result.estimate("s").ci_low == result.estimate("s").ci_high == 6.0
+        assert not result.is_degraded
 
     @pytest.mark.statistical
     @pytest.mark.parametrize(
