@@ -63,6 +63,7 @@ from ..sharding import ShardedTable
 from ..sketches.countmin import CountMinSketch
 from ..sketches.hyperloglog import HyperLogLog
 from ..sketches.kmv import KMVSketch
+from ..storage.blocks import clustered_layout
 from ..wavelets.haar import build_wavelet_synopsis
 from ..workloads import generate_tpch, heavy_tailed_table, zipf_group_table
 from .doors import DoorRow, TrialResult
@@ -142,6 +143,19 @@ class AuditContext:
             "sharded_exponential",
             lambda: ShardedTable.from_table(
                 self.exponential, num_shards=self.NUM_SHARDS
+            ),
+        )
+
+    @property
+    def clustered_sharded_exponential(self) -> ShardedTable:
+        """The exponential table sorted by value, then hash-sharded 8
+        ways: every shard keeps the sorted order, so its blocks are
+        internally alike and differ from each other."""
+        return self._table(
+            "clustered_sharded_exponential",
+            lambda: ShardedTable.from_table(
+                clustered_layout(self.exponential, "value"),
+                num_shards=self.NUM_SHARDS,
             ),
         )
 
@@ -370,6 +384,7 @@ def _shared(dataset: str) -> Callable:
 _tpch = _shared("tpch")
 _sharded = _shared("sharded_exponential")
 _range_sharded = _shared("range_sharded_exponential")
+_clustered_sharded = _shared("clustered_sharded_exponential")
 
 
 @contextmanager
@@ -775,8 +790,18 @@ def build_paths() -> List[Union[AuditPath, DoorRow]]:
             _SHARDED_SQL[:2], _sharded, QueryOptions(technique="ola"),
             family="online", answer="not_degraded", cycle=True,
             description="Scatter-gather OLA over 8 shards, all served: "
-            "per-shard fixed-stop CIs from a random 30% of each shard, "
-            "merged; SUM and a filtered AVG must cover the whole-table answer",
+            "per-shard fixed-stop CIs from a random 30% of each shard's "
+            "blocks, merged; SUM and a filtered AVG must cover the "
+            "whole-table answer",
+        ),
+        DoorRow(
+            "sharded_ola_clustered", "ScatterGatherExecutor.sql", "ola",
+            _SHARDED_SQL[:2], _clustered_sharded, QueryOptions(technique="ola"),
+            family="online", answer="not_degraded", cycle=True,
+            description="Scatter-gather OLA over a value-sorted twin of the "
+            "exponential table: blocks are homogeneous, so the block SRS "
+            "intervals widen (the design effect) and must still cover the "
+            "SUM and a filtered AVG",
         ),
         DoorRow(
             "sharded_ola_empty_shard", "ScatterGatherExecutor.sql", "ola",

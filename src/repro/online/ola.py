@@ -14,12 +14,14 @@ over what it read.
 
 The ``sql()`` doors (the sharded ``ola`` technique, the ladder's
 ``partial_ola`` rung) read one answer at a stop fixed before reading,
-so they need no stream: :func:`fixed_stop_snapshot` draws just the rows
-it can reach as a random ordered subset and returns the *moment table*
-(:mod:`repro.online.estimation`) of the prefix it read — 30% of the
-relation, all of it under a deadline — plus the filter's matched-row
-count over the whole relation. Its intervals come from the same
-functions as every other sampled answer's.
+so they need no stream. :func:`fixed_stop_snapshot` reads a uniformly
+random ordered subset of the relation's whole *blocks* — 30% of them,
+all of them under a deadline — as contiguous slices, the read order of
+a block store (row-level sampling still touches every block; a block
+prefix skips the rest), and returns the *moment table*
+(:mod:`repro.online.estimation`) of that prefix: an SRS of blocks, as
+the pilot's block sample is, plus a partial tail block read whole. Its
+intervals come from the same functions as every other sampled answer's.
 """
 
 from __future__ import annotations
@@ -215,86 +217,187 @@ class OnlineAggregator:
         return last
 
 
+#: The fixed stop: the share of a relation's full blocks a fixed-stop
+#: answer reads when no deadline paces it.
+FIXED_STOP_FRACTION = 0.30
+
+#: Fewest full blocks a fixed-stop answer samples from. Below it a 30%
+#: prefix has too few possible draws for its t interval to cover (four
+#: full blocks admit six two-block prefixes), so the relation is read
+#: whole.
+MIN_SAMPLED_BLOCKS = 14
+
+
 def fixed_stop_snapshot(
     prepared,
     relation,
-    seed: Optional[int],
+    seed,
     batch_size: int,
+    block_size: int,
     deadline=None,
     on_step: Optional[Callable[[], None]] = None,
-) -> Tuple[Table, float]:
+) -> Tuple[Table, float, int]:
     """Fixed-stop OLA answer to a bound scalar aggregate over ``relation``:
-    ``(moment table, matched rows)``.
+    ``(moment table, matched rows, rows read)``.
 
     ``prepared`` is the query's partial-aggregate chain
     (:func:`~repro.engine.fused.prepare_partial_aggregate`): its filter
     gives the predicate match, its pieces' inputs the values (one per
-    matched row for a COUNT piece). Stopping is data-independent — the
-    deadline (external) or a fixed 30% of the rows, never "stop when the
-    CI first looks good", which would forfeit coverage (the peeking
-    fallacy) — so the prefix read is an SRS of the relation and its
-    intervals are honest.
+    matched row for a COUNT piece). ``block_size`` is the rows per block
+    of the table under ``relation``, and ``seed`` anything
+    :func:`numpy.random.default_rng` takes. Stopping is
+    data-independent — the deadline (external) or a fixed 30% of the
+    blocks, never "stop when the CI first looks good", which would
+    forfeit coverage (the peeking fallacy) — so the prefix read is an
+    SRS of blocks and its intervals are honest.
 
-    The read order is a uniformly random ordered subset of just the rows
-    the run can reach (at least one batch, which the expired-deadline
-    answer reads). The batches only pace the run: the deadline is checked
-    before each one, and each ends with an ``ola_step`` event and
-    ``on_step`` (fault sites, straggler checks), which may raise to
-    abandon the attempt. After the loop, one pass over the prefix takes
-    each piece's ``Σt`` and ``Σt²`` (``t`` = its input times the
-    predicate match), and :func:`~repro.online.estimation.srs_totals`
-    turns them into the piece's total and ``__var``; ``__rows`` is the
-    prefix length. Only the filter runs over the whole relation, for the
-    matched-row count that transfers selectivity to missing shards.
+    The ``B = n // block_size`` full blocks are read in a uniformly
+    random order, each as one contiguous slice: the filter and the
+    inputs run over the prefix only, with no whole-relation pass and no
+    row gather. A partial tail block is a take-all stratum: it is always
+    read whole and added exactly, and the SRS runs over the equal-size
+    full blocks alone (a short tail drawn as an ordinary unit biases the
+    total). The batches (``batch_size`` rows rounded up to whole blocks,
+    at least two) only pace the run: the deadline is checked before each
+    one, and each ends with an ``ola_step`` event and ``on_step`` (fault
+    sites, straggler checks), which may raise to abandon the attempt; an
+    expired deadline still reads one batch. Then each piece's per-block
+    sums ``Σt_b`` (``t`` = its input times the predicate match) go to
+    :func:`~repro.online.estimation.srs_totals` with the ``m`` blocks
+    read and ``B``, for the piece's total and ``__var``, and the tail's
+    exact sum is added to the total. ``__rows`` is ``m``, so the t rule
+    of :func:`~repro.online.estimation.piece_intervals` reads the SRS's
+    degrees of freedom; the rows read (``m·block_size`` plus the tail)
+    are returned beside the table, for budgets and statistics. The
+    matched rows are the prefix's estimate of the relation's (exact
+    without a filter), as a ``sample`` shard's ``Σw`` is; the shard
+    gather reads them only to centre a missing shard's widening.
 
-    A relation with no rows answers an exact zero table (totals and
-    ``__var`` 0, ``__rows`` 0, no matched rows), as an exact shard's
-    would, so it adds nothing to a gather.
+    A relation with fewer than :data:`MIN_SAMPLED_BLOCKS` full blocks is
+    read whole, under any deadline: a census, whose totals are exact
+    with ``__var`` 0 and ``__rows`` the rows read, so its intervals have
+    zero width (a one-row relation's stays unbounded). A variance is
+    never estimated from one block. The guarantee audit's smoke-scale
+    ``exp_t`` shards (about 3 400 rows: six full 512-row blocks each)
+    are census answers; at full scale (about 7 500 rows, 14 blocks) they
+    are SRS answers from four blocks. A relation with no rows answers an
+    exact zero table, as an exact shard's would, so it adds nothing to a
+    gather.
+
+    Clustered data widens these intervals honestly: when blocks are
+    internally alike and differ from each other, the between-block
+    variance the SRS measures is large — the design effect
+    ``benchmarks/bench_a01_block_variance.py`` measures — and the
+    interval says so instead of losing coverage.
     """
     from ..resilience.deadline import resolve_deadline
 
     n = relation.num_rows
-    limit = int(n * (1.0 if deadline is not None else 0.30))
-    reach = max(limit, min(batch_size, n))
-    rows = np.random.default_rng(seed).choice(n, reach, replace=False)
+    full, tail = divmod(n, block_size)
+    census = full < MIN_SAMPLED_BLOCKS
+    batch = max(2, -(-batch_size // block_size))
+    if census:
+        # paced like any read, but read whole whatever the deadline
+        limit = full + (tail > 0)
+    else:
+        limit = full if deadline is not None else max(
+            2, int(full * FIXED_STOP_FRACTION)
+        )
     deadline = resolve_deadline(deadline)
     seen = 0
     while seen < limit and not (deadline is not None and deadline.expired):
-        seen = min(seen + batch_size, limit)
-        event("ola_step", rows_seen=seen, fraction=seen / n)
+        seen = min(seen + batch, limit)
+        rows = min(seen * block_size, n)
+        event("ola_step", rows_seen=rows, fraction=rows / n)
         if on_step is not None:
             on_step()
-    # Deadline already expired: answer from one minimal batch.
-    seen = seen or min(batch_size, n)
-    prefix = rows[:seen]
-    drawn = LazyRelation(
-        {
-            name: (lambda name=name: relation[name][prefix])
-            for name in relation.column_names
-        },
-        seen,
+    if census:
+        return _estimate(prepared, relation, 0, full, block_size)
+    # the first blocks of a random order (one batch at least), read as
+    # slices in ascending order, which does not change the estimate
+    m = max(seen, min(batch, limit))
+    order = np.random.default_rng(seed).permutation(full)[:m]
+    starts = (np.sort(order) * block_size).tolist()
+    tail_start = full * block_size
+
+    def read(name: str) -> np.ndarray:
+        column = relation[name]
+        return np.concatenate(
+            [column[s:s + block_size] for s in starts] + [column[tail_start:]]
+        )
+
+    prefix = LazyRelation(
+        {name: (lambda name=name: read(name)) for name in relation.column_names},
+        m * block_size + tail,
     )
-    mask = filter_mask(prepared, relation)
-    if mask is None:
-        matches, matched = None, float(n)
-    else:
-        matches, matched = mask[prefix], float(np.count_nonzero(mask))
+    return _estimate(prepared, prefix, m, full, block_size)
+
+
+def _estimate(
+    prepared, rel, m: int, full: int, block_size: int
+) -> Tuple[Table, float, int]:
+    """``(moment table, matched rows, rows read)`` of ``rel``: its first
+    ``m`` blocks an SRS of the ``full`` full blocks, the rows after them
+    added whole (the tail, or every row of a census, ``m`` = 0)."""
+    n = rel.num_rows
+    mask = filter_mask(prepared, rel)
+    counts = _block_sums(None, mask, m, block_size, n)
     cols = {}
     for spec, input_fn in zip(prepared.aggregate.specs, prepared.aggregate.input_fns):
         if spec.alias == ROWS_COLUMN:
             continue
-        if spec.func == "count":
-            t = np.ones(seen) if matches is None else matches.astype(np.float64)
-        else:
-            t = np.asarray(input_fn(drawn), dtype=np.float64)
-            if matches is not None:
-                t = np.where(matches, t, 0.0)
-            t = np.broadcast_to(t, seen)
-        total, variance = srs_totals(np.sum(t), np.dot(t, t), seen, n)
-        cols[spec.alias] = np.array([total])
+        t_b, rest = (
+            counts
+            if spec.func == "count"
+            else _block_sums(input_fn(rel), mask, m, block_size, n)
+        )
+        total, variance = (
+            srs_totals(t_b.sum(), t_b @ t_b, m, full) if m else (0.0, 0.0)
+        )
+        cols[spec.alias] = np.array([total + rest])
         cols[spec.alias + VARIANCE_SUFFIX] = np.array([variance])
-    cols[ROWS_COLUMN] = np.array([seen])
-    return Table(cols, name="aggregate"), matched
+    cols[ROWS_COLUMN] = np.array([m or n])
+    t_b, rest = counts
+    matched = (full * t_b.sum() / m if m else 0.0) + rest
+    return Table(cols, name="aggregate"), float(matched), n
+
+
+def _block_sums(values, mask, m: int, block_size: int, n: int):
+    """``(Σt per block, Σt after them)``: the sums of ``t`` = ``values``
+    (1 when ``None``) times the predicate match over each of the first
+    ``m`` blocks of ``block_size`` rows, and over the rows after them."""
+    head = m * block_size
+    if values is None:
+        if mask is None:
+            return np.full(m, float(block_size)), float(n - head)
+        # a bool's bytes are its 0/1 count
+        counts = mask[:head].view(np.uint8).reshape(m, block_size)
+        return (
+            counts.sum(axis=1, dtype=np.uint32).astype(np.float64),
+            float(np.count_nonzero(mask[head:])),
+        )
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n,):  # a constant input
+        values = np.broadcast_to(values, n)
+    if mask is None:
+        return (
+            values[:head].reshape(m, block_size).sum(axis=1),
+            float(values[head:].sum()),
+        )
+    sums = _masked_sums(values[:head].reshape(m, block_size), mask[:head])
+    rest = _masked_sums(values[head:].reshape(1, -1), mask[head:])
+    return sums, float(rest[0])
+
+
+def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row sums of ``values`` over the rows' ``mask``ed entries."""
+    mask = mask.reshape(values.shape)
+    sums = np.einsum("ij,ij->i", values, mask)
+    if not np.isfinite(sums).all():
+        # an infinite or NaN input the predicate left out (a division by
+        # zero it guards against, say) must not reach the sum
+        sums = np.where(mask, values, 0.0).sum(axis=1)
+    return sums
 
 
 def peeking_coverage(

@@ -27,13 +27,18 @@ measures.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.errorspec import ErrorSpec
 from ..core.exceptions import InfeasiblePlanError
-from ..core.result import ApproximateResult, max_relative_half_width
+from ..core.result import (
+    ApproximateResult,
+    claimed_relative_error,
+    max_relative_half_width,
+)
 from ..engine.executor import ExecutionStats
 from ..engine.plan import SampleClause, attach_sample
 from ..engine.table import Table
@@ -104,7 +109,13 @@ class QuickrPlanner:
         return ApproximateResult(
             table=out_table,
             stats=stats,
-            spec=spec,
+            # the a-posteriori answer states what its widest cell achieved
+            spec=replace(
+                spec,
+                relative_error=claimed_relative_error(
+                    spec.relative_error, out_table, ci_low, ci_high
+                ),
+            ),
             technique="quickr",
             ci_low=ci_low,
             ci_high=ci_high,

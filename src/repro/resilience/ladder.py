@@ -14,8 +14,9 @@ chain* instead of aborting:
 3. **cheaper_technique** — query-time sampling that needs no
    precomputation (:data:`~repro.core.advisor.QUERY_TIME_TECHNIQUES`),
    less whatever already refused this query;
-4. **partial_ola** — the fixed-stop online-aggregation prefix that fits
-   in the remaining deadline, reported with its honest CI;
+4. **partial_ola** — the fixed-stop online-aggregation prefix of whole
+   blocks that fits in the remaining deadline, reported with its honest
+   CI;
 5. **exact_no_guarantee** — exact execution, dropping the error
    contract entirely (there is an answer, there is no speedup);
 6. **refusal** — a typed :class:`~repro.core.exceptions.QueryRefused`
@@ -70,7 +71,6 @@ from ..core.exceptions import (
 from ..core.options import LADDER_RUNGS, QueryOptions
 from ..core.result import ApproximateResult, claimed_relative_error
 from ..core.session import execute_exact, run_query
-from ..engine.aggregates import ROWS_COLUMN
 from ..engine.executor import ExecutionStats
 from ..engine.fused import SliceRelation, prepare_partial_aggregate
 from ..engine.kernel_cache import get_kernel_cache
@@ -449,14 +449,14 @@ class ResilientEngine:
             base, 0, base.num_rows,
             {c: f"{target.alias}.{c}" for c in base.column_names},
         )
-        moments, _matched = fixed_stop_snapshot(
+        moments, _matched, rows_seen = fixed_stop_snapshot(
             prepare_partial_aggregate(bound, get_kernel_cache()),
             qualified,
             seed=options.seed,
             batch_size=max(512, base.num_rows // 50),
+            block_size=base.block_size,
             deadline=deadline,
         )
-        rows_seen = int(moments[ROWS_COLUMN][0])
         if budget is not None:
             budget.charge(rows=rows_seen, site="partial_ola")
         table, ci_low, ci_high = project_output_with_intervals(bound, spec, moments)

@@ -8,8 +8,9 @@ variance ``p__var`` for sampled techniques, and the rows behind it,
 (:func:`~repro.engine.fused.prepare_partial_aggregate`, through the
 kernel cache) — over its shard, or block by block when a deadline,
 budget, hedge carve-out or fault injector needs block boundaries; an
-``ola`` shard hands back the moment table of one fixed-stop prefix
-(:func:`~repro.online.ola.fixed_stop_snapshot`); a ``sample`` shard
+``ola`` shard hands back the moment table of one fixed-stop prefix of
+its whole blocks (:func:`~repro.online.ola.fixed_stop_snapshot`,
+``__rows`` counting blocks); a ``sample`` shard
 folds the HT moments of its catalog sample. Shards run one after another in
 the calling thread (on a thread pool when the query has a deadline).
 Gathering is :func:`~.merge.merge_partial_tables` (concatenate,
@@ -534,6 +535,8 @@ class ScatterGatherExecutor:
                 partial, rows = self._exact_partial(shard, q, give_way)
             elif q.technique == "ola":
                 partial, rows = self._ola_partial(shard, q, give_way)
+                # whole blocks, the tail's included
+                blocks = -(-rows // shard.table.block_size)
             else:
                 partial, rows = self._sample_partial(shard, q)
                 blocks = 0
@@ -588,19 +591,15 @@ class ScatterGatherExecutor:
             if give_way is not None:
                 give_way()
 
-        moments, matched = fixed_stop_snapshot(
+        moments, matched, n = fixed_stop_snapshot(
             q.prepared,
             q.view(table),
-            seed=int(
-                np.random.SeedSequence(
-                    [q.seed if q.seed is not None else 0, shard.shard_id]
-                ).generate_state(1)[0]
-            ),
+            seed=[q.seed if q.seed is not None else 0, shard.shard_id],
             batch_size=max(256, table.num_rows // 20),
+            block_size=table.block_size,
             deadline=q.deadline,
             on_step=on_step,
         )
-        n = int(moments[ROWS_COLUMN][0])
         if q.budget is not None:
             q.budget.charge(rows=n, site=site)
         return moments.with_column(_MATCHED, np.array([matched])), n

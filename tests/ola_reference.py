@@ -1,36 +1,39 @@
-"""The fixed-stop OLA estimates as ``OnlineAggregator`` used to give them.
+"""References for the OLA estimates, computed the long way.
 
-Before the fixed-stop path returned a moment table, the sharded ``ola``
-technique and the ladder's ``partial_ola`` rung built an aggregator over
-the drawn read order, advanced its running sums (Σv, Σv², Σm) batch by
-batch, and read one estimate at the stop: the SRS total
-``N·mean ± N²(1−n/N)s²/n`` from ``Σy``/``Σy²`` for SUM and COUNT, the
-ratio estimator for AVG. :func:`reference_fixed_stop` replays that
-computation (same draw, same batches, same arithmetic) so the tests can
-hold the moment tables to it.
+:func:`reference_block_fixed_stop` is the fixed-stop answer behind the
+sharded ``ola`` technique and the ladder's ``partial_ola`` rung, replayed
+block by block: the same random block order, each block evaluated on its
+own, and the SRS-of-blocks arithmetic written out with a two-pass
+variance. :class:`ReferenceFixedStop` is the row-level SRS arithmetic
+``OnlineAggregator`` answers with (``N·mean ± N²(1−n/N)s²/n`` from
+``Σy``/``Σy²`` for SUM and COUNT, the ratio estimator for AVG), held
+against the aggregator's running sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.engine.aggregates import ROWS_COLUMN
 from repro.engine.fused import LazyRelation, filter_mask
 from repro.estimators.closed_form import Estimate, ratio_from_sums
+
+#: the fixed-stop constants, restated so a change to either shows here
+FIXED_STOP_FRACTION = 0.30
+MIN_SAMPLED_BLOCKS = 14
 
 
 @dataclass
 class ReferenceFixedStop:
-    """The state the old aggregator held at the stop."""
+    """Row-level SRS estimates from the sums a prefix of ``rows_seen``
+    rows left: Σv, Σv² and Σm (values zeroed outside the predicate)."""
 
     rows_seen: int
     population: int
-    #: the predicate's matches in the whole relation
-    matched: float
-    #: Σv, Σv², Σm of the prefix, accumulated batch by batch
     sums: Tuple[float, float, float]
 
     def estimate(self, func: str) -> Estimate:
@@ -50,47 +53,89 @@ class ReferenceFixedStop:
         )
 
 
-def reference_fixed_stop(
-    prepared, relation, seed, batch_size, deadline=None
-) -> ReferenceFixedStop:
-    """Replay the old fixed-stop run of ``prepared`` (a partial-aggregate
-    chain whose *first* piece is the input: ones for COUNT) over
-    ``relation``."""
-    n = relation.num_rows
-    limit = int(n * (1.0 if deadline is not None else 0.30))
-    reach = max(limit, min(batch_size, n))
-    rows = np.random.default_rng(seed).choice(n, reach, replace=False)
-    drawn = LazyRelation(
+@dataclass
+class ReferenceBlockStop:
+    """What a fixed-stop run reads and answers."""
+
+    #: ``__rows``: blocks sampled, or the rows of a census
+    units: int
+    rows_read: int
+    #: the predicate's matched rows, estimated from the prefix
+    matched: float
+    #: piece alias -> (total, variance)
+    pieces: Dict[str, Tuple[float, float]]
+
+
+def _rows_of(relation, start: int, stop: int) -> LazyRelation:
+    return LazyRelation(
         {
-            name: (lambda name=name: relation[name][rows])
+            name: (lambda name=name: np.asarray(relation[name])[start:stop])
             for name in relation.column_names
         },
-        reach,
+        stop - start,
     )
-    mask = filter_mask(prepared, relation)
-    if mask is None:
-        matches, matched = np.ones(reach, dtype=bool), float(n)
-    else:
-        matches, matched = mask[rows], float(np.count_nonzero(mask))
-    input_fn = prepared.aggregate.input_fns[0]
-    values = input_fn(drawn) if input_fn is not None else np.ones(reach)
-    values = np.where(matches, np.asarray(values, dtype=np.float64), 0.0)
 
-    sums, seen = (0.0, 0.0, 0.0), 0
 
-    def advance(start, stop):
-        new = values[start:stop]
-        return (
-            sums[0] + float(np.sum(new)),
-            sums[1] + float(np.dot(new, new)),
-            sums[2] + float(np.count_nonzero(matches[start:stop])),
+def _block_values(prepared, rel) -> Tuple[Dict[str, float], float]:
+    """Per piece ``Σt`` over one row range, and its matched rows."""
+    mask = filter_mask(prepared, rel)
+    keep = np.ones(rel.num_rows, dtype=bool) if mask is None else mask
+    sums = {}
+    for spec, input_fn in zip(
+        prepared.aggregate.specs, prepared.aggregate.input_fns
+    ):
+        if spec.alias == ROWS_COLUMN:
+            continue
+        if spec.func == "count":
+            sums[spec.alias] = float(np.count_nonzero(keep))
+        else:
+            values = np.broadcast_to(
+                np.asarray(input_fn(rel), dtype=np.float64), rel.num_rows
+            )
+            sums[spec.alias] = float(values[keep].sum())
+    return sums, float(np.count_nonzero(keep))
+
+
+def reference_block_fixed_stop(
+    prepared, relation, seed, batch_size, block_size, deadline=None
+) -> ReferenceBlockStop:
+    """Replay the fixed-stop run of ``prepared`` over ``relation``.
+    ``deadline`` is either ``None`` or one that never fires or fired
+    before the start (a run stopped mid-way is not replayed)."""
+    n = relation.num_rows
+    full, tail = divmod(n, block_size)
+    if full < MIN_SAMPLED_BLOCKS:
+        sums, matched = _block_values(prepared, _rows_of(relation, 0, n))
+        return ReferenceBlockStop(
+            n, n, matched, {a: (s, 0.0) for a, s in sums.items()}
         )
-
-    while seen < limit and not (deadline is not None and deadline.expired):
-        stop = min(seen + batch_size, limit)
-        sums, seen = advance(seen, stop), stop
-    if seen == 0:
-        # expired before the first batch: one minimal batch
-        seen = min(max(min(batch_size, n), 1), reach)
-        sums = advance(0, seen)
-    return ReferenceFixedStop(seen, n, matched, sums)
+    if deadline is None:
+        m = max(2, int(full * FIXED_STOP_FRACTION))
+    elif deadline.expired:
+        m = min(max(2, math.ceil(batch_size / block_size)), full)
+    else:
+        m = full
+    blocks = np.random.default_rng(seed).permutation(full)[:m]
+    per_block = [
+        _block_values(
+            prepared, _rows_of(relation, b * block_size, (b + 1) * block_size)
+        )
+        for b in blocks.tolist()
+    ]
+    tail_sums, tail_matched = _block_values(
+        prepared, _rows_of(relation, full * block_size, n)
+    )
+    pieces = {}
+    for alias, tail_sum in tail_sums.items():
+        y = np.array([sums[alias] for sums, _ in per_block])
+        mean = y.mean()
+        s2 = float(np.sum((y - mean) ** 2)) / (m - 1)
+        variance = full * full * (1.0 - m / full) * s2 / m
+        pieces[alias] = (full * mean + tail_sum, variance)
+    matched_blocks = np.array([matched for _, matched in per_block])
+    return ReferenceBlockStop(
+        units=m,
+        rows_read=m * block_size + tail,
+        matched=full * matched_blocks.mean() + tail_matched,
+        pieces=pieces,
+    )

@@ -16,6 +16,7 @@ from repro import (
 from repro.audit.acceptance import coverage_verdict
 from repro.core.advisor import Advisor
 from repro.core.options import QueryOptions
+from repro.core.result import max_relative_half_width
 from repro.engine.fused import SliceRelation, prepare_partial_aggregate
 from repro.engine.kernel_cache import get_kernel_cache
 from repro.online import (
@@ -30,9 +31,9 @@ from repro.online.ola import fixed_stop_snapshot
 from repro.resilience import Deadline, ManualClock
 from repro.sharding import ScatterGatherExecutor, ShardedTable
 from repro.sql import bind_sql
-from repro.workloads import zipf_group_table
+from repro.workloads import generate_tpch, zipf_group_table
 
-from .ola_reference import reference_fixed_stop
+from .ola_reference import ReferenceFixedStop, reference_block_fixed_stop
 
 
 @pytest.fixture
@@ -188,6 +189,27 @@ class TestQuickr:
         assert res.scalar() == pytest.approx(truth, rel=0.05)
         assert res.technique == "quickr"
         assert res.diagnostics["sampler"] == "uniform"
+
+    def test_a_missed_spec_is_stated_not_hidden(self):
+        """Seven ``l_linenumber`` groups over 27k lineitem rows asked
+        ±10%: the widest cell comes back at ±39.6%, and the result's spec
+        says so instead of repeating the asked error."""
+        tpch = generate_tpch(scale=0.45, seed=42, block_size=256)
+        result = tpch.sql(
+            "SELECT l_linenumber AS line, SUM(l_extendedprice) AS rev "
+            "FROM lineitem GROUP BY l_linenumber",
+            options=QueryOptions(
+                seed=1, spec=ErrorSpec(0.10, 0.95), technique="quickr"
+            ),
+        )
+        assert result.technique == "quickr"
+        assert result.table.num_rows == 7
+        widest = max_relative_half_width(
+            result.table, result.ci_low, result.ci_high
+        )
+        assert result.diagnostics["met_spec"] is False
+        assert result.spec.relative_error == widest >= 0.396
+        assert result.spec.confidence == 0.95
 
     def test_one_pass_cost_model(self, db):
         bound = bind_sql("SELECT SUM(value) AS s FROM big", db)
@@ -885,28 +907,53 @@ class TestOnlineAggregation:
             assert ola._sums == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("agg", ["sum", "count", "avg"])
+    def test_estimates_match_the_row_level_reference(self, table, agg):
+        """The aggregator's estimate at any stop is the row-level SRS
+        arithmetic of :class:`tests.ola_reference.ReferenceFixedStop` on
+        its running sums."""
+        n = table.num_rows
+        ola = OnlineAggregator(
+            table, "v", agg, predicate_mask=table["v"] > 20, seed=3
+        )
+        for k in (2, 700, 20_000, n):
+            est = ola.estimate(k)
+            want = ReferenceFixedStop(k, n, ola._sums).estimate(agg)
+            np.testing.assert_allclose(
+                [est.value, est.variance], [want.value, want.variance],
+                rtol=1e-9,
+            )
+
+
 class _SpyColumn(np.ndarray):
-    """A column view that logs the length of every gather taken from it."""
+    """A column view that logs every fancy-index gather taken from it
+    (its length, in ``log``) and every slice (``(start, stop)``, in
+    ``slices``)."""
 
     def __array_finalize__(self, obj):
         self.log = getattr(obj, "log", None)
+        self.slices = getattr(obj, "slices", None)
 
     def __getitem__(self, index):
         out = super().__getitem__(index)
-        if isinstance(out, np.ndarray) and not isinstance(index, slice):
+        if isinstance(index, slice):
+            self.slices.append(index.indices(len(self))[:2])
+        elif isinstance(out, np.ndarray):
             self.log.append(out.size)
         return out
 
 
 class _SpyRelation:
-    """Relation over named columns whose every gather is logged."""
+    """Relation over named columns whose every gather and slice is
+    logged."""
 
     def __init__(self, columns):
         self.gathers = []
+        self.slices = []
         self._columns = {}
         for name, values in columns.items():
             view = np.asarray(values).view(_SpyColumn)
-            view.log = self.gathers
+            view.log, view.slices = self.gathers, self.slices
             self._columns[name] = view
         self.num_rows = len(next(iter(columns.values())))
 
@@ -932,9 +979,9 @@ def _logged(fn, log):
 
 class TestFixedStopSnapshot:
     """The fixed-stop path behind sharded ``ola`` and the ladder's
-    ``partial_ola`` rung: a moment table of the prefix it read, held to
-    the estimates ``OnlineAggregator`` gave for the same draw
-    (:mod:`tests.ola_reference`)."""
+    ``partial_ola`` rung: a moment table of the random prefix of whole
+    blocks it read, held to the block-by-block replay of
+    :func:`tests.ola_reference.reference_block_fixed_stop`."""
 
     @staticmethod
     def _prepared(db, sql):
@@ -942,7 +989,11 @@ class TestFixedStopSnapshot:
 
     @pytest.mark.parametrize("with_deadline", [False, True])
     def test_reads_only_the_prefix_it_answers_from(self, with_deadline):
-        n, batch = 100_000, 2_000
+        """The filter and the inputs run once, over the prefix blocks and
+        the tail, read as slices: no whole-relation pass and no
+        fancy-index gather."""
+        n, batch, block = 100_000, 2_000, 1_024
+        full, tail = divmod(n, block)
         rng = np.random.default_rng(0)
         cols = {"v": rng.exponential(5.0, n), "k": rng.integers(0, 100, n)}
         db = Database()
@@ -962,21 +1013,29 @@ class TestFixedStopSnapshot:
             ),
         )
         relation = _SpyRelation({f"t.{c}": v for c, v in cols.items()})
-        moments, matched = fixed_stop_snapshot(
-            spied, relation, seed=3, batch_size=batch,
+        moments, matched, rows_read = fixed_stop_snapshot(
+            spied, relation, seed=3, batch_size=batch, block_size=block,
             deadline=Deadline(600.0) if with_deadline else None,
         )
-        # The one whole-population read: the filter, for the matched rows.
-        assert filters == [n]
-        assert matched == float(np.count_nonzero(cols["k"] < 40))
-        rows_seen = n if with_deadline else int(0.30 * n)
-        assert inputs == [rows_seen]
-        assert relation.gathers and max(relation.gathers) <= rows_seen
-        assert list(moments["__rows"]) == [rows_seen]
+        m = full if with_deadline else int(0.30 * full)
+        assert rows_read == m * block + tail
+        assert filters == [rows_read] and inputs == [rows_read]
+        assert relation.gathers == []
+        blocks = np.sort(np.random.default_rng(3).permutation(full)[:m])
+        want = [(b * block, (b + 1) * block) for b in blocks.tolist()]
+        want.append((full * block, n))
+        # each of the two columns is read once, block by block
+        assert relation.slices == want * 2
+        assert list(moments["__rows"]) == [m]
+        if with_deadline:
+            assert matched == float(np.count_nonzero(cols["k"] < 40))
 
-    @pytest.mark.parametrize("n,rows_seen", [(1, 1), (3, 3), (16, 4)])
+    @pytest.mark.parametrize("n,block_size", [(1, 1), (3, 3), (16, 4)])
     @pytest.mark.parametrize("expired", [False, True])
-    def test_tiny_relations(self, n, rows_seen, expired):
+    def test_tiny_relations(self, n, block_size, expired):
+        """Under the floor of full blocks a relation is read whole, even
+        under an expired deadline: exact totals, ``__var`` 0, and
+        ``__rows`` the rows read."""
         db = Database()
         db.create_table("t", {"v": np.arange(1.0, n + 1)})
         relation = SliceRelation(db.table("t"), 0, n, {"v": "t.v"})
@@ -986,25 +1045,33 @@ class TestFixedStopSnapshot:
             deadline = Deadline(1.0, clock=clock)
             clock.advance(2.0)
         prepared = self._prepared(db, "SELECT SUM(v) AS s FROM t")
-        moments, _ = fixed_stop_snapshot(
-            prepared, relation, seed=1, batch_size=256, deadline=deadline
+        moments, matched, rows_read = fixed_stop_snapshot(
+            prepared, relation, seed=1, batch_size=256,
+            block_size=block_size, deadline=deadline,
         )
-        # An expired deadline answers from one batch: the whole relation.
-        assert list(moments["__rows"]) == [n if expired else rows_seen]
-        assert math.isfinite(moments[prepared.aggregate.specs[0].alias][0])
+        piece = prepared.aggregate.specs[0].alias
+        assert rows_read == n and matched == float(n)
+        assert list(moments["__rows"]) == [n]
+        assert list(moments[piece]) == [n * (n + 1) / 2]
+        assert list(moments[piece + "__var"]) == [0.0]
 
     _REFERENCE_SQL = (
         "SELECT SUM(v) AS x FROM t",
         "SELECT COUNT(*) AS x FROM t WHERE k < 40",
         "SELECT SUM(v) AS s, COUNT(*) AS c, AVG(v) AS a FROM t WHERE k < 40",
+        # v / 0 is NaN on the rows the predicate leaves out
+        "SELECT SUM(v / k) AS x FROM t WHERE k <> 0",
     )
 
     @pytest.mark.parametrize("sql", _REFERENCE_SQL)
     @pytest.mark.parametrize("n", [1, 3, 16, 20_000])
     @pytest.mark.parametrize("stop", ["fixed", "deadline", "expired"])
     def test_moments_match_the_aggregator_reference(self, sql, n, stop):
-        """For the same seed, every SUM/COUNT piece's total and variance
-        is the old aggregator's estimate from the same prefix."""
+        """For the same seed, every SUM/COUNT piece's total and variance,
+        the rows read, ``__rows`` and the matched rows are the
+        block-by-block reference's. One-row blocks make 16 rows an SRS
+        of 16 blocks; 20 000 rows are 39 blocks of 512 and a 32-row
+        tail; 1 and 3 rows are census answers."""
         rng = np.random.default_rng(n)
         db = Database()
         db.create_table(
@@ -1020,21 +1087,26 @@ class TestFixedStopSnapshot:
             if stop == "expired":
                 clock.advance(2.0)
         prepared = self._prepared(db, sql)
-        batch = max(256, n // 20)
-        moments, matched = fixed_stop_snapshot(
-            prepared, relation, seed=7, batch_size=batch, deadline=deadline
+        batch, block = max(256, n // 20), 1 if n < 100 else 512
+        moments, matched, rows_read = fixed_stop_snapshot(
+            prepared, relation, seed=7, batch_size=batch, block_size=block,
+            deadline=deadline,
         )
-        want = reference_fixed_stop(
-            prepared, relation, seed=7, batch_size=batch, deadline=deadline
+        want = reference_block_fixed_stop(
+            prepared, relation, seed=7, batch_size=batch, block_size=block,
+            deadline=deadline,
         )
-        assert int(moments["__rows"][0]) == want.rows_seen
-        assert matched == want.matched
-        for spec in prepared.aggregate.specs[:-1]:
-            est = want.estimate(spec.func)
+        assert int(moments["__rows"][0]) == want.units
+        assert rows_read == want.rows_read
+        assert matched == pytest.approx(want.matched, rel=1e-12)
+        assert set(want.pieces) == set(moments.column_names) - {"__rows"} - {
+            c for c in moments.column_names if c.endswith("__var")
+        }
+        for alias, (total, variance) in want.pieces.items():
             np.testing.assert_allclose(
-                [moments[spec.alias][0], moments[spec.alias + "__var"][0]],
-                [est.value, est.variance],
-                rtol=1e-9, atol=1e-12, err_msg=spec.alias,
+                [moments[alias][0], moments[alias + "__var"][0]],
+                [total, variance],
+                rtol=1e-9, atol=1e-9, err_msg=alias,
             )
 
     def test_an_empty_relation_is_an_exact_zero_table(self):
@@ -1042,14 +1114,80 @@ class TestFixedStopSnapshot:
         db.create_table("t", {"v": np.zeros(0)})
         relation = SliceRelation(db.table("t"), 0, 0, {"v": "t.v"})
         prepared = self._prepared(db, "SELECT SUM(v) AS s FROM t")
-        moments, matched = fixed_stop_snapshot(
-            prepared, relation, seed=1, batch_size=256
+        moments, matched, rows_read = fixed_stop_snapshot(
+            prepared, relation, seed=1, batch_size=256, block_size=4096
         )
         piece = prepared.aggregate.specs[0].alias
-        assert matched == 0.0
+        assert matched == 0.0 and rows_read == 0
         assert list(moments["__rows"]) == [0]
         assert list(moments[piece]) == [0.0]
         assert list(moments[piece + "__var"]) == [0.0]
+
+    @pytest.mark.parametrize("full", [13, 14])
+    def test_the_floor_of_full_blocks(self, full):
+        """13 full blocks and a tail are a census: the exact answer with
+        a zero-width interval. 14 are an SRS of four blocks."""
+        block = 512
+        n = full * block + 100
+        rng = np.random.default_rng(full)
+        db = Database()
+        db.create_table("t", {"v": rng.exponential(5.0, n)}, block_size=block)
+        sql = "SELECT SUM(v) AS x FROM t"
+        bound = bind_sql(sql, db)
+        moments, _, rows_read = fixed_stop_snapshot(
+            self._prepared(db, sql),
+            SliceRelation(db.table("t"), 0, n, {"v": "t.v"}),
+            seed=0, batch_size=256, block_size=block,
+        )
+        (aggregate,) = bound.aggregates
+        cell = combine_intervals(
+            bound, piece_intervals(bound, moments, 0.95)
+        )[aggregate.alias]
+        if full == 13:
+            assert rows_read == n and list(moments["__rows"]) == [n]
+            truth = float(db.sql(sql).scalar())
+            assert cell.value[0] == pytest.approx(truth, rel=1e-12)
+            assert cell.low[0] == cell.high[0] == cell.value[0]
+        else:
+            assert rows_read == 4 * block + 100
+            assert list(moments["__rows"]) == [4]
+            assert cell.low[0] < cell.value[0] < cell.high[0]
+
+    @pytest.mark.statistical
+    def test_a_partial_tail_block_is_a_take_all_stratum(self):
+        """A shard of 61·4096 + 321 rows whose tail holds values ten
+        times the rest: estimated as an SRS of the 61 full blocks plus
+        the exact tail, the SUM is unbiased over seeds and its interval
+        covers at the nominal rate."""
+        block, full, tail = 4096, 61, 321
+        n = full * block + tail
+        rng = np.random.default_rng(5)
+        v = rng.exponential(10.0, n)
+        v[-tail:] *= 10.0
+        db = Database()
+        db.create_table("t", {"v": v})
+        sql = "SELECT SUM(v) AS x FROM t"
+        bound = bind_sql(sql, db)
+        (aggregate,) = bound.aggregates
+        prepared = self._prepared(db, sql)
+        relation = SliceRelation(db.table("t"), 0, n, {"v": "t.v"})
+        truth = float(v.sum())
+        trials, hits, values = 240, 0, []
+        for seed in range(trials):
+            moments, _, rows_read = fixed_stop_snapshot(
+                prepared, relation, seed=seed, batch_size=n // 20,
+                block_size=block,
+            )
+            assert rows_read == 18 * block + tail
+            cell = combine_intervals(
+                bound, piece_intervals(bound, moments, 0.95)
+            )[aggregate.alias]
+            values.append(cell.value[0])
+            hits += bool(cell.low[0] <= truth <= cell.high[0])
+        values = np.asarray(values)
+        standard_error = values.std(ddof=1) / np.sqrt(trials)
+        assert abs(values.mean() - truth) < 4.0 * standard_error
+        assert coverage_verdict(hits, trials, 0.95) != "fail_under"
 
     def test_three_rows_over_two_shards(self):
         table = Table({"v": np.array([1.0, 2.0, 3.0])}, name="t")
@@ -1091,11 +1229,14 @@ class TestFixedStopSnapshot:
         ],
     )
     def test_fixed_stop_coverage(self, sql, agg):
-        n = 20_000
+        """39 blocks of 512 rows and a 32-row tail: each answer is an SRS
+        of 11 blocks (at 4 096 rows a block the table is a census)."""
+        n, block = 20_000, 512
         rng = np.random.default_rng(11)
         db = Database()
         db.create_table(
-            "t", {"v": rng.exponential(10.0, n), "k": rng.integers(0, 100, n)}
+            "t", {"v": rng.exponential(10.0, n), "k": rng.integers(0, 100, n)},
+            block_size=block,
         )
         truth = float(db.sql(sql).scalar())
         bound = bind_sql(sql, db)
@@ -1108,8 +1249,9 @@ class TestFixedStopSnapshot:
         trials = 240
         hits = 0
         for seed in range(trials):
-            moments, _ = fixed_stop_snapshot(
-                prepared, relation, seed=seed, batch_size=512
+            moments, _, _ = fixed_stop_snapshot(
+                prepared, relation, seed=seed, batch_size=512,
+                block_size=block,
             )
             cell = combine_intervals(
                 bound, piece_intervals(bound, moments, 0.95)

@@ -7,11 +7,16 @@ and the gather takes its intervals from
 is the earlier gather: per-shard partials carrying each estimate's
 *squared* CI half-width (``__hw2``, each shard choosing its own t or z),
 summed across shards, then widened and divided for AVG cell by cell; an
-``ola`` shard's estimates are the old ``OnlineAggregator`` ones
-(:mod:`tests.ola_reference`). Exact answers must agree bitwise; sampled answers
-to 1e-9 relative wherever every shard contributes ≥ 100 rows. Where a
+``ola`` shard's estimates are its fixed-stop prefix of whole blocks,
+replayed block by block (:mod:`tests.ola_reference`), with the critical
+value read on the blocks all served shards sampled. Exact answers must
+agree bitwise; sampled answers to 1e-9 relative wherever every shard
+contributes ≥ 100 rows (or, for ``ola``, always). Where a ``sample``
 shard contributes fewer, the critical value is now read on the merged
 rows; that change is pinned with both intervals written down.
+
+The table is laid out in 16-row blocks, so each ~500-row hash shard
+holds 28–34 full blocks and an ``ola`` shard samples 8–10 of them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errorspec import ErrorSpec
+from repro.core.errorspec import ErrorSpec, student_t_ppf, z_value
 from repro.core.options import QueryOptions
 from repro.engine.aggregates import AggregateSpec
 from repro.engine.fused import (
@@ -38,7 +43,7 @@ from repro.resilience import Deadline, FaultInjector, inject, kill_shard
 from repro.sharding import ScatterGatherExecutor, ShardedTable, merge_partial_tables
 from repro.sql import bind_sql
 
-from .ola_reference import reference_fixed_stop
+from .ola_reference import reference_block_fixed_stop
 
 N_ROWS = 4_096
 NUM_SHARDS = 8
@@ -57,7 +62,7 @@ def sharded() -> ShardedTable:
     table = Table(
         {"v": rng.exponential(10.0, N_ROWS), "k": rng.integers(0, 5, N_ROWS)},
         name="events",
-        block_size=256,
+        block_size=16,
     )
     sharded = ShardedTable.from_table(table, NUM_SHARDS)
     sharded.build_shard_samples(rows_per_shard=SAMPLE_ROWS, seed=3)
@@ -100,7 +105,24 @@ def _estimate_row(estimates, matched: float) -> Table:
     return Table(cols, name="aggregate")
 
 
-def _reference_partial(sharded, shard, bound, prepared, technique, seed, blocks, deadline):
+def _ola_reference(sharded, shard, bound, prepared, seed, deadline):
+    """The shard's fixed-stop answer, replayed block by block."""
+    alias = bound.tables[0].alias
+    rename = {c: f"{alias}.{c}" for c in sharded.column_names}
+    table = shard.table
+    return reference_block_fixed_stop(
+        prepared,
+        SliceRelation(table, 0, table.num_rows, rename),
+        seed=[seed, shard.shard_id],
+        batch_size=max(256, table.num_rows // 20),
+        block_size=table.block_size,
+        deadline=deadline,
+    )
+
+
+def _reference_partial(
+    sharded, shard, bound, prepared, technique, seed, blocks, deadline, crit
+):
     alias = bound.tables[0].alias
     rename = {c: f"{alias}.{c}" for c in sharded.column_names}
     keys = tuple(a for _, a in bound.group_keys)
@@ -116,23 +138,11 @@ def _reference_partial(sharded, shard, bound, prepared, technique, seed, blocks,
         parts = [fold(*table.block_bounds(b)) for b in range(table.num_blocks)]
         return merge_partial_tables(parts, keys)
     if technique == "ola":
-        agg = bound.aggregates[0]
-        ref = reference_fixed_stop(
-            prepared,
-            SliceRelation(table, 0, table.num_rows, rename),
-            seed=int(
-                np.random.SeedSequence([seed, shard.shard_id]).generate_state(1)[0]
-            ),
-            batch_size=max(256, table.num_rows // 20),
-            deadline=deadline,
-        )
+        ref = _ola_reference(sharded, shard, bound, prepared, seed, deadline)
         estimates = {}
-        if agg.func != "count":
-            est = ref.estimate("sum")
-            estimates[agg.alias] = (est.value, *est.ci(SPEC.confidence))
-        if agg.func != "sum":
-            est = ref.estimate("count")
-            estimates[_COUNT] = (est.value, *est.ci(SPEC.confidence))
+        for name, (total, variance) in ref.pieces.items():
+            half = crit * np.sqrt(variance)
+            estimates[name] = (total, total - half, total + half)
         return _estimate_row(estimates, ref.matched)
     catalog = SynopsisCatalog.for_database(sharded.binder_database())
     sample = catalog.find_sample(
@@ -184,11 +194,24 @@ def _reference(sharded, sql, technique, seed=0, victim=None, deadline=None):
     prepared = _reference_chain(bound)
     served = [s for s in sharded.shards if s.shard_id != victim]
     blocks = deadline is not None or victim is not None
+    crit = None
+    if technique == "ola":
+        # the t rule reads the blocks the served shards sampled, together
+        units = sum(
+            _ola_reference(sharded, s, bound, prepared, seed, deadline).units
+            for s in served
+        )
+        crit = (
+            student_t_ppf(0.5 + SPEC.confidence / 2.0, units - 1)
+            if units < 100
+            else z_value(SPEC.confidence)
+        )
     keys = tuple(a for _, a in bound.group_keys)
     merged = merge_partial_tables(
         [
             _reference_partial(
-                sharded, s, bound, prepared, technique, seed, blocks, deadline
+                sharded, s, bound, prepared, technique, seed, blocks,
+                deadline, crit,
             )
             for s in served
         ],
@@ -271,8 +294,9 @@ def test_gather_matches_reference(sharded, technique, agg, scenario):
         if technique == "exact":
             np.testing.assert_array_equal(g, w)
         else:
-            # every shard reads ≥ 100 rows here: 153-row OLA prefixes,
-            # ~240 matched rows of each 400-row sample
+            # ~240 matched rows of each 400-row sample; the OLA shards
+            # sample 72 blocks in all (62 with shard 5 killed, every
+            # block under the deadline)
             np.testing.assert_allclose(g, w, rtol=1e-9, atol=0.0)
 
 
