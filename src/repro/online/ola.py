@@ -227,6 +227,13 @@ FIXED_STOP_FRACTION = 0.30
 #: whole.
 MIN_SAMPLED_BLOCKS = 14
 
+#: Fewest blocks a sampled answer reads, deadline or not: the fixed stop
+#: of :data:`MIN_SAMPLED_BLOCKS`. Two blocks would leave t one degree of
+#: freedom (12.7 at 95%), an interval wider than any claim an
+#: :class:`~repro.core.errorspec.ErrorSpec` can state; four leave three
+#: (3.18).
+MIN_PREFIX_BLOCKS = int(MIN_SAMPLED_BLOCKS * FIXED_STOP_FRACTION)
+
 
 def fixed_stop_snapshot(
     prepared,
@@ -258,26 +265,30 @@ def fixed_stop_snapshot(
     read whole and added exactly, and the SRS runs over the equal-size
     full blocks alone (a short tail drawn as an ordinary unit biases the
     total). The batches (``batch_size`` rows rounded up to whole blocks,
-    at least two) only pace the run: the deadline is checked before each
-    one, and each ends with an ``ola_step`` event and ``on_step`` (fault
-    sites, straggler checks), which may raise to abandon the attempt; an
-    expired deadline still reads one batch. Then each piece's per-block
-    sums ``Σt_b`` (``t`` = its input times the predicate match) go to
-    :func:`~repro.online.estimation.srs_totals` with the ``m`` blocks
-    read and ``B``, for the piece's total and ``__var``, and the tail's
-    exact sum is added to the total. ``__rows`` is ``m``, so the t rule
-    of :func:`~repro.online.estimation.piece_intervals` reads the SRS's
-    degrees of freedom; the rows read (``m·block_size`` plus the tail)
-    are returned beside the table, for budgets and statistics. The
+    at least :data:`MIN_PREFIX_BLOCKS`) only pace the run: the deadline
+    is checked before each one, and each ends with an ``ola_step`` event
+    and ``on_step`` (fault sites, straggler checks), which may raise to
+    abandon the attempt; an expired deadline still reads one batch. Then
+    each piece's per-block sums ``Σt_b`` (``t`` = its input times the
+    predicate match) go to :func:`~repro.online.estimation.srs_totals`
+    with the ``m`` blocks read and ``B``, for the piece's total and
+    ``__var``, and the tail's exact sum is added to the total.
+    ``__rows`` is ``m``, the sampled units, so the t rule of
+    :func:`~repro.online.estimation.piece_intervals` reads the SRS's
+    degrees of freedom, also after a shard gather adds every shard's;
+    the rows read (``m·block_size`` plus the tail) are returned beside
+    the table, for budgets and statistics. The
     matched rows are the prefix's estimate of the relation's (exact
     without a filter), as a ``sample`` shard's ``Σw`` is; the shard
     gather reads them only to centre a missing shard's widening.
 
     A relation with fewer than :data:`MIN_SAMPLED_BLOCKS` full blocks is
     read whole, under any deadline: a census, whose totals are exact
-    with ``__var`` 0 and ``__rows`` the rows read, so its intervals have
-    zero width (a one-row relation's stays unbounded). A variance is
-    never estimated from one block. The guarantee audit's smoke-scale
+    with ``__var`` 0 and ``__rows`` 0 — it samples no unit, so it adds
+    no degrees of freedom to a gather's t rule, and
+    :func:`exact_unless_sampled` gives a table that sampled no block
+    zero width. A variance is never estimated from fewer than
+    :data:`MIN_PREFIX_BLOCKS` blocks. The guarantee audit's smoke-scale
     ``exp_t`` shards (about 3 400 rows: six full 512-row blocks each)
     are census answers; at full scale (about 7 500 rows, 14 blocks) they
     are SRS answers from four blocks. A relation with no rows answers an
@@ -295,14 +306,12 @@ def fixed_stop_snapshot(
     n = relation.num_rows
     full, tail = divmod(n, block_size)
     census = full < MIN_SAMPLED_BLOCKS
-    batch = max(2, -(-batch_size // block_size))
+    batch = max(MIN_PREFIX_BLOCKS, -(-batch_size // block_size))
     if census:
         # paced like any read, but read whole whatever the deadline
         limit = full + (tail > 0)
     else:
-        limit = full if deadline is not None else max(
-            2, int(full * FIXED_STOP_FRACTION)
-        )
+        limit = full if deadline is not None else int(full * FIXED_STOP_FRACTION)
     deadline = resolve_deadline(deadline)
     seen = 0
     while seen < limit and not (deadline is not None and deadline.expired):
@@ -356,10 +365,29 @@ def _estimate(
         )
         cols[spec.alias] = np.array([total + rest])
         cols[spec.alias + VARIANCE_SUFFIX] = np.array([variance])
-    cols[ROWS_COLUMN] = np.array([m or n])
+    cols[ROWS_COLUMN] = np.array([m])
     t_b, rest = counts
     matched = (full * t_b.sum() / m if m else 0.0) + rest
     return Table(cols, name="aggregate"), float(matched), n
+
+
+def exact_unless_sampled(moments: Table) -> Table:
+    """A fixed-stop moment table (one relation's, or a gather's merge of
+    several) as the exact partial it is when it sampled no block — every
+    relation behind it a census or empty: without its ``__var`` columns,
+    so :func:`~repro.online.estimation.piece_intervals` gives it zero
+    width whatever its size. A table that sampled blocks is returned as
+    it is."""
+    if moments[ROWS_COLUMN].any():
+        return moments
+    return Table(
+        {
+            name: moments[name]
+            for name in moments.column_names
+            if not name.endswith(VARIANCE_SUFFIX)
+        },
+        name=moments.name,
+    )
 
 
 def _block_sums(values, mask, m: int, block_size: int, n: int):
@@ -367,37 +395,21 @@ def _block_sums(values, mask, m: int, block_size: int, n: int):
     (1 when ``None``) times the predicate match over each of the first
     ``m`` blocks of ``block_size`` rows, and over the rows after them."""
     head = m * block_size
+    if values is None and mask is None:
+        return np.full(m, float(block_size)), float(n - head)
     if values is None:
-        if mask is None:
-            return np.full(m, float(block_size)), float(n - head)
-        # a bool's bytes are its 0/1 count
-        counts = mask[:head].view(np.uint8).reshape(m, block_size)
-        return (
-            counts.sum(axis=1, dtype=np.uint32).astype(np.float64),
-            float(np.count_nonzero(mask[head:])),
-        )
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (n,):  # a constant input
-        values = np.broadcast_to(values, n)
-    if mask is None:
-        return (
-            values[:head].reshape(m, block_size).sum(axis=1),
-            float(values[head:].sum()),
-        )
-    sums = _masked_sums(values[:head].reshape(m, block_size), mask[:head])
-    rest = _masked_sums(values[head:].reshape(1, -1), mask[head:])
-    return sums, float(rest[0])
-
-
-def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row sums of ``values`` over the rows' ``mask``ed entries."""
-    mask = mask.reshape(values.shape)
-    sums = np.einsum("ij,ij->i", values, mask)
-    if not np.isfinite(sums).all():
-        # an infinite or NaN input the predicate left out (a division by
-        # zero it guards against, say) must not reach the sum
-        sums = np.where(mask, values, 0.0).sum(axis=1)
-    return sums
+        t = mask
+    else:
+        t = np.broadcast_to(np.asarray(values, dtype=np.float64), (n,))
+        if mask is not None:
+            # an infinite or NaN input the predicate leaves out (a
+            # division by zero it guards against, say) must not reach
+            # the sum
+            t = np.where(mask, t, 0.0)
+    return (
+        t[:head].reshape(m, block_size).sum(axis=1, dtype=np.float64),
+        float(t[head:].sum(dtype=np.float64)),
+    )
 
 
 def peeking_coverage(

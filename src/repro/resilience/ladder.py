@@ -81,7 +81,7 @@ from ..online.estimation import (
     project_output_with_intervals,
     require_linear_aggregates,
 )
-from ..online.ola import fixed_stop_snapshot
+from ..online.ola import exact_unless_sampled, fixed_stop_snapshot
 from ..sql.binder import BoundQuery
 from .breaker import CircuitBreaker
 from .deadline import current_deadline
@@ -459,7 +459,9 @@ class ResilientEngine:
         )
         if budget is not None:
             budget.charge(rows=rows_seen, site="partial_ola")
-        table, ci_low, ci_high = project_output_with_intervals(bound, spec, moments)
+        table, ci_low, ci_high = project_output_with_intervals(
+            bound, spec, exact_unless_sampled(moments)
+        )
         stats = ExecutionStats()
         stats.rows_scanned = rows_seen
         stats.agg_input_rows = rows_seen

@@ -10,7 +10,8 @@ kernel cache) — over its shard, or block by block when a deadline,
 budget, hedge carve-out or fault injector needs block boundaries; an
 ``ola`` shard hands back the moment table of one fixed-stop prefix of
 its whole blocks (:func:`~repro.online.ola.fixed_stop_snapshot`,
-``__rows`` counting blocks); a ``sample`` shard
+``__rows`` counting the blocks it sampled, none for a census); a
+``sample`` shard
 folds the HT moments of its catalog sample. Shards run one after another in
 the calling thread (on a thread pool when the query has a deadline).
 Gathering is :func:`~.merge.merge_partial_tables` (concatenate,
@@ -100,7 +101,7 @@ from ..online.estimation import (
     moment_kernels,
     piece_intervals,
 )
-from ..online.ola import fixed_stop_snapshot
+from ..online.ola import exact_unless_sampled, fixed_stop_snapshot
 from ..resilience.deadline import (
     Deadline,
     ResourceBudget,
@@ -749,6 +750,8 @@ class ScatterGatherExecutor:
         merged = merge_partial_tables(
             [o.partial for o in served], q.key_aliases
         )
+        if technique == "ola":
+            merged = exact_unless_sampled(merged)
         matched = float(
             merged[ROWS_COLUMN if technique == "exact" else _MATCHED].sum()
         )

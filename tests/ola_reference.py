@@ -22,9 +22,10 @@ from repro.engine.aggregates import ROWS_COLUMN
 from repro.engine.fused import LazyRelation, filter_mask
 from repro.estimators.closed_form import Estimate, ratio_from_sums
 
-#: the fixed-stop constants, restated so a change to either shows here
+#: the fixed-stop constants, restated so a change to any shows here
 FIXED_STOP_FRACTION = 0.30
 MIN_SAMPLED_BLOCKS = 14
+MIN_PREFIX_BLOCKS = 4
 
 
 @dataclass
@@ -57,7 +58,7 @@ class ReferenceFixedStop:
 class ReferenceBlockStop:
     """What a fixed-stop run reads and answers."""
 
-    #: ``__rows``: blocks sampled, or the rows of a census
+    #: ``__rows``: blocks sampled, none for a census
     units: int
     rows_read: int
     #: the predicate's matched rows, estimated from the prefix
@@ -107,12 +108,12 @@ def reference_block_fixed_stop(
     if full < MIN_SAMPLED_BLOCKS:
         sums, matched = _block_values(prepared, _rows_of(relation, 0, n))
         return ReferenceBlockStop(
-            n, n, matched, {a: (s, 0.0) for a, s in sums.items()}
+            0, n, matched, {a: (s, 0.0) for a, s in sums.items()}
         )
     if deadline is None:
-        m = max(2, int(full * FIXED_STOP_FRACTION))
+        m = int(full * FIXED_STOP_FRACTION)
     elif deadline.expired:
-        m = min(max(2, math.ceil(batch_size / block_size)), full)
+        m = min(max(MIN_PREFIX_BLOCKS, math.ceil(batch_size / block_size)), full)
     else:
         m = full
     blocks = np.random.default_rng(seed).permutation(full)[:m]

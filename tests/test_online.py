@@ -27,7 +27,7 @@ from repro.online import (
     peeking_coverage,
 )
 from repro.online.estimation import combine_intervals, piece_intervals
-from repro.online.ola import fixed_stop_snapshot
+from repro.online.ola import exact_unless_sampled, fixed_stop_snapshot
 from repro.resilience import Deadline, ManualClock
 from repro.sharding import ScatterGatherExecutor, ShardedTable
 from repro.sql import bind_sql
@@ -1034,8 +1034,9 @@ class TestFixedStopSnapshot:
     @pytest.mark.parametrize("expired", [False, True])
     def test_tiny_relations(self, n, block_size, expired):
         """Under the floor of full blocks a relation is read whole, even
-        under an expired deadline: exact totals, ``__var`` 0, and
-        ``__rows`` the rows read."""
+        under an expired deadline: exact totals, ``__var`` 0, ``__rows``
+        0 (no block sampled), and a zero-width interval, one row or
+        many."""
         db = Database()
         db.create_table("t", {"v": np.arange(1.0, n + 1)})
         relation = SliceRelation(db.table("t"), 0, n, {"v": "t.v"})
@@ -1044,16 +1045,21 @@ class TestFixedStopSnapshot:
             clock = ManualClock()
             deadline = Deadline(1.0, clock=clock)
             clock.advance(2.0)
-        prepared = self._prepared(db, "SELECT SUM(v) AS s FROM t")
+        sql = "SELECT SUM(v) AS s FROM t"
+        prepared = self._prepared(db, sql)
         moments, matched, rows_read = fixed_stop_snapshot(
             prepared, relation, seed=1, batch_size=256,
             block_size=block_size, deadline=deadline,
         )
         piece = prepared.aggregate.specs[0].alias
+        total = n * (n + 1) / 2
         assert rows_read == n and matched == float(n)
-        assert list(moments["__rows"]) == [n]
-        assert list(moments[piece]) == [n * (n + 1) / 2]
+        assert list(moments["__rows"]) == [0]
+        assert list(moments[piece]) == [total]
         assert list(moments[piece + "__var"]) == [0.0]
+        bound = bind_sql(sql, db)
+        interval = piece_intervals(bound, exact_unless_sampled(moments), 0.95)
+        assert interval[piece].low[0] == interval[piece].high[0] == total
 
     _REFERENCE_SQL = (
         "SELECT SUM(v) AS x FROM t",
@@ -1141,10 +1147,10 @@ class TestFixedStopSnapshot:
         )
         (aggregate,) = bound.aggregates
         cell = combine_intervals(
-            bound, piece_intervals(bound, moments, 0.95)
+            bound, piece_intervals(bound, exact_unless_sampled(moments), 0.95)
         )[aggregate.alias]
         if full == 13:
-            assert rows_read == n and list(moments["__rows"]) == [n]
+            assert rows_read == n and list(moments["__rows"]) == [0]
             truth = float(db.sql(sql).scalar())
             assert cell.value[0] == pytest.approx(truth, rel=1e-12)
             assert cell.low[0] == cell.high[0] == cell.value[0]

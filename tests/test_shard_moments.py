@@ -367,3 +367,36 @@ def test_ola_serves_several_aggregates_in_one_statement(sharded, scenario):
             np.testing.assert_allclose(g, w, rtol=1e-9, atol=0.0, err_msg=alias)
         _value, low, high = (float(x[0]) for x in got[alias])
         assert low <= truths[alias] <= high, alias
+
+
+def test_a_census_shard_adds_no_degrees_of_freedom():
+    """Range shards of 160 and 640 rows in 16-row blocks: the first (10
+    full blocks, under the floor of 14) is read whole, the second is an
+    SRS of 12 of its 40 blocks. The census adds no sampling variance, so
+    the t rule reads the 12 sampled blocks (11 degrees of freedom), not
+    the census's 160 rows on top of them, which would pick z."""
+    rng = np.random.default_rng(3)
+    k = np.repeat([0, 1], [160, 640])
+    table = Table(
+        {"v": rng.exponential(10.0, len(k)), "k": k},
+        name="events",
+        block_size=16,
+    )
+    sharded = ShardedTable.from_table(table, 2, by="range", key="k")
+    assert [s.table.num_rows for s in sharded.shards] == [160, 640]
+    sql = "SELECT SUM(v) AS x FROM events WHERE v > 5"
+    got = _served(sharded, sql, "ola", seed=11)["x"]
+    want = _reference(sharded, sql, "ola", seed=11)["x"]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    bound = bind_sql(sql, sharded.binder_database())
+    prepared = _reference_chain(bound)
+    census, sampled = (
+        _ola_reference(sharded, s, bound, prepared, 11, None)
+        for s in sharded.shards
+    )
+    assert (census.units, sampled.units) == (0, 12)
+    (aggregate,) = bound.aggregates
+    _total, variance = sampled.pieces[aggregate.alias]
+    half = (float(got[2][0]) - float(got[1][0])) / 2.0
+    t_11 = student_t_ppf(0.5 + SPEC.confidence / 2.0, 11)
+    assert half == pytest.approx(t_11 * np.sqrt(variance), rel=1e-9)
