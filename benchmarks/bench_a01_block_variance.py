@@ -16,8 +16,8 @@ import pytest
 from common import table, write_report
 from repro import Table
 from repro.core.errorspec import z_value
-from repro.estimators.closed_form import srs_sum
-from repro.sampling.block import block_fixed_sample, estimate_sum_blockwise
+from repro.online.estimation import srs_totals
+from repro.sampling.block import block_fixed_sample
 from repro.estimators.subsampling import design_effect_from_rows
 from repro.workloads import clustered_values
 
@@ -44,15 +44,14 @@ def coverage(t: Table):
     for trial in range(TRIALS):
         s = block_fixed_sample(t, m, np.random.default_rng(trial))
         # naive: pretend the sampled rows are an SRS of rows
-        naive = srs_sum(
-            np.asarray(s.table["value"], dtype=np.float64), t.num_rows
-        )
-        lo = naive.value - z * naive.std_error
-        hi = naive.value + z * naive.std_error
+        y = np.asarray(s.table["value"], dtype=np.float64)
+        naive, naive_var = srs_totals(y.sum(), y @ y, len(y), t.num_rows)
+        lo = naive - z * np.sqrt(naive_var)
+        hi = naive + z * np.sqrt(naive_var)
         hits_naive += lo <= truth <= hi
         width_naive += (hi - lo) / truth
         # cluster-correct
-        est = estimate_sum_blockwise(s, "value")
+        est = s.estimate_sum("value")
         lo, hi = est.ci(0.95)
         hits_cluster += lo <= truth <= hi
         width_cluster += (hi - lo) / truth

@@ -13,7 +13,6 @@ import pytest
 from common import table, write_report
 from repro import Database, Table
 from repro.core.options import QueryOptions
-from repro.estimators.closed_form import bernoulli_sum
 from repro.sampling.row import bernoulli_sample
 from repro.storage.cost import block_sample_cost, row_sample_cost, scan_cost
 from repro.workloads import uniform_table
@@ -33,9 +32,8 @@ def measure_errors(data):
     for rate in RATES:
         errs = []
         for trial in range(TRIALS):
-            rng = np.random.default_rng(1000 + trial)
-            mask = rng.random(data.num_rows) < rate
-            est = bernoulli_sum(data["value"][mask], rate)
+            sample = bernoulli_sample(data, rate, np.random.default_rng(1000 + trial))
+            est = sample.estimate_sum("value")
             errs.append(abs(est.value - truth) / truth)
         rows.append((rate, float(np.median(errs)), float(np.max(errs))))
     return rows

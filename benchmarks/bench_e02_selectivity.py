@@ -12,9 +12,8 @@ import pytest
 
 from common import table, write_report
 from repro import Database, InfeasiblePlanError, ErrorSpec, Table
-from repro.estimators.closed_form import bernoulli_sum
 from repro.online import PilotPlanner
-from repro.sampling.row import srs_sample
+from repro.sampling.row import bernoulli_sample, srs_sample
 from repro.sql import bind_sql
 from repro.workloads import selectivity_table, zipf_group_table
 
@@ -31,16 +30,15 @@ def data():
 def test_e02_error_vs_selectivity(data):
     def compute():
         rows = []
-        values = data["value"]
-        selector = data["selector"]
+        samples = [
+            bernoulli_sample(data, RATE, np.random.default_rng(7000 + trial))
+            for trial in range(TRIALS)
+        ]
         for sel in SELECTIVITIES:
-            match = selector < sel
-            truth = float(values[match].sum())
+            truth = float(data["value"][data["selector"] < sel].sum())
             errs = []
-            for trial in range(TRIALS):
-                rng = np.random.default_rng(7000 + trial)
-                keep = rng.random(data.num_rows) < RATE
-                est = bernoulli_sum(values[keep & match], RATE)
+            for sample in samples:
+                est = sample.estimate_sum("value", sample.table["selector"] < sel)
                 errs.append(abs(est.value - truth) / truth if truth else np.inf)
             rows.append((sel, float(np.median(errs))))
         return rows

@@ -12,7 +12,6 @@ import pytest
 
 from common import table, write_report
 from repro import Table
-from repro.sampling.measure_biased import estimate_sum as mb_sum
 from repro.sampling.measure_biased import measure_biased_sample
 from repro.sampling.outlier import (
     build_outlier_index,
@@ -51,7 +50,7 @@ def test_e04_error_by_tail_weight():
                 mb = measure_biased_sample(
                     data, "value", int(NUM_ROWS * RATE), rng
                 )
-                biased_errs.append(abs(mb_sum(mb).value - truth) / truth)
+                biased_errs.append(abs(mb.estimate_sum("value").value - truth) / truth)
             rows.append(
                 (
                     sigma,

@@ -14,9 +14,8 @@ import pytest
 from common import table, write_report
 from repro import Database, Table
 from repro.engine.executor import join_indices
-from repro.estimators.horvitz_thompson import scale_up_weights
 from repro.sampling.join_synopsis import ForeignKeyEdge, build_join_synopsis
-from repro.sampling.universe import estimate_join_sum, joint_universe_samples
+from repro.sampling.universe import joint_universe_samples, universe_join_sample
 from repro.workloads import generate_ssb
 
 RATE = 0.01
@@ -65,12 +64,9 @@ def test_e06_independent_vs_universe(join_data):
             s, jkeys = join_sum(
                 ls.table["k"], ls.table["v"], rs.table["k"], rs.table["w"]
             )
-            est = estimate_join_sum(
-                ls.table["v"][join_indices([ls.table["k"]], [rs.table["k"]])[0]]
-                * rs.table["w"][join_indices([ls.table["k"]], [rs.table["k"]])[1]],
-                jkeys,
-                RATE,
-            )
+            li, ri, _ = join_indices([ls.table["k"]], [rs.table["k"]])
+            joined = Table({"k": jkeys, "y": ls.table["v"][li] * rs.table["w"][ri]})
+            est = universe_join_sample(joined, "k", RATE).estimate_sum("y")
             universe_errs.append(abs(est.value - truth) / truth)
         return (
             float(np.median(indep_errs)),
@@ -118,9 +114,7 @@ def test_e06_join_synopsis_on_star_schema():
         for region in np.unique(cust["c_region"]):
             truth = float(lo["lo_revenue"][region_of == region].sum())
             mask = syn.sample.table["customer_dim.c_region"] == region
-            est = scale_up_weights(
-                syn.sample.table["lo_revenue"][mask], syn.sample.weights[mask]
-            )
+            est = syn.sample.estimate_sum("lo_revenue", mask)
             out.append((str(region), truth, est.value, abs(est.value - truth) / truth))
         return out
 

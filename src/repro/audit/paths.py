@@ -259,31 +259,18 @@ def _rng(seed: int) -> np.random.Generator:
 # Sampling estimators (closed-form CIs)
 # ----------------------------------------------------------------------
 
-def _srs_sum(ctx: AuditContext, seed: int) -> TrialResult:
-    table = ctx.exponential
-    truth = float(table["value"].sum())
-    sample = srs_sample(table, 1500, _rng(seed))
-    est = sample.estimate_sum("value")
-    lo, hi = est.ci(0.95)
-    return TrialResult(est.value, truth, lo <= truth <= hi, lo, hi)
+def _sample_sum(dataset: str, draw: Callable) -> Callable:
+    """A trial of SUM(value) over ``dataset`` from the library sample
+    ``draw(table, rng)`` returns, with its design's CLT interval."""
 
+    def run(ctx: AuditContext, seed: int) -> TrialResult:
+        table = getattr(ctx, dataset)
+        truth = float(table["value"].sum())
+        est = draw(table, _rng(seed)).estimate_sum("value")
+        lo, hi = est.ci(0.95)
+        return TrialResult(est.value, truth, lo <= truth <= hi, lo, hi)
 
-def _bernoulli_sum_exponential(ctx: AuditContext, seed: int) -> TrialResult:
-    table = ctx.exponential
-    truth = float(table["value"].sum())
-    sample = bernoulli_sample(table, 0.03, _rng(seed))
-    est = sample.estimate_sum("value")
-    lo, hi = est.ci(0.95)
-    return TrialResult(est.value, truth, lo <= truth <= hi, lo, hi)
-
-
-def _bernoulli_sum_heavytail(ctx: AuditContext, seed: int) -> TrialResult:
-    table = ctx.heavytail
-    truth = float(table["value"].sum())
-    sample = bernoulli_sample(table, 0.01, _rng(seed))
-    est = sample.estimate_sum("value")
-    lo, hi = est.ci(0.95)
-    return TrialResult(est.value, truth, lo <= truth <= hi, lo, hi)
+    return run
 
 
 def _stratified_joint(ctx: AuditContext, seed: int) -> TrialResult:
@@ -668,8 +655,8 @@ def build_paths() -> List[Union[AuditPath, DoorRow]]:
             family="sampling",
             claim="ci",
             claimed_coverage=0.95,
-            description="SRS(1500) HT SUM with CLT CI on exponential data",
-            run=_srs_sum,
+            description="SRS(1500) SUM with the SRS design's CLT CI on exponential data",
+            run=_sample_sum("exponential", lambda t, rng: srs_sample(t, 1500, rng)),
         ),
         AuditPath(
             name="bernoulli_sum",
@@ -677,7 +664,7 @@ def build_paths() -> List[Union[AuditPath, DoorRow]]:
             claim="ci",
             claimed_coverage=0.95,
             description="Bernoulli(3%) HT SUM with CLT CI on exponential data",
-            run=_bernoulli_sum_exponential,
+            run=_sample_sum("exponential", lambda t, rng: bernoulli_sample(t, 0.03, rng)),
         ),
         AuditPath(
             name="bernoulli_sum_heavytail",
@@ -688,7 +675,7 @@ def build_paths() -> List[Union[AuditPath, DoorRow]]:
                 "Bernoulli(1%) HT SUM on lognormal(σ=2.5): rare huge rows "
                 "break the CLT interval — the paper's skew warning"
             ),
-            run=_bernoulli_sum_heavytail,
+            run=_sample_sum("heavytail", lambda t, rng: bernoulli_sample(t, 0.01, rng)),
             expected_failure=True,
         ),
         AuditPath(

@@ -1,19 +1,11 @@
-"""Statistical estimation: CLT, HT, bootstrap, propagation, clusters."""
+"""Estimation: the Estimate view, bootstrap, propagation, diagnostics."""
 
 from .bootstrap import BootstrapResult, bootstrap_ci, poissonized_bootstrap_total
 from .closed_form import (
     Estimate,
-    bernoulli_avg,
-    bernoulli_count,
-    bernoulli_sum,
-    ratio_estimate,
     required_rate_for_sum,
     required_sample_size_for_mean,
-    srs_mean,
-    srs_proportion_count,
-    srs_sum,
 )
-from .horvitz_thompson import ht_count, ht_mean, ht_total
 from .propagation import (
     allocate_for_product,
     allocate_for_quotient,
@@ -21,41 +13,20 @@ from .propagation import (
     propagate_quotient,
     propagate_sum,
 )
-from .subsampling import (
-    block_sample_avg,
-    block_sample_count,
-    block_sample_sum,
-    design_effect_from_rows,
-    jackknife_blocks,
-    per_block_totals,
-)
+from .subsampling import design_effect_from_rows, jackknife_blocks
 
 __all__ = [
     "BootstrapResult",
     "Estimate",
     "allocate_for_product",
     "allocate_for_quotient",
-    "bernoulli_avg",
-    "bernoulli_count",
-    "bernoulli_sum",
-    "block_sample_avg",
-    "block_sample_count",
-    "block_sample_sum",
     "bootstrap_ci",
     "design_effect_from_rows",
-    "ht_count",
-    "ht_mean",
-    "ht_total",
     "jackknife_blocks",
-    "per_block_totals",
     "poissonized_bootstrap_total",
     "propagate_product",
     "propagate_quotient",
     "propagate_sum",
-    "ratio_estimate",
     "required_rate_for_sum",
     "required_sample_size_for_mean",
-    "srs_mean",
-    "srs_proportion_count",
-    "srs_sum",
 ]

@@ -1,17 +1,9 @@
-"""Closed-form (CLT-based) estimators for sampled aggregates.
+"""The per-cell view of a sampled estimate, and a-priori sample sizes.
 
-These are the workhorse estimators every sampling-based AQP system in the
-survey uses: unbiased point estimates for SUM/COUNT/AVG computed from a
-uniform sample, with normal-approximation confidence intervals. Two
-sampling designs are supported, because their variances differ:
-
-* **Bernoulli (Poisson) sampling** — each row kept independently with
-  probability ``p``. The Horvitz–Thompson total has variance
-  ``(1-p)/p · Σ y_i²`` (no finite-population correction needed; the
-  randomness is in the inclusion indicators).
-* **Simple random sampling (SRS) without replacement** of fixed size
-  ``n`` from ``N`` — the classic ``(1 - n/N) · S² / n`` variance of the
-  sample mean, scaled by ``N`` for totals.
+:class:`Estimate` is one cell of a library sample's moment table
+(:meth:`repro.sampling.base.WeightedSample.moments`); its variance and
+critical value come from :mod:`repro.online.estimation`. The
+``required_*`` functions size a sample before it is drawn.
 """
 
 from __future__ import annotations
@@ -22,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.errorspec import ErrorSpec, student_t_ppf, z_value
+from ..core.errorspec import ErrorSpec, z_value
 
 
 @dataclass
@@ -32,25 +24,19 @@ class Estimate:
     value: float
     variance: float
     sample_size: int
-    estimator: str = ""
 
     @property
     def std_error(self) -> float:
         return math.sqrt(max(self.variance, 0.0))
 
     def ci(self, confidence: float = 0.95) -> Tuple[float, float]:
-        """Two-sided CLT confidence interval.
+        """Two-sided CLT confidence interval at
+        :func:`~repro.online.estimation.critical_value` of the units."""
+        from ..online.estimation import critical_value  # online imports this module
 
-        Uses Student's t when the sample is small (<100) and the normal
-        otherwise; with tiny samples the t correction matters for the
-        coverage experiments.
-        """
-        if self.sample_size <= 1:
+        crit = critical_value(self.sample_size, confidence)
+        if math.isinf(crit):
             return (-math.inf, math.inf)
-        if self.sample_size < 100:
-            crit = student_t_ppf(0.5 + confidence / 2.0, self.sample_size - 1)
-        else:
-            crit = z_value(confidence)
         half = crit * self.std_error
         return (self.value - half, self.value + half)
 
@@ -68,147 +54,6 @@ class Estimate:
         """Does the CI at ``confidence`` contain the exact answer?"""
         lo, hi = self.ci(confidence)
         return lo <= truth <= hi
-
-
-# ----------------------------------------------------------------------
-# Bernoulli / Poisson sampling estimators
-# ----------------------------------------------------------------------
-
-def bernoulli_sum(sample_values: np.ndarray, rate: float) -> Estimate:
-    """HT estimate of a population SUM from a Bernoulli sample."""
-    if not (0.0 < rate <= 1.0):
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    y = np.asarray(sample_values, dtype=np.float64)
-    n = len(y)
-    total = float(np.sum(y)) / rate
-    # HT variance for Poisson sampling, estimated from the sample:
-    # Var = sum_i y_i^2 (1-p)/p; unbiased estimate divides by p once more.
-    variance = float(np.sum(y * y)) * (1.0 - rate) / (rate * rate)
-    return Estimate(total, variance, n, estimator="bernoulli_sum")
-
-
-def bernoulli_count(sample_size: int, rate: float) -> Estimate:
-    """HT estimate of a population COUNT from a Bernoulli sample."""
-    if not (0.0 < rate <= 1.0):
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    total = sample_size / rate
-    variance = sample_size * (1.0 - rate) / (rate * rate)
-    return Estimate(total, variance, sample_size, estimator="bernoulli_count")
-
-
-def bernoulli_avg(sample_values: np.ndarray, rate: float) -> Estimate:
-    """AVG as the ratio SUM/COUNT with delta-method variance.
-
-    For a Bernoulli sample the sample mean is a consistent (ratio)
-    estimator of the population mean; its variance is approximately
-    ``(1-p) · S² / n`` where ``S²`` is the sample variance.
-    """
-    y = np.asarray(sample_values, dtype=np.float64)
-    n = len(y)
-    if n == 0:
-        return Estimate(math.nan, math.inf, 0, estimator="bernoulli_avg")
-    mean = float(np.mean(y))
-    s2 = float(np.var(y, ddof=1)) if n > 1 else 0.0
-    variance = (1.0 - rate) * s2 / n
-    return Estimate(mean, variance, n, estimator="bernoulli_avg")
-
-
-# ----------------------------------------------------------------------
-# SRS-without-replacement estimators
-# ----------------------------------------------------------------------
-
-def srs_mean(sample_values: np.ndarray, population_size: int) -> Estimate:
-    """Mean under SRS without replacement, with FPC."""
-    y = np.asarray(sample_values, dtype=np.float64)
-    n = len(y)
-    if n == 0:
-        return Estimate(math.nan, math.inf, 0, estimator="srs_mean")
-    mean = float(np.mean(y))
-    s2 = float(np.var(y, ddof=1)) if n > 1 else 0.0
-    fpc = 1.0 - n / population_size if population_size > 0 else 1.0
-    variance = max(fpc, 0.0) * s2 / n
-    return Estimate(mean, variance, n, estimator="srs_mean")
-
-
-def srs_sum(sample_values: np.ndarray, population_size: int) -> Estimate:
-    """Total under SRS without replacement: N · mean."""
-    mean_est = srs_mean(sample_values, population_size)
-    return Estimate(
-        mean_est.value * population_size,
-        mean_est.variance * population_size * population_size,
-        mean_est.sample_size,
-        estimator="srs_sum",
-    )
-
-
-def ratio_from_sums(
-    n: int,
-    sum_num: float,
-    sum_den: float,
-    sum_num2: float,
-    sum_den2: float,
-    sum_cross: float,
-) -> Estimate:
-    """:func:`ratio_estimate` from precomputed moments.
-
-    ``Σ(num - r·den)² = Σnum² - 2rΣ(num·den) + r²Σden²`` — identical to
-    the residual form up to float rounding.
-    """
-    if n == 0 or sum_den == 0:
-        return Estimate(math.nan, math.inf, n, estimator="ratio")
-    r = sum_num / sum_den
-    ss_resid = max(sum_num2 - 2.0 * r * sum_cross + r * r * sum_den2, 0.0)
-    if n > 1:
-        var = ss_resid * n / (n - 1) / (sum_den * sum_den)
-    else:
-        var = math.inf
-    return Estimate(r, var, n, estimator="ratio")
-
-
-def srs_proportion_count(
-    matching: int, sample_size: int, population_size: int
-) -> Estimate:
-    """COUNT of rows matching a predicate from an SRS of the table."""
-    if sample_size == 0:
-        return Estimate(math.nan, math.inf, 0, estimator="srs_count")
-    p_hat = matching / sample_size
-    fpc = 1.0 - sample_size / population_size if population_size > 0 else 1.0
-    var_p = max(fpc, 0.0) * p_hat * (1.0 - p_hat) / max(sample_size - 1, 1)
-    return Estimate(
-        p_hat * population_size,
-        var_p * population_size * population_size,
-        sample_size,
-        estimator="srs_count",
-    )
-
-
-# ----------------------------------------------------------------------
-# Ratio estimator (AVG over filtered subsets, per-group means, ...)
-# ----------------------------------------------------------------------
-
-def ratio_estimate(
-    numerators: np.ndarray, denominators: np.ndarray
-) -> Estimate:
-    """Estimate ``Σ num / Σ den`` with delta-method (Taylor) variance.
-
-    Both arrays are per-sample-row contributions (e.g. ``y_i`` and
-    ``1{row matches}``). Used for AVG on Bernoulli samples and for
-    per-group means where the group size is itself estimated.
-    """
-    num = np.asarray(numerators, dtype=np.float64)
-    den = np.asarray(denominators, dtype=np.float64)
-    n = len(num)
-    sum_den = float(np.sum(den))
-    if n == 0 or sum_den == 0:
-        return Estimate(math.nan, math.inf, n, estimator="ratio")
-    r = float(np.sum(num)) / sum_den
-    residuals = num - r * den
-    # Var(r) ~ n/(n-1) * sum(residuals^2) / (sum_den)^2
-    if n > 1:
-        var = float(np.sum(residuals * residuals)) * n / (n - 1) / (sum_den * sum_den)
-    else:
-        var = math.inf
-    return Estimate(r, var, n, estimator="ratio")
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,11 @@ value + CI per piece and :func:`combine_intervals` per user aggregate
 (the shard gather adds its missing-shard widening in between), and
 :func:`project_output_with_intervals` carries those through the SELECT
 list with interval arithmetic.
+
+This is the only variance code, for ``sql()`` folds and library samples
+(:meth:`repro.sampling.base.WeightedSample.moments`) alike; an AVG is
+:func:`ratio_moments` given a cross moment, else (every ``sql()`` fold)
+:func:`combine_intervals`' interval quotient.
 """
 
 from __future__ import annotations
@@ -40,6 +45,20 @@ MIN_SAMPLABLE_ROWS = 10_000
 SMALL_SAMPLE = 100
 
 VARIANCE_SUFFIX = "__var"
+
+#: The covariance of a moment table's SUM and COUNT totals.
+CROSS_COLUMN = "__cross"
+
+
+def critical_value(units: int, confidence: float) -> float:
+    """Two-sided critical value from ``units`` sampled units: Student's t
+    with ``units − 1`` degrees of freedom under :data:`SMALL_SAMPLE`, the
+    normal quantile otherwise, infinite for one unit or fewer."""
+    if units <= 1:
+        return np.inf
+    if units < SMALL_SAMPLE:
+        return student_t_ppf(0.5 + confidence / 2.0, units - 1)
+    return z_value(confidence)
 
 
 def require_linear_aggregates(
@@ -75,17 +94,14 @@ def moment_aggregate(
     """The moment table of ``bound`` over a row-weighted ``child`` whose
     ``weight_column`` holds each row's ``w = 1/π``: per piece, the HT
     total ``SUM(w·y)`` and its variance estimate ``SUM(w·(w−1)·y²)``
-    (``y = 1`` for COUNT) — valid for every Poisson design (uniform,
-    distinct, stratified, measure-biased) and additive across rows."""
+    (``y = 1`` for COUNT), :func:`poisson_totals` as expressions — valid
+    for every Poisson design (uniform, distinct, stratified,
+    measure-biased) and additive across rows."""
     w = E.Column(weight_column)
-    var_w = E.BinaryOp("*", w, E.BinaryOp("-", w, E.Literal(1.0)))
     specs: List[AggregateSpec] = []
     for piece in expanded_aggregates(bound):
-        total, variance = w, var_w
-        if piece.func != "count":
-            y = piece.argument
-            total = E.BinaryOp("*", w, y)
-            variance = E.BinaryOp("*", E.BinaryOp("*", var_w, y), y)
+        y = None if piece.func == "count" else piece.argument
+        total, variance = poisson_totals(w, y)
         specs.append(AggregateSpec("sum", total, piece.alias))
         specs.append(AggregateSpec("sum", variance, piece.alias + VARIANCE_SUFFIX))
     specs.append(AggregateSpec("count", None, ROWS_COLUMN))
@@ -139,24 +155,51 @@ def estimate_groups_row_level(
     return fold_moments(moment_kernels(bound, where), relation, weights)
 
 
-def srs_totals(sum_t, sum_t2, m: int, population: int):
+def srs_totals(sum_t, sum_t2, m: int, population: int, sum_u=None):
     """``(total, variance)`` of a population total from an SRS without
     replacement of ``m`` of ``population`` units whose contributions
     ``t`` have sums ``Σt`` and ``Σt²``: ``N·mean`` and
     ``N² (1−m/N) s²/m``, elementwise over arrays of sums. An empty
     population's total is exactly 0; no draws from a non-empty one give
-    a NaN total with an infinite variance."""
+    a NaN total with an infinite variance. Given the ``Σu`` of a second
+    contribution and ``Σtu`` for ``sum_t2``, the second value is the
+    covariance of the two totals instead."""
     sum_t = np.asarray(sum_t, dtype=np.float64)
     if population == 0:
         return np.zeros(sum_t.shape), np.zeros(sum_t.shape)
     if m == 0:
         return np.full(sum_t.shape, np.nan), np.full(sum_t.shape, np.inf)
     mean = sum_t / m
-    var_units = np.maximum(sum_t2 / m - mean * mean, 0.0)
+    var_units = sum_t2 / m - mean * (mean if sum_u is None else sum_u / m)
+    if sum_u is None:
+        var_units = np.maximum(var_units, 0.0)
     if m > 1:
         var_units *= m / (m - 1)
     fpc = max(1.0 - m / population, 0.0) if population else 1.0
     return population * mean, population * population * fpc * var_units / m
+
+
+def poisson_totals(w, t=None, u=None):
+    """``(w·t, w(w−1)·t²)``, a unit's parts of the HT total and its variance
+    when units are kept independently at ``1/w`` (``t`` None: 1), over
+    arrays or expressions; ``w(w−1)·t·u``, of a covariance, given ``u``."""
+    var_w = w * (w - 1.0)
+    if t is None:
+        return w, var_w
+    return w * t, var_w * t * (t if u is None else u)
+
+
+def ratio_moments(total_s, var_s, total_c, var_c, cross):
+    """The AVG ``R = S/C`` of a SUM and a COUNT total with the linearised
+    variance ``(V_S − 2R·Cov + R²·V_C)/C²`` (the design's variance of the
+    residual total), elementwise; NaN ± inf where ``C`` is 0."""
+    total_c = np.asarray(total_c, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.asarray(total_s, dtype=np.float64) / total_c
+        spread = var_s - 2.0 * ratio * cross + ratio * ratio * var_c
+        variance = np.maximum(spread, 0.0) / (total_c * total_c)
+    zero = total_c == 0
+    return np.where(zero, np.nan, ratio), np.where(zero, np.inf, variance)
 
 
 def estimate_groups_from_blocks(
@@ -175,9 +218,8 @@ def estimate_groups_from_blocks(
     ``B² (1−m/B) s²/m`` over per-block contributions ``t_b``
     (:func:`srs_totals`) — computed *per group*, counting sampled blocks
     where the group was absent as zeros (forgetting the zeros is the
-    classic way to bias block-sample estimates): a group's ``Σt`` and
-    ``Σt²`` are ``bincount``s over its per-(group, block) rows, to which
-    absent blocks add nothing.
+    classic way to bias block-sample estimates): :func:`srs_cells` over
+    the per-(group, block) rows, to which absent blocks add nothing.
     """
     key_aliases = [alias for _, alias in bound.group_keys]
     cols: Dict[str, np.ndarray] = {}
@@ -185,18 +227,61 @@ def estimate_groups_from_blocks(
     if key_aliases:
         gids, keys = encode_groups_arrays([per_block[a] for a in key_aliases])
         cols.update(zip(key_aliases, keys))
+    pieces = {s.alias: np.asarray(per_block[s.alias], np.float64) for s in expanded_aggs}
     num_groups = int(gids.max()) + 1 if len(gids) else 0
     m = max(sampled_blocks, 1)
-    cols[ROWS_COLUMN] = np.full(num_groups, m)
-    for spec in expanded_aggs:
-        t = np.asarray(per_block[spec.alias], dtype=np.float64)
-        cols[spec.alias], cols[spec.alias + VARIANCE_SUFFIX] = srs_totals(
-            np.bincount(gids, weights=t, minlength=num_groups),
-            np.bincount(gids, weights=t * t, minlength=num_groups),
-            m,
-            total_blocks,
-        )
+    cols.update(srs_cells(gids, num_groups, pieces, [m], [total_blocks]))
     return Table(cols)
+
+
+def srs_cells(cells, num_cells, pieces, sizes, populations, strata=None, cross=None):
+    """Moment-table columns of an SRS of units per stratum (None: one):
+    per cell of ``cells``, ``__rows`` (its strata's ``n_h``), and per
+    piece (name → units' contributions) its total and ``__var`` by
+    :func:`srs_totals` with the stratum's ``n_h`` of ``N_h``, summed over
+    strata; the covariance of the two pieces ``cross`` names goes to
+    :data:`CROSS_COLUMN`."""
+    strata = np.zeros(len(cells), dtype=np.int64) if strata is None else strata
+    combos, (combo_cells, combo_strata) = encode_groups_arrays([cells, strata])
+
+    def total(values):
+        return np.bincount(combos, weights=values, minlength=len(combo_cells))
+
+    def per_cell(values):
+        return np.bincount(combo_cells, weights=values, minlength=num_cells)
+
+    sums = {name: (total(t), total(t * t), None) for name, t in pieces.items()}
+    if cross is not None:
+        t, u = (pieces[name] for name in cross)
+        sums[CROSS_COLUMN] = (total(t), total(t * u), total(u))
+    parts = {name: np.zeros((2, len(combo_cells))) for name in sums}
+    for h in set(combo_strata.tolist()):
+        kept = combo_strata == h
+        for name, (s, s2, su) in sums.items():
+            su = None if su is None else su[kept]
+            parts[name][:, kept] = srs_totals(s[kept], s2[kept], sizes[h], populations[h], su)
+    out = {ROWS_COLUMN: per_cell(np.asarray(sizes)[combo_strata]).astype(np.int64)}
+    for name, (value, variance) in parts.items():
+        if name == CROSS_COLUMN:
+            out[name] = per_cell(variance)
+        else:
+            out[name], out[name + VARIANCE_SUFFIX] = per_cell(value), per_cell(variance)
+    return out
+
+
+def poisson_cells(cells, num_cells, w, pieces, kept, cross):
+    """:func:`srs_cells` for units kept independently at weights ``w``, by
+    :func:`poisson_totals`; ``__rows`` counts the units ``kept``."""
+
+    def per_cell(values):
+        return np.bincount(cells, weights=values, minlength=num_cells)
+
+    out = {ROWS_COLUMN: per_cell(kept).astype(np.int64)}
+    for name, t in pieces.items():
+        value, variance = poisson_totals(w, t)
+        out[name], out[name + VARIANCE_SUFFIX] = per_cell(value), per_cell(variance)
+    out[CROSS_COLUMN] = per_cell(poisson_totals(w, *(pieces[n] for n in cross))[1])
+    return out
 
 
 def piece_intervals(
@@ -205,22 +290,21 @@ def piece_intervals(
     """Value and two-sided CI per group of every SUM/COUNT piece of a
     moment table.
 
-    A piece is its total ± critical value × standard error: Student's t
-    with ``rows − 1`` degrees of freedom for groups under
-    :data:`SMALL_SAMPLE` rows (one quantile per distinct size), the
-    normal quantile otherwise, unbounded for one row or fewer. A piece
-    without a ``p__var`` column (an exact partial) is its total with a
-    zero-width interval.
+    A piece is its total ± :func:`critical_value` of its group's
+    ``__rows`` × standard error (one quantile per distinct size under
+    :data:`SMALL_SAMPLE`). A piece without a ``p__var`` column (an exact
+    partial) is its total with a zero-width interval.
     """
     sizes = np.asarray(moments[ROWS_COLUMN], dtype=np.int64)
     crit = np.full(len(sizes), z_value(confidence))
     small = sizes < SMALL_SAMPLE
     if small.any():
         t_crit = np.zeros(SMALL_SAMPLE)
-        for size in set(sizes[small].tolist()) - {0, 1}:
-            t_crit[size] = student_t_ppf(0.5 + confidence / 2.0, size - 1)
+        for size in set(sizes[small].tolist()):
+            t_crit[size] = critical_value(size, confidence)
         crit[small] = t_crit[sizes[small]]
-    unbounded = sizes <= 1
+    unbounded = np.isinf(crit)
+    crit[unbounded] = 0.0  # no inf·0 below: those halves are inf anyway
     out: Dict[str, _Interval] = {}
     for piece in expanded_aggregates(bound):
         total = np.asarray(moments[piece.alias], dtype=np.float64)

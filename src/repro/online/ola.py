@@ -8,9 +8,10 @@ the user stops the moment the CI first looks good ("peeking"), realized
 coverage drops below nominal, which experiment E13 measures.
 
 :class:`OnlineAggregator` is that progressive stream, for the library,
-E13 and the audit: snapshots come from running moments (Σv, Σv², Σm)
-advanced over the new rows only, so a stream of snapshots costs one pass
-over what it read.
+E13 and the audit: cumulative sums of ``t`` and ``t²`` over the read
+order give every prefix's moments in one pass, and the row-level SRS
+reductions of :mod:`repro.online.estimation` turn a prefix into its
+estimate.
 
 The ``sql()`` doors (the sharded ``ola`` technique, the ladder's
 ``partial_ola`` rung) read one answer at a stop fixed before reading,
@@ -36,9 +37,9 @@ from ..core.exceptions import PlanError
 from ..engine.aggregates import ROWS_COLUMN
 from ..engine.fused import LazyRelation, filter_mask
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate, ratio_from_sums
+from ..estimators.closed_form import Estimate
 from ..obs.trace import event
-from .estimation import VARIANCE_SUFFIX, srs_totals
+from .estimation import VARIANCE_SUFFIX, ratio_moments, srs_totals
 
 
 @dataclass
@@ -70,9 +71,7 @@ class OnlineAggregator:
     The random order is the statistical heart of OLA: every prefix of a
     uniformly random permutation is an SRS of the table, so SRS
     estimators apply at every step. ``mask_column``-style filtering is
-    handled by passing a boolean predicate mask. Snapshots advance
-    running moments held on the aggregator, so one aggregator serves one
-    thread.
+    handled by passing a boolean predicate mask.
     """
 
     def __init__(
@@ -89,59 +88,39 @@ class OnlineAggregator:
         if agg not in ("sum", "avg", "count"):
             raise PlanError(f"OLA supports sum/avg/count, not {agg!r}")
         n = table.num_rows
-        values = (
-            np.asarray(table[value_column], dtype=np.float64)
-            if value_column is not None
-            else np.ones(n)
-        )
-        mask = (
-            np.asarray(predicate_mask, dtype=bool)
-            if predicate_mask is not None
-            else np.ones(n, dtype=bool)
-        )
         order = np.random.default_rng(seed).permutation(n)
-        self.table = table
-        self.agg = agg
-        self.confidence = confidence
-        # The scalar estimators only ever need Σy, Σy², Σm, Σm² and Σy·m
-        # of the prefix; with values zeroed outside the predicate and 0/1
-        # matches, Σv, Σv² and Σm provide all five.
-        self._matches = mask[order]
-        self._values = np.where(self._matches, values[order], 0.0)
+        self.table, self.agg, self.confidence = table, agg, confidence
         self._population = n
-        self._seen = 0
-        self._sums = (0.0, 0.0, 0.0)
+        # Per prefix of the read order, Σv and Σv² (SUM), Σm (COUNT: t is m,
+        # Σt² = Σt) or all three (AVG: Σv·m = Σv) of values v zeroed outside
+        # the predicate and 0/1 matches m.
+        matches = np.ones(n, dtype=bool) if predicate_mask is None else predicate_mask
+        matches = np.asarray(matches, dtype=bool)[order]
+        v = np.ones(n) if value_column is None else table[value_column]
+        v = np.where(matches, np.asarray(v, dtype=np.float64)[order], 0.0)
+        needed = {"sum": (v, v * v), "count": (matches,), "avg": (v, v * v, matches)}
+        self._prefix = [
+            np.concatenate([[0.0], np.cumsum(column, dtype=np.float64)])
+            for column in needed[agg]
+        ]
 
     # ------------------------------------------------------------------
-    def _moments(self, n: int) -> Tuple[float, float, float]:
-        """Σv, Σv² and Σm of the first ``n`` rows read, advanced over the
-        rows since the previous snapshot (from zero when ``n`` is behind
-        it)."""
-        start, (sum_v, sum_v2, sum_m) = self._seen, self._sums
-        if n < start:
-            start, sum_v, sum_v2, sum_m = 0, 0.0, 0.0, 0.0
-        new = self._values[start:n]
-        self._sums = (
-            sum_v + float(np.sum(new)),
-            sum_v2 + float(np.dot(new, new)),
-            sum_m + float(np.count_nonzero(self._matches[start:n])),
-        )
-        self._seen = n
-        return self._sums
-
     def estimate(self, rows_seen: int) -> Estimate:
         """Estimate, with its variance, from the first ``rows_seen`` rows
         of the read order."""
-        n = min(max(rows_seen, 1), len(self._values))
-        sum_v, sum_v2, sum_m = self._moments(n)
+        n = min(max(rows_seen, 1), self._population)
+        big_n = self._population
+        sums = [float(column[n]) for column in self._prefix]
         if self.agg == "avg":
-            # avg over matching rows: ratio estimator; values are zeroed
-            # outside the predicate, so Σv·m = Σv.
-            return ratio_from_sums(n, sum_v, sum_m, sum_v2, sum_m, sum_v)
-        # matches are 0/1, so a COUNT's Σm² is Σm
-        sum_t, sum_t2 = (sum_v, sum_v2) if self.agg == "sum" else (sum_m, sum_m)
-        total, variance = srs_totals(sum_t, sum_t2, n, self._population)
-        return Estimate(float(total), float(variance), n, estimator="srs_sum")
+            sum_v, sum_v2, sum_m = sums
+            value, variance = ratio_moments(
+                *srs_totals(sum_v, sum_v2, n, big_n),
+                *srs_totals(sum_m, sum_m, n, big_n),
+                srs_totals(sum_v, sum_v, n, big_n, sum_m)[1],
+            )
+        else:
+            value, variance = srs_totals(*(sums if self.agg == "sum" else sums * 2), n, big_n)
+        return Estimate(float(value), float(variance), n)
 
     def snapshot(self, rows_seen: int) -> OLASnapshot:
         """:meth:`estimate` as a running answer: its interval at the
@@ -150,14 +129,7 @@ class OnlineAggregator:
         n = est.sample_size
         if n == 0:
             return OLASnapshot(0, 0.0, math.nan, -math.inf, math.inf)
-        lo, hi = est.ci(self.confidence)
-        return OLASnapshot(
-            rows_seen=n,
-            fraction_seen=n / self._population,
-            value=est.value,
-            ci_low=lo,
-            ci_high=hi,
-        )
+        return OLASnapshot(n, n / self._population, est.value, *est.ci(self.confidence))
 
     def run(
         self,

@@ -1,7 +1,7 @@
 """Sampling schemes: the survey's full menagerie."""
 
 from .base import WeightedSample
-from .bilevel import bilevel_sample, estimate_count_bilevel, estimate_sum_bilevel
+from .bilevel import bilevel_sample
 from .block import block_bernoulli_sample, block_fixed_sample
 from .distinct import distinct_sample
 from .join_synopsis import ForeignKeyEdge, JoinSynopsis, build_join_synopsis
@@ -26,8 +26,6 @@ __all__ = [
     "build_join_synopsis",
     "build_outlier_index",
     "distinct_sample",
-    "estimate_count_bilevel",
-    "estimate_sum_bilevel",
     "joint_universe_samples",
     "measure_biased_sample",
     "srs_sample",

@@ -9,22 +9,20 @@ scan (only sampled blocks are read); the effective row fraction is
 clustered data — the knob the survey describes for trading I/O against
 statistical efficiency.
 
-Estimation treats the per-block HT subtotal ``t̂_b = Σ y / r`` as the
-cluster observation; mean-of-blocks over the ``m`` sampled blocks then
+Estimation (:meth:`~repro.sampling.base.WeightedSample.moments`) treats
+the per-block HT subtotal ``t̂_b = Σ y / r`` as the cluster observation
+of an SRS of blocks; mean-of-blocks over the ``m`` sampled blocks then
 captures *both* variance stages (between blocks and within-block
 thinning) without needing them separated.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate
-from ..estimators.subsampling import per_block_totals
 from ..storage.blocks import block_rows
 from .base import WeightedSample, materialize_sample
 from .block import block_bernoulli_selection
@@ -57,44 +55,6 @@ def bilevel_sample(
         },
         chosen[owner[keep]],
     )
-
-
-def estimate_sum_bilevel(sample: WeightedSample, column: str) -> Estimate:
-    """SUM with variance over per-block HT subtotals."""
-    total_blocks = int(sample.params["total_blocks"])
-    m = int(sample.params["sampled_blocks"])
-    row_rate = float(sample.params["row_rate"])
-    if m == 0:
-        return Estimate(math.nan, math.inf, 0, estimator="bilevel_sum")
-    sums, _ = per_block_totals(
-        np.asarray(sample.table[column], dtype=np.float64),
-        sample.table["__block_id"],
-    )
-    # Per-sampled-block HT subtotal; pad with zeros for sampled blocks in
-    # which every row was thinned away.
-    t_hat = np.zeros(m)
-    t_hat[: len(sums)] = sums / row_rate
-    mean = float(np.mean(t_hat))
-    var_blocks = float(np.var(t_hat, ddof=1)) if m > 1 else math.inf
-    fpc = max(1.0 - m / total_blocks, 0.0) if total_blocks else 1.0
-    total = total_blocks * mean
-    variance = total_blocks * total_blocks * fpc * var_blocks / m
-    return Estimate(total, variance, m, estimator="bilevel_sum")
-
-
-def estimate_count_bilevel(sample: WeightedSample) -> Estimate:
-    """COUNT via the same machinery with unit values."""
-    counted = sample.table.with_column(
-        "__ones", np.ones(sample.table.num_rows)
-    )
-    clone = WeightedSample(
-        table=counted,
-        weights=sample.weights,
-        method=sample.method,
-        population_rows=sample.population_rows,
-        params=dict(sample.params),
-    )
-    return estimate_sum_bilevel(clone, "__ones")
 
 
 def io_cost_fraction(block_rate: float) -> float:
@@ -133,7 +93,7 @@ def variance_tradeoff_curve(
             s = bilevel_sample(
                 table, q, r, np.random.default_rng(seed * 1000 + trial)
             )
-            est = estimate_sum_bilevel(s, column)
+            est = s.estimate_sum(column)
             errs.append((est.value - truth) / truth)
         rmse = float(np.sqrt(np.mean(np.square(errs))))
         out.append((q, io_cost_fraction(q), rmse))

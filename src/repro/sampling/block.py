@@ -3,8 +3,9 @@
 Block sampling reads whole storage blocks, skipping everything else — the
 only sampler whose *cost* is proportional to the sampling rate on block
 storage. Its price is statistical: rows within a block are included
-together, so the sampling unit is the block and variance must be computed
-over per-block totals (:mod:`repro.estimators.subsampling`).
+together, so the sampling unit is the block and variance is computed
+over per-block totals, an SRS of blocks
+(:meth:`~repro.sampling.base.WeightedSample.moments`).
 
 The ``weights`` of the returned sample are the inverse *block* inclusion
 probability, which makes HT totals unbiased: every row of a sampled block
@@ -24,13 +25,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate
-from ..estimators.subsampling import (
-    block_sample_avg,
-    block_sample_count,
-    block_sample_sum,
-    per_block_totals,
-)
 from ..storage.blocks import block_rows
 from .base import WeightedSample, materialize_sample
 from .row import srs_selection
@@ -76,54 +70,3 @@ def _materialize(
         table, rows, weights[owner], method, params, block_ids[owner]
     )
 
-
-# ----------------------------------------------------------------------
-# Block-aware estimation (correct variance for block samples)
-# ----------------------------------------------------------------------
-
-def estimate_sum_blockwise(sample: WeightedSample, column: str) -> Estimate:
-    """SUM estimate with cluster-correct variance from a block sample."""
-    total_blocks = int(sample.params["total_blocks"])
-    sums, _ = per_block_totals(
-        np.asarray(sample.table[column], dtype=np.float64),
-        sample.table["__block_id"],
-    )
-    return block_sample_sum(sums, total_blocks)
-
-
-def estimate_count_blockwise(sample: WeightedSample) -> Estimate:
-    total_blocks = int(sample.params["total_blocks"])
-    if sample.num_rows == 0:
-        return block_sample_count(np.array([]), total_blocks)
-    _, counts = per_block_totals(
-        np.ones(sample.num_rows), sample.table["__block_id"]
-    )
-    return block_sample_count(counts, total_blocks)
-
-
-def estimate_avg_blockwise(sample: WeightedSample, column: str) -> Estimate:
-    total_blocks = int(sample.params["total_blocks"])
-    sums, counts = per_block_totals(
-        np.asarray(sample.table[column], dtype=np.float64),
-        sample.table["__block_id"],
-    )
-    return block_sample_avg(sums, counts, total_blocks)
-
-
-def naive_vs_clustered_variance(
-    sample: WeightedSample, column: str
-) -> Tuple[float, float]:
-    """Variance of the SUM estimator computed two ways: pretending rows are
-    i.i.d. (wrong for block samples) vs. over block totals (right).
-
-    The ratio is the empirical design effect; experiment E1's "naive CLT
-    under-covers on clustered layouts" claim is this number being >> 1.
-    """
-    from ..estimators.closed_form import bernoulli_sum
-
-    rate = float(sample.params.get("rate", sample.sampling_fraction))
-    naive = bernoulli_sum(
-        np.asarray(sample.table[column], dtype=np.float64), rate
-    ).variance
-    clustered = estimate_sum_blockwise(sample, column).variance
-    return naive, clustered

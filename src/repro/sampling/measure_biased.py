@@ -14,13 +14,11 @@ re-weighted, one of the "no silver bullet" specialization trade-offs.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate
 from .base import WeightedSample, materialize_sample
 
 
@@ -68,26 +66,6 @@ def measure_biased_sample(
             "measure_total": total,
         },
     )
-
-
-def estimate_sum(sample: WeightedSample, mask: Optional[np.ndarray] = None) -> Estimate:
-    """SUM(measure) over an optional predicate mask.
-
-    With exact ``π ∝ y`` every sampled matching row contributes ``T/n``;
-    the HT estimator and its Poisson variance are computed generically
-    from the stored weights, so clipping floors are handled correctly.
-    """
-    measure = str(sample.params["measure_column"])
-    y = np.asarray(sample.table[measure], dtype=np.float64)
-    w = sample.weights
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        y = y[mask]
-        w = w[mask]
-    pi = 1.0 / np.maximum(w, 1e-300)
-    value = float(np.sum(y * w))
-    variance = float(np.sum((1.0 - pi) * (y * w) ** 2))
-    return Estimate(value, variance, len(y), estimator="measure_biased_sum")
 
 
 def optimal_variance_ratio(values: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate, bernoulli_sum
+from ..estimators.closed_form import Estimate
 from .base import WeightedSample
 from .row import bernoulli_sample
 
@@ -99,28 +99,21 @@ def estimate_sum_with_outliers(
 
     Optional masks restrict both parts to predicate-matching rows (the
     index stores full rows, so predicates evaluate exactly on outliers).
-    Returns the combined estimate and the inlier sample used.
+    The outliers join the inlier sample as rows of weight 1, a take-all
+    stratum. Returns the combined estimate and the inlier sample used.
     """
     outliers = index.outliers
     if predicate_mask_outliers is not None:
         outliers = outliers.take(np.asarray(predicate_mask_outliers, dtype=bool))
-    exact_part = float(
-        np.sum(np.asarray(outliers[index.measure_column], dtype=np.float64))
-    )
     inliers = index.inliers
     if predicate_mask_inliers is not None:
         inliers = inliers.take(np.asarray(predicate_mask_inliers, dtype=bool))
     sample = bernoulli_sample(inliers, rate, rng=rng)
-    inlier_est = bernoulli_sum(
-        np.asarray(sample.table[index.measure_column], dtype=np.float64), rate
-    )
-    combined = Estimate(
-        value=exact_part + inlier_est.value,
-        variance=inlier_est.variance,  # the exact part contributes none
-        sample_size=inlier_est.sample_size,
-        estimator="outlier_sum",
-    )
-    return combined, sample
+    rows = {c: np.concatenate([outliers[c], sample.table[c]]) for c in outliers.column_names}
+    weights = np.concatenate([np.ones(outliers.num_rows), sample.weights])
+    population = outliers.num_rows + inliers.num_rows
+    combined = WeightedSample(Table(rows), weights, "outlier", population, {"rate": rate})
+    return combined.estimate_sum(index.measure_column), sample
 
 
 def variance_reduction(

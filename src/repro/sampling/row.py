@@ -107,6 +107,10 @@ def systematic_sample(
     Cheap to execute on sequential storage but dangerous on periodic data
     — included as the classic example of a sampler whose validity depends
     on physical layout (a survey caveat about 'sampling is not one thing').
+    Its estimates read it as an SRS of rows, not a Poisson sample: its size
+    is fixed by the step, not random, and over rows in random order a
+    random start selects as an SRS does. One systematic draw admits no
+    design-unbiased variance, and on periodic data neither formula holds.
     """
     if step < 1:
         raise ValueError("step must be >= 1")

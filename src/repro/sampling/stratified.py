@@ -15,21 +15,22 @@ implemented here are the ones the offline-AQP literature converged on:
   proportional to ``N_h · σ_h``.
 
 Each stratum is sampled by SRS without replacement; weights are
-``N_h / n_h`` so HT estimation works unchanged.
+``N_h / n_h``, and estimates take the SRS variance per stratum from
+``params["strata"]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.exceptions import SynopsisError
-from ..engine.aggregates import encode_groups_arrays, sorted_unique
+from ..engine.aggregates import encode_groups_arrays
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
-from .base import WeightedSample, materialize_sample
+from .base import WeightedSample, cell_estimates, materialize_sample
 
 ALLOCATIONS = ("proportional", "senate", "congress", "neyman")
 
@@ -185,43 +186,16 @@ def srs_per_stratum(
     return np.sort(np.concatenate(pieces))
 
 
-# ----------------------------------------------------------------------
-# Per-group estimation from a stratified sample
-# ----------------------------------------------------------------------
-
 def group_estimates(
     sample: WeightedSample,
     group_column: str,
     value_column: Optional[str],
     agg: str = "sum",
 ) -> Dict[object, Estimate]:
-    """Per-group SUM/COUNT/AVG estimates with stratum-correct variance.
-
-    Assumes groups align with strata (the common deployment: stratify on
-    the group-by column). For each group the sample is an SRS of the
-    group, so SRS formulas with FPC apply within the group.
-    """
-    from ..estimators.closed_form import srs_mean, srs_sum
-
-    strata: List[StratumInfo] = sample.params["strata"]  # type: ignore[assignment]
-    by_key = {s.key: s for s in strata}
-    keys = sample.table[group_column]
-    uniq = sorted_unique(keys)
-    out: Dict[object, Estimate] = {}
-    for key in uniq:
-        mask = keys == key
-        k = key.item() if hasattr(key, "item") else key
-        info = by_key.get(k)
-        pop = info.population if info is not None else int(mask.sum())
-        if agg == "count":
-            drawn = int(mask.sum())
-            out[k] = Estimate(float(pop), 0.0, drawn, estimator="stratified_count")
-            continue
-        values = np.asarray(sample.table[value_column], dtype=np.float64)[mask]
-        if agg == "sum":
-            out[k] = srs_sum(values, pop)
-        elif agg == "avg":
-            out[k] = srs_mean(values, pop)
-        else:
-            raise SynopsisError(f"unsupported per-group aggregate {agg!r}")
-    return out
+    """Per-group SUM/COUNT/AVG estimates of ``sample`` under its own
+    design (:meth:`~repro.sampling.base.WeightedSample.moments`): a group
+    that is a stratum is an SRS of it, with FPC."""
+    if agg not in ("sum", "count", "avg"):
+        raise SynopsisError(f"unsupported per-group aggregate {agg!r}")
+    moments = sample.moments(value_column, by=group_column)
+    return dict(zip(moments[group_column].tolist(), cell_estimates(moments, agg)))

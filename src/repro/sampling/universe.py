@@ -9,19 +9,17 @@ survive or die together, so the surviving join output is a genuine
 ``p``-fraction sample of the join, keyed by key-universe inclusion.
 
 The estimator scales join aggregates by ``1/p`` (one factor — the same
-hash decided both sides). Variance is cluster-like over key groups, so we
-expose per-key totals for variance estimation.
+hash decided both sides). Variance is cluster-like over key groups: a
+universe sample's units are its keys (:func:`universe_join_sample`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..engine.table import Table
-from ..estimators.closed_form import Estimate
 from ..sketches.hashing import hash_unit_interval
 from .base import WeightedSample, materialize_sample
 
@@ -57,25 +55,8 @@ def joint_universe_samples(
     )
 
 
-def estimate_join_sum(
-    joined_values: np.ndarray,
-    joined_keys: np.ndarray,
-    rate: float,
-) -> Estimate:
-    """SUM over a join computed from universe samples.
-
-    ``joined_values`` are the measure values of the join output built from
-    the two universe samples; ``joined_keys`` the join key of each output
-    row. The key-universe is the sampling unit, so variance is estimated
-    over per-key totals (clusters), scaled by ``1/rate`` once.
-    """
-    y = np.asarray(joined_values, dtype=np.float64)
-    if len(y) == 0:
-        return Estimate(0.0, math.inf, 0, estimator="universe_join_sum")
-    uniq, inverse = np.unique(joined_keys, return_inverse=True)
-    per_key = np.bincount(inverse, weights=y, minlength=len(uniq))
-    k = len(per_key)
-    total = float(np.sum(per_key)) / rate
-    # Poisson sampling over the key universe: Var = (1-p)/p^2 * sum t_k^2
-    variance = float(np.sum(per_key * per_key)) * (1.0 - rate) / (rate * rate)
-    return Estimate(total, variance, k, estimator="universe_join_sum")
+def universe_join_sample(joined: Table, key_column: str, rate: float) -> WeightedSample:
+    """The join of two universe samples drawn at ``rate`` with one hash, as
+    a sample of the join whose units, its keys, were kept at ``rate``."""
+    n, params = joined.num_rows, {"key_column": key_column, "rate": rate}
+    return WeightedSample(joined, np.full(n, 1.0 / rate), "universe", round(n / rate), params)

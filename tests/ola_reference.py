@@ -6,8 +6,8 @@ block by block: the same random block order, each block evaluated on its
 own, and the SRS-of-blocks arithmetic written out with a two-pass
 variance. :class:`ReferenceFixedStop` is the row-level SRS arithmetic
 ``OnlineAggregator`` answers with (``N·mean ± N²(1−n/N)s²/n`` from
-``Σy``/``Σy²`` for SUM and COUNT, the ratio estimator for AVG), held
-against the aggregator's running sums.
+``Σy``/``Σy²`` for SUM and COUNT, the ratio estimator with the same FPC
+for AVG), held against sums of the aggregator's read order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.engine.aggregates import ROWS_COLUMN
 from repro.engine.fused import LazyRelation, filter_mask
-from repro.estimators.closed_form import Estimate, ratio_from_sums
+from repro.estimators.closed_form import Estimate
+
+from .estimator_reference import ola_avg_no_fpc
 
 #: the fixed-stop constants, restated so a change to any shows here
 FIXED_STOP_FRACTION = 0.30
@@ -41,16 +43,17 @@ class ReferenceFixedStop:
         n, big_n = self.rows_seen, self.population
         sum_v, sum_v2, sum_m = self.sums
         if func == "avg":
-            return ratio_from_sums(n, sum_v, sum_m, sum_v2, sum_m, sum_v)
+            ratio, variance, _ = ola_avg_no_fpc(n, sum_v, sum_v2, sum_m)
+            return Estimate(ratio, variance * (1.0 - n / big_n), n)
         sum_y, sum_y2 = (sum_v, sum_v2) if func == "sum" else (sum_m, sum_m)
         if n == 0:
-            return Estimate(math.nan, math.inf, 0, estimator="srs_sum")
+            return Estimate(math.nan, math.inf, 0)
         mean = sum_y / n
         s2 = max(sum_y2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
         fpc = 1.0 - n / big_n if big_n > 0 else 1.0
         var_mean = max(fpc, 0.0) * s2 / n
         return Estimate(
-            mean * big_n, var_mean * big_n * big_n, n, estimator="srs_sum"
+            mean * big_n, var_mean * big_n * big_n, n
         )
 
 

@@ -1,4 +1,5 @@
-"""Tests for closed-form estimators: unbiasedness, coverage, planning."""
+"""Tests for the Estimate view, the Bernoulli and SRS designs' estimates
+(unbiasedness, coverage, FPC, ratios) and a-priori sample sizes."""
 
 import math
 
@@ -7,25 +8,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import ErrorSpec
+from repro import ErrorSpec, Table
 from repro.estimators.closed_form import (
     Estimate,
-    bernoulli_avg,
-    bernoulli_count,
-    bernoulli_sum,
-    ratio_estimate,
     required_rate_for_sum,
     required_sample_size_for_mean,
-    srs_mean,
-    srs_proportion_count,
-    srs_sum,
 )
+from repro.sampling.base import WeightedSample
+from repro.sampling.row import bernoulli_sample, srs_sample
 
 
 @pytest.fixture(scope="module")
 def population():
     rng = np.random.default_rng(11)
     return rng.gamma(2.0, 50.0, 50_000)
+
+
+def _bernoulli(values, rate, population_rows):
+    """The Bernoulli sample that kept ``values`` at ``rate``."""
+    return WeightedSample(
+        Table({"y": values}), np.full(len(values), 1.0 / rate),
+        "bernoulli_rows", population_rows, {"rate": rate},
+    )
+
+
+def _srs(values, population_rows):
+    """The SRS of ``population_rows`` rows that drew ``values``."""
+    return WeightedSample(
+        Table({"y": values}), np.full(len(values), population_rows / max(len(values), 1)),
+        "srs_rows", population_rows, {"size": len(values)},
+    )
 
 
 class TestEstimateObject:
@@ -62,7 +74,8 @@ class TestBernoulliEstimators:
         estimates = []
         for _ in range(60):
             mask = rng.random(len(population)) < rate
-            estimates.append(bernoulli_sum(population[mask], rate).value)
+            sample = _bernoulli(population[mask], rate, len(population))
+            estimates.append(sample.estimate_sum("y").value)
         assert np.mean(estimates) == pytest.approx(truth, rel=0.02)
 
     def test_sum_coverage(self, population):
@@ -73,79 +86,83 @@ class TestBernoulliEstimators:
         trials = 120
         for _ in range(trials):
             mask = rng.random(len(population)) < rate
-            lo, hi = bernoulli_sum(population[mask], rate).ci(0.95)
+            sample = _bernoulli(population[mask], rate, len(population))
+            lo, hi = sample.estimate_sum("y").ci(0.95)
             hits += lo <= truth <= hi
         assert hits / trials >= 0.9  # allow MC slack below nominal 0.95
 
     def test_count(self):
-        est = bernoulli_count(500, 0.05)
+        est = _bernoulli(np.ones(500), 0.05, 10_000).estimate_count()
         assert est.value == pytest.approx(10_000)
         assert est.variance > 0
 
     def test_avg_close(self, population):
         rng = np.random.default_rng(2)
         mask = rng.random(len(population)) < 0.05
-        est = bernoulli_avg(population[mask], 0.05)
+        est = _bernoulli(population[mask], 0.05, len(population)).estimate_avg("y")
         assert est.value == pytest.approx(population.mean(), rel=0.05)
 
     def test_avg_empty(self):
-        est = bernoulli_avg(np.array([]), 0.1)
+        est = _bernoulli(np.array([]), 0.1, 100).estimate_avg("y")
         assert math.isnan(est.value)
 
     def test_rate_validation(self):
+        table = Table({"y": np.arange(10.0)})
         with pytest.raises(ValueError):
-            bernoulli_sum(np.array([1.0]), 0.0)
+            bernoulli_sample(table, 0.0)
         with pytest.raises(ValueError):
-            bernoulli_count(10, 1.5)
+            bernoulli_sample(table, 1.5)
 
 
 class TestSRSEstimators:
     def test_mean_with_fpc(self, population):
         rng = np.random.default_rng(3)
         idx = rng.choice(len(population), 5000, replace=False)
-        est = srs_mean(population[idx], len(population))
+        est = _srs(population[idx], len(population)).estimate_avg("y")
         assert est.value == pytest.approx(population.mean(), rel=0.03)
         # FPC shrinks variance versus infinite population.
         inf_var = np.var(population[idx], ddof=1) / 5000
         assert est.variance < inf_var
 
     def test_full_census_zero_variance(self, population):
-        est = srs_mean(population, len(population))
+        est = _srs(population, len(population)).estimate_avg("y")
         assert est.variance == pytest.approx(0.0, abs=1e-9)
 
     def test_sum_scales_mean(self, population):
         rng = np.random.default_rng(4)
         idx = rng.choice(len(population), 1000, replace=False)
-        mean = srs_mean(population[idx], len(population))
-        total = srs_sum(population[idx], len(population))
+        sample = _srs(population[idx], len(population))
+        mean, total = sample.estimate_avg("y"), sample.estimate_sum("y")
         assert total.value == pytest.approx(mean.value * len(population))
 
     def test_proportion_count(self):
-        est = srs_proportion_count(50, 1000, 100_000)
+        matching = np.arange(1000) < 50
+        est = _srs(np.ones(1000), 100_000).estimate_count(matching)
         assert est.value == pytest.approx(5000)
         lo, hi = est.ci(0.95)
         assert lo < 5000 < hi
 
     def test_empty_sample(self):
-        assert math.isnan(srs_mean(np.array([]), 100).value)
+        table = Table({"y": np.arange(100.0)})
+        assert math.isnan(srs_sample(table, 0).estimate_avg("y").value)
 
 
 class TestRatioEstimator:
     def test_matches_mean_when_denominator_ones(self, population):
         rng = np.random.default_rng(5)
         sample = population[rng.choice(len(population), 2000, replace=False)]
-        est = ratio_estimate(sample, np.ones(len(sample)))
+        est = _srs(sample, len(population)).estimate_avg("y")
         assert est.value == pytest.approx(sample.mean())
 
     def test_filtered_average(self, population):
         rng = np.random.default_rng(6)
         sample = population[rng.choice(len(population), 5000, replace=False)]
         match = sample > 100
-        est = ratio_estimate(np.where(match, sample, 0.0), match.astype(float))
+        est = _srs(sample, len(population)).estimate_avg("y", match)
         assert est.value == pytest.approx(sample[match].mean(), rel=1e-9)
 
     def test_zero_denominator(self):
-        est = ratio_estimate(np.array([1.0]), np.array([0.0]))
+        est = _srs(np.array([1.0]), 10).estimate_avg("y", np.array([False]))
         assert math.isnan(est.value)
 
 
@@ -169,7 +186,7 @@ class TestPlanning:
         hits = 0
         for _ in range(100):
             idx = rng.choice(len(population), n, replace=False)
-            est = srs_mean(population[idx], len(population))
+            est = _srs(population[idx], len(population)).estimate_avg("y")
             hits += abs(est.value - population.mean()) <= spec.relative_error * population.mean()
         assert hits >= 90
 

@@ -1,4 +1,5 @@
-"""Tests for HT estimation, bootstrap, propagation, and cluster variance."""
+"""Tests for Poisson (HT) and block-design estimates, bootstrap,
+propagation, and cluster diagnostics."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro import ErrorSpecError
+from repro import ErrorSpecError, Table
 from repro.audit.acceptance import coverage_lower_bound, mc_mean_within
 from repro.engine.expressions import BinaryOp, Column, Literal
 from repro.estimators.bootstrap import (
@@ -15,7 +16,6 @@ from repro.estimators.bootstrap import (
     coverage_probability,
     poissonized_bootstrap_total,
 )
-from repro.estimators.horvitz_thompson import ht_count, ht_mean, ht_total, scale_up_weights
 from repro.estimators.propagation import (
     allocate_expression,
     allocate_for_product,
@@ -26,19 +26,37 @@ from repro.estimators.propagation import (
     propagate_quotient,
     propagate_sum,
 )
-from repro.estimators.subsampling import (
-    block_sample_avg,
-    block_sample_sum,
-    design_effect_from_rows,
-    jackknife_blocks,
-    per_block_totals,
-)
+from repro.estimators.subsampling import design_effect_from_rows, jackknife_blocks
+from repro.sampling.base import WeightedSample
+from repro.sampling.block import block_fixed_sample
+from repro.sampling.measure_biased import measure_biased_sample
+from repro.sampling.row import bernoulli_sample
+from repro.sampling.universe import universe_sample
+
+
+def _poisson(values, inclusion_probs):
+    """The Poisson sample that kept ``values`` with ``inclusion_probs``."""
+    return WeightedSample(
+        Table({"y": np.asarray(values, dtype=np.float64)}),
+        1.0 / np.asarray(inclusion_probs, dtype=np.float64),
+        "measure_biased", len(values),
+    )
+
+
+def _blocks(block_sums, total_blocks):
+    """A fixed-size sample of one-row blocks with the given sums."""
+    m = len(block_sums)
+    return WeightedSample(
+        Table({"y": block_sums, "__block_id": np.arange(m)}),
+        np.full(m, total_blocks / m), "block_fixed", total_blocks,
+        {"total_blocks": total_blocks, "sampled_blocks": m},
+    )
 
 
 class TestHorvitzThompson:
     def test_uniform_probs_recover_scaling(self):
         y = np.array([1.0, 2.0, 3.0])
-        est = ht_total(y, np.full(3, 0.1))
+        est = _poisson(y, np.full(3, 0.1)).estimate_sum("y")
         assert est.value == pytest.approx(60.0)
 
     @pytest.mark.statistical
@@ -48,37 +66,42 @@ class TestHorvitzThompson:
         totals = []
         for _ in range(150):
             keep = rng.random(5000) < pi
-            totals.append(ht_total(values[keep], pi[keep]).value)
+            totals.append(_poisson(values[keep], pi[keep]).estimate_sum("y").value)
         assert mc_mean_within(totals, values.sum())
 
     def test_count(self):
-        est = ht_count(np.full(10, 0.5))
+        est = _poisson(np.ones(10), np.full(10, 0.5)).estimate_count()
         assert est.value == pytest.approx(20.0)
 
     def test_mean_weighted(self):
         # two strata: rare rows (pi=0.1) valued 100, common (pi=1) valued 0
         values = np.array([100.0, 0.0, 0.0])
         pi = np.array([0.1, 1.0, 1.0])
-        est = ht_mean(values, pi)
+        est = _poisson(values, pi).estimate_avg("y")
         assert est.value == pytest.approx(1000.0 / 12.0)
 
     def test_invalid_probs(self):
+        table = Table({"y": np.arange(10.0)})
         with pytest.raises(ValueError):
-            ht_total(np.array([1.0]), np.array([0.0]))
+            bernoulli_sample(table, 0.0)
         with pytest.raises(ValueError):
-            ht_total(np.array([1.0]), np.array([1.5]))
+            bernoulli_sample(table, 1.5)
 
     def test_alignment(self):
         with pytest.raises(ValueError):
-            ht_total(np.array([1.0]), np.array([0.5, 0.5]))
+            WeightedSample(Table({"y": np.array([1.0])}), np.array([2.0, 2.0]), "x", 1)
 
     def test_scale_up_weights(self):
-        est = scale_up_weights(np.array([2.0, 4.0]), np.array([10.0, 10.0]))
-        assert est.value == pytest.approx(60.0)
+        sample = WeightedSample(
+            Table({"y": np.array([2.0, 4.0])}), np.array([10.0, 10.0]), "x", 20
+        )
+        assert sample.estimate_sum("y").value == pytest.approx(60.0)
 
     def test_weights_below_one_rejected(self):
         with pytest.raises(ValueError):
-            scale_up_weights(np.array([1.0]), np.array([0.5]))
+            measure_biased_sample(Table({"y": np.arange(10.0)}), "y", 0)
+        with pytest.raises(ValueError):
+            universe_sample(Table({"k": np.arange(10)}), "k", 2.0)
 
 
 class TestBootstrap:
@@ -180,29 +203,37 @@ class TestPropagation:
 
 class TestClusterVariance:
     def test_per_block_totals(self):
-        sums, counts = per_block_totals(
-            np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 7, 7])
-        )
-        assert sums.tolist() == [3.0, 7.0]
-        assert counts.tolist() == [2.0, 2.0]
+        # two sampled blocks of 2 rows, of 10: totals are 10/2 · (3, 7)
+        table = Table({"y": np.array([1.0, 2.0, 3.0, 4.0])}, block_size=2)
+        sample = block_fixed_sample(table, 2, np.random.default_rng(0))
+        sample.params["total_blocks"] = 10
+        assert sample.estimate_sum("y").value == pytest.approx(5 * 10.0)
+        assert sample.estimate_count().value == pytest.approx(20.0)
+        assert sample.estimate_count().sample_size == 2
 
     def test_block_sum_estimates_total(self, rng):
         # 100 blocks of 10 rows; sample 30 block sums.
         block_sums = rng.normal(100, 10, 100)
         sampled = block_sums[:30]
-        est = block_sample_sum(sampled, 100)
+        est = _blocks(sampled, 100).estimate_sum("y")
         assert est.value == pytest.approx(100 * sampled.mean())
         assert est.variance > 0
 
     def test_block_sum_census_has_zero_variance(self, rng):
         block_sums = rng.normal(100, 10, 50)
-        est = block_sample_sum(block_sums, 50)
+        est = _blocks(block_sums, 50).estimate_sum("y")
         assert est.variance == pytest.approx(0.0, abs=1e-9)
 
     def test_block_avg_ratio(self, rng):
         sums = rng.normal(500, 20, 40)
         counts = np.full(40, 10.0)
-        est = block_sample_avg(sums, counts, 200)
+        rows = np.repeat(sums / 10.0, 10)
+        sample = WeightedSample(
+            Table({"y": rows, "__block_id": np.repeat(np.arange(40), 10)}),
+            np.full(400, 5.0), "block_fixed", 2000,
+            {"total_blocks": 200, "sampled_blocks": 40},
+        )
+        est = sample.estimate_avg("y")
         assert est.value == pytest.approx(sums.sum() / counts.sum())
 
     def test_design_effect_clustered_vs_shuffled(self, rng):

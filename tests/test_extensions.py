@@ -13,8 +13,6 @@ from repro.core.options import QueryOptions
 from repro.online import ReuseCache
 from repro.sampling.bilevel import (
     bilevel_sample,
-    estimate_count_bilevel,
-    estimate_sum_bilevel,
     effective_row_fraction,
     io_cost_fraction,
     variance_tradeoff_curve,
@@ -46,17 +44,16 @@ class TestBilevelSampling:
     def test_sum_estimate_unbiasedish(self, clustered):
         truth = clustered["value"].sum()
         ests = [
-            estimate_sum_bilevel(
-                bilevel_sample(clustered, 0.3, 0.5, np.random.default_rng(t)),
-                "value",
-            ).value
+            bilevel_sample(clustered, 0.3, 0.5, np.random.default_rng(t))
+            .estimate_sum("value")
+            .value
             for t in range(20)
         ]
         assert np.mean(ests) == pytest.approx(truth, rel=0.05)
 
     def test_count_estimate(self, clustered, rng):
         s = bilevel_sample(clustered, 0.3, 0.5, rng)
-        est = estimate_count_bilevel(s)
+        est = s.estimate_count()
         assert est.value == pytest.approx(clustered.num_rows, rel=0.2)
 
     def test_ci_covers(self, clustered):
@@ -64,7 +61,7 @@ class TestBilevelSampling:
         hits = 0
         for t in range(30):
             s = bilevel_sample(clustered, 0.3, 0.5, np.random.default_rng(t))
-            lo, hi = estimate_sum_bilevel(s, "value").ci(0.95)
+            lo, hi = s.estimate_sum("value").ci(0.95)
             hits += lo <= truth <= hi
         assert hits >= 24
 

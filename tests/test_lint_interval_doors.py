@@ -1,4 +1,4 @@
-"""Lint: the ``sql()`` doors take their variances from one module.
+"""Lint: variances come from one module.
 
 Every sampled answer is a moment table whose intervals come from
 :mod:`repro.online.estimation`. The two doors that once built their own
@@ -7,6 +7,11 @@ executor's ``ola`` technique — must not reach for the closed-form
 estimators or an ``OnlineAggregator`` again, neither by importing them
 nor through the :mod:`repro.online.ola` functions they call, or their
 intervals would drift from every other door's.
+
+Nor may any other ``src/repro`` module import an estimator from
+``estimators.closed_form``: only :mod:`repro.online.estimation` may. The
+rest take the per-cell ``Estimate`` view and the a-priori
+``required_*`` sizes from it, nothing else.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ BANNED_MODULE = "estimators.closed_form"
 BANNED_NAME = "OnlineAggregator"
 
 HINT = "take moments and intervals from repro.online.estimation"
+
+#: the one module that may import anything from the closed-form module
+ESTIMATION = "online/estimation.py"
 
 
 def _module_path(node: ast.ImportFrom) -> str:
@@ -78,6 +86,64 @@ def ola_violations(door_source: str, ola_source: str):
                         (node.lineno, f"{fn.name} uses {node.id} (online/ola.py)")
                     )
     return found
+
+
+def estimator_imports(source: str):
+    """``(line, message)`` for every import of the closed-form module
+    itself, or of a name from it other than ``Estimate`` and
+    ``required_*``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.endswith(BANNED_MODULE):
+                    found.append((node.lineno, f"imports {alias.name}"))
+        elif isinstance(node, ast.ImportFrom):
+            module = _module_path(node)
+            names = {alias.name for alias in node.names}
+            if module.endswith("estimators") and "closed_form" in names:
+                found.append((node.lineno, f"imports {BANNED_MODULE}"))
+            elif module.split(".")[-1] == "closed_form":
+                bad = sorted(
+                    n for n in names if n != "Estimate" and not n.startswith("required_")
+                )
+                if bad:
+                    found.append(
+                        (node.lineno, f"imports {', '.join(bad)} from {BANNED_MODULE}")
+                    )
+    return found
+
+
+def test_only_online_estimation_imports_estimators():
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / ESTIMATION
+        for line, what in estimator_imports(path.read_text())
+    ]
+    assert not found, "\n".join(found) + f"\n{HINT}"
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "from repro.estimators.closed_form import srs_sum\n",
+        "from ..estimators.closed_form import Estimate, bernoulli_avg\n",
+        "from .closed_form import ratio_estimate\n",
+        "from ..estimators import closed_form\n",
+        "import repro.estimators.closed_form\n",
+    ],
+)
+def test_the_estimator_lint_catches(snippet):
+    assert estimator_imports(snippet)
+
+
+def test_the_estimator_lint_allows_the_view_and_sizes():
+    assert not estimator_imports(
+        "from ..estimators.closed_form import Estimate\n"
+        "from .closed_form import Estimate, required_rate_for_sum\n"
+        "from ..online.estimation import srs_totals\n"
+    )
 
 
 @pytest.mark.parametrize("door", DOORS)

@@ -887,41 +887,53 @@ class TestOnlineAggregation:
         )
         assert peek < 0.95
 
+    def test_census_avg_has_zero_width(self, table):
+        """Every row read: no sampling error, for an AVG as for a SUM."""
+        mask = table["v"] > 20
+        ola = OnlineAggregator(table, "v", "avg", predicate_mask=mask, seed=1)
+        snap = ola.snapshot(table.num_rows)
+        assert snap.value == pytest.approx(table["v"][mask].mean(), rel=1e-12)
+        assert snap.ci_low == snap.ci_high == snap.value
+
     def test_validation(self, table):
         with pytest.raises(Exception):
             OnlineAggregator(table, None, "sum")
         with pytest.raises(Exception):
             OnlineAggregator(table, "v", "median")
 
+    @staticmethod
+    def _prefix_sums(table, mask, seed, k):
+        """Σv, Σv², Σm of the first ``k`` rows of the aggregator's read
+        order, summed directly."""
+        order = np.random.default_rng(seed).permutation(table.num_rows)
+        v = np.where(mask, table["v"], 0.0)[order][:k]
+        return np.sum(v), np.sum(v * v), float(np.sum(mask[order][:k]))
+
     def test_running_moments_match_prefix_sums(self, table):
-        """Snapshots advance Σv, Σv², Σm over the new rows only, and a
-        snapshot behind the last one restarts from zero."""
+        """Every prefix's Σv, Σv², Σm is read from cumulative sums over
+        the read order, in any order of snapshots."""
         mask = table["v"] > 20
-        order = np.random.default_rng(7).permutation(table.num_rows)
-        v = np.where(mask, table["v"], 0.0)[order]
-        m = mask[order]
         ola = OnlineAggregator(table, "v", "avg", predicate_mask=mask, seed=7)
         for k in (1, 700, 700, 20_000, 61_234, 80_000, 3_000):
             ola.snapshot(k)
-            want = (np.sum(v[:k]), np.sum(v[:k] * v[:k]), np.sum(m[:k]))
-            assert ola._sums == pytest.approx(want, rel=1e-12)
-
+            got = tuple(float(column[k]) for column in ola._prefix)
+            assert got == pytest.approx(self._prefix_sums(table, mask, 7, k), rel=1e-12)
 
     @pytest.mark.parametrize("agg", ["sum", "count", "avg"])
     def test_estimates_match_the_row_level_reference(self, table, agg):
         """The aggregator's estimate at any stop is the row-level SRS
         arithmetic of :class:`tests.ola_reference.ReferenceFixedStop` on
-        its running sums."""
+        the prefix's sums."""
         n = table.num_rows
-        ola = OnlineAggregator(
-            table, "v", agg, predicate_mask=table["v"] > 20, seed=3
-        )
+        mask = table["v"] > 20
+        ola = OnlineAggregator(table, "v", agg, predicate_mask=mask, seed=3)
         for k in (2, 700, 20_000, n):
             est = ola.estimate(k)
-            want = ReferenceFixedStop(k, n, ola._sums).estimate(agg)
+            sums = self._prefix_sums(table, mask, 3, k)
+            want = ReferenceFixedStop(k, n, sums).estimate(agg)
             np.testing.assert_allclose(
                 [est.value, est.variance], [want.value, want.variance],
-                rtol=1e-9,
+                rtol=1e-9, atol=1e-12,
             )
 
 

@@ -1,20 +1,14 @@
 """Tests for row- and block-level samplers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import Table
 from repro.audit.acceptance import coverage_lower_bound
-from repro.estimators.horvitz_thompson import scale_up_weights
 from repro.sampling.base import WeightedSample
-from repro.sampling.block import (
-    block_bernoulli_sample,
-    block_fixed_sample,
-    estimate_avg_blockwise,
-    estimate_count_blockwise,
-    estimate_sum_blockwise,
-    naive_vs_clustered_variance,
-)
+from repro.sampling.block import block_bernoulli_sample, block_fixed_sample
 from repro.sampling.row import bernoulli_sample, srs_sample, systematic_sample
 from repro.storage.blocks import clustered_layout, shuffled_layout
 from repro.workloads import clustered_values
@@ -50,7 +44,7 @@ class TestWeightedSample:
         # weights estimate the filtered population
         s = bernoulli_sample(table, 0.05, rng)
         mask = s.table["g"] == 2
-        est = scale_up_weights(s.table["v"][mask], s.weights[mask])
+        est = s.estimate_sum("v", mask)
         truth = table["v"][table["g"] == 2].sum()
         assert est.value == pytest.approx(truth, rel=0.2)
 
@@ -85,6 +79,21 @@ class TestRowSamplers:
         with pytest.raises(ValueError):
             srs_sample(table, -1)
 
+    def test_whole_table_srs_avg_has_zero_width(self, table, rng):
+        est = srs_sample(table, table.num_rows, rng).estimate_avg("v")
+        assert est.variance == 0.0
+        lo, hi = est.ci(0.95)
+        assert lo == hi == est.value
+
+    def test_srs_sum_takes_the_srs_variance(self, table, rng):
+        """``N²(1−n/N)s²/n``, not the Poisson ``Σw(w−1)y²``, which adds
+        ``N²·mean²/n`` and over-covers."""
+        s = srs_sample(table, 1500, rng)
+        y, big_n = s.table["v"], table.num_rows
+        srs_var = big_n**2 * (1 - 1500 / big_n) * np.var(y, ddof=1) / 1500
+        assert s.estimate_sum("v").variance == pytest.approx(srs_var, rel=1e-9)
+        assert np.sum(s.weights * (s.weights - 1) * y * y) > 1.5 * srs_var
+
     def test_systematic_step(self, rng):
         t = Table({"v": np.arange(100)})
         s = systematic_sample(t, 10, rng)
@@ -116,24 +125,26 @@ class TestBlockSamplers:
 
     def test_sum_estimate_shuffled_layout(self, table, rng):
         s = block_bernoulli_sample(table, 0.05, rng)
-        est = estimate_sum_blockwise(s, "v")
+        est = s.estimate_sum("v")
         assert est.value == pytest.approx(table["v"].sum(), rel=0.1)
 
     def test_count_estimate(self, table, rng):
         s = block_bernoulli_sample(table, 0.1, rng)
-        est = estimate_count_blockwise(s)
+        est = s.estimate_count()
         assert est.value == pytest.approx(table.num_rows, rel=0.05)
 
     def test_avg_estimate(self, table, rng):
         s = block_bernoulli_sample(table, 0.1, rng)
-        est = estimate_avg_blockwise(s, "v")
+        est = s.estimate_avg("v")
         assert est.value == pytest.approx(table["v"].mean(), rel=0.05)
 
     def test_clustered_layout_inflates_clustered_variance(self, rng):
         cols = clustered_values(20_000, block_size=200, seed=4)
         t = Table(cols, block_size=200)
         s = block_bernoulli_sample(t, 0.2, rng)
-        naive, clustered = naive_vs_clustered_variance(s, "value")
+        # the same rows read as a Bernoulli sample of rows: the i.i.d. view
+        naive = dataclasses.replace(s, method="bernoulli_rows").estimate_sum("value")
+        naive, clustered = naive.variance, s.estimate_sum("value").variance
         # On a clustered layout the honest (cluster) variance dwarfs the
         # naive i.i.d. one: the design effect the survey warns about.
         assert clustered > 5 * naive
@@ -147,7 +158,7 @@ class TestBlockSamplers:
         hits = 0
         for trial in range(60):
             s = block_bernoulli_sample(t, 0.25, np.random.default_rng(trial))
-            lo, hi = estimate_sum_blockwise(s, "value").ci(0.95)
+            lo, hi = s.estimate_sum("value").ci(0.95)
             hits += lo <= truth <= hi
         assert hits >= coverage_lower_bound(60, 0.95)
 

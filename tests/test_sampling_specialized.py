@@ -12,7 +12,6 @@ from repro.audit.acceptance import (
 )
 from repro.engine.aggregates import encode_groups
 from repro.engine.executor import join_indices
-from repro.estimators.horvitz_thompson import scale_up_weights
 from repro.sampling import distinct as distinct_module
 from repro.sampling.distinct import (
     distinct_sample,
@@ -25,7 +24,6 @@ from repro.sampling.join_synopsis import (
     refresh_needed,
 )
 from repro.sampling.measure_biased import (
-    estimate_sum as mb_estimate_sum,
     measure_biased_sample,
     optimal_variance_ratio,
 )
@@ -37,8 +35,8 @@ from repro.sampling.outlier import (
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.row import bernoulli_sample
 from repro.sampling.universe import (
-    estimate_join_sum,
     joint_universe_samples,
+    universe_join_sample,
     universe_sample,
 )
 from repro.workloads import heavy_tailed_table, zipf_group_table
@@ -92,7 +90,7 @@ class TestMeasureBiased:
 
     def test_sum_estimate_accurate(self, heavy, rng):
         s = measure_biased_sample(heavy, "value", 2000, rng)
-        est = mb_estimate_sum(s)
+        est = s.estimate_sum("value")
         truth = heavy["value"].sum()
         assert est.value == pytest.approx(truth, rel=0.1)
 
@@ -105,7 +103,7 @@ class TestMeasureBiased:
     def test_predicate_mask(self, heavy, rng):
         s = measure_biased_sample(heavy, "value", 3000, rng)
         mask = s.table["group_id"] == 1
-        est = mb_estimate_sum(s, mask)
+        est = s.estimate_sum("value", mask)
         truth = heavy["value"][heavy["group_id"] == 1].sum()
         assert est.value == pytest.approx(truth, rel=0.25)
 
@@ -312,7 +310,8 @@ class TestUniverseSampling:
         ls, rs = joint_universe_samples(left, "k", right, "k", 0.15, seed=8)
         li, ri, _ = join_indices([ls.table["k"]], [rs.table["k"]])
         vals = ls.table["v"][li] * rs.table["w"][ri]
-        est = estimate_join_sum(vals, ls.table["k"][li], 0.15)
+        joined = Table({"k": ls.table["k"][li], "y": vals})
+        est = universe_join_sample(joined, "k", 0.15).estimate_sum("y")
         assert est.value == pytest.approx(truth, rel=0.25)
         lo, hi = est.ci(0.95)
         assert lo < truth < hi
@@ -393,7 +392,7 @@ class TestJoinSynopsis:
             star, "fact", [ForeignKeyEdge("fk", "dim", "k")], 5000, rng
         )
         mask = syn.sample.table["dim.cat"] == 2
-        est = scale_up_weights(syn.sample.table["v"][mask], syn.sample.weights[mask])
+        est = syn.sample.estimate_sum("v", mask)
         cats = star.table("dim")["cat"][star.table("fact")["fk"]]
         truth = star.table("fact")["v"][cats == 2].sum()
         assert est.value == pytest.approx(truth, rel=0.2)

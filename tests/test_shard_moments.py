@@ -37,12 +37,13 @@ from repro.engine.fused import (
 )
 from repro.engine.plan import Filter, GroupByAggregate, Scan
 from repro.engine.table import Table
-from repro.estimators.horvitz_thompson import ht_count, ht_total
+from repro.estimators.closed_form import Estimate
 from repro.offline.catalog import SynopsisCatalog
 from repro.resilience import Deadline, FaultInjector, inject, kill_shard
 from repro.sharding import ScatterGatherExecutor, ShardedTable, merge_partial_tables
 from repro.sql import bind_sql
 
+from . import estimator_reference
 from .ola_reference import reference_block_fixed_stop
 
 N_ROWS = 4_096
@@ -153,7 +154,7 @@ def _reference_partial(
     )
     keep = np.ones(sample.num_rows, dtype=bool) if mask is None else mask
     pi = 1.0 / np.maximum(sample.weights[keep], 1e-300)
-    count = ht_count(pi)
+    count = Estimate(*estimator_reference.ht_total(np.ones(len(pi)), pi))
     estimates = {_COUNT: (count.value, *count.ci(SPEC.confidence))}
     for agg in bound.aggregates:
         if agg.func == "count":
@@ -162,7 +163,7 @@ def _reference_partial(
             estimates[agg.alias] = (0.0, 0.0, 0.0)
         else:
             column = agg.argument.name.split(".", 1)[1]
-            est = ht_total(np.asarray(sample.table[column])[keep], pi)
+            est = Estimate(*estimator_reference.ht_total(np.asarray(sample.table[column])[keep], pi))
             estimates[agg.alias] = (est.value, *est.ci(SPEC.confidence))
     return _estimate_row(estimates, float(max(count.value, 0.0)))
 
