@@ -28,7 +28,6 @@ from repro.estimators.propagation import (
 )
 from repro.estimators.subsampling import design_effect_from_rows, jackknife_blocks
 from repro.sampling.base import WeightedSample
-from repro.sampling.block import block_fixed_sample
 from repro.sampling.measure_biased import measure_biased_sample
 from repro.sampling.row import bernoulli_sample
 from repro.sampling.universe import universe_sample
@@ -203,10 +202,11 @@ class TestPropagation:
 
 class TestClusterVariance:
     def test_per_block_totals(self):
-        # two sampled blocks of 2 rows, of 10: totals are 10/2 · (3, 7)
-        table = Table({"y": np.array([1.0, 2.0, 3.0, 4.0])}, block_size=2)
-        sample = block_fixed_sample(table, 2, np.random.default_rng(0))
-        sample.params["total_blocks"] = 10
+        # blocks 0 and 7, two rows each, sampled of 10: 10 · mean(3, 7)
+        sample = WeightedSample(
+            Table({"y": np.array([1.0, 2.0, 3.0, 4.0]), "__block_id": np.array([0, 0, 7, 7])}),
+            np.full(4, 5.0), "block_fixed", 20, {"total_blocks": 10, "sampled_blocks": 2},
+        )
         assert sample.estimate_sum("y").value == pytest.approx(5 * 10.0)
         assert sample.estimate_count().value == pytest.approx(20.0)
         assert sample.estimate_count().sample_size == 2
